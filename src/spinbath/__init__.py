@@ -20,16 +20,15 @@ from .hamiltonian import (
 from .observe import MeasureReport, ReducedDensityMatrix, delta, fit_b, measure_state, reduce_to_system, sigma, trace_time_series
 from .propagate import (
     ChebyshevPlan,
-    ThermalStateRequest,
     alternating_product_state,
     canonical_thermal_state,
     evolve_real_time,
     moment_check,
     normalization_diagnostic,
-    project_imaginary_time,
+    projection_spectrum,
     random_state,
 )
-from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, ground_state, thermo
+from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, thermo
 from .theory import (
     PredictionInputs,
     delta2_full,

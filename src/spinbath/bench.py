@@ -25,16 +25,16 @@ import numpy as np
 
 from . import observe, theory
 from .errors import ConfigError, SpinBathError
-from .hamiltonian import FULL, SYSTEM, SpinModel, build_chain_model, build_ring_model
+from .hamiltonian import SYSTEM, SpinModel, build_chain_model, build_ring_model
 from .propagate import (
-    ThermalStateRequest,
     alternating_product_state,
     canonical_thermal_state,
     moment_check,
     normalization_diagnostic,
+    projection_spectrum,
     random_state,
-    real_matmul,
 )
+from .propagate import real_matmul  # noqa: F401  (a binding benchmark/tracer.py expects)
 from .seeds import realization_seed
 from .spectrum import diagonalize
 from .theory import first_order_symmetry_trace
@@ -44,8 +44,9 @@ MODES = ("static_measure", "time_trace", "theory_overlay", "symmetry_check",
          "normalization_diag", "moment_check")
 MODELS = ("ring", "chain", "explicit")
 WORKERS_ENV = "SPINBATH_WORKERS"
-EXACT_SWEEP_DIM = 2**12   # "auto" sweeps use the exact projector up to here
-_BATCH = 256              # fixed projection batch size, independent of workers
+# projection block size in amplitudes, independent of the worker count
+# (256 columns at 2^12, one column from 2^20 on)
+_BLOCK_AMPLITUDES = 2**20
 
 
 def default_realizations(n_spins: int) -> int:
@@ -226,23 +227,6 @@ def render_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_to_config(model: SpinModel, mode: str = "static_measure") -> str:
-    """Serialize a concrete model as an explicit-model config fragment."""
-    cfg = ExperimentConfig(
-        mode=mode, model="explicit",
-        n_sys_list=(model.n_system,), n_env_list=(model.n_env,),
-        lambda_list=(model.lam,), beta_list=(1.0,),
-        system_bonds=model.system_bonds, env_bonds=model.env_bonds,
-        coupling_bonds=model.coupling_bonds,
-    )
-    return render_config(cfg)
-
-
-def model_from_config(text: str) -> SpinModel:
-    cfg = parse_config(text)
-    return cfg.build_model(cfg.n_sys_list[0], cfg.n_env_list[0], cfg.lambda_list[0])
-
-
 # ---------------------------------------------------------------------------
 # result tables
 
@@ -358,8 +342,7 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
     model = config.build_model(n_sys, n_env, lam)
     n_real = config.realizations(model.n_spins)
     hs_spec = diagonalize(model, SYSTEM)
-    use_exact = config.method == "exact" or (config.method == "auto" and model.dim <= EXACT_SWEEP_DIM)
-    full_spec = diagonalize(model, FULL) if use_exact else None
+    full_spec = projection_spectrum(model, config.method)
     key = config.structure_key(n_sys, n_env)
     theory_vals = {}
     if with_theory:
@@ -374,32 +357,19 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
     per_beta = {beta: {m: np.empty(n_real) for m in ("sigma", "delta", "b", "delta_fit")}
                 for beta in config.beta_list}
     sample_rows = {beta: [] for beta in config.beta_list}
-    for start in range(0, n_real, _BATCH):
-        stop = min(start + _BATCH, n_real)
-        if use_exact:
-            block = np.column_stack([
-                random_state(model.dim, realization_seed(config.master_seed, key, r))
-                for r in range(start, stop)
-            ])
-            e = full_spec.eigenvalues
-            coeff0 = real_matmul(full_spec.eigenvectors.T, block)
-            for beta in config.beta_list:
-                coeff = coeff0 * np.exp(-0.5 * beta * (e - e[0]))[:, None]
-                proj = real_matmul(full_spec.eigenvectors, coeff)
-                proj /= np.linalg.norm(proj, axis=0)
-                for col, r in enumerate(range(start, stop)):
-                    rep = observe.measure_state(proj[:, col], n_sys, hs_spec, beta_ref=beta)
-                    _store(per_beta[beta], sample_rows[beta], rep,
-                           (n_sys, n_env, lam, beta, r), with_theory)
-        else:
-            for r in range(start, stop):
-                seed = realization_seed(config.master_seed, key, r)
-                for beta in config.beta_list:
-                    request = ThermalStateRequest(beta=beta, seed=seed, method="chebyshev")
-                    state, _ = canonical_thermal_state(model, request)
-                    rep = observe.measure_state(state, n_sys, hs_spec, beta_ref=beta)
-                    _store(per_beta[beta], sample_rows[beta], rep,
-                           (n_sys, n_env, lam, beta, r), with_theory)
+    block_columns = max(1, _BLOCK_AMPLITUDES // model.dim)
+    for start in range(0, n_real, block_columns):
+        stop = min(start + block_columns, n_real)
+        block = np.column_stack([
+            random_state(model.dim, realization_seed(config.master_seed, key, r))
+            for r in range(start, stop)
+        ])
+        projected = canonical_thermal_state(model, block, config.beta_list, full_spec)
+        for beta, (states, _) in zip(config.beta_list, projected):
+            for col, r in enumerate(range(start, stop)):
+                rep = observe.measure_state(states[:, col], n_sys, hs_spec, beta_ref=beta)
+                _store(per_beta[beta], sample_rows[beta], rep,
+                       (n_sys, n_env, lam, beta, r), with_theory)
     for beta in config.beta_list:
         rows.extend(sample_rows[beta])
         prefix = (n_sys, n_env, lam, beta)
@@ -459,8 +429,10 @@ def _run_time_trace(config: ExperimentConfig) -> ResultTable:
     hs_spec = diagonalize(model, SYSTEM)
     seed = realization_seed(config.master_seed, config.structure_key(n_sys, n_env), 0)
     if config.initial_state == "x":
-        request = ThermalStateRequest(beta=beta, seed=seed, method=config.method)
-        state, _ = canonical_thermal_state(model, request)
+        psi0 = random_state(model.dim, seed)[:, None]
+        (states, _), = canonical_thermal_state(model, psi0, [beta],
+                                               projection_spectrum(model, config.method))
+        state = states[:, 0]
     else:
         state = alternating_product_state(model, beta, seed)
     trace = observe.trace_time_series(model, state, config.t_max, config.dt,

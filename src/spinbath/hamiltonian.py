@@ -85,19 +85,14 @@ class SpinModel:
                 f"N = {self.n_spins} exceeds the size cap {self.size_cap}; "
                 "raise size_cap explicitly if you have the memory"
             )
-        def norm(bonds):
-            for b in bonds:
-                if len(b) != 5:
-                    raise ModelError(f"bond {b!r} must be (i, j, cx, cy, cz)")
-            return tuple(
-                (int(b[0]), int(b[1]), float(b[2]), float(b[3]), float(b[4])) for b in bonds
-            )
-        object.__setattr__(self, "system_bonds", norm(self.system_bonds))
-        object.__setattr__(self, "env_bonds", norm(self.env_bonds))
-        object.__setattr__(self, "coupling_bonds", norm(self.coupling_bonds))
         _check_bonds(self.system_bonds, self.n_system, None, "system_bonds", cross=False)
         _check_bonds(self.env_bonds, self.n_env, None, "env_bonds", cross=False)
         _check_bonds(self.coupling_bonds, self.n_system, self.n_env, "coupling_bonds", cross=True)
+        for name in ("system_bonds", "env_bonds", "coupling_bonds"):
+            object.__setattr__(self, name, tuple(
+                (int(b[0]), int(b[1]), float(b[2]), float(b[3]), float(b[4]))
+                for b in getattr(self, name)
+            ))
 
     @property
     def n_spins(self) -> int:
@@ -247,18 +242,12 @@ def apply_site_operator(model: SpinModel, part: str, site: int, axis: str, state
     The operator acts on the same local space as apply_hamiltonian(part):
     part "S"/"E" on 2^{n_part}, "FULL" on 2^N.
     """
-    n_bits, _ = _local_terms(model, part if part != COUPLING else FULL)
-    if part == SYSTEM:
-        bit = site - 1
-        n_sites = model.n_system
-    elif part == ENVIRONMENT:
-        bit = site - 1
-        n_sites = model.n_env
-    else:
-        bit = site - 1
-        n_sites = model.n_spins
-    if not 1 <= site <= n_sites:
+    if part not in _PARTS:
+        raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
+    n_bits = {SYSTEM: model.n_system, ENVIRONMENT: model.n_env}.get(part, model.n_spins)
+    if not 1 <= site <= n_bits:
         raise ModelError(f"site {site} out of range for part {part}")
+    bit = site - 1
     state = np.asarray(state)
     if state.shape[0] != 2**n_bits:
         raise DimensionError(f"state dimension {state.shape[0]} != {2**n_bits}")

@@ -168,10 +168,3 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
             state = evolve_real_time(model, state, dt, plan)
     return rows
 
-
-def time_average(rows, t_burn: float):
-    """Mean and standard deviation of sigma over samples with t > t_burn."""
-    vals = np.array([r[1] for r in rows if r[0] > t_burn])
-    if vals.size == 0:
-        raise ValueError("no samples past t_burn")
-    return float(vals.mean()), float(vals.std(ddof=1) if vals.size > 1 else 0.0)

@@ -5,10 +5,20 @@ A canonical thermal pure state at inverse temperature beta is
     |psi_beta> = exp(-beta H / 2) |psi_0> / <psi_0| exp(-beta H) |psi_0>^(1/2)
 
 with |psi_0> drawn uniformly from the unit sphere (complex Gaussian
-amplitudes via Box-Muller).  Both exp(-beta H / 2) and exp(-i t H) are
-applied matrix-free through a Chebyshev expansion of the exponential over
-the affinely rescaled spectrum, with an exact-diagonalization path for
-small dimensions.
+amplitudes via Box-Muller).  ``canonical_thermal_state(model, psi0, betas,
+spectrum=None)`` is the one projection: it takes a (dim, k) block of
+initial states and a list of betas and has two backends.
+
+- exact: given the full-H spectrum, project in the eigenbasis, one beta's
+  block at a time;
+- Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> per
+  column up to the largest order and accumulate every beta's expansion
+  from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
+  056702 (2003)), so the cost is the largest order, not the sum.
+
+``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
+that spectrum or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
+exp(-i t H) uses the same recurrence with a single plan.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from .spectrum import DEFAULT_DIM_CAP, SpectrumSummary, diagonalize
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
-EXACT_DIM_DEFAULT = 2**12      # "auto" method prefers exact below this
+EXACT_AUTO_DIM = 2**12         # "auto" projects exactly up to this dimension
 
 
 def _sub_seed(seed, *extra) -> tuple:
@@ -45,25 +55,6 @@ def random_state(dim: int, seed) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log1p(-u[0]))   # 1 - u in (0, 1], so log is finite
     d = radius * np.cos(2.0 * np.pi * u[1]) + 1j * radius * np.sin(2.0 * np.pi * u[1])
     return d / np.linalg.norm(d)
-
-
-@dataclass(frozen=True)
-class ThermalStateRequest:
-    """How to prepare a canonical thermal state.
-
-    method: "exact" (dense eigendecomposition), "chebyshev", or "auto"
-    (exact when the dimension is small or a spectrum is supplied).
-    """
-
-    beta: float
-    seed: object
-    method: str = "auto"
-
-    def __post_init__(self):
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise ValueError("beta must be finite and >= 0")
-        if self.method not in ("auto", "exact", "chebyshev"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -175,27 +166,33 @@ def imaginary_time_plan(bounds, beta, tolerance=DEFAULT_TOLERANCE, max_order=DEF
     )
 
 
-def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.ndarray:
-    """Clenshaw-free forward recurrence sum_k c_k T_k(X) |state>."""
+def _apply_plan(model: SpinModel, plans: list[ChebyshevPlan], state: np.ndarray) -> list[np.ndarray]:
+    """Clenshaw-free forward recurrence: sum_k c_k T_k(X) |state> for each plan.
+
+    The plans must share one spectral map (the first plan's bounds are
+    used); T_k(X)|state> is computed once up to the largest order and each
+    plan's sum stops at its own order.
+    """
     if state.shape[0] != model.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != model dimension {model.dim}")
-    a = 0.5 * (plan.e_max + plan.e_min)
-    half = 0.5 * (plan.e_max - plan.e_min)
+    a = 0.5 * (plans[0].e_max + plans[0].e_min)
+    half = 0.5 * (plans[0].e_max - plans[0].e_min)
 
     def x_apply(v):
         return (apply_hamiltonian(model, FULL, v) - a * v) / half
 
-    c = plan.coefficients
     t_prev = state.astype(complex)
-    acc = c[0] * t_prev
-    if plan.order >= 1:
-        t_cur = x_apply(t_prev)
-        acc += c[1] * t_cur
-        for k in range(2, plan.order + 1):
-            t_next = 2.0 * x_apply(t_cur) - t_prev
-            acc += c[k] * t_next
-            t_prev, t_cur = t_cur, t_next
-    return acc
+    accs = [p.coefficients[0] * t_prev for p in plans]
+    t_cur = x_apply(t_prev)
+    for p, acc in zip(plans, accs):
+        acc += p.coefficients[1] * t_cur
+    for k in range(2, max(p.order for p in plans) + 1):
+        t_next = 2.0 * x_apply(t_cur) - t_prev
+        for p, acc in zip(plans, accs):
+            if k <= p.order:
+                acc += p.coefficients[k] * t_next
+        t_prev, t_cur = t_cur, t_next
+    return accs
 
 
 def evolve_real_time(model: SpinModel, state: np.ndarray, t: float, plan=None,
@@ -207,34 +204,7 @@ def evolve_real_time(model: SpinModel, state: np.ndarray, t: float, plan=None,
     """
     if plan is None:
         plan = real_time_plan(energy_bounds(model), t, tolerance, max_order)
-    return plan.phase * _apply_plan(model, plan, state)
-
-
-def project_imaginary_time(model: SpinModel, state: np.ndarray, beta: float, plan=None,
-                           tolerance=DEFAULT_TOLERANCE, max_order=DEFAULT_MAX_ORDER):
-    """Apply exp(-beta H / 2) and normalize.
-
-    Returns (normalized state, squared pre-normalization norm).  For a unit
-    input the second value is <state| exp(-beta H) |state>; it may overflow
-    to inf (or underflow to 0) at extreme beta * |E|, while the returned
-    state itself is computed stably.
-    """
-    if plan is None:
-        plan = imaginary_time_plan(energy_bounds(model), beta, tolerance, max_order)
-    raw = _apply_plan(model, plan, state)
-    raw_norm = np.linalg.norm(raw)
-    # The scaled series sums to exp(-z(x - x_min)) profiles with terms of
-    # order one; once the surviving amplitude falls near machine epsilon the
-    # single-shot projection has cancelled away all precision.
-    if not raw_norm > 1e-12 * np.linalg.norm(state):
-        raise ChebyshevOrderError(
-            "beta * spectral width too large for a single double-precision "
-            "Chebyshev projection; use method='exact' or compose shorter "
-            "imaginary-time projections"
-        )
-    with np.errstate(over="ignore", under="ignore"):
-        norm_sq = float(np.exp(2.0 * (np.log(raw_norm) + plan.log_prefactor)))
-    return raw / raw_norm, norm_sq
+    return plan.phase * _apply_plan(model, [plan], state)[0]
 
 
 def real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -250,49 +220,97 @@ def real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m @ x
 
 
-def _exact_project(spectrum: SpectrumSummary, state: np.ndarray, beta: float):
-    if spectrum.eigenvectors is None:
-        raise ValueError("exact method needs a spectrum with eigenvectors")
+def _unprojected(psi0: np.ndarray):
+    """The beta = 0 result: the block itself and its squared column norms."""
+    return psi0, np.linalg.norm(psi0, axis=0) ** 2
+
+
+def _exact_projections(spectrum: SpectrumSummary, psi0: np.ndarray, betas):
+    """Exact backend: project in the eigenbasis, yielding one beta's block at a time."""
     e = spectrum.eigenvalues
     v = spectrum.eigenvectors
-    coeff = real_matmul(v.conj().T, state)
-    coeff *= np.exp(-0.5 * beta * (e - e[0]))
-    raw = real_matmul(v, coeff)
-    raw_norm = np.linalg.norm(raw)
-    with np.errstate(over="ignore", under="ignore"):
-        norm_sq = float(raw_norm**2 * np.exp(-beta * e[0]))
-    return raw / raw_norm, norm_sq
+    coeff0 = real_matmul(v.T, psi0)
+    for beta in betas:
+        if beta == 0.0:
+            yield _unprojected(psi0)
+            continue
+        coeff = coeff0 * np.exp(-0.5 * beta * (e - e[0]))[:, None]
+        raw = real_matmul(v, coeff)
+        raw_norm = np.linalg.norm(raw, axis=0)
+        raw /= raw_norm
+        with np.errstate(over="ignore", under="ignore"):
+            norm_sq = raw_norm**2 * np.exp(-beta * e[0])
+        yield raw, norm_sq
 
 
-def canonical_thermal_state(model: SpinModel, request: ThermalStateRequest,
-                            spectrum: SpectrumSummary | None = None,
-                            exact_dim_cap: int = EXACT_DIM_DEFAULT,
-                            max_order: int = DEFAULT_MAX_ORDER):
-    """Draw |psi_0> per the request seed and project to inverse temperature beta.
-
-    Returns (state, norm_sq) with norm_sq = <psi_0| exp(-beta H) |psi_0>.
-    beta = 0 returns |psi_0> itself.  Method "exact" diagonalizes the full
-    Hamiltonian once (pass ``spectrum`` to reuse it across realizations);
-    "chebyshev" never builds a dense matrix.
-    """
-    psi0 = random_state(model.dim, request.seed)
-    if request.beta == 0.0:
-        return psi0, 1.0
-    method = request.method
-    if method == "auto":
-        if spectrum is not None or model.dim <= exact_dim_cap:
-            method = "exact"
-        else:
-            method = "chebyshev"
-    if method == "exact":
-        if spectrum is None:
-            if model.dim > DEFAULT_DIM_CAP:
-                raise SizeLimitError(
-                    f"dimension {model.dim} too large for the exact method"
+def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
+    """Chebyshev backend: one shared recurrence per column for every beta > 0."""
+    bounds = energy_bounds(model)
+    plans = [imaginary_time_plan(bounds, beta) for beta in betas if beta > 0.0]
+    if not plans:
+        return [_unprojected(psi0) for _ in betas]
+    states = [np.empty(psi0.shape, dtype=complex) for _ in plans]
+    norm_sq = np.empty((len(plans), psi0.shape[1]))
+    for j in range(psi0.shape[1]):
+        column = psi0[:, j]
+        for i, (plan, raw) in enumerate(zip(plans, _apply_plan(model, plans, column))):
+            raw_norm = np.linalg.norm(raw)
+            # The scaled series sums to exp(-z(x - x_min)) profiles with terms
+            # of order one; once the surviving amplitude falls near machine
+            # epsilon the single-shot projection has cancelled away all
+            # precision.
+            if not raw_norm > 1e-12 * np.linalg.norm(column):
+                raise ChebyshevOrderError(
+                    "beta * spectral width too large for a single double-precision "
+                    "Chebyshev projection; use the exact backend or compose shorter "
+                    "imaginary-time projections"
                 )
-            spectrum = diagonalize(model, FULL)
-        return _exact_project(spectrum, psi0, request.beta)
-    return project_imaginary_time(model, psi0, request.beta, max_order=max_order)
+            states[i][:, j] = raw / raw_norm
+            with np.errstate(over="ignore", under="ignore"):
+                norm_sq[i, j] = np.exp(2.0 * (np.log(raw_norm) + plan.log_prefactor))
+    projected = iter(zip(states, norm_sq))
+    return [next(projected) if beta > 0.0 else _unprojected(psi0) for beta in betas]
+
+
+def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
+                            spectrum: SpectrumSummary | None = None):
+    """Project a (dim, k) block of initial states to every inverse temperature in ``betas``.
+
+    Returns an iterable of one (states, norm_sq) pair per beta, in order:
+    ``states`` holds the normalized columns exp(-beta H / 2)|psi_0>, and
+    ``norm_sq`` per column <psi_0| exp(-beta H) |psi_0> (it may overflow to
+    inf or underflow to 0 at extreme beta * |E|, while the states stay
+    exact).  beta = 0 returns ``psi0`` itself with its squared column norms.
+
+    Given the full-H ``spectrum`` (see projection_spectrum) the block is
+    projected exactly and lazily, so only one beta's block is held at a
+    time; without it a single Chebyshev recurrence per column serves every
+    beta and never builds a dense matrix.
+    """
+    psi0 = np.asarray(psi0)
+    if psi0.ndim != 2 or psi0.shape[0] != model.dim:
+        raise DimensionError(f"psi0 must be a ({model.dim}, k) block, got shape {psi0.shape}")
+    betas = [float(beta) for beta in betas]
+    if not all(np.isfinite(beta) and beta >= 0.0 for beta in betas):
+        raise ValueError("betas must be finite and >= 0")
+    if spectrum is None:
+        return _chebyshev_projections(model, psi0, betas)
+    if spectrum.eigenvectors is None or spectrum.dim != model.dim:
+        raise ValueError("the exact backend needs the full-H spectrum with eigenvectors")
+    return _exact_projections(spectrum, psi0, betas)
+
+
+def projection_spectrum(model: SpinModel, method: str) -> SpectrumSummary | None:
+    """The ``spectrum`` argument of canonical_thermal_state for a method.
+
+    "exact" diagonalizes the full H (dense, so capped by the dense size
+    limit), "chebyshev" gives None, and "auto" is exact up to EXACT_AUTO_DIM.
+    """
+    if method not in ("auto", "exact", "chebyshev"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "chebyshev" or (method == "auto" and model.dim > EXACT_AUTO_DIM):
+        return None
+    return diagonalize(model, FULL)
 
 
 def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray:
@@ -311,9 +329,9 @@ def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray
     sys_vec = np.zeros(model.dim_system, dtype=complex)
     sys_vec[sys_index] = 1.0
     env_spec = diagonalize(model, ENVIRONMENT)
-    env0 = random_state(model.dim_env, seed)
-    env_vec, _ = _exact_project(env_spec, env0, beta)
-    return np.kron(env_vec, sys_vec)
+    env0 = random_state(model.dim_env, seed)[:, None]
+    (env_vec, _), = _exact_projections(env_spec, env0, [beta])
+    return np.kron(env_vec[:, 0], sys_vec)
 
 
 def normalization_diagnostic(model: SpinModel, beta: float, n_realizations: int, seed) -> np.ndarray:

@@ -40,13 +40,6 @@ class SpectrumSummary:
         e = self.eigenvalues
         return int(np.sum(e - e[0] <= self.degeneracy_tolerance))
 
-    def to_csv(self, path) -> None:
-        """Write (index, eigenvalue) rows for audit."""
-        with open(path, "w") as fh:
-            fh.write("# spinbath spectrum: index,eigenvalue\n")
-            for k, e in enumerate(self.eigenvalues):
-                fh.write(f"{k},{e!r}\n")
-
 
 def dense_matrix(model: SpinModel, part: str = FULL, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Dense real-symmetric matrix of a part, assembled from the matrix-free kernel."""
@@ -125,24 +118,11 @@ def diagonalize(
     return SpectrumSummary(eigenvalues, eigenvectors, tol)
 
 
-def ground_state(model: SpinModel, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Normalized eigenvector of the smallest eigenvalue of the full H.
-
-    The gauge within a degenerate ground multiplet is whatever the dense
-    solver returns for the lowest index.
-    """
-    h = dense_matrix(model, FULL, dim_cap)
-    _, v = scipy.linalg.eigh(h, subset_by_index=[0, 0])
-    vec = v[:, 0]
-    return vec / np.linalg.norm(vec)
-
-
 class ThermoFunctions:
-    """Z, F, U, C as functions of the (total) inverse temperature x = n*beta.
+    """ln Z, U and Var(E) as functions of the (total) inverse temperature x = n*beta.
 
-    Built from a spectrum; all callables accept x >= 0.  Z(0) equals the
-    dimension; C(x) = x^2 * Var_x(E) >= 0 up to rounding; g is the ground
-    state degeneracy.
+    Built from a spectrum; all callables accept x >= 0.  ln Z(0) is the log
+    of the dimension; g is the ground state degeneracy.
     """
 
     def __init__(self, eigenvalues: np.ndarray, ground_degeneracy: int):
@@ -160,20 +140,9 @@ class ThermoFunctions:
             raise ValueError("inverse temperature must be >= 0")
         return float(-x * self._e0 + np.log(np.sum(np.exp(-x * self._shifted))))
 
-    def z(self, x: float) -> float:
-        if x == 0.0:
-            return float(self.dim)
-        return float(np.exp(self.log_z(x)))
-
     def z_ratio(self, n: int, beta: float) -> float:
         """Z(n*beta) / Z(beta)^n, evaluated in the log domain."""
         return float(np.exp(self.log_z(n * beta) - n * self.log_z(beta)))
-
-    def f(self, x: float) -> float:
-        """Free energy F(x) = -ln Z(x) / x (x > 0)."""
-        if x <= 0:
-            raise ValueError("free energy needs x > 0")
-        return -self.log_z(x) / x
 
     def _weights(self, x: float) -> np.ndarray:
         w = np.exp(-x * self._shifted)
@@ -187,10 +156,6 @@ class ThermoFunctions:
         w = self._weights(x)
         mean = np.sum(self.eigenvalues * w)
         return float(np.sum(w * (self.eigenvalues - mean) ** 2))
-
-    def c(self, x: float) -> float:
-        """Specific heat C(x) = x^2 * (<E^2> - <E>^2)."""
-        return x * x * self.energy_variance(x)
 
 
 def thermo(spec: SpectrumSummary) -> ThermoFunctions:

@@ -80,8 +80,14 @@ class TestConfigParsing:
         from spinbath.hamiltonian import build_ring_model
 
         model = build_ring_model(2, 3, -1.0, 5, 6, 0.7)
-        text = bench.model_to_config(model)
-        again = bench.model_from_config(text)
+        cfg = bench.ExperimentConfig(
+            mode="static_measure", model="explicit",
+            n_sys_list=(model.n_system,), n_env_list=(model.n_env,),
+            lambda_list=(model.lam,), beta_list=(1.0,),
+            system_bonds=model.system_bonds, env_bonds=model.env_bonds,
+            coupling_bonds=model.coupling_bonds,
+        )
+        again = bench.parse_config(bench.render_config(cfg)).build_model(2, 3, 0.7)
         assert again.system_bonds == model.system_bonds
         assert again.env_bonds == model.env_bonds
         assert again.coupling_bonds == model.coupling_bonds

@@ -11,11 +11,18 @@ from spinbath.observe import (
     measure_state,
     reduce_to_system,
     sigma,
-    time_average,
     trace_time_series,
 )
-from spinbath.propagate import ThermalStateRequest, canonical_thermal_state, random_state
+from spinbath.propagate import canonical_thermal_state, projection_spectrum, random_state
 from spinbath.spectrum import SpectrumSummary, diagonalize
+
+
+def thermal_state(model, beta, seed, method="auto"):
+    """One canonical thermal pure state drawn from ``seed``."""
+    psi0 = random_state(model.dim, seed)[:, None]
+    (states, _), = canonical_thermal_state(model, psi0, [beta],
+                                           projection_spectrum(model, method))
+    return states[:, 0]
 
 
 def _basis(energies, vectors=None):
@@ -48,7 +55,7 @@ class TestReduce:
     def test_invariants(self):
         m = build_ring_model(2, 4, -1.0, 3, 4, 1.0)
         hs = diagonalize(m, "S")
-        st, _ = canonical_thermal_state(m, ThermalStateRequest(1.2, 5))
+        st = thermal_state(m, 1.2, 5)
         rdm = reduce_to_system(st, 2, hs)
         assert abs(np.trace(rdm.matrix).real - 1.0) < 1e-12
         assert np.abs(rdm.matrix - rdm.matrix.conj().T).max() < 1e-12
@@ -59,12 +66,11 @@ class TestReduce:
         m = build_ring_model(2, 8, -1.0, 3, 4, 0.0)
         beta = 1.0
         hs = diagonalize(m, "S")
-        spec = diagonalize(m)
         acc = np.zeros(4)
         n = 500
-        for r in range(n):
-            st, _ = canonical_thermal_state(
-                m, ThermalStateRequest(beta, ("gibbs", r)), spectrum=spec)
+        psi0 = np.column_stack([random_state(m.dim, ("gibbs", r)) for r in range(n)])
+        (states, _), = canonical_thermal_state(m, psi0, [beta], projection_spectrum(m, "exact"))
+        for st in states.T:
             acc += reduce_to_system(st, 2, hs).diagonal / n
         ref = gibbs_weights(hs.eigenvalues, beta)
         # spread of a single diagonal entry is O(1/sqrt(D_E)); 3 stderr band
@@ -93,7 +99,7 @@ class TestSigma:
         # permuting eigenvectors within a degenerate block leaves sigma alone
         m = build_chain_model(2, 4, 1.0, 1.0, 1.0, 1.0)
         hs = diagonalize(m, "S")   # triplet ground block
-        st, _ = canonical_thermal_state(m, ThermalStateRequest(0.7, 9))
+        st = thermal_state(m, 0.7, 9)
         s_ref = sigma(reduce_to_system(st, 2, hs))
         v = hs.eigenvectors.copy()
         v[:, [0, 1, 2]] = v[:, [2, 0, 1]]   # shuffle the degenerate triplet
@@ -104,7 +110,7 @@ class TestSigma:
     def test_upper_bound_invariant(self):
         m = build_ring_model(2, 3, -1.0, 1, 2, 1.0)
         hs = diagonalize(m, "S")
-        st, _ = canonical_thermal_state(m, ThermalStateRequest(0.5, 12))
+        st = thermal_state(m, 0.5, 12)
         rdm = reduce_to_system(st, 2, hs)
         d = rdm.dim
         bound = np.sqrt(d * (d - 1) / 2) * np.abs(
@@ -148,7 +154,7 @@ class TestDelta:
         # cross-check against an independent evaluation of the definition
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         hs = diagonalize(m, "S")
-        st, _ = canonical_thermal_state(m, ThermalStateRequest(2.0, 3))
+        st = thermal_state(m, 2.0, 3)
         rdm = reduce_to_system(st, 2, hs)
         b = fit_b(rdm, hs)
         e = hs.eigenvalues
@@ -171,7 +177,7 @@ class TestMeasureReport:
     def test_reference_vs_fitted_delta(self):
         m = build_ring_model(2, 4, -1.0, 2, 3, 0.0)
         hs = diagonalize(m, "S")
-        st, _ = canonical_thermal_state(m, ThermalStateRequest(0.9, 21))
+        st = thermal_state(m, 0.9, 21)
         rep = measure_state(st, 2, hs, beta_ref=0.9)
         assert rep.beta_ref == 0.9
         assert rep.delta == delta(reduce_to_system(st, 2, hs), hs, 0.9)
@@ -184,7 +190,7 @@ class TestTraceTimeSeries:
     def test_t_max_zero_single_entry(self):
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         hs = diagonalize(m, "S")
-        st, _ = canonical_thermal_state(m, ThermalStateRequest(0.5, 2))
+        st = thermal_state(m, 0.5, 2)
         rows = trace_time_series(m, st, 0.0, 0.5, hs, beta_ref=0.5)
         rep = measure_state(st, 2, hs, beta_ref=0.5)
         assert len(rows) == 1
@@ -193,17 +199,10 @@ class TestTraceTimeSeries:
     def test_x_state_stationary_small(self):
         m = build_ring_model(2, 4, -1.0, 5, 6, 1.0)
         hs = diagonalize(m, "S")
-        st, _ = canonical_thermal_state(m, ThermalStateRequest(0.9, 31))
+        st = thermal_state(m, 0.9, 31)
         rows = trace_time_series(m, st, 40.0, 0.5, hs, beta_ref=0.9)
         sig = np.array([r[1] for r in rows])
         assert np.abs(sig - sig.mean()).max() < 5 * sig.std(ddof=1)
-
-    def test_time_average_helper(self):
-        rows = [(0.0, 1.0, 0, 0), (1.0, 2.0, 0, 0), (2.0, 4.0, 0, 0)]
-        mean, std = time_average(rows, 0.5)
-        assert mean == 3.0 and abs(std - np.sqrt(2.0)) < 1e-12
-        with pytest.raises(ValueError):
-            time_average(rows, 10.0)
 
     def test_ududy_relaxes_toward_stationary_value(self):
         # a product initial state decays toward a stationary sigma whose
@@ -225,7 +224,7 @@ class TestTraceTimeSeries:
         window = 20
         smooth = np.convolve(np.abs(sig - late), np.ones(window) / window, mode="valid")
         assert smooth[0] > 3 * smooth[-1]       # smoothed approach to the mean
-        x0, _ = canonical_thermal_state(m, ThermalStateRequest(beta, 9, "exact"))
+        x0 = thermal_state(m, beta, 9, "exact")
         x_rows = trace_time_series(m, x0, 200.0, 1.0, hs, beta_ref=beta)
         x_late = np.array([r[1] for r in x_rows])[t > 120]
         # distinct long-time averages (well beyond the correlated-sample error)

@@ -2,21 +2,31 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinbath.errors import ChebyshevOrderError, ModelError
+from spinbath import propagate
+from spinbath.errors import ChebyshevOrderError, DimensionError, ModelError
 from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model, energy_bounds
 from spinbath.propagate import (
-    ThermalStateRequest,
     alternating_product_state,
     canonical_thermal_state,
     evolve_real_time,
     imaginary_time_plan,
     moment_check,
     normalization_diagnostic,
-    project_imaginary_time,
+    projection_spectrum,
     random_state,
     real_time_plan,
 )
 from spinbath.spectrum import dense_matrix, diagonalize, thermo
+
+
+def project(model, psi, beta, spectrum=None):
+    """One column projected to one beta: (state, norm_sq)."""
+    (states, norm_sq), = canonical_thermal_state(model, psi[:, None], [beta], spectrum)
+    return states[:, 0], norm_sq[0]
+
+
+def random_block(model, seeds):
+    return np.column_stack([random_state(model.dim, seed) for seed in seeds])
 
 
 class TestRandomState:
@@ -45,9 +55,11 @@ class TestRandomState:
 class TestCanonicalThermalState:
     def test_beta_zero_is_random_state(self):
         m = build_ring_model(2, 3, -1.0, 1, 2, 1.0)
-        state, norm_sq = canonical_thermal_state(m, ThermalStateRequest(0.0, 5))
-        assert np.array_equal(state, random_state(m.dim, 5))
-        assert norm_sq == 1.0
+        psi0 = random_block(m, (5, 6))
+        for spectrum in (projection_spectrum(m, "exact"), None):
+            (states, norm_sq), = canonical_thermal_state(m, psi0, [0.0], spectrum)
+            assert states is psi0
+            assert np.abs(norm_sq - 1.0).max() < 1e-14
 
     def test_matches_dense_projection(self):
         # N = 4 toy entirety at beta = 1 against scipy's dense exponential
@@ -58,17 +70,47 @@ class TestCanonicalThermalState:
         oracle_state = raw / np.linalg.norm(raw)
         oracle_norm = float(np.linalg.norm(raw) ** 2)
         for method in ("exact", "chebyshev"):
-            state, norm_sq = canonical_thermal_state(
-                m, ThermalStateRequest(1.0, 11, method=method))
+            state, norm_sq = project(m, psi0, 1.0, projection_spectrum(m, method))
             assert np.abs(state - oracle_state).max() < 1e-10
             assert abs(norm_sq - oracle_norm) < 1e-10 * oracle_norm
 
     def test_methods_agree(self):
         m = build_ring_model(3, 4, -1.0, 2, 3, 1.0)   # N = 7
-        for beta in (0.2, 3.0):
-            se, _ = canonical_thermal_state(m, ThermalStateRequest(beta, 17, "exact"))
-            sc, _ = canonical_thermal_state(m, ThermalStateRequest(beta, 17, "chebyshev"))
+        psi0 = random_block(m, (17, 18, 19))
+        betas = (0.0, 0.2, 3.0)
+        exact = canonical_thermal_state(m, psi0, betas, projection_spectrum(m, "exact"))
+        cheb = canonical_thermal_state(m, psi0, betas, projection_spectrum(m, "chebyshev"))
+        for (se, ne), (sc, nc) in zip(exact, cheb, strict=True):
+            assert se.shape == sc.shape == (m.dim, 3)
             assert np.abs(se - sc).max() < 1e-10
+            assert np.abs(ne - nc).max() < 1e-10 * ne.max()
+
+    def test_multi_beta_matches_single_beta(self):
+        # the shared recurrence gives bit-identical states to one run per beta
+        m = build_ring_model(2, 5, -1.0, 25, 17, 1.0)
+        psi0 = random_block(m, (3, 4))
+        betas = (0.3, 0.9, 2.0)
+        shared = canonical_thermal_state(m, psi0, betas)
+        for beta, (states, norm_sq) in zip(betas, shared, strict=True):
+            (single, single_norm), = canonical_thermal_state(m, psi0, [beta])
+            assert np.array_equal(states, single)
+            assert np.array_equal(norm_sq, single_norm)
+
+    def test_shared_recurrence_matvec_count(self, monkeypatch):
+        m = build_ring_model(2, 5, -1.0, 25, 17, 1.0)
+        betas = (0.3, 0.9, 2.0)
+        orders = [imaginary_time_plan(energy_bounds(m), beta).order for beta in betas]
+        calls = []
+        apply = propagate.apply_hamiltonian
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return apply(*args)
+
+        monkeypatch.setattr(propagate, "apply_hamiltonian", counted)
+        canonical_thermal_state(m, random_state(m.dim, 1)[:, None], betas)
+        assert len(orders) == 3 and max(orders) < sum(orders)
+        assert calls == [(m.dim,)] * max(orders)     # one vector per matvec
 
     def test_typicality_energy_estimate(self):
         # <psi_beta|H|psi_beta> approximates the canonical mean energy
@@ -78,20 +120,19 @@ class TestCanonicalThermalState:
         exact = tf.u(beta)
         from spinbath.hamiltonian import apply_hamiltonian
 
-        vals = []
-        for r in range(50):
-            st, _ = canonical_thermal_state(m, ThermalStateRequest(beta, (21, r), "exact"))
-            vals.append(float(np.real(np.vdot(st, apply_hamiltonian(m, "FULL", st)))))
-        vals = np.array(vals)
+        psi0 = random_block(m, [(21, r) for r in range(50)])
+        (states, _), = canonical_thermal_state(m, psi0, [beta], projection_spectrum(m, "exact"))
+        vals = np.array([float(np.real(np.vdot(st, apply_hamiltonian(m, "FULL", st))))
+                         for st in states.T])
         dev = abs(vals.mean() - exact) / (vals.std(ddof=1) / np.sqrt(len(vals)))
         assert dev < 4.0
 
     def test_semigroup(self):
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         psi0 = random_state(m.dim, 4)
-        s1, _ = project_imaginary_time(m, psi0, 1.3)
-        s12, _ = project_imaginary_time(m, s1, 0.9)
-        s2, _ = project_imaginary_time(m, psi0, 2.2)
+        s1, _ = project(m, psi0, 1.3)
+        s12, _ = project(m, s1, 0.9)
+        s2, _ = project(m, psi0, 2.2)
         assert np.abs(s12 - s2).max() < 1e-9
 
     def test_order_overflow_error(self):
@@ -106,19 +147,35 @@ class TestCanonicalThermalState:
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         psi0 = random_state(m.dim, 1)
         with pytest.raises(ChebyshevOrderError):
-            project_imaginary_time(m, psi0, 500.0)
+            project(m, psi0, 500.0)
 
     def test_bound_saturating_ground_state_projects_at_huge_beta(self):
         # ferromagnetic chains saturate the Gershgorin lower bound exactly,
         # so the ground component keeps full precision at any beta
         m = build_chain_model(2, 6, 1.0, 1.0, 1.0, 1.0)
         psi0 = random_state(m.dim, 1)
-        state, _ = project_imaginary_time(m, psi0, 500.0)
+        state, _ = project(m, psi0, 500.0)
         spec = diagonalize(m)
         ground = spec.eigenvectors[:, spec.eigenvalues - spec.eigenvalues[0]
                                    <= spec.degeneracy_tolerance]
         weight = np.linalg.norm(ground.conj().T @ state)
         assert abs(weight - 1.0) < 1e-9
+
+    def test_rejects_bad_input(self):
+        m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        with pytest.raises(DimensionError):
+            canonical_thermal_state(m, random_state(m.dim, 1), [1.0])
+        with pytest.raises(ValueError):
+            canonical_thermal_state(m, random_block(m, (1,)), [-1.0])
+        with pytest.raises(ValueError):
+            projection_spectrum(m, "dense")
+
+    def test_auto_method_threshold(self):
+        small = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        assert projection_spectrum(small, "auto").dim == small.dim
+        assert projection_spectrum(small, "chebyshev") is None
+        large = build_ring_model(2, 11, -1.0, 5, 6, 1.0)   # 2^13 > EXACT_AUTO_DIM
+        assert projection_spectrum(large, "auto") is None
 
 
 class TestEvolveRealTime:
@@ -168,9 +225,9 @@ class TestEvolveRealTime:
         m = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
         hs = diag(m, "S")
         s0, st_ = [], []
-        for r in range(100):
-            st, _ = canonical_thermal_state(
-                m, ThermalStateRequest(0.9, ("tti", r), "chebyshev"))
+        psi0 = random_block(m, [("tti", r) for r in range(100)])
+        (states, _), = canonical_thermal_state(m, psi0, [0.9])
+        for st in states.T:
             s0.append(measure_state(st, 4, hs).sigma)
             st_.append(measure_state(evolve_real_time(m, st, 10.0), 4, hs).sigma)
         s0, st_ = np.array(s0), np.array(st_)

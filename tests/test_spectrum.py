@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spinbath.errors import SizeLimitError
 from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model
-from spinbath.spectrum import ThermoFunctions, dense_matrix, diagonalize, ground_state, thermo
+from spinbath.spectrum import ThermoFunctions, dense_matrix, diagonalize, thermo
 
 
 class TestDiagonalize:
@@ -67,21 +67,22 @@ class TestDiagonalize:
 class TestThermo:
     def test_two_levels_beta_zero(self):
         t = ThermoFunctions(np.array([0.0, 1.0]), 1)
-        assert t.z(0.0) == 2.0
+        assert t.log_z(0.0) == np.log(2.0)
         assert abs(t.u(0.0) - 0.5) < 1e-15
-        assert abs(t.c(0.0)) < 1e-12
+        assert abs(t.energy_variance(0.0) - 0.25) < 1e-15
 
     def test_z_at_zero_is_dim(self):
         m = build_chain_model(3, 1, 0.9, 0, 0, 0)
         t = thermo(diagonalize(m, "S", want_vectors=False))
-        assert t.z(0.0) == 8.0
+        assert t.log_z(0.0) == np.log(8.0)
 
     def test_free_energy_low_t_asymptote(self):
         m = SpinModel(2, 0, system_bonds=((1, 2, 1.0, 1.0, 1.0),))
         t = thermo(diagonalize(m, "S", want_vectors=False))
         beta = 50.0
         e0, g = -0.25, 3
-        assert abs(t.f(beta) - (e0 - np.log(g) / beta)) < 1e-8
+        # free energy -ln Z / beta -> E_0 - ln(g) / beta
+        assert abs(-t.log_z(beta) / beta - (e0 - np.log(g) / beta)) < 1e-8
 
     def test_uncoupled_partition_function_factorizes(self):
         m = build_ring_model(2, 3, -1.0, 6, 8, 0.0)
@@ -98,7 +99,7 @@ class TestThermo:
     def test_specific_heat_nonnegative(self, seed, beta):
         rng = np.random.default_rng(seed)
         t = ThermoFunctions(np.sort(rng.normal(size=12)), 1)
-        assert t.c(beta) >= -1e-12
+        assert t.energy_variance(beta) >= -1e-12    # C = beta^2 Var(E) >= 0
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 5.0))
@@ -118,8 +119,8 @@ class TestThermo:
 class TestGroundState:
     def test_ferromagnetic_chain_energy(self):
         m = build_chain_model(3, 2, 1.0, 1.0, 0.5, 1.0)
-        vec = ground_state(m)
-        spec = diagonalize(m, want_vectors=False)
+        spec = diagonalize(m)
+        vec = spec.eigenvectors[:, 0]
         h = dense_matrix(m)
         e = float(np.real(np.vdot(vec, h @ vec)))
         assert abs(e - spec.eigenvalues[0]) < 1e-10
@@ -129,16 +130,9 @@ class TestGroundState:
         # antiferromagnetic two-spin parts have unique singlet ground states
         m = SpinModel(2, 2, system_bonds=((1, 2, -1.0, -1.0, -1.0),),
                       env_bonds=((1, 2, -1.3, -1.3, -1.3),), lam=0.0)
-        gs_full = ground_state(m)
+        gs_full = diagonalize(m).eigenvectors[:, 0]
         gs_s = diagonalize(m, "S").eigenvectors[:, 0]
         gs_e = diagonalize(m, "E").eigenvectors[:, 0]
         overlap = abs(np.vdot(gs_full, np.kron(gs_e, gs_s)))
         assert abs(overlap - 1.0) < 1e-10
 
-    def test_spectrum_csv_export(self, tmp_path):
-        m = SpinModel(2, 0, system_bonds=((1, 2, 1.0, 1.0, 1.0),))
-        spec = diagonalize(m, "S", want_vectors=False)
-        path = tmp_path / "spec.csv"
-        spec.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("#") and len(lines) == 5
