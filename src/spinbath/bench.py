@@ -106,6 +106,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be empty")
         if self.initial_state not in ("x", "ududy"):
             raise ConfigError(f"initial_state must be 'x' or 'ududy', got {self.initial_state!r}")
+        if not all(np.isfinite(beta) and beta >= 0.0 for beta in self.beta_list):
+            raise ConfigError(f"beta_list must hold finite values >= 0, got {self.beta_list}")
+        if not all(np.isfinite(lam) for lam in self.lambda_list):
+            raise ConfigError(f"lambda_list must hold finite values, got {self.lambda_list}")
+        if self.n_realizations is not None and self.n_realizations < 1:
+            raise ConfigError(f"n_realizations must be >= 1, got {self.n_realizations}")
+        if not self.dt > 0.0:
+            raise ConfigError(f"dt must be > 0, got {self.dt}")
+        if not self.t_max >= 0.0:
+            raise ConfigError(f"t_max must be >= 0, got {self.t_max}")
+        if self.n_draws < 2:
+            raise ConfigError(f"n_draws must be >= 2, got {self.n_draws}")
 
     def build_model(self, n_sys: int, n_env: int, lam: float) -> SpinModel:
         if self.model == "ring":

@@ -208,10 +208,14 @@ class _Applier:
                 offdiag.append((idx ^ ((1 << bi) | (1 << bj)), coeff))
         return diag, offdiag
 
+    def arrays(self):
+        """(diagonal, [(flip, coeff) per bond]): the cache, or built afresh when streamed."""
+        return self._cache if self._cache is not None else self._build(np.arange(self.dim))
+
     def __call__(self, state: np.ndarray) -> np.ndarray:
         if state.shape[0] != self.dim:
             raise DimensionError(f"state dimension {state.shape[0]} != {self.dim}")
-        diag, offdiag = self._cache if self._cache is not None else self._build(np.arange(self.dim))
+        diag, offdiag = self.arrays()
         column = state.ndim > 1
         out = (diag[:, None] if column else diag) * state
         for flip, coeff in offdiag:

@@ -9,27 +9,32 @@ amplitudes via Box-Muller).  ``canonical_thermal_state(model, psi0, betas,
 spectrum=None)`` is the one projection: it takes a (dim, k) block of
 initial states and a list of betas and has two backends.
 
-- exact: given the full-H spectrum, project in the eigenbasis, one beta's
-  block at a time;
+- exact: given a tuple of factor spectra, highest bits first, project in
+  their product eigenbasis, one beta's block at a time.  A coupled model
+  has one factor, the full H; an uncoupled one has (H_E, H_S), because
+  exp(-beta H / 2) then splits into exp(-beta H_E / 2) (x) exp(-beta H_S / 2)
+  and the 2^N-dimensional H is never built;
 - Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> per
   column up to the largest order and accumulate every beta's expansion
   from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
   056702 (2003)), so the cost is the largest order, not the sum.
 
 ``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
-that spectrum or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
+those factors or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
 exp(-i t H) uses the same recurrence with a single plan.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ive, jv
 
 from .errors import ChebyshevOrderError, DimensionError, ModelError, SizeLimitError
-from .hamiltonian import ENVIRONMENT, FULL, SpinModel, apply_hamiltonian, energy_bounds
+from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian, energy_bounds
 from .seeds import spawn_rng
 from .spectrum import DEFAULT_DIM_CAP, SpectrumSummary, diagonalize
 
@@ -225,21 +230,38 @@ def _unprojected(psi0: np.ndarray):
     return psi0, np.linalg.norm(psi0, axis=0) ** 2
 
 
-def _exact_projections(spectrum: SpectrumSummary, psi0: np.ndarray, betas):
-    """Exact backend: project in the eigenbasis, yielding one beta's block at a time."""
-    e = spectrum.eigenvalues
-    v = spectrum.eigenvectors
-    coeff0 = real_matmul(v.T, psi0)
+def _along_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """Contract ``m`` with ``axis`` of x: the axis moved to the front, one real_matmul."""
+    moved = np.moveaxis(x, axis, 0)
+    out = real_matmul(m, moved.reshape(moved.shape[0], -1))
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
+def _exact_projections(factors, psi0: np.ndarray, betas):
+    """Exact backend: project in the product eigenbasis, yielding one beta's block at a time.
+
+    The block is viewed as (d_1, ..., d_m, k), factor i acting on axis i;
+    exp(-beta/2 * sum_i eps_i) weights each product eigenvector, with every
+    factor's ground energy shifted out.
+    """
+    shape = tuple(f.dim for f in factors) + psi0.shape[1:]
+    coeff0 = psi0.reshape(shape)
+    for axis, f in enumerate(factors):
+        coeff0 = _along_axis(f.eigenvectors.T, coeff0, axis)
+    shifted = functools.reduce(np.add.outer, [f.eigenvalues - f.eigenvalues[0] for f in factors])
+    e0 = sum(f.eigenvalues[0] for f in factors)
     for beta in betas:
         if beta == 0.0:
             yield _unprojected(psi0)
             continue
-        coeff = coeff0 * np.exp(-0.5 * beta * (e - e[0]))[:, None]
-        raw = real_matmul(v, coeff)
+        raw = coeff0 * np.exp(-0.5 * beta * shifted)[..., None]
+        for axis, f in enumerate(factors):
+            raw = _along_axis(f.eigenvectors, raw, axis)
+        raw = raw.reshape(psi0.shape)
         raw_norm = np.linalg.norm(raw, axis=0)
         raw /= raw_norm
         with np.errstate(over="ignore", under="ignore"):
-            norm_sq = raw_norm**2 * np.exp(-beta * e[0])
+            norm_sq = raw_norm**2 * np.exp(-beta * e0)
         yield raw, norm_sq
 
 
@@ -273,7 +295,7 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
 
 
 def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
-                            spectrum: SpectrumSummary | None = None):
+                            spectrum: tuple[SpectrumSummary, ...] | None = None):
     """Project a (dim, k) block of initial states to every inverse temperature in ``betas``.
 
     Returns an iterable of one (states, norm_sq) pair per beta, in order:
@@ -282,10 +304,11 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     inf or underflow to 0 at extreme beta * |E|, while the states stay
     exact).  beta = 0 returns ``psi0`` itself with its squared column norms.
 
-    Given the full-H ``spectrum`` (see projection_spectrum) the block is
-    projected exactly and lazily, so only one beta's block is held at a
-    time; without it a single Chebyshev recurrence per column serves every
-    beta and never builds a dense matrix.
+    Given ``spectrum``, a tuple of factor spectra with eigenvectors, highest
+    bits first, whose dimensions multiply to model.dim (see
+    projection_spectrum), the block is projected exactly and lazily, so only
+    one beta's block is held at a time; without it a single Chebyshev
+    recurrence per column serves every beta and never builds a dense matrix.
     """
     psi0 = np.asarray(psi0)
     if psi0.ndim != 2 or psi0.shape[0] != model.dim:
@@ -295,22 +318,28 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
         raise ValueError("betas must be finite and >= 0")
     if spectrum is None:
         return _chebyshev_projections(model, psi0, betas)
-    if spectrum.eigenvectors is None or spectrum.dim != model.dim:
-        raise ValueError("the exact backend needs the full-H spectrum with eigenvectors")
+    if any(f.eigenvectors is None for f in spectrum) \
+            or math.prod(f.dim for f in spectrum) != model.dim:
+        raise ValueError("the exact backend needs factor spectra with eigenvectors "
+                         "whose dimensions multiply to the model dimension")
     return _exact_projections(spectrum, psi0, betas)
 
 
-def projection_spectrum(model: SpinModel, method: str) -> SpectrumSummary | None:
+def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:
     """The ``spectrum`` argument of canonical_thermal_state for a method.
 
-    "exact" diagonalizes the full H (dense, so capped by the dense size
-    limit), "chebyshev" gives None, and "auto" is exact up to EXACT_AUTO_DIM.
+    "exact" gives the factor spectra: (H_E, H_S) when the model is
+    uncoupled (lam = 0 or no coupling bonds), else (H,), each diagonalized
+    densely and so capped by the dense size limit.  "chebyshev" gives None,
+    and "auto" is exact up to EXACT_AUTO_DIM.
     """
     if method not in ("auto", "exact", "chebyshev"):
         raise ValueError(f"unknown method {method!r}")
     if method == "chebyshev" or (method == "auto" and model.dim > EXACT_AUTO_DIM):
         return None
-    return diagonalize(model, FULL)
+    if model.lam == 0.0 or not model.coupling_bonds:
+        return (diagonalize(model, ENVIRONMENT), diagonalize(model, SYSTEM))
+    return (diagonalize(model, FULL),)
 
 
 def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray:
@@ -330,7 +359,7 @@ def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray
     sys_vec[sys_index] = 1.0
     env_spec = diagonalize(model, ENVIRONMENT)
     env0 = random_state(model.dim_env, seed)[:, None]
-    (env_vec, _), = _exact_projections(env_spec, env0, [beta])
+    (env_vec, _), = _exact_projections((env_spec,), env0, [beta])
     return np.kron(env_vec[:, 0], sys_vec)
 
 

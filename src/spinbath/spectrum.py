@@ -42,11 +42,20 @@ class SpectrumSummary:
 
 
 def dense_matrix(model: SpinModel, part: str = FULL, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Dense real-symmetric matrix of a part, assembled from the matrix-free kernel."""
+    """Dense real-symmetric matrix of a part, scattered from the kernel's bond arrays.
+
+    Row n holds the diagonal energy and, per bond, one off-diagonal element
+    at the bond's flipped index, so the build costs O(dim x bonds).
+    """
     applier = _applier(model, part)
     if applier.dim > dim_cap:
         raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {dim_cap}")
-    return applier(np.eye(applier.dim))
+    diag, offdiag = applier.arrays()
+    h = np.diag(diag)
+    idx = np.arange(applier.dim)
+    for flip, coeff in offdiag:
+        h[idx, flip] += coeff
+    return h
 
 
 _GAUGE_TOL_FACTOR = 1e-12  # block tolerance for gauge canonicalization

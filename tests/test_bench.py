@@ -93,6 +93,24 @@ class TestConfigParsing:
         assert again.coupling_bonds == model.coupling_bonds
         assert again.lam == model.lam
 
+    @pytest.mark.parametrize("line", [
+        "beta_list = -1", "beta_list = 0.5 inf", "beta_list = nan", "lambda_list = inf",
+        "lambda_list = 0 nan", "n_realizations = 0", "dt = 0", "dt = -0.5", "t_max = -1",
+        "n_draws = 1",
+    ])
+    def test_bad_sweep_values_rejected(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=key):
+            bench.parse_config(f"{CONFIG_TEXT}\n{line}\n")
+
+    def test_cli_reports_bad_config(self, tmp_path, capsys):
+        from spinbath import cli
+
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{CONFIG_TEXT}\ndt = 0\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: dt must be > 0")
+
     def test_default_realizations(self):
         assert bench.default_realizations(12) == 1000
         assert bench.default_realizations(13) == 10

@@ -161,6 +161,23 @@ class TestCanonicalThermalState:
         weight = np.linalg.norm(ground.conj().T @ state)
         assert abs(weight - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("model", [
+        build_chain_model(2, 4, 1.0, -0.7, 0.4, 0.0),
+        build_ring_model(3, 4, -1.0, 2, 3, 0.0),
+    ], ids=["chain", "ring"])
+    def test_factorized_matches_full(self, model):
+        # exp(-beta H / 2) = exp(-beta H_E / 2) (x) exp(-beta H_S / 2) when uncoupled
+        psi0 = random_block(model, (31, 32, 33))
+        betas = (0.0, 0.7, 20.0)
+        factors = projection_spectrum(model, "exact")
+        assert len(factors) == 2
+        product = canonical_thermal_state(model, psi0, betas, factors)
+        full = canonical_thermal_state(model, psi0, betas, (diagonalize(model, "FULL"),))
+        for (sp, np_), (sf, nf) in zip(product, full, strict=True):
+            assert sp.shape == sf.shape == (model.dim, 3)
+            assert np.abs(sp - sf).max() < 1e-12
+            assert np.abs(np_ / nf - 1.0).max() < 1e-10
+
     def test_rejects_bad_input(self):
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         with pytest.raises(DimensionError):
@@ -169,13 +186,27 @@ class TestCanonicalThermalState:
             canonical_thermal_state(m, random_block(m, (1,)), [-1.0])
         with pytest.raises(ValueError):
             projection_spectrum(m, "dense")
+        psi0 = random_block(m, (1,))
+        for factors in ((diagonalize(m, "S"),), (diagonalize(m, "E"), diagonalize(m, "E")),
+                        (diagonalize(m, "E"), diagonalize(m, "S", want_vectors=False))):
+            with pytest.raises(ValueError):
+                canonical_thermal_state(m, psi0, [1.0], factors)
 
     def test_auto_method_threshold(self):
         small = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
-        assert projection_spectrum(small, "auto").dim == small.dim
+        full, = projection_spectrum(small, "auto")
+        assert full.dim == small.dim
         assert projection_spectrum(small, "chebyshev") is None
         large = build_ring_model(2, 11, -1.0, 5, 6, 1.0)   # 2^13 > EXACT_AUTO_DIM
         assert projection_spectrum(large, "auto") is None
+        # two factors, (H_E, H_S), exactly when the model is uncoupled
+        no_bonds = SpinModel(2, 3, system_bonds=((1, 2, 1.0, 1.0, 1.0),),
+                             env_bonds=((1, 3, 0.5, 0.2, 0.1),))
+        for m in (build_ring_model(2, 3, -1.0, 5, 6, 0.0), no_bonds):
+            env, sys_ = projection_spectrum(m, "auto")
+            assert (env.dim, sys_.dim) == (m.dim_env, m.dim_system)
+        # "auto" still decides on model.dim alone
+        assert projection_spectrum(build_ring_model(2, 11, -1.0, 5, 6, 0.0), "auto") is None
 
 
 class TestEvolveRealTime:

@@ -40,6 +40,18 @@ class TestDiagonalize:
             ref = np.linalg.eigvalsh(oracle(m, part))
             assert np.abs(ours - ref).max() < 1e-12
 
+    def test_dense_matrix_equals_kernel_on_identity(self):
+        # the scattered build holds exactly the kernel's matrix elements
+        from spinbath.hamiltonian import apply_hamiltonian
+
+        explicit = SpinModel(2, 2, system_bonds=((1, 2, 0.9, -0.3, 0.5),),
+                             env_bonds=((1, 2, 0.2, 0.2, -1.1),),
+                             coupling_bonds=((2, 1, 1.3, 0.4, 0.7),), lam=0.6)
+        for m in (build_ring_model(2, 4, -1.0, 3, 5, 0.35), explicit):
+            for part in ("S", "E", "SE", "FULL"):
+                h = dense_matrix(m, part)
+                assert np.array_equal(h, apply_hamiltonian(m, part, np.eye(h.shape[0])))
+
     def test_dim_cap(self):
         m = build_ring_model(2, 4, 1.0, 1, 1, 1.0)
         with pytest.raises(SizeLimitError):
