@@ -437,6 +437,27 @@ def _run_time_trace(config: ExperimentConfig) -> ResultTable:
         raise ConfigError("time_trace expects single-valued sweep axes")
     n_sys, n_env = config.n_sys_list[0], config.n_env_list[0]
     lam, beta = config.lambda_list[0], config.beta_list[0]
+    j_ref = abs(config.j_system if config.model == "ring" else config.j_iso) or 1.0
+    t_burn = config.t_burn if config.t_burn is not None else 300.0 / j_ref
+    columns = ["t", "sigma", "delta", "b", "error"]
+    meta = {"mode": config.mode, "initial_state": config.initial_state,
+            "beta": beta, "lam": lam, "t_burn": t_burn}
+    try:
+        trace = _time_trace(config, n_sys, n_env, lam, beta)
+    except SpinBathError as exc:
+        return ResultTable(columns, [("error", "", "", "", str(exc))], meta)
+    rows = [(t, s, d, b, "") for (t, s, d, b) in trace]
+    late = [(s, d, b) for (t, s, d, b) in trace if t > t_burn]
+    if len(late) > 1:
+        arr = np.array(late)
+        rows.append(("mean", *(float(v) for v in arr.mean(axis=0)), ""))
+        rows.append(("stddev", *(float(v) for v in arr.std(axis=0, ddof=1)), ""))
+        rows.append(("n", len(late), len(late), len(late), ""))
+    return ResultTable(columns, rows, meta)
+
+
+def _time_trace(config: ExperimentConfig, n_sys: int, n_env: int, lam: float, beta: float):
+    """(t, sigma, delta, b) rows of one time_trace point."""
     model = config.build_model(n_sys, n_env, lam)
     hs_spec = diagonalize(model, SYSTEM)
     seed = realization_seed(config.master_seed, config.structure_key(n_sys, n_env), 0)
@@ -447,21 +468,8 @@ def _run_time_trace(config: ExperimentConfig) -> ResultTable:
         state = states[:, 0]
     else:
         state = alternating_product_state(model, beta, seed)
-    trace = observe.trace_time_series(model, state, config.t_max, config.dt,
-                                      hs_spec, beta_ref=beta)
-    columns = ["t", "sigma", "delta", "b", "error"]
-    rows = [(t, s, d, b, "") for (t, s, d, b) in trace]
-    j_ref = abs(config.j_system if config.model == "ring" else config.j_iso) or 1.0
-    t_burn = config.t_burn if config.t_burn is not None else 300.0 / j_ref
-    late = [(s, d, b) for (t, s, d, b) in trace if t > t_burn]
-    if len(late) > 1:
-        arr = np.array(late)
-        rows.append(("mean", *(float(v) for v in arr.mean(axis=0)), ""))
-        rows.append(("stddev", *(float(v) for v in arr.std(axis=0, ddof=1)), ""))
-        rows.append(("n", len(late), len(late), len(late), ""))
-    meta = {"mode": config.mode, "initial_state": config.initial_state,
-            "beta": beta, "lam": lam, "t_burn": t_burn}
-    return ResultTable(columns, rows, meta)
+    return observe.trace_time_series(model, state, config.t_max, config.dt,
+                                     hs_spec, beta_ref=beta)
 
 
 def _run_symmetry(config: ExperimentConfig) -> ResultTable:

@@ -13,7 +13,12 @@ initial states and a list of betas and has two backends.
   their product eigenbasis, one beta's block at a time.  A coupled model
   has one factor, the full H; an uncoupled one has (H_E, H_S), because
   exp(-beta H / 2) then splits into exp(-beta H_E / 2) (x) exp(-beta H_S / 2)
-  and the 2^N-dimensional H is never built;
+  and the 2^N-dimensional H is never built.  A factor's eigenpairs come by
+  parity sector (see spectrum): each factor axis is gathered sector by
+  sector, one gather per P_x pair giving both sectors' sum and difference,
+  transformed with that sector's eigenvectors and assigned straight back,
+  so no full eigenvector matrix is formed.  A plain full-basis spectrum is
+  a valid factor too;
 - Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> per
   column up to the largest order and accumulate every beta's expansion
   from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
@@ -36,7 +41,7 @@ from scipy.special import ive, jv
 from .errors import ChebyshevOrderError, DimensionError, ModelError, SizeLimitError
 from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian, energy_bounds
 from .seeds import spawn_rng
-from .spectrum import DEFAULT_DIM_CAP, SpectrumSummary, diagonalize
+from .spectrum import DEFAULT_DIM_CAP, SpectrumSummary, diagonalize, diagonalize_sectors
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
@@ -230,10 +235,59 @@ def _unprojected(psi0: np.ndarray):
     return psi0, np.linalg.norm(psi0, axis=0) ** 2
 
 
-def _along_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``m`` with ``axis`` of x: the axis moved to the front, one real_matmul."""
+def _to_eigenbasis(factor: SpectrumSummary, x: np.ndarray) -> np.ndarray:
+    """Coordinates of the (d, R) block x in a factor's eigenbasis.
+
+    Rows follow the factor's eigenpairs in sector order.  A P_x pair's two
+    sectors take the sum and the difference of one gather; the 1/sqrt(2) of
+    both transforms is left to _from_eigenbasis as one factor 1/2.
+    """
+    if factor.sectors is None:
+        return real_matmul(factor.eigenvectors.T, x)
+    parts = []
+    for s in factor.sectors:
+        if s.partners is None:
+            v = x[s.reps]
+        elif s.sign > 0:
+            a, b = x[s.reps], x[s.partners]
+            v, minus = a + b, a - b
+        else:
+            v = minus
+        parts.append(real_matmul(s.eigenvectors.T, v))
+    return np.concatenate(parts)
+
+
+def _from_eigenbasis(factor: SpectrumSummary, c: np.ndarray) -> np.ndarray:
+    """Inverse of _to_eigenbasis: computational-basis rows from eigenbasis rows."""
+    if factor.sectors is None:
+        return real_matmul(factor.eigenvectors, c)
+    out = np.empty_like(c)
+    start = 0
+    for s in factor.sectors:
+        stop = start + s.eigenvalues.shape[0]
+        y = real_matmul(s.eigenvectors, c[start:stop])
+        start = stop
+        if s.partners is None:
+            out[s.reps] = y
+        elif s.sign > 0:
+            plus = y
+        else:
+            out[s.reps] = 0.5 * (plus + y)
+            out[s.partners] = 0.5 * (plus - y)
+    return out
+
+
+def _coefficient_energies(factor: SpectrumSummary) -> np.ndarray:
+    """The factor's eigenvalues in the row order of _to_eigenbasis."""
+    if factor.sectors is None:
+        return factor.eigenvalues
+    return np.concatenate([s.eigenvalues for s in factor.sectors])
+
+
+def _along_axis(transform, factor: SpectrumSummary, x: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a factor transform to ``axis`` of x: the axis moved to the front and flattened."""
     moved = np.moveaxis(x, axis, 0)
-    out = real_matmul(m, moved.reshape(moved.shape[0], -1))
+    out = transform(factor, moved.reshape(moved.shape[0], -1))
     return np.moveaxis(out.reshape(moved.shape), 0, axis)
 
 
@@ -242,13 +296,14 @@ def _exact_projections(factors, psi0: np.ndarray, betas):
 
     The block is viewed as (d_1, ..., d_m, k), factor i acting on axis i;
     exp(-beta/2 * sum_i eps_i) weights each product eigenvector, with every
-    factor's ground energy shifted out.
+    factor's ground energy (its lowest sorted eigenvalue) shifted out.
     """
     shape = tuple(f.dim for f in factors) + psi0.shape[1:]
     coeff0 = psi0.reshape(shape)
     for axis, f in enumerate(factors):
-        coeff0 = _along_axis(f.eigenvectors.T, coeff0, axis)
-    shifted = functools.reduce(np.add.outer, [f.eigenvalues - f.eigenvalues[0] for f in factors])
+        coeff0 = _along_axis(_to_eigenbasis, f, coeff0, axis)
+    shifted = functools.reduce(np.add.outer, [_coefficient_energies(f) - f.eigenvalues[0]
+                                              for f in factors])
     e0 = sum(f.eigenvalues[0] for f in factors)
     for beta in betas:
         if beta == 0.0:
@@ -256,7 +311,7 @@ def _exact_projections(factors, psi0: np.ndarray, betas):
             continue
         raw = coeff0 * np.exp(-0.5 * beta * shifted)[..., None]
         for axis, f in enumerate(factors):
-            raw = _along_axis(f.eigenvectors, raw, axis)
+            raw = _along_axis(_from_eigenbasis, f, raw, axis)
         raw = raw.reshape(psi0.shape)
         raw_norm = np.linalg.norm(raw, axis=0)
         raw /= raw_norm
@@ -304,11 +359,12 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     inf or underflow to 0 at extreme beta * |E|, while the states stay
     exact).  beta = 0 returns ``psi0`` itself with its squared column norms.
 
-    Given ``spectrum``, a tuple of factor spectra with eigenvectors, highest
-    bits first, whose dimensions multiply to model.dim (see
-    projection_spectrum), the block is projected exactly and lazily, so only
-    one beta's block is held at a time; without it a single Chebyshev
-    recurrence per column serves every beta and never builds a dense matrix.
+    Given ``spectrum``, a tuple of factor spectra with eigenvectors (full
+    basis or parity sectors), highest bits first, whose dimensions multiply
+    to model.dim (see projection_spectrum), the block is projected exactly
+    and lazily, so only one beta's block is held at a time; without it a
+    single Chebyshev recurrence per column serves every beta and never
+    builds a dense matrix.
     """
     psi0 = np.asarray(psi0)
     if psi0.ndim != 2 or psi0.shape[0] != model.dim:
@@ -318,7 +374,7 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
         raise ValueError("betas must be finite and >= 0")
     if spectrum is None:
         return _chebyshev_projections(model, psi0, betas)
-    if any(f.eigenvectors is None for f in spectrum) \
+    if any(f.eigenvectors is None and f.sectors is None for f in spectrum) \
             or math.prod(f.dim for f in spectrum) != model.dim:
         raise ValueError("the exact backend needs factor spectra with eigenvectors "
                          "whose dimensions multiply to the model dimension")
@@ -329,17 +385,20 @@ def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary,
     """The ``spectrum`` argument of canonical_thermal_state for a method.
 
     "exact" gives the factor spectra: (H_E, H_S) when the model is
-    uncoupled (lam = 0 or no coupling bonds), else (H,), each diagonalized
-    densely and so capped by the dense size limit.  "chebyshev" gives None,
-    and "auto" is exact up to EXACT_AUTO_DIM.
+    uncoupled (lam = 0 or no coupling bonds), else (H,).  Each is
+    diagonalized by parity sector (diagonalize_sectors), up to four dense
+    blocks of a quarter of the factor's dimension, built from the dense
+    matrix and so capped by the dense size limit; the sector vectors carry
+    no gauge fixing, which the projection does not need.  "chebyshev" gives
+    None, and "auto" is exact up to EXACT_AUTO_DIM.
     """
     if method not in ("auto", "exact", "chebyshev"):
         raise ValueError(f"unknown method {method!r}")
     if method == "chebyshev" or (method == "auto" and model.dim > EXACT_AUTO_DIM):
         return None
     if model.lam == 0.0 or not model.coupling_bonds:
-        return (diagonalize(model, ENVIRONMENT), diagonalize(model, SYSTEM))
-    return (diagonalize(model, FULL),)
+        return (diagonalize_sectors(model, ENVIRONMENT), diagonalize_sectors(model, SYSTEM))
+    return (diagonalize_sectors(model, FULL),)
 
 
 def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray:
@@ -357,7 +416,7 @@ def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray
         sys_index |= 1 << (site - 1)
     sys_vec = np.zeros(model.dim_system, dtype=complex)
     sys_vec[sys_index] = 1.0
-    env_spec = diagonalize(model, ENVIRONMENT)
+    env_spec = diagonalize_sectors(model, ENVIRONMENT)
     env0 = random_state(model.dim_env, seed)[:, None]
     (env_vec, _), = _exact_projections((env_spec,), env0, [beta])
     return np.kron(env_vec[:, 0], sys_vec)

@@ -1,5 +1,19 @@
 """Exact diagonalization of model parts and thermodynamics from spectra.
 
+Every bond term -c_a S^a_i S^a_j commutes with the global parities
+P_z = prod sigma^z and P_x = prod sigma^x, so each part's H is block
+diagonal by parity (standard exact-diagonalization practice, Sandvik, AIP
+Conf. Proc. 1297, 135 (2010)).  ``diagonalize_sectors`` solves the blocks
+one by one and keeps the eigenpairs in a sector layout: for N bits the P_z
+sectors hold the indices of even and odd popcount; for even N >= 2 each
+splits again into P_x = +1 and -1 halves spanned by (|n> +- |n ^ mask>)/sqrt(2),
+4 sectors of 2^N/4 in all; for odd N, P_x maps one P_z sector onto the other,
+so only the even one is solved.  Projections use that layout, since
+exp(-beta H / 2) does not depend on the basis chosen inside degenerate
+levels.  ``diagonalize`` returns full-basis eigenvectors with that basis
+canonicalized (measurement in the H_S eigenbasis depends on it), and its
+values-only spectra come from the sector solve.
+
 All Boltzmann sums are evaluated with the ground energy subtracted before
 exponentiating (log-domain where needed), so partition-function ratios stay
 finite in double precision down to very low temperatures.
@@ -7,7 +21,7 @@ finite in double precision down to very low temperatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -19,13 +33,36 @@ DEFAULT_DIM_CAP = 2**14
 DEGENERACY_TOL_FACTOR = 1e-8  # default tolerance = factor * spectral width
 
 
+@dataclass(frozen=True)
+class Sector:
+    """Eigenpairs of H in one parity sector.
+
+    The sector basis is |r> over ``reps`` when ``partners`` is None, and
+    otherwise (|r> + sign |p>)/sqrt(2) over the pairs r, p = r ^ mask; a
+    sign -1 sector directly follows its sign +1 twin and shares its index
+    arrays.  ``eigenvectors`` holds the sector coordinates as columns (None
+    inside a values-only solve).
+    """
+
+    reps: np.ndarray
+    partners: np.ndarray | None
+    sign: float
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray | None
+
+
 @dataclass
 class SpectrumSummary:
-    """Sorted eigenvalues of one Hamiltonian part, optionally with vectors."""
+    """Sorted eigenvalues of one Hamiltonian part, optionally with vectors.
+
+    The vectors are either full-basis columns (``eigenvectors``) or a parity
+    sector layout (``sectors``), never both.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     degeneracy_tolerance: float
+    sectors: tuple[Sector, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -102,6 +139,46 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return out
 
 
+def _parity_sectors(h: np.ndarray, want_vectors: bool) -> list[Sector]:
+    """The parity sectors of h, each solved densely (values only unless ``want_vectors``)."""
+    dim = h.shape[0]
+    n_bits = dim.bit_length() - 1
+    idx = np.arange(dim)
+    parity = np.zeros(dim, dtype=idx.dtype)
+    for bit in range(n_bits):
+        parity ^= (idx >> bit) & 1
+    mask = dim - 1
+
+    def solve(reps, partners, sign, block):
+        if want_vectors:
+            return Sector(reps, partners, sign, *scipy.linalg.eigh(block))
+        return Sector(reps, partners, sign, scipy.linalg.eigvalsh(block), None)
+
+    if n_bits % 2 or n_bits == 0:
+        # P_z only; for odd N the odd sector is P_x of the even one
+        reps = idx[parity == 0]
+        even = solve(reps, None, 1.0, h[np.ix_(reps, reps)])
+        return [even, replace(even, reps=reps ^ mask)] if n_bits else [even]
+    sectors = []
+    for p in (0, 1):
+        reps = idx[(parity == p) & (idx <= mask >> 1)]
+        partners = reps ^ mask
+        same, crossed = h[np.ix_(reps, reps)], h[np.ix_(reps, partners)]
+        sectors.append(solve(reps, partners, 1.0, same + crossed))
+        sectors.append(solve(reps, partners, -1.0, same - crossed))
+    return sectors
+
+
+def _summary(eigenvalues, eigenvectors=None, sectors=None) -> SpectrumSummary:
+    width = float(eigenvalues[-1] - eigenvalues[0])
+    tol = DEGENERACY_TOL_FACTOR * (width if width > 0 else 1.0)
+    return SpectrumSummary(eigenvalues, eigenvectors, tol, sectors)
+
+
+def _sorted_union(sectors) -> np.ndarray:
+    return np.sort(np.concatenate([s.eigenvalues for s in sectors]))
+
+
 def diagonalize(
     model: SpinModel,
     part: str = FULL,
@@ -113,18 +190,26 @@ def diagonalize(
     Eigenvectors (columns of a real orthogonal matrix) are returned on
     request, with the basis inside degenerate blocks canonicalized against
     the computational basis order so repeated runs and different solver
-    gauges agree.
+    gauges agree.  Without vectors the eigenvalues are the sorted union of
+    the parity sectors' spectra.
     """
     h = dense_matrix(model, part, dim_cap)
-    if want_vectors:
-        eigenvalues, eigenvectors = scipy.linalg.eigh(h)
-        eigenvectors = _canonical_gauge(eigenvalues, eigenvectors)
-    else:
-        eigenvalues = scipy.linalg.eigvalsh(h)
-        eigenvectors = None
-    width = float(eigenvalues[-1] - eigenvalues[0])
-    tol = DEGENERACY_TOL_FACTOR * (width if width > 0 else 1.0)
-    return SpectrumSummary(eigenvalues, eigenvectors, tol)
+    if not want_vectors:
+        return _summary(_sorted_union(_parity_sectors(h, want_vectors=False)))
+    eigenvalues, eigenvectors = scipy.linalg.eigh(h)
+    return _summary(eigenvalues, _canonical_gauge(eigenvalues, eigenvectors))
+
+
+def diagonalize_sectors(model: SpinModel, part: str = FULL,
+                        dim_cap: int = DEFAULT_DIM_CAP) -> SpectrumSummary:
+    """Spectrum of a part with its eigenpairs in the parity sector layout.
+
+    ``eigenvalues`` is the sorted union of the sector spectra and
+    ``eigenvectors`` is None; the sector eigenvectors carry no gauge fixing,
+    which the basis-independent thermal projection does not need.
+    """
+    sectors = tuple(_parity_sectors(dense_matrix(model, part, dim_cap), want_vectors=True))
+    return _summary(_sorted_union(sectors), sectors=sectors)
 
 
 class ThermoFunctions:

@@ -1,11 +1,13 @@
 """Shared fixtures: an independent dense-matrix oracle built from Kronecker
 products of explicit 2x2 spin matrices (never touching the package's
-matrix-free kernel), plus small reusable models."""
+matrix-free kernel), plus small reusable models and a strategy over small
+random ones."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from spinbath.hamiltonian import _local_terms
+from spinbath.hamiltonian import SpinModel, _local_terms, build_ring_model
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -30,6 +32,39 @@ def dense_oracle(model, part) -> np.ndarray:
             if c:
                 h -= scale * c * site_operator(n_bits, bi, op) @ site_operator(n_bits, bj, op)
     return h
+
+
+def small_models():
+    """A seeded strategy over small random models (N <= 7)."""
+    def build(draw):
+        n_sys = draw(st.integers(1, 3))
+        n_env = draw(st.integers(0, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        def bonds(n, cross_n=None):
+            if cross_n is None:
+                pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            else:
+                pairs = [(i, j) for i in range(1, n + 1) for j in range(1, cross_n + 1)]
+            keep = [p for p in pairs if rng.random() < 0.7]
+            return tuple((i, j, *rng.uniform(-2, 2, 3)) for (i, j) in keep)
+        return SpinModel(n_sys, n_env, bonds(n_sys), bonds(n_env),
+                         bonds(n_sys, n_env) if n_env else (), lam=float(rng.uniform(-1.5, 1.5)))
+    return st.composite(build)()
+
+
+def parity_models():
+    """Fixed models for the parity-sector tests, by id: even and odd N, dims 1 and 2."""
+    return {
+        # anisotropic (cx != cy) explicit model, N = 4
+        "explicit_even": SpinModel(2, 2, system_bonds=((1, 2, 0.9, -0.3, 0.5),),
+                                   env_bonds=((1, 2, 0.2, 0.7, -1.1),),
+                                   coupling_bonds=((2, 1, 1.3, 0.4, 0.7), (1, 2, -0.6, 0.8, 0.1)),
+                                   lam=0.6),
+        "ring_odd": build_ring_model(2, 3, -1.0, 4, 9, 0.7),      # N = 5, E part N = 3
+        "ring_even": build_ring_model(2, 4, -1.0, 3, 5, 0.35),    # N = 6
+        "one_spin": SpinModel(1, 0),                              # dims 2 (S, FULL) and 1 (E)
+        "two_spins": SpinModel(1, 1, coupling_bonds=((1, 1, 0.3, -0.9, 0.2),), lam=0.8),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -232,6 +232,28 @@ class TestOtherModes:
         with pytest.raises(ConfigError):
             bench.run(make_config(mode="time_trace"))
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(n_sys_list=(4,), n_env_list=(12,), method="exact"), "exceeds dense cap"),
+        (dict(coupling_seed=5, env_seed=6, n_env_list=(3,), beta_list=(500.0,),
+              method="chebyshev"), "single double-precision Chebyshev projection"),
+    ], ids=["exact_over_dense_cap", "chebyshev_cancellation"])
+    def test_time_trace_failure_recorded_in_row(self, overrides, message, tmp_path, capsys):
+        # a SizeLimitError / ChebyshevOrderError becomes one error row
+        from spinbath import cli
+
+        cfg = make_config(**{**dict(mode="time_trace", lambda_list=(1.0,), beta_list=(0.8,),
+                                    t_max=1.0, dt=0.5), **overrides})
+        table = bench.run(cfg)
+        assert table.failed_points == 1
+        (row,) = table.dicts()
+        assert row["t"] == "error" and message in row["error"]
+        path = tmp_path / "trace.cfg"
+        path.write_text(bench.render_config(cfg))
+        out = tmp_path / "trace.csv"
+        assert cli.main(["run", str(path), "-o", str(out)]) == 1
+        assert bench.ResultTable.from_csv(out.read_text()).failed_points == 1
+        assert "1 sweep point(s) failed" in capsys.readouterr().err
+
 
 class TestAnalysis:
     def test_sigma2_excess_pairing(self):

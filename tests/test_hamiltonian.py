@@ -16,25 +16,7 @@ from spinbath.hamiltonian import (
 from spinbath.propagate import random_state
 from spinbath.spectrum import diagonalize
 
-from conftest import SX, SY, SZ, dense_oracle, site_operator
-
-
-def small_models():
-    """A seeded strategy over small random models (N <= 7)."""
-    def build(draw):
-        n_sys = draw(st.integers(1, 3))
-        n_env = draw(st.integers(0, 4))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        def bonds(n, cross_n=None):
-            if cross_n is None:
-                pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            else:
-                pairs = [(i, j) for i in range(1, n + 1) for j in range(1, cross_n + 1)]
-            keep = [p for p in pairs if rng.random() < 0.7]
-            return tuple((i, j, *rng.uniform(-2, 2, 3)) for (i, j) in keep)
-        return SpinModel(n_sys, n_env, bonds(n_sys), bonds(n_env),
-                         bonds(n_sys, n_env) if n_env else (), lam=float(rng.uniform(-1.5, 1.5)))
-    return st.composite(build)()
+from conftest import SX, SY, SZ, dense_oracle, site_operator, small_models
 
 
 class TestSpinModel:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
 from spinbath import propagate
 from spinbath.errors import ChebyshevOrderError, DimensionError, ModelError
@@ -18,6 +19,8 @@ from spinbath.propagate import (
 )
 from spinbath.spectrum import dense_matrix, diagonalize, thermo
 
+from conftest import parity_models, small_models
+
 
 def project(model, psi, beta, spectrum=None):
     """One column projected to one beta: (state, norm_sq)."""
@@ -27,6 +30,20 @@ def project(model, psi, beta, spectrum=None):
 
 def random_block(model, seeds):
     return np.column_stack([random_state(model.dim, seed) for seed in seeds])
+
+
+def assert_sectors_match_full_basis(model):
+    """The parity-sector projection against the full-basis (H,) one at betas 0, 0.7, 20."""
+    psi0 = random_block(model, (41, 42, 43))
+    betas = (0.0, 0.7, 20.0)
+    factors = projection_spectrum(model, "exact")
+    assert all(f.sectors is not None and f.eigenvectors is None for f in factors)
+    sectors = canonical_thermal_state(model, psi0, betas, factors)
+    full = canonical_thermal_state(model, psi0, betas, (diagonalize(model, "FULL"),))
+    for (ss, ns), (sf, nf) in zip(sectors, full, strict=True):
+        assert ss.shape == sf.shape == (model.dim, 3)
+        assert np.abs(ss - sf).max() < 1e-12
+        assert np.abs(ns / nf - 1.0).max() < 1e-10
 
 
 class TestRandomState:
@@ -177,6 +194,33 @@ class TestCanonicalThermalState:
             assert sp.shape == sf.shape == (model.dim, 3)
             assert np.abs(sp - sf).max() < 1e-12
             assert np.abs(np_ / nf - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    def test_sectors_match_full_basis(self, name):
+        assert_sectors_match_full_basis(parity_models()[name])
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_models())
+    def test_sectors_match_full_basis_random_models(self, model):
+        assert_sectors_match_full_basis(model)
+
+    def test_fig8_sigma_matches_full_basis_factors(self, fig8_model):
+        # sigma depends on the gauged H_S basis, not on the projection's
+        # sector basis: beta = 50 sits on the g_S = 5 ground multiplet
+        from spinbath.observe import reduce_to_system, sigma
+
+        beta = 50.0
+        hs = diagonalize(fig8_model, "S")
+        assert hs.ground_degeneracy == 5
+        psi0 = random_block(fig8_model, [("fig8", r) for r in range(8)])
+        full_basis = (diagonalize(fig8_model, "E"), diagonalize(fig8_model, "S"))
+        (ss, _), = canonical_thermal_state(fig8_model, psi0, [beta],
+                                           projection_spectrum(fig8_model, "exact"))
+        (sf, _), = canonical_thermal_state(fig8_model, psi0, [beta], full_basis)
+        for a, b in zip(ss.T, sf.T, strict=True):
+            sa = sigma(reduce_to_system(a, 4, hs))
+            sb = sigma(reduce_to_system(b, 4, hs))
+            assert abs(sa - sb) < 1e-12
 
     def test_rejects_bad_input(self):
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)

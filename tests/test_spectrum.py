@@ -5,7 +5,46 @@ from hypothesis import strategies as st
 
 from spinbath.errors import SizeLimitError
 from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model
-from spinbath.spectrum import ThermoFunctions, dense_matrix, diagonalize, thermo
+from spinbath.spectrum import (
+    ThermoFunctions,
+    dense_matrix,
+    diagonalize,
+    diagonalize_sectors,
+    thermo,
+)
+
+from conftest import parity_models, small_models
+
+
+def sector_columns(spec, dim):
+    """The sector eigenvectors of a spectrum as full-basis columns, in sector order."""
+    columns = []
+    for s in spec.sectors:
+        v = np.zeros((dim, s.eigenvectors.shape[1]))
+        if s.partners is None:
+            v[s.reps] = s.eigenvectors
+        else:
+            v[s.reps] = s.eigenvectors / np.sqrt(2.0)
+            v[s.partners] = s.sign * s.eigenvectors / np.sqrt(2.0)
+        columns.append(v)
+    return np.hstack(columns)
+
+
+def check_sector_layout(model, part):
+    h = dense_matrix(model, part)
+    dim = h.shape[0]
+    ref = np.linalg.eigvalsh(h)
+    spec = diagonalize_sectors(model, part)
+    assert spec.eigenvectors is None and spec.dim == dim
+    assert np.abs(spec.eigenvalues - ref).max() <= 1e-10
+    values_only = diagonalize(model, part, want_vectors=False)
+    assert values_only.sectors is None and values_only.eigenvectors is None
+    assert np.abs(values_only.eigenvalues - ref).max() <= 1e-10
+    # the sectors tile the basis and their vectors are orthonormal eigenvectors
+    v = sector_columns(spec, dim)
+    energies = np.concatenate([s.eigenvalues for s in spec.sectors])
+    assert np.abs(v.T @ v - np.eye(dim)).max() < 1e-12
+    assert np.abs(h @ v - v * energies).max() < 1e-10 * max(spec.width, 1.0)
 
 
 class TestDiagonalize:
@@ -74,6 +113,35 @@ class TestDiagonalize:
         h = dense_matrix(m, "S")
         resid = np.abs(h @ refixed - refixed * spec.eigenvalues).max()
         assert resid < 1e-10 * max(spec.width, 1.0)
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    @pytest.mark.parametrize("part", ["S", "E", "FULL"])
+    def test_layout_matches_dense(self, name, part):
+        check_sector_layout(parity_models()[name], part)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_models())
+    def test_layout_matches_dense_random_models(self, model):
+        for part in ("S", "E", "FULL"):
+            check_sector_layout(model, part)
+
+    def test_sector_shapes(self):
+        # even N: P_z x P_x gives 4 sectors of dim/4, paired under P_x;
+        # odd N: 2 P_z sectors, the odd one P_x of the even one
+        m = parity_models()["ring_odd"]
+        odd = diagonalize_sectors(m, "FULL")                   # N = 5
+        assert [s.eigenvalues.shape[0] for s in odd.sectors] == [16, 16]
+        assert all(s.partners is None for s in odd.sectors)
+        assert np.array_equal(odd.sectors[1].reps, odd.sectors[0].reps ^ 31)
+        four = diagonalize_sectors(m, "S")                     # N = 2
+        assert [s.sign for s in four.sectors] == [1.0, -1.0, 1.0, -1.0]
+        assert all(s.eigenvalues.shape[0] == 1 for s in four.sectors)
+        spec = diagonalize_sectors(build_ring_model(2, 4, -1.0, 3, 5, 0.35), "FULL")
+        assert [s.eigenvalues.shape[0] for s in spec.sectors] == [16] * 4
+        for plus, minus in (spec.sectors[:2], spec.sectors[2:]):
+            assert plus.reps is minus.reps and np.array_equal(plus.partners, plus.reps ^ 63)
 
 
 class TestThermo:
