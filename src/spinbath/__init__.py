@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``hamiltonian``: coupling-table models, matrix-free H|psi>, spectral bounds
+- ``hamiltonian``: coupling-table models, sparse H|psi>, spectral bounds
 - ``spectrum``: exact diagonalization of parts, thermodynamics from spectra
 - ``propagate``: random / canonical thermal pure states, Chebyshev propagation
 - ``observe``: reduced density matrix, the measures sigma, delta and the b fit

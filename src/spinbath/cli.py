@@ -39,6 +39,10 @@ def _cmd_plot(args) -> int:
 def _cmd_check(args) -> int:
     from . import acceptance
 
+    n = len(acceptance.CRITERIA)
+    if args.criterion is not None and not 1 <= args.criterion <= n:
+        print(f"error: --criterion must be between 1 and {n}, got {args.criterion}", file=sys.stderr)
+        return 2
     results = acceptance.run_all(only=args.criterion)
     return 0 if all(r.passed for r in results) else 1
 

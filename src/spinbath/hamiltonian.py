@@ -1,4 +1,4 @@
-"""Spin-1/2 Hamiltonians built from bond tables and applied matrix-free.
+"""Spin-1/2 Hamiltonians built from bond tables and applied as sparse matrices.
 
 The entirety is split into a system of ``n_system`` spins and an environment
 of ``n_env`` spins,
@@ -15,6 +15,12 @@ of n carries the state of site k+1 of the entirety, with the system occupying
 the low ``n_system`` bits so the partial trace over the environment is a
 contiguous reshape.  Bit value 0 means spin up.  Bond tables use 1-based site
 labels within their own part.
+
+Each part is held once, as one real ``scipy.sparse`` CSR matrix with a row
+of 1 + bonds entries (the diagonal, then one flipped index per bond), and
+that matrix serves every consumer: ``apply_hamiltonian``, the Gershgorin
+``energy_bounds`` and, in ``spectrum``, the dense matrix and the parity
+sector blocks.  Above _CACHE_DIM_LIMIT the kernel streams its bonds instead.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionError, ModelError
 from .seeds import spawn_rng
@@ -179,46 +186,95 @@ def _local_terms(model: SpinModel, part: str):
     raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
 
 
+def _index_dtype(n: int):
+    """The narrowest of int32 and int64 that holds the integers below n."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
 class _Applier:
-    """Precomputed matrix-free kernel for one Hamiltonian part.
+    """Kernel for one Hamiltonian part: one cached real CSR matrix, or bonds streamed per call.
 
     For each bond the off-diagonal (xx + yy) piece flips both bits; the
     source-dependent coefficient is -(cx - cy)/4 for parallel spins and
     -(cx + cy)/4 for antiparallel ones.  All zz pieces accumulate into one
-    diagonal.  Index and coefficient arrays are cached for dimensions up to
-    _CACHE_DIM_LIMIT and streamed above it.
+    diagonal.  Up to _CACHE_DIM_LIMIT the part is held as one
+    ``scipy.sparse`` CSR matrix with a fixed row layout: the diagonal, then
+    one entry per kept bond (a bond whose coefficients are not all zero) in
+    ``terms`` order, so 12 bytes (float64 value, int32 column) per entry.
+    The CSR product sums each row in that order, the order of the per-bond
+    loop, so both modes give the same numbers.  Above the limit each call
+    streams the bonds one at a time.  The arrays are read-only, so no
+    ``scipy.sparse`` operation can reorder the layout in place.
     """
 
     def __init__(self, n_bits: int, terms):
         self.dim = 2**n_bits
         self.terms = terms
-        self._cache = None
-        if self.dim <= _CACHE_DIM_LIMIT:
-            self._cache = self._build(np.arange(self.dim))
+        # (bit_i, bit_j, parallel coeff, antiparallel coeff) of the kept bonds
+        self.kept = []
+        for (bi, bj, cx, cy, cz, scale) in terms:
+            same, crossed = -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0
+            if same != 0.0 or crossed != 0.0:
+                self.kept.append((bi, bj, same, crossed))
+        self.matrix = self._build_csr() if self.dim <= _CACHE_DIM_LIMIT else None
 
-    def _build(self, idx):
+    def _diagonal(self, idx):
+        """The zz pieces of all bonds, accumulated in ``terms`` order."""
         diag = np.zeros(idx.shape[0])
-        offdiag = []
         for (bi, bj, cx, cy, cz, scale) in self.terms:
+            diag -= scale * cz * (0.5 - ((idx >> bi) & 1)) * (0.5 - ((idx >> bj) & 1))
+        return diag
+
+    def _bonds(self, idx):
+        """(flipped index, coefficient) arrays of the kept bonds, one bond at a time."""
+        for (bi, bj, same, crossed) in self.kept:
             ti = (idx >> bi) & 1
             tj = (idx >> bj) & 1
-            diag -= scale * cz * (0.5 - ti) * (0.5 - tj)
-            coeff = np.where(ti == tj, -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0)
-            if np.any(coeff != 0.0):
-                offdiag.append((idx ^ ((1 << bi) | (1 << bj)), coeff))
-        return diag, offdiag
+            yield idx ^ ((1 << bi) | (1 << bj)), np.where(ti == tj, same, crossed)
 
-    def arrays(self):
-        """(diagonal, [(flip, coeff) per bond]): the cache, or built afresh when streamed."""
-        return self._cache if self._cache is not None else self._build(np.arange(self.dim))
+    def csr(self):
+        """The part as a CSR matrix: the cached one, or built afresh when streamed."""
+        return self.matrix if self.matrix is not None else self._build_csr()
+
+    def _build_csr(self):
+        idx = np.arange(self.dim, dtype=_index_dtype(self.dim))
+        width = 1 + len(self.kept)
+        data = np.empty((self.dim, width))
+        index_dtype = _index_dtype(self.dim * width + 1)
+        indices = np.empty((self.dim, width), dtype=index_dtype)
+        data[:, 0] = self._diagonal(idx)
+        indices[:, 0] = idx
+        for col, (flip, coeff) in enumerate(self._bonds(idx), start=1):
+            indices[:, col] = flip
+            data[:, col] = coeff
+        data.flags.writeable = indices.flags.writeable = False
+        indptr = np.arange(0, self.dim * width + 1, width, dtype=index_dtype)
+        return scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
+                                      shape=(self.dim, self.dim))
+
+    def bands(self):
+        """(dim, 1 + kept bonds) view of the cached values: the diagonal, then one column per bond."""
+        return self.matrix.data.reshape(self.dim, -1)
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         if state.shape[0] != self.dim:
             raise DimensionError(f"state dimension {state.shape[0]} != {self.dim}")
-        diag, offdiag = self.arrays()
+        if self.matrix is None:
+            return self._streamed(state)
+        if np.iscomplexobj(state):
+            # two real products: a complex operand would upcast the cached values
+            out = np.empty(state.shape, dtype=np.result_type(state, float))
+            out.real = self.matrix @ state.real
+            out.imag = self.matrix @ state.imag
+            return out
+        return self.matrix @ state
+
+    def _streamed(self, state):
+        idx = np.arange(self.dim, dtype=_index_dtype(self.dim))
         column = state.ndim > 1
+        diag = self._diagonal(idx)
         out = (diag[:, None] if column else diag) * state
-        for flip, coeff in offdiag:
+        for flip, coeff in self._bonds(idx):
             out += (coeff[:, None] if column else coeff) * state[flip]
         return out
 
@@ -229,7 +285,7 @@ def _applier(model: SpinModel, part: str) -> _Applier:
 
 
 def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndarray:
-    """Return H_part @ state without materializing the matrix.
+    """Return H_part @ state through the part's sparse matrix (never a dense one).
 
     ``part`` is one of "S", "E", "SE", "FULL"; S and E act on their local
     2^{n_part}-dimensional spaces, SE and FULL on the full 2^N space (FULL
@@ -272,21 +328,22 @@ def apply_site_operator(model: SpinModel, part: str, site: int, axis: str, state
 def energy_bounds(model: SpinModel, part: str = FULL) -> tuple[float, float]:
     """Rigorous bounds containing the spectrum of the selected part.
 
-    Small dimensions get exact Gershgorin row bounds from the cached kernel
-    arrays (each bond contributes one off-diagonal element per row, so the
-    row radius is the sum of the cached coefficient magnitudes).  Above the
-    caching limit the coarser triangle-inequality bound +/- sum over bond
-    components |c|/4 (coupling weighted by |lam|) is used.  Empty bond lists
-    give (0, 0); the spectrum is always contained.
+    Small dimensions get exact Gershgorin row bounds from the cached CSR
+    matrix (each kept bond contributes one off-diagonal element per row, so
+    the row radius is the sum of that row's bond magnitudes, accumulated
+    bond by bond in ``terms`` order).  Above the caching limit the coarser
+    triangle-inequality bound +/- sum over bond components |c|/4 (coupling
+    weighted by |lam|) is used.  Empty bond lists give (0, 0); the spectrum
+    is always contained.
     """
     applier = _applier(model, part)
-    if applier._cache is not None:
-        diag, offdiag = applier._cache
-        radius = np.zeros_like(diag)
-        for _, coeff in offdiag:
-            radius += np.abs(coeff)
-        lo = float(np.min(diag - radius))
-        hi = float(np.max(diag + radius))
+    if applier.matrix is not None:
+        bands = applier.bands()
+        radius = np.zeros(applier.dim)
+        for col in range(1, bands.shape[1]):
+            radius += np.abs(bands[:, col])
+        lo = float(np.min(bands[:, 0] - radius))
+        hi = float(np.max(bands[:, 0] + radius))
     else:
         s = sum(abs(scale) * (abs(cx) + abs(cy) + abs(cz)) / 4.0
                 for (_, _, cx, cy, cz, scale) in applier.terms)

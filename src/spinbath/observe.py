@@ -13,6 +13,7 @@ so reports carry both values.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -81,17 +82,29 @@ def reduce_to_system(state: np.ndarray, n_system: int,
     return ReducedDensityMatrix(rho, hs_eigenbasis)
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(dim: int):
+    """Read-only row and column indices of the strict upper triangle, once per dimension."""
+    i, j = np.triu_indices(dim, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def sigma(rdm: ReducedDensityMatrix) -> float:
     """Root-sum-square of the strictly upper-triangular moduli."""
-    iu = np.triu_indices(rdm.dim, 1)
-    return float(np.sqrt(np.sum(np.abs(rdm.matrix[iu]) ** 2)))
+    return float(np.sqrt(np.sum(np.abs(rdm.matrix[_upper_pairs(rdm.dim)]) ** 2)))
 
 
-def _distinct_pairs(energies: np.ndarray, width: float):
+@functools.lru_cache(maxsize=8)
+def _distinct_pairs(energy_bytes: bytes, width: float):
+    """Index pairs i < j of distinct energies, once per spectrum (keyed by its float64 bytes)."""
+    energies = np.frombuffer(energy_bytes)
     tol = ENERGY_TOL_FACTOR * (width if width > 0 else 1.0)
-    i, j = np.triu_indices(len(energies), 1)
+    i, j = _upper_pairs(len(energies))
     keep = np.abs(energies[i] - energies[j]) > tol
-    return i[keep], j[keep]
+    i, j = i[keep], j[keep]
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float:
@@ -101,7 +114,7 @@ def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float:
     a warning); with all system energies equal the fit is undefined.
     """
     e = hs_spectrum.eigenvalues
-    i, j = _distinct_pairs(e, hs_spectrum.width)
+    i, j = _distinct_pairs(np.asarray(e, dtype=float).tobytes(), hs_spectrum.width)
     if len(i) == 0:
         raise FitError("all system energies are equal; b is undefined")
     diag = rdm.diagonal

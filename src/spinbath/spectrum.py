@@ -3,16 +3,18 @@
 Every bond term -c_a S^a_i S^a_j commutes with the global parities
 P_z = prod sigma^z and P_x = prod sigma^x, so each part's H is block
 diagonal by parity (standard exact-diagonalization practice, Sandvik, AIP
-Conf. Proc. 1297, 135 (2010)).  ``diagonalize_sectors`` solves the blocks
-one by one and keeps the eigenpairs in a sector layout: for N bits the P_z
-sectors hold the indices of even and odd popcount; for even N >= 2 each
-splits again into P_x = +1 and -1 halves spanned by (|n> +- |n ^ mask>)/sqrt(2),
-4 sectors of 2^N/4 in all; for odd N, P_x maps one P_z sector onto the other,
-so only the even one is solved.  Projections use that layout, since
-exp(-beta H / 2) does not depend on the basis chosen inside degenerate
-levels.  ``diagonalize`` returns full-basis eigenvectors with that basis
-canonicalized (measurement in the H_S eigenbasis depends on it), and its
-values-only spectra come from the sector solve.
+Conf. Proc. 1297, 135 (2010)).  ``diagonalize_sectors`` slices the blocks
+out of the kernel's CSR matrix (see hamiltonian), so only the blocks are
+ever dense, solves them one by one and keeps the eigenpairs in a sector
+layout: for N bits the P_z sectors hold the indices of even and odd
+popcount; for even N >= 2 each splits again into P_x = +1 and -1 halves
+spanned by (|n> +- |n ^ mask>)/sqrt(2), 4 sectors of 2^N/4 in all; for odd
+N, P_x maps one P_z sector onto the other, so only the even one is solved.
+Projections use that layout, since exp(-beta H / 2) does not depend on the
+basis chosen inside degenerate levels.  ``diagonalize`` returns full-basis
+eigenvectors with that basis canonicalized (measurement in the H_S
+eigenbasis depends on it), and its values-only spectra come from the sector
+solve.
 
 All Boltzmann sums are evaluated with the ground energy subtracted before
 exponentiating (log-domain where needed), so partition-function ratios stay
@@ -78,21 +80,21 @@ class SpectrumSummary:
         return int(np.sum(e - e[0] <= self.degeneracy_tolerance))
 
 
+def _part_matrix(model: SpinModel, part: str, dim_cap: int):
+    """The kernel's CSR matrix of a part, refused above the dense cap."""
+    applier = _applier(model, part)
+    if applier.dim > dim_cap:
+        raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {dim_cap}")
+    return applier.csr()
+
+
 def dense_matrix(model: SpinModel, part: str = FULL, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Dense real-symmetric matrix of a part, scattered from the kernel's bond arrays.
+    """Dense real-symmetric matrix of a part, scattered from the kernel's CSR matrix.
 
     Row n holds the diagonal energy and, per bond, one off-diagonal element
     at the bond's flipped index, so the build costs O(dim x bonds).
     """
-    applier = _applier(model, part)
-    if applier.dim > dim_cap:
-        raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {dim_cap}")
-    diag, offdiag = applier.arrays()
-    h = np.diag(diag)
-    idx = np.arange(applier.dim)
-    for flip, coeff in offdiag:
-        h[idx, flip] += coeff
-    return h
+    return _part_matrix(model, part, dim_cap).toarray()
 
 
 _GAUGE_TOL_FACTOR = 1e-12  # block tolerance for gauge canonicalization
@@ -139,8 +141,11 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return out
 
 
-def _parity_sectors(h: np.ndarray, want_vectors: bool) -> list[Sector]:
-    """The parity sectors of h, each solved densely (values only unless ``want_vectors``)."""
+def _parity_sectors(h, want_vectors: bool) -> list[Sector]:
+    """The parity sectors of the CSR matrix h, each block sliced out and solved densely.
+
+    Values only unless ``want_vectors``; only the blocks are ever dense.
+    """
     dim = h.shape[0]
     n_bits = dim.bit_length() - 1
     idx = np.arange(dim)
@@ -157,13 +162,14 @@ def _parity_sectors(h: np.ndarray, want_vectors: bool) -> list[Sector]:
     if n_bits % 2 or n_bits == 0:
         # P_z only; for odd N the odd sector is P_x of the even one
         reps = idx[parity == 0]
-        even = solve(reps, None, 1.0, h[np.ix_(reps, reps)])
+        even = solve(reps, None, 1.0, h[reps][:, reps].toarray())
         return [even, replace(even, reps=reps ^ mask)] if n_bits else [even]
     sectors = []
     for p in (0, 1):
         reps = idx[(parity == p) & (idx <= mask >> 1)]
         partners = reps ^ mask
-        same, crossed = h[np.ix_(reps, reps)], h[np.ix_(reps, partners)]
+        rows = h[reps]
+        same, crossed = rows[:, reps].toarray(), rows[:, partners].toarray()
         sectors.append(solve(reps, partners, 1.0, same + crossed))
         sectors.append(solve(reps, partners, -1.0, same - crossed))
     return sectors
@@ -191,12 +197,13 @@ def diagonalize(
     request, with the basis inside degenerate blocks canonicalized against
     the computational basis order so repeated runs and different solver
     gauges agree.  Without vectors the eigenvalues are the sorted union of
-    the parity sectors' spectra.
+    the parity sectors' spectra, sliced from the sparse matrix as in
+    ``diagonalize_sectors``; only the full-basis solve builds the dense matrix.
     """
-    h = dense_matrix(model, part, dim_cap)
     if not want_vectors:
+        h = _part_matrix(model, part, dim_cap)
         return _summary(_sorted_union(_parity_sectors(h, want_vectors=False)))
-    eigenvalues, eigenvectors = scipy.linalg.eigh(h)
+    eigenvalues, eigenvectors = scipy.linalg.eigh(dense_matrix(model, part, dim_cap))
     return _summary(eigenvalues, _canonical_gauge(eigenvalues, eigenvectors))
 
 
@@ -204,11 +211,14 @@ def diagonalize_sectors(model: SpinModel, part: str = FULL,
                         dim_cap: int = DEFAULT_DIM_CAP) -> SpectrumSummary:
     """Spectrum of a part with its eigenpairs in the parity sector layout.
 
+    Each block, H[reps][:, reps] +- H[reps][:, partners], is sliced from
+    the kernel's CSR matrix; the 2^N x 2^N dense matrix is never built, but
+    parts above ``dim_cap`` are still refused with SizeLimitError.
     ``eigenvalues`` is the sorted union of the sector spectra and
     ``eigenvectors`` is None; the sector eigenvectors carry no gauge fixing,
     which the basis-independent thermal projection does not need.
     """
-    sectors = tuple(_parity_sectors(dense_matrix(model, part, dim_cap), want_vectors=True))
+    sectors = tuple(_parity_sectors(_part_matrix(model, part, dim_cap), want_vectors=True))
     return _summary(_sorted_union(sectors), sectors=sectors)
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures: an independent dense-matrix oracle built from Kronecker
 products of explicit 2x2 spin matrices (never touching the package's
-matrix-free kernel), plus small reusable models and a strategy over small
+sparse kernel), plus small reusable models and a strategy over small
 random ones."""
 
 import numpy as np

@@ -3,7 +3,9 @@
 import time
 from functools import cached_property
 
-from spinbath import acceptance, bench
+import pytest
+
+from spinbath import acceptance, bench, cli
 
 BUILD_S = 0.3
 
@@ -33,3 +35,9 @@ def test_criterion_2_counts_the_table_build_once():
     # (counting the build twice would exceed the call's wall time)
     assert BUILD_S <= result.runtime <= wall
 
+
+@pytest.mark.parametrize("number", [0, -1, len(acceptance.CRITERIA) + 1])
+def test_check_rejects_unknown_criterion(number, capsys):
+    # an out-of-range number runs nothing, which must not read as a pass
+    assert cli.main(["check", "--criterion", str(number)]) == 2
+    assert "--criterion must be between 1 and" in capsys.readouterr().err

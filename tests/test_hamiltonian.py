@@ -1,8 +1,11 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath import hamiltonian
 from spinbath.errors import DimensionError, ModelError
 from spinbath.hamiltonian import (
     COUPLING_RANGE,
@@ -13,10 +16,11 @@ from spinbath.hamiltonian import (
     build_ring_model,
     energy_bounds,
 )
+from spinbath.hamiltonian import _local_terms
 from spinbath.propagate import random_state
 from spinbath.spectrum import diagonalize
 
-from conftest import SX, SY, SZ, dense_oracle, site_operator, small_models
+from conftest import SX, SY, SZ, dense_oracle, parity_models, site_operator, small_models
 
 
 class TestSpinModel:
@@ -130,6 +134,91 @@ class TestApply:
         out = apply_hamiltonian(m, "FULL", block)
         for k in range(4):
             assert np.abs(out[:, k] - apply_hamiltonian(m, "FULL", block[:, k])).max() < 1e-14
+
+
+@contextmanager
+def streamed_kernel():
+    """Every applier built inside the block streams its bonds instead of caching a matrix."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamiltonian, "_CACHE_DIM_LIMIT", 0)
+        hamiltonian._applier.cache_clear()
+        try:
+            yield
+        finally:
+            hamiltonian._applier.cache_clear()
+
+
+def kernel_inputs(dim, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    return [vec, block, vec.real, block.real]
+
+
+def per_bond_bounds(model, part):
+    """Gershgorin bounds accumulated from per-bond (diagonal, coefficient) arrays."""
+    n_bits, terms = _local_terms(model, part)
+    idx = np.arange(2**n_bits)
+    diag = np.zeros(idx.shape[0])
+    radius = np.zeros(idx.shape[0])
+    for (bi, bj, cx, cy, cz, scale) in terms:
+        ti = (idx >> bi) & 1
+        tj = (idx >> bj) & 1
+        diag -= scale * cz * (0.5 - ti) * (0.5 - tj)
+        coeff = np.where(ti == tj, -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0)
+        if np.any(coeff != 0.0):
+            radius += np.abs(coeff)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    if lo == hi == 0.0:
+        return (0.0, 0.0)
+    pad = 1e-11 * max(1.0, abs(lo), abs(hi))
+    return (lo - pad, hi + pad)
+
+
+class TestKernelModes:
+    """The cached CSR kernel against the streamed per-bond one, bit for bit."""
+
+    @staticmethod
+    def check(model, seed):
+        parts = ("S", "E", "SE", "FULL")
+        inputs = {p: kernel_inputs(2**_local_terms(model, p)[0], seed) for p in parts}
+        cached = {p: [apply_hamiltonian(model, p, x) for x in inputs[p]] for p in parts}
+        with streamed_kernel():
+            for p in parts:
+                assert hamiltonian._applier(model, p).matrix is None
+                for x, ref in zip(inputs[p], cached[p]):
+                    out = apply_hamiltonian(model, p, x)
+                    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    def test_csr_equals_streamed(self, name):
+        self.check(parity_models()[name], 11)
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_models(), st.integers(0, 2**32 - 1))
+    def test_csr_equals_streamed_random_models(self, model, seed):
+        self.check(model, seed)
+
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    def test_bounds_equal_per_bond_gershgorin(self, name):
+        model = parity_models()[name]
+        for part in ("S", "E", "SE", "FULL"):
+            assert energy_bounds(model, part) == per_bond_bounds(model, part)
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_models())
+    def test_bounds_equal_per_bond_gershgorin_random_models(self, model):
+        for part in ("S", "E", "SE", "FULL"):
+            assert energy_bounds(model, part) == per_bond_bounds(model, part)
+
+    def test_csr_layout(self):
+        # 12 bytes per entry: the diagonal, then one int32-indexed entry per kept bond
+        m = build_ring_model(2, 3, -1.0, 5, 7, 1.0)
+        h = hamiltonian._applier(m, "FULL").matrix
+        n_bonds = len(m.system_bonds) + len(m.env_bonds) + len(m.coupling_bonds)
+        assert h.indices.dtype == np.int32 and h.data.dtype == np.float64
+        assert h.nnz == m.dim * (1 + n_bonds)
+        assert not h.data.flags.writeable and not h.indices.flags.writeable
 
 
 class TestSiteOperator:

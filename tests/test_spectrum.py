@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath import spectrum
 from spinbath.errors import SizeLimitError
 from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model
 from spinbath.spectrum import (
@@ -126,6 +128,42 @@ class TestParitySectors:
     def test_layout_matches_dense_random_models(self, model):
         for part in ("S", "E", "FULL"):
             check_sector_layout(model, part)
+
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    @pytest.mark.parametrize("part", ["S", "E", "FULL"])
+    def test_blocks_sliced_without_dense_matrix(self, name, part, monkeypatch):
+        # reference: the blocks gathered from the dense matrix, solved the same way
+        model = parity_models()[name]
+        h = dense_matrix(model, part)
+        dense = spectrum.dense_matrix
+
+        def refuse(m, p=spectrum.FULL, *args, **kwargs):
+            if p == part:
+                raise AssertionError(f"dense matrix of part {part} built")
+            return dense(m, p, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "dense_matrix", refuse)
+        spec = diagonalize_sectors(model, part)
+        values = diagonalize(model, part, want_vectors=False).eigenvalues
+        gathered = []
+        for s in spec.sectors:
+            block = h[np.ix_(s.reps, s.reps)]
+            if s.partners is not None:
+                block = block + s.sign * h[np.ix_(s.reps, s.partners)]
+            evals, evecs = scipy.linalg.eigh(block)
+            assert np.array_equal(s.eigenvalues, evals) and np.array_equal(s.eigenvectors, evecs)
+            gathered.append(scipy.linalg.eigvalsh(block))
+        assert np.array_equal(values, np.sort(np.concatenate(gathered)))
+
+    @pytest.mark.parametrize("part", ["S", "E", "FULL"])
+    def test_sectors_keep_dim_cap(self, part):
+        model = parity_models()["ring_even"]
+        dim = dense_matrix(model, part).shape[0]
+        with pytest.raises(SizeLimitError):
+            diagonalize_sectors(model, part, dim_cap=dim - 1)
+        with pytest.raises(SizeLimitError):
+            diagonalize(model, part, want_vectors=False, dim_cap=dim - 1)
+        assert diagonalize_sectors(model, part, dim_cap=dim).dim == dim
 
     def test_sector_shapes(self):
         # even N: P_z x P_x gives 4 sectors of dim/4, paired under P_x;
