@@ -118,11 +118,14 @@ def criterion_1(ctx: Context) -> CriterionResult:
             hs = diagonalize(model, SYSTEM)
             s2 = np.empty(n_states)
             d2 = np.empty(n_states)
-            for r in range(n_states):
-                psi = random_state(model.dim, (MASTER_SEED, "c1", n_sys, n_env, r))
-                rep = observe.measure_state(psi, n_sys, hs, beta_ref=0.0)
-                s2[r] = rep.sigma**2
-                d2[r] = rep.delta**2
+            for start in range(0, n_states, 500):
+                stop = min(start + 500, n_states)
+                block = np.column_stack([
+                    random_state(model.dim, (MASTER_SEED, "c1", n_sys, n_env, r))
+                    for r in range(start, stop)])
+                rep = observe.measure_state(block, n_sys, hs, beta_ref=0.0)
+                s2[start:stop] = rep.sigma**2
+                d2[start:stop] = rep.delta**2
             ref_s, ref_d = infinite_temperature_scaling(model.dim_system, model.dim_env)
             dev_s = abs(s2.mean() - ref_s) / (s2.std(ddof=1) / np.sqrt(n_states))
             dev_d = abs(d2.mean() - ref_d) / (d2.std(ddof=1) / np.sqrt(n_states))
@@ -188,7 +191,7 @@ def criterion_4(ctx: Context) -> CriterionResult:
     block = np.column_stack([random_state(model.dim, (MASTER_SEED, "c4", r)) for r in range(200)])
     (states, _), = canonical_thermal_state(model, block, [50.0],
                                            projection_spectrum(model, "exact"))
-    mean = float(np.mean([observe.measure_state(state, 4, hs).sigma for state in states.T]))
+    mean = float(np.mean(observe.measure_state(states, 4, hs).sigma))
     passed = mean < 1e-3 and g_s == 1
     return CriterionResult(4, "g_S=1 low-temperature sigma collapse", passed,
                            f"mean sigma = {mean:.2e} at beta|J|=50 (g_S={g_s})",
@@ -294,7 +297,7 @@ def criterion_7(ctx: Context) -> CriterionResult:
     block = np.column_stack([random_state(model0.dim, (MASTER_SEED, "c7b", r)) for r in range(100)])
     (states, _), = canonical_thermal_state(model0, block, [beta],
                                            projection_spectrum(model0, "chebyshev"))
-    bs = np.array([observe.measure_state(st, 4, hs0).b for st in states.T])
+    bs = observe.measure_state(states, 4, hs0).b
     b_dev = abs(bs.mean() - beta) / (bs.std(ddof=1) / np.sqrt(len(bs)))
     passed = ratio < 5.0 and b_dev < 3.0
     return CriterionResult(7, "X-state stationarity and b fit", passed,

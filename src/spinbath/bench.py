@@ -16,6 +16,7 @@ measurable at desk scale (see sigma2_excess).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -250,6 +251,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _field(text: str) -> str:
+    """A CSV field as written: quoted, inner quotes doubled, if it holds , " or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _parse(tok: str):
+    """A CSV field as read: int, else float, else the text itself."""
+    if tok == "":
+        return ""
+    try:
+        return int(tok)
+    except ValueError:
+        try:
+            return float(tok)
+        except ValueError:
+            return tok
+
+
 @dataclass
 class ResultTable:
     columns: list[str]
@@ -262,7 +283,7 @@ class ResultTable:
             lines.append(f"# {key}={self.meta[key]}")
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(_field(_fmt(v)) for v in row))
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -286,38 +307,23 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
+        """Parse to_csv output: ``# key=value`` comments, then the header and rows."""
         meta = {}
-        columns = None
-        rows = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
+        body: list[str] = []
+        lines = iter(text.splitlines(keepends=True))
+        for line in lines:
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
+                k, sep, v = line[1:].strip().partition("=")
+                if sep:
                     meta[k.strip()] = v.strip()
-                continue
-            parts = line.split(",")
-            if columns is None:
-                columns = parts
-                continue
-            row = []
-            for tok in parts:
-                if tok == "":
-                    row.append("")
-                    continue
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    try:
-                        row.append(float(tok))
-                    except ValueError:
-                        row.append(tok)
-            rows.append(tuple(row))
-        if columns is None:
+            elif line.strip():
+                body = [line, *lines]
+                break
+        records = [rec for rec in csv.reader(body) if rec and not rec[0].startswith("#")]
+        if not records:
             raise ConfigError("no header row in CSV")
-        return cls(columns, rows, meta)
+        columns, *data = records
+        return cls(columns, [tuple(_parse(tok) for tok in rec) for rec in data], meta)
 
 
 def _aggregate_rows(prefix: tuple, samples: dict[str, np.ndarray], columns_after: int = 0):
@@ -378,10 +384,9 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
         ])
         projected = canonical_thermal_state(model, block, config.beta_list, full_spec)
         for beta, (states, _) in zip(config.beta_list, projected):
-            for col, r in enumerate(range(start, stop)):
-                rep = observe.measure_state(states[:, col], n_sys, hs_spec, beta_ref=beta)
-                _store(per_beta[beta], sample_rows[beta], rep,
-                       (n_sys, n_env, lam, beta, r), with_theory)
+            rep = observe.measure_state(states, n_sys, hs_spec, beta_ref=beta)
+            _store(per_beta[beta], sample_rows[beta], rep, (n_sys, n_env, lam, beta),
+                   range(start, stop), with_theory)
     for beta in config.beta_list:
         rows.extend(sample_rows[beta])
         prefix = (n_sys, n_env, lam, beta)
@@ -393,14 +398,14 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
     return rows
 
 
-def _store(acc, sample_rows, rep, prefix, with_theory):
-    idx = prefix[4]
-    acc["sigma"][idx] = rep.sigma
-    acc["delta"][idx] = rep.delta
-    acc["b"][idx] = rep.b
-    acc["delta_fit"][idx] = rep.delta_fit
+def _store(acc, sample_rows, rep, prefix, realizations, with_theory):
+    """Sample rows and accumulated measures of one block of realizations at one beta."""
+    measures = ("sigma", "delta", "b", "delta_fit")
+    for name in measures:
+        acc[name][realizations.start:realizations.stop] = getattr(rep, name)
     extra = ("", "", "") if with_theory else ("",)
-    sample_rows.append(prefix + (rep.sigma, rep.delta, rep.b, rep.delta_fit) + extra)
+    columns = zip(realizations, *(getattr(rep, name).tolist() for name in measures))
+    sample_rows.extend(prefix + values + extra for values in columns)
 
 
 def _run_static(config: ExperimentConfig, with_theory: bool) -> ResultTable:

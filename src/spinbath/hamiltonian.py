@@ -43,6 +43,7 @@ _PARTS = (SYSTEM, ENVIRONMENT, COUPLING, FULL)
 
 DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
 _CACHE_DIM_LIMIT = 2**20     # above this, bond index arrays are streamed
+_ROW_BLOCK = 4096            # rows per pass of the CSR build and of a streamed product
 
 COUPLING_RANGE = 4.0 / 3.0   # random couplings are uniform on [-4/3, 4/3]
 
@@ -202,12 +203,15 @@ class _Applier:
     one entry per kept bond (a bond whose coefficients are not all zero) in
     ``terms`` order, so 12 bytes (float64 value, int32 column) per entry.
     The CSR product sums each row in that order, the order of the per-bond
-    loop, so both modes give the same numbers.  Above the limit each call
-    streams the bonds one at a time.  The arrays are read-only, so no
-    ``scipy.sparse`` operation can reorder the layout in place.
+    loop, so both modes give the same numbers.  The arrays are read-only,
+    so no ``scipy.sparse`` operation can reorder the layout in place.
+    Above the limit each call streams the bonds instead.  Both the build and
+    a streamed product go _ROW_BLOCK rows at a time, reading each index's
+    bits once per block, so their scratch memory does not grow with dim.
     """
 
     def __init__(self, n_bits: int, terms):
+        self.n_bits = n_bits
         self.dim = 2**n_bits
         self.terms = terms
         # (bit_i, bit_j, parallel coeff, antiparallel coeff) of the kept bonds
@@ -218,35 +222,41 @@ class _Applier:
                 self.kept.append((bi, bj, same, crossed))
         self.matrix = self._build_csr() if self.dim <= _CACHE_DIM_LIMIT else None
 
-    def _diagonal(self, idx):
+    def _row_blocks(self):
+        """(rows, idx, bits) per block of _ROW_BLOCK consecutive indices; bits[b] holds bit b."""
+        for start in range(0, self.dim, _ROW_BLOCK):
+            idx = np.arange(start, min(start + _ROW_BLOCK, self.dim), dtype=_index_dtype(self.dim))
+            bits = [((idx >> b) & 1).astype(np.uint8) for b in range(self.n_bits)]
+            yield slice(start, start + idx.shape[0]), idx, bits
+
+    def _diagonal(self, idx, bits):
         """The zz pieces of all bonds, accumulated in ``terms`` order."""
         diag = np.zeros(idx.shape[0])
         for (bi, bj, cx, cy, cz, scale) in self.terms:
-            diag -= scale * cz * (0.5 - ((idx >> bi) & 1)) * (0.5 - ((idx >> bj) & 1))
+            diag -= scale * cz * (0.5 - bits[bi]) * (0.5 - bits[bj])
         return diag
 
-    def _bonds(self, idx):
+    def _bonds(self, idx, bits):
         """(flipped index, coefficient) arrays of the kept bonds, one bond at a time."""
         for (bi, bj, same, crossed) in self.kept:
-            ti = (idx >> bi) & 1
-            tj = (idx >> bj) & 1
-            yield idx ^ ((1 << bi) | (1 << bj)), np.where(ti == tj, same, crossed)
+            yield idx ^ ((1 << bi) | (1 << bj)), np.where(bits[bi] == bits[bj], same, crossed)
 
     def csr(self):
         """The part as a CSR matrix: the cached one, or built afresh when streamed."""
         return self.matrix if self.matrix is not None else self._build_csr()
 
     def _build_csr(self):
-        idx = np.arange(self.dim, dtype=_index_dtype(self.dim))
+        """Fill the (dim, 1 + kept bonds) value and index arrays one row block at a time."""
         width = 1 + len(self.kept)
         data = np.empty((self.dim, width))
         index_dtype = _index_dtype(self.dim * width + 1)
         indices = np.empty((self.dim, width), dtype=index_dtype)
-        data[:, 0] = self._diagonal(idx)
-        indices[:, 0] = idx
-        for col, (flip, coeff) in enumerate(self._bonds(idx), start=1):
-            indices[:, col] = flip
-            data[:, col] = coeff
+        for rows, idx, bits in self._row_blocks():
+            data[rows, 0] = self._diagonal(idx, bits)
+            indices[rows, 0] = idx
+            for col, (flip, coeff) in enumerate(self._bonds(idx, bits), start=1):
+                indices[rows, col] = flip
+                data[rows, col] = coeff
         data.flags.writeable = indices.flags.writeable = False
         indptr = np.arange(0, self.dim * width + 1, width, dtype=index_dtype)
         return scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
@@ -270,12 +280,14 @@ class _Applier:
         return self.matrix @ state
 
     def _streamed(self, state):
-        idx = np.arange(self.dim, dtype=_index_dtype(self.dim))
+        out = np.empty(state.shape, dtype=np.result_type(state, float))
         column = state.ndim > 1
-        diag = self._diagonal(idx)
-        out = (diag[:, None] if column else diag) * state
-        for flip, coeff in self._bonds(idx):
-            out += (coeff[:, None] if column else coeff) * state[flip]
+        for rows, idx, bits in self._row_blocks():
+            diag = self._diagonal(idx, bits)
+            acc = (diag[:, None] if column else diag) * state[rows]
+            for flip, coeff in self._bonds(idx, bits):
+                acc += (coeff[:, None] if column else coeff) * state[flip]
+            out[rows] = acc
         return out
 
 

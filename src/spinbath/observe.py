@@ -9,6 +9,13 @@ reference.  Closed-form ensemble predictions (see `theory`) correspond to
 the reference choice b = beta; the fitted b absorbs part of the sample
 fluctuation and systematically lowers delta for small system dimensions,
 so reports carry both values.
+
+Every measure takes one state or a (dim, k) block of column states.  A
+block is reduced to a (k, D_S, D_S) stack with one batched product and one
+batched rotation, and sigma, fit_b and delta reduce the stacked matrices
+and diagonals along their last axis, so a block of realizations is measured
+without a per-column loop.  A single state is the one-column case and
+gives floats.
 """
 
 from __future__ import annotations
@@ -30,23 +37,23 @@ ENERGY_TOL_FACTOR = 1e-9    # relative tolerance deciding E_i != E_j in the fit
 
 @dataclass
 class ReducedDensityMatrix:
-    """D_S x D_S density matrix of the system in the H_S eigenbasis."""
+    """D_S x D_S density matrix of the system in the H_S eigenbasis, or a (k, D_S, D_S) stack."""
 
     matrix: np.ndarray
     basis: SpectrumSummary
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def diagonal(self) -> np.ndarray:
-        return self.matrix.real.diagonal()
+        return self.matrix.real.diagonal(axis1=-2, axis2=-1)
 
 
 @dataclass
 class MeasureReport:
-    """Scalar measures of one state.
+    """Scalar measures of one state, or (k,) arrays of them for a block of k states.
 
     ``delta`` is evaluated at the reference inverse temperature ``beta_ref``
     when one is given (the quantity the closed-form ensemble predictions
@@ -54,32 +61,41 @@ class MeasureReport:
     fitted-b value.
     """
 
-    sigma: float
-    delta: float
-    b: float
+    sigma: float | np.ndarray
+    delta: float | np.ndarray
+    b: float | np.ndarray
     beta_ref: float | None
-    delta_fit: float
+    delta_fit: float | np.ndarray
+
+
+def _float_or_array(values: np.ndarray):
+    """A float for one matrix's reduction, the (k,) array for a stack's."""
+    return float(values) if values.ndim == 0 else values
 
 
 def reduce_to_system(state: np.ndarray, n_system: int,
                      hs_eigenbasis: SpectrumSummary) -> ReducedDensityMatrix:
     """Trace out the environment, then rotate to the H_S eigenbasis.
 
-    The product-basis layout (system on the low bits) makes the trace a
-    reshape: amplitudes form a (dim_E, dim_S) matrix M with rho = M^dagger M.
+    ``state`` is a vector or a (dim, k) block of column states; a block
+    gives a (k, D_S, D_S) stack.  The product-basis layout (system on the
+    low bits) makes the trace a reshape: each column's amplitudes form a
+    (dim_E, dim_S) matrix M with rho = M^dagger M, and the k products and
+    rotations each run as one batched matmul.
     """
     state = np.asarray(state)
     dim_s = 2**n_system
-    if state.ndim != 1 or state.shape[0] % dim_s:
+    if state.ndim not in (1, 2) or state.shape[0] % dim_s:
         raise DimensionError(f"state of dimension {state.shape} does not hold {n_system} system spins")
     v = hs_eigenbasis.eigenvectors
     if v is None or v.shape[0] != dim_s:
         raise DimensionError("hs_eigenbasis must carry eigenvectors of dimension 2**n_system")
-    m = state.reshape(-1, dim_s)
-    rho = m.conj().T @ m
+    # (k, dim_E, dim_S); a C-ordered block is transposed once so every M is contiguous
+    m = np.ascontiguousarray(state.T).reshape(-1, state.shape[0] // dim_s, dim_s)
+    rho = m.conj().swapaxes(1, 2) @ m
     rho = v.conj().T @ rho @ v
-    rho = 0.5 * (rho + rho.conj().T)
-    return ReducedDensityMatrix(rho, hs_eigenbasis)
+    rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    return ReducedDensityMatrix(rho if state.ndim == 2 else rho[0], hs_eigenbasis)
 
 
 @functools.lru_cache(maxsize=8)
@@ -90,9 +106,10 @@ def _upper_pairs(dim: int):
     return i, j
 
 
-def sigma(rdm: ReducedDensityMatrix) -> float:
+def sigma(rdm: ReducedDensityMatrix) -> float | np.ndarray:
     """Root-sum-square of the strictly upper-triangular moduli."""
-    return float(np.sqrt(np.sum(np.abs(rdm.matrix[_upper_pairs(rdm.dim)]) ** 2)))
+    i, j = _upper_pairs(rdm.dim)
+    return _float_or_array(np.sqrt(np.sum(np.abs(rdm.matrix[..., i, j]) ** 2, axis=-1)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -107,11 +124,12 @@ def _distinct_pairs(energy_bytes: bytes, width: float):
     return i, j
 
 
-def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float:
+def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float | np.ndarray:
     """Fitted inverse temperature: average log-ratio over distinct-energy pairs.
 
-    Diagonal entries are floored at 1e-300 before the logarithm (flagged with
-    a warning); with all system energies equal the fit is undefined.
+    Diagonal entries are floored at 1e-300 before the logarithm, with one
+    warning per call (per stack, not per matrix); with all system energies
+    equal the fit is undefined.
     """
     e = hs_spectrum.eigenvalues
     i, j = _distinct_pairs(np.asarray(e, dtype=float).tobytes(), hs_spectrum.width)
@@ -122,25 +140,26 @@ def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float:
         warnings.warn("reduced density diagonal floored before log; b fit is degenerate",
                       stacklevel=2)
     ln = np.log(np.clip(diag, LOG_FLOOR, None))
-    return float(np.mean((ln[i] - ln[j]) / (e[j] - e[i])))
+    return _float_or_array(np.mean((ln[..., i] - ln[..., j]) / (e[j] - e[i]), axis=-1))
 
 
-def gibbs_weights(energies: np.ndarray, b: float) -> np.ndarray:
-    w = np.exp(-b * (energies - energies.min()))
-    return w / w.sum()
+def gibbs_weights(energies: np.ndarray, b) -> np.ndarray:
+    """Boltzmann weights at b, one row per entry of b when b is an array."""
+    w = np.exp(-np.multiply.outer(b, energies - energies.min()))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def delta(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary, b: float) -> float:
-    """Euclidean distance of the diagonal from the Boltzmann profile at b."""
-    if not np.isfinite(b):
+def delta(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary, b) -> float | np.ndarray:
+    """Euclidean distance of the diagonal from the Boltzmann profile at b (per matrix and b)."""
+    if not np.isfinite(b).all():
         raise ValueError("b must be finite")
     p = gibbs_weights(hs_spectrum.eigenvalues, b)
-    return float(np.sqrt(np.sum((rdm.diagonal - p) ** 2)))
+    return _float_or_array(np.sqrt(np.sum((rdm.diagonal - p) ** 2, axis=-1)))
 
 
 def measure_state(state: np.ndarray, n_system: int, hs_spectrum: SpectrumSummary,
                   beta_ref: float | None = None) -> MeasureReport:
-    """Reduce a state and package sigma, delta and the fitted b."""
+    """Reduce a state, or a (dim, k) block of them, and package sigma, delta and the fitted b."""
     rdm = reduce_to_system(state, n_system, hs_spectrum)
     return measure_rdm(rdm, hs_spectrum, beta_ref)
 

@@ -18,7 +18,11 @@ initial states and a list of betas and has two backends.
   sector, one gather per P_x pair giving both sectors' sum and difference,
   transformed with that sector's eigenvectors and assigned straight back,
   so no full eigenvector matrix is formed.  A plain full-basis spectrum is
-  a valid factor too;
+  a valid factor too.  The block keeps its layout: for factor axis i it is
+  viewed as (before, d_i, after) and multiplied along the middle axis by
+  real GEMMs on its float view (real_matmul).  Each column is normalized
+  through its weights in the eigenbasis, where its norm is a weighted sum
+  of squares;
 - Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> per
   column up to the largest order and accumulate every beta's expansion
   from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
@@ -218,15 +222,21 @@ def evolve_real_time(model: SpinModel, state: np.ndarray, t: float, plan=None,
 
 
 def real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x without upcasting a real matrix to complex (two real products).
+    """m @ x without upcasting a real matrix to complex: one real product on x's float view.
 
-    The real and imaginary parts are copied contiguously so both products
-    stay on the BLAS fast path.
+    A complex x, a vector or a stack of (d, n) blocks, is read as reals with
+    each entry's real and imaginary part side by side, so a row of n complex
+    entries is a row of 2n reals.  m acts on those rows in one real GEMM per
+    block, and the product reads back as complex without a copy.  x is copied
+    only when its last axis is strided; a vector is viewed as (d, 2).
     """
     if np.iscomplexobj(x) and not np.iscomplexobj(m):
-        re = m @ np.ascontiguousarray(x.real)
-        im = m @ np.ascontiguousarray(x.imag)
-        return re + 1j * im
+        if x.strides[-1] != x.itemsize:
+            x = np.ascontiguousarray(x)
+        dtype = np.result_type(m, x)
+        if x.ndim == 1:
+            return (m @ x.view(x.real.dtype).reshape(-1, 2)).view(dtype)[:, 0]
+        return (m @ x.view(x.real.dtype)).view(dtype)
     return m @ x
 
 
@@ -236,45 +246,60 @@ def _unprojected(psi0: np.ndarray):
 
 
 def _to_eigenbasis(factor: SpectrumSummary, x: np.ndarray) -> np.ndarray:
-    """Coordinates of the (d, R) block x in a factor's eigenbasis.
+    """Coordinates of the (A, d, B) block x in a factor's eigenbasis, along axis 1.
 
     Rows follow the factor's eigenpairs in sector order.  A P_x pair's two
     sectors take the sum and the difference of one gather; the 1/sqrt(2) of
-    both transforms is left to _from_eigenbasis as one factor 1/2.
+    that pair basis is left out here and on the way back (see _pair_gain).
     """
     if factor.sectors is None:
         return real_matmul(factor.eigenvectors.T, x)
     parts = []
     for s in factor.sectors:
         if s.partners is None:
-            v = x[s.reps]
+            v = x[:, s.reps]
         elif s.sign > 0:
-            a, b = x[s.reps], x[s.partners]
+            a, b = x[:, s.reps], x[:, s.partners]
             v, minus = a + b, a - b
         else:
             v = minus
         parts.append(real_matmul(s.eigenvectors.T, v))
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=1)
 
 
 def _from_eigenbasis(factor: SpectrumSummary, c: np.ndarray) -> np.ndarray:
-    """Inverse of _to_eigenbasis: computational-basis rows from eigenbasis rows."""
+    """Computational-basis rows from eigenbasis rows along axis 1.
+
+    This undoes _to_eigenbasis up to the factor _pair_gain(factor).
+    """
     if factor.sectors is None:
         return real_matmul(factor.eigenvectors, c)
     out = np.empty_like(c)
     start = 0
     for s in factor.sectors:
         stop = start + s.eigenvalues.shape[0]
-        y = real_matmul(s.eigenvectors, c[start:stop])
+        y = real_matmul(s.eigenvectors, c[:, start:stop])
         start = stop
         if s.partners is None:
-            out[s.reps] = y
+            out[:, s.reps] = y
         elif s.sign > 0:
             plus = y
         else:
-            out[s.reps] = 0.5 * (plus + y)
-            out[s.partners] = 0.5 * (plus - y)
+            out[:, s.reps] = plus + y
+            plus -= y
+            out[:, s.partners] = plus
     return out
+
+
+def _pair_gain(factor: SpectrumSummary) -> int:
+    """2 for a factor whose sectors pair indices under P_x, else 1.
+
+    Both transforms leave out the pair basis' 1/sqrt(2), so
+    _from_eigenbasis(c) has squared norm gain * |c|^2, and
+    _from_eigenbasis(_to_eigenbasis(x)) = gain * x.
+    """
+    paired = factor.sectors is not None and factor.sectors[0].partners is not None
+    return 2 if paired else 1
 
 
 def _coefficient_energies(factor: SpectrumSummary) -> np.ndarray:
@@ -285,10 +310,9 @@ def _coefficient_energies(factor: SpectrumSummary) -> np.ndarray:
 
 
 def _along_axis(transform, factor: SpectrumSummary, x: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a factor transform to ``axis`` of x: the axis moved to the front and flattened."""
-    moved = np.moveaxis(x, axis, 0)
-    out = transform(factor, moved.reshape(moved.shape[0], -1))
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    """Apply a factor transform to ``axis`` of the contiguous x, viewed as (before, d, after)."""
+    view = x.reshape(math.prod(x.shape[:axis]), x.shape[axis], -1)
+    return transform(factor, view).reshape(x.shape)
 
 
 def _exact_projections(factors, psi0: np.ndarray, betas):
@@ -296,28 +320,37 @@ def _exact_projections(factors, psi0: np.ndarray, betas):
 
     The block is viewed as (d_1, ..., d_m, k), factor i acting on axis i;
     exp(-beta/2 * sum_i eps_i) weights each product eigenvector, with every
-    factor's ground energy (its lowest sorted eigenvalue) shifted out.
+    factor's ground energy (its lowest sorted eigenvalue) shifted out.  The
+    back transforms are orthogonal up to the gain G of _pair_gain, so the
+    squared norm of a projected column is sum w^2 |coeff0|^2 / G, read off
+    in the eigenbasis; the weights w / (G * norm) then give normalized
+    columns straight out of the back transforms.
     """
     shape = tuple(f.dim for f in factors) + psi0.shape[1:]
     coeff0 = psi0.reshape(shape)
     for axis, f in enumerate(factors):
         coeff0 = _along_axis(_to_eigenbasis, f, coeff0, axis)
+    coeff0 = coeff0.reshape(psi0.shape)
     shifted = functools.reduce(np.add.outer, [_coefficient_energies(f) - f.eigenvalues[0]
-                                              for f in factors])
+                                              for f in factors]).ravel()
     e0 = sum(f.eigenvalues[0] for f in factors)
+    gain = math.prod(_pair_gain(f) for f in factors)
     for beta in betas:
         if beta == 0.0:
             yield _unprojected(psi0)
             continue
-        raw = coeff0 * np.exp(-0.5 * beta * shifted)[..., None]
+        w = np.exp(-0.5 * beta * shifted)
+        w_sq = w * w
+        # sum w^2 |coeff0|^2 per column, with no temporary block
+        raw_norm_sq = (np.einsum("i,ij,ij->j", w_sq, coeff0.real, coeff0.real)
+                       + np.einsum("i,ij,ij->j", w_sq, coeff0.imag, coeff0.imag)) / gain
+        raw = coeff0 * np.multiply.outer(w, 1.0 / (gain * np.sqrt(raw_norm_sq)))
+        raw = raw.reshape(shape)
         for axis, f in enumerate(factors):
             raw = _along_axis(_from_eigenbasis, f, raw, axis)
-        raw = raw.reshape(psi0.shape)
-        raw_norm = np.linalg.norm(raw, axis=0)
-        raw /= raw_norm
         with np.errstate(over="ignore", under="ignore"):
-            norm_sq = raw_norm**2 * np.exp(-beta * e0)
-        yield raw, norm_sq
+            norm_sq = raw_norm_sq * np.exp(-beta * e0)
+        yield raw.reshape(psi0.shape), norm_sq
 
 
 def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:

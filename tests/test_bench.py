@@ -174,6 +174,33 @@ class TestRun:
         assert len(again.rows) == len(table.rows)
         assert again.meta["mode"] == "static_measure"
 
+    def test_csv_error_with_comma_round_trips(self):
+        # coupling bond (1, 5) is out of range: the message holds a comma
+        cfg = make_config(model="explicit", n_sys_list=(2,), n_env_list=(3,),
+                          lambda_list=(1.0,), coupling_bonds=((1, 5, 1.0, 1.0, 1.0),))
+        table = bench.run(cfg)
+        (row,) = table.dicts()
+        assert row["error"] == "coupling_bonds: sites (1, 5) out of range"
+        again = bench.ResultTable.from_csv(table.to_csv())
+        assert again.columns == table.columns
+        assert list(again.dicts()) == list(table.dicts())
+
+    def test_csv_quotes_only_fields_that_need_it(self):
+        message = 'bad "value", then\na second line'
+        table = bench.ResultTable(["a", "b", "error"],
+                                  [(1, 0.25, ""), (2, "mean", message)], {"mode": "x"})
+        text = table.to_csv()
+        assert "1,0.25,\n" in text      # a plain row is written bare, as before
+        assert '2,mean,"bad ""value"", then\na second line"\n' in text
+        again = bench.ResultTable.from_csv(text)
+        assert again.rows == table.rows and again.meta == {"mode": "x"}
+
+    def test_csv_rows_without_separators_unchanged(self):
+        table = bench.run(make_config(n_realizations=3))
+        lines = table.to_csv().splitlines()
+        assert lines[-len(table.rows):] == [",".join(bench._fmt(v) for v in row)
+                                            for row in table.rows]
+
     def test_theory_overlay_matches_closed_form(self):
         cfg = bench.parse_config(CONFIG_TEXT)
         cfg = bench.ExperimentConfig(**{**cfg.__dict__, "n_realizations": 200})

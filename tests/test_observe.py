@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinbath.errors import FitError
+from spinbath.errors import DimensionError, FitError
 from spinbath.hamiltonian import build_chain_model, build_ring_model
 from spinbath.observe import (
     ReducedDensityMatrix,
@@ -184,6 +184,97 @@ class TestMeasureReport:
         assert rep.delta_fit == delta(reduce_to_system(st, 2, hs), hs, rep.b)
         rep2 = measure_state(st, 2, hs)
         assert rep2.delta == rep2.delta_fit
+
+
+class TestBlockMeasure:
+    """A (dim, k) block measured at once against its columns measured one by one."""
+
+    @staticmethod
+    def block_for(model, beta):
+        psi0 = np.column_stack([random_state(model.dim, ("block", r)) for r in range(6)])
+        (states, _), = canonical_thermal_state(model, psi0, [beta],
+                                               projection_spectrum(model, "exact"))
+        return states
+
+    @staticmethod
+    def assert_matches(block, n_sys, hs, beta_ref):
+        rep = measure_state(block, n_sys, hs, beta_ref)
+        cols = [measure_state(col, n_sys, hs, beta_ref) for col in block.T]
+        assert rep.beta_ref == beta_ref
+        for name in ("sigma", "delta", "delta_fit"):
+            values = getattr(rep, name)
+            assert values.shape == (block.shape[1],)
+            assert np.abs(values - [getattr(c, name) for c in cols]).max() < 1e-15
+        b_cols = np.array([c.b for c in cols])
+        assert np.abs(rep.b / b_cols - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("n_sys", [2, 3, 4])
+    @pytest.mark.parametrize("beta_ref", [None, 0.8])
+    def test_matches_columns(self, n_sys, beta_ref):
+        model = build_ring_model(n_sys, 4, -1.0, 3, 4, 0.6)
+        hs = diagonalize(model, "S")
+        self.assert_matches(self.block_for(model, 0.8), n_sys, hs, beta_ref)
+
+    @pytest.mark.parametrize("beta_ref", [None, 2.0])
+    def test_degenerate_system_spectrum(self, beta_ref):
+        model = build_chain_model(4, 3, 1.0, 1.0, 1.0, 0.0)
+        hs = diagonalize(model, "S")
+        assert hs.ground_degeneracy == 5
+        self.assert_matches(self.block_for(model, 2.0), 4, hs, beta_ref)
+
+    def test_one_system_spin(self):
+        # H_S has no bonds: b is undefined for the block as for every column
+        model = build_chain_model(1, 4, 1.0, 1.0, 1.0, 0.5)
+        hs = diagonalize(model, "S")
+        block = self.block_for(model, 0.8)
+        rdm = reduce_to_system(block, 1, hs)
+        assert rdm.matrix.shape == (6, 2, 2)
+        for k, col in enumerate(block.T):
+            single = reduce_to_system(col, 1, hs)
+            assert np.abs(rdm.matrix[k] - single.matrix).max() < 1e-15
+            assert abs(sigma(rdm)[k] - sigma(single)) < 1e-15
+            assert abs(delta(rdm, hs, 0.8)[k] - delta(single, hs, 0.8)) < 1e-15
+        with pytest.raises(FitError):
+            measure_state(block, 1, hs, 0.8)
+
+    def test_floored_column(self):
+        # in the computational basis as the system basis, a system basis state
+        # times an environment state has exact zeros on the diagonal
+        model = build_ring_model(2, 3, -1.0, 1, 2, 0.0)
+        hs = _basis(diagonalize(model, "S").eigenvalues)
+        system = np.zeros(4, dtype=complex)
+        system[1] = 1.0
+        floored = np.kron(random_state(model.dim_env, 4), system)
+        block = np.column_stack([self.block_for(model, 0.5)[:, :3], floored])
+        with pytest.warns(UserWarning, match="floored") as caught:
+            self.assert_matches(block, 2, hs, 0.5)
+            assert np.isfinite(measure_state(block, 2, hs).b).all()
+        # one warning for each block call and one for the floored column's own call
+        assert len(caught) == 3
+
+    def test_single_state_gives_floats(self):
+        model = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        hs = diagonalize(model, "S")
+        rep = measure_state(random_state(model.dim, 3), 2, hs, beta_ref=0.4)
+        assert all(type(getattr(rep, name)) is float
+                   for name in ("sigma", "delta", "b", "delta_fit"))
+        one = measure_state(random_state(model.dim, 3)[:, None], 2, hs, beta_ref=0.4)
+        assert one.sigma.shape == (1,) and one.sigma[0] == rep.sigma
+
+    def test_block_reduction_matches_columns(self):
+        model = build_ring_model(3, 4, -1.0, 7, 8, 1.0)
+        hs = diagonalize(model, "S")
+        block = self.block_for(model, 1.1)
+        rdm = reduce_to_system(block, 3, hs)
+        for k, col in enumerate(block.T):
+            assert np.abs(rdm.matrix[k] - reduce_to_system(col, 3, hs).matrix).max() < 1e-15
+        assert np.abs(rdm.diagonal - np.einsum("kii->ki", rdm.matrix).real).max() == 0.0
+
+    def test_rejects_three_dimensional_state(self):
+        model = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        hs = diagonalize(model, "S")
+        with pytest.raises(DimensionError):
+            reduce_to_system(np.zeros((model.dim, 2, 2), dtype=complex), 2, hs)
 
 
 class TestTraceTimeSeries:

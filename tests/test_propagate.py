@@ -46,6 +46,85 @@ def assert_sectors_match_full_basis(model):
         assert np.abs(ns / nf - 1.0).max() < 1e-10
 
 
+def two_product_matmul(m, x):
+    """The reference for real_matmul: separate real products of the real and imaginary parts."""
+    return m @ np.ascontiguousarray(x.real) + 1j * (m @ np.ascontiguousarray(x.imag))
+
+
+def dense_norm_sq(model, psi0, beta):
+    """<psi_0| exp(-beta H) |psi_0> per column from the dense full-basis spectrum."""
+    e, v = np.linalg.eigh(dense_matrix(model))
+    weights = np.exp(-beta * (e - e[0]))[:, None] * np.abs(v.T @ psi0) ** 2
+    return np.exp(-beta * e[0]) * weights.sum(axis=0)
+
+
+class TestRealMatmul:
+    @pytest.mark.parametrize("layout", ["vector", "C", "F", "column_slice", "row_slice",
+                                        "vector_slice", "stack"])
+    def test_view_path_matches_two_products(self, layout):
+        # the float view runs one GEMM where the reference runs two (a vector
+        # moves from gemv to gemm), so the two agree to rounding, not bitwise
+        rng = np.random.default_rng(5)
+        d = 64
+        m = rng.standard_normal((d, d))
+        full = rng.standard_normal((2 * d, 40)) + 1j * rng.standard_normal((2 * d, 40))
+        x = {"vector": full[:d, 0], "C": full[:d], "F": np.asfortranarray(full[:d]),
+             "column_slice": full[:d, ::3], "row_slice": full[::2],
+             "vector_slice": full[::2, 5], "stack": full.reshape(2, d, 40)[:, :, 3:30]}[layout]
+        got = propagate.real_matmul(m, x)
+        ref = two_product_matmul(m, x)
+        assert got.shape == ref.shape and got.dtype == complex
+        bound = 2 * d * np.finfo(float).eps * (np.abs(m) @ (np.abs(x.real) + np.abs(x.imag)))
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_exact_where_one_product_per_part(self):
+        # with one nonzero entry per row of m each output is a single product
+        rng = np.random.default_rng(6)
+        m = np.diag(rng.standard_normal(32))[rng.permutation(32)]
+        x = rng.standard_normal((32, 7)) + 1j * rng.standard_normal((32, 7))
+        for block in (x, x[:, 0], np.asfortranarray(x), x[:, ::2]):
+            assert np.array_equal(propagate.real_matmul(m, block), two_product_matmul(m, block))
+
+    def test_real_and_complex_matrices_pass_through(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((8, 8))
+        x = rng.standard_normal((8, 3))
+        assert np.array_equal(propagate.real_matmul(m, x), m @ x)
+        mc = m + 1j * m.T
+        xc = x + 1j
+        assert np.array_equal(propagate.real_matmul(mc, xc), mc @ xc)
+
+
+class TestEigenbasisNorm:
+    """Column norms read off in the eigenbasis against the projected columns and a dense oracle."""
+
+    @staticmethod
+    def check(model):
+        psi0 = random_block(model, [("eig-norm", r) for r in range(5)])
+        betas = (0.7, 20.0, 200.0)
+        projected = canonical_thermal_state(model, psi0, betas,
+                                            projection_spectrum(model, "exact"))
+        for beta, (states, norm_sq) in zip(betas, projected, strict=True):
+            assert np.abs(np.linalg.norm(states, axis=0) - 1.0).max() < 1e-13
+            assert np.abs(norm_sq / dense_norm_sq(model, psi0, beta) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    def test_coupled_parity_models(self, name):
+        model = parity_models()[name]
+        assert len(projection_spectrum(model, "exact")) == (1 if model.coupling_bonds else 2)
+        self.check(model)
+
+    @pytest.mark.parametrize("model", [
+        build_ring_model(2, 3, -1.0, 4, 9, 0.0),       # S even (P_x pairs), E odd
+        build_ring_model(3, 4, -1.0, 2, 3, 0.0),       # S odd, E even
+        build_chain_model(3, 5, 1.0, -0.7, 0.4, 0.0),  # both odd
+        build_chain_model(2, 4, 1.0, 1.0, 1.0, 0.0),   # both even, degenerate
+    ], ids=["S_even_E_odd", "S_odd_E_even", "both_odd", "both_even"])
+    def test_factorized_models(self, model):
+        assert len(projection_spectrum(model, "exact")) == 2
+        self.check(model)
+
+
 class TestRandomState:
     def test_normalized_and_deterministic(self):
         a = random_state(64, 7)
