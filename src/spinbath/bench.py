@@ -111,12 +111,17 @@ class ExperimentConfig:
             raise ConfigError(f"beta_list must hold finite values >= 0, got {self.beta_list}")
         if not all(np.isfinite(lam) for lam in self.lambda_list):
             raise ConfigError(f"lambda_list must hold finite values, got {self.lambda_list}")
+        for name in ("j_system", "j_iso", "omega_iso", "delta_iso", "identity_shift"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_realizations is not None and self.n_realizations < 1:
             raise ConfigError(f"n_realizations must be >= 1, got {self.n_realizations}")
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if not self.t_max >= 0.0:
             raise ConfigError(f"t_max must be >= 0, got {self.t_max}")
+        if self.t_burn is not None and not (np.isfinite(self.t_burn) and self.t_burn >= 0.0):
+            raise ConfigError(f"t_burn must be finite and >= 0, got {self.t_burn}")
         if self.n_draws < 2:
             raise ConfigError(f"n_draws must be >= 2, got {self.n_draws}")
 
@@ -297,10 +302,6 @@ class ResultTable:
         k = self.columns.index("error")
         return sum(1 for row in self.rows if row[k])
 
-    def column(self, name: str, where=None):
-        k = self.columns.index(name)
-        return [row[k] for row in self.rows if where is None or where(dict(zip(self.columns, row)))]
-
     def dicts(self):
         for row in self.rows:
             yield dict(zip(self.columns, row))
@@ -347,10 +348,17 @@ def _aggregate_rows(prefix: tuple, samples: dict[str, np.ndarray], columns_after
 # mode runners
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
+    """SPINBATH_WORKERS as an integer >= 1; unset or empty means 1."""
+    text = os.environ.get(WORKERS_ENV, "").strip()
+    if not text:
         return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,

@@ -14,15 +14,15 @@ class DimensionError(SpinBathError):
 
 
 class SizeLimitError(SpinBathError):
-    """Requested dense operation exceeds the configured dimension cap."""
+    """A part's matrix would be made dense above spectrum.DEFAULT_DIM_CAP."""
 
 
 class ChebyshevOrderError(SpinBathError):
     """Expansion did not converge within the allowed order.
 
-    Raised instead of silently truncating; increase ``max_order`` (or use the
-    exact method) when the product of time/inverse-temperature and spectral
-    width is large.
+    Raised instead of silently truncating past propagate.DEFAULT_MAX_ORDER;
+    use the exact method, or shorter propagation steps, when the product of
+    time/inverse-temperature and spectral width is large.
     """
 
 

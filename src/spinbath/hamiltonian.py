@@ -25,7 +25,7 @@ sector blocks.  Above _CACHE_DIM_LIMIT the kernel streams its bonds instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,6 +64,8 @@ def _check_bonds(bonds, n_sites, n_sites_j, label, cross):
                 raise ModelError(f"{label}: need 1 <= i < j <= {n_sites}, got {(i, j)}")
         if (i, j) in seen:
             raise ModelError(f"{label}: duplicate bond {(i, j)}")
+        if not all(np.isfinite(float(c)) for c in bond[2:]):
+            raise ModelError(f"{label}: bond {(i, j)} has a non-finite coupling")
         seen.add((i, j))
 
 
@@ -83,16 +85,14 @@ class SpinModel:
     env_bonds: tuple[Bond, ...] = ()
     coupling_bonds: tuple[Bond, ...] = ()
     lam: float = 1.0
-    size_cap: int = field(default=DEFAULT_SIZE_CAP, compare=False)
 
     def __post_init__(self):
         if self.n_system < 1 or self.n_env < 0:
             raise ModelError("need n_system >= 1 and n_env >= 0")
-        if self.n_spins > self.size_cap:
-            raise ModelError(
-                f"N = {self.n_spins} exceeds the size cap {self.size_cap}; "
-                "raise size_cap explicitly if you have the memory"
-            )
+        if self.n_spins > DEFAULT_SIZE_CAP:
+            raise ModelError(f"N = {self.n_spins} exceeds the size cap {DEFAULT_SIZE_CAP}")
+        if not np.isfinite(self.lam):
+            raise ModelError(f"lam must be finite, got {self.lam}")
         _check_bonds(self.system_bonds, self.n_system, None, "system_bonds", cross=False)
         _check_bonds(self.env_bonds, self.n_env, None, "env_bonds", cross=False)
         _check_bonds(self.coupling_bonds, self.n_system, self.n_env, "coupling_bonds", cross=True)

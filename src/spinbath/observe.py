@@ -40,7 +40,6 @@ class ReducedDensityMatrix:
     """D_S x D_S density matrix of the system in the H_S eigenbasis, or a (k, D_S, D_S) stack."""
 
     matrix: np.ndarray
-    basis: SpectrumSummary
 
     @property
     def dim(self) -> int:
@@ -95,7 +94,7 @@ def reduce_to_system(state: np.ndarray, n_system: int,
     rho = m.conj().swapaxes(1, 2) @ m
     rho = v.conj().T @ rho @ v
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-    return ReducedDensityMatrix(rho if state.ndim == 2 else rho[0], hs_eigenbasis)
+    return ReducedDensityMatrix(rho if state.ndim == 2 else rho[0])
 
 
 @functools.lru_cache(maxsize=8)

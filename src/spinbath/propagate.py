@@ -42,10 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ive, jv
 
-from .errors import ChebyshevOrderError, DimensionError, ModelError, SizeLimitError
+from .errors import ChebyshevOrderError, DimensionError, ModelError
 from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian, energy_bounds
 from .seeds import spawn_rng
-from .spectrum import DEFAULT_DIM_CAP, SpectrumSummary, diagonalize, diagonalize_sectors
+from .spectrum import SpectrumSummary, diagonalize, diagonalize_sectors
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
@@ -73,10 +73,9 @@ def random_state(dim: int, seed) -> np.ndarray:
 
 @dataclass
 class ChebyshevPlan:
-    """Retained expansion coefficients for one propagator.
+    """Retained expansion coefficients for one propagator, exp(-i t H) or exp(-beta H / 2).
 
-    kind "real" expands exp(-i t H), kind "imag" expands exp(-beta H / 2);
-    the spectrum is mapped onto [-1, 1] via (e_min, e_max).  ``coefficients``
+    The spectrum is mapped onto [-1, 1] via (e_min, e_max).  ``coefficients``
     carry the full term weights (2 - delta_k0 and the i^k / sign factors);
     the scalar prefactor exp(log_prefactor) * phase is applied at the end.
     """
@@ -85,9 +84,6 @@ class ChebyshevPlan:
     e_max: float
     order: int
     coefficients: np.ndarray
-    tolerance: float
-    kind: str
-    parameter: float
     log_prefactor: float = 0.0
     phase: complex = 1.0 + 0j
 
@@ -107,10 +103,10 @@ def _pad_bounds(bounds):
     return e_min, e_max
 
 
-def _truncate(coeffs: np.ndarray, tolerance: float):
-    """Index of the last retained coefficient under the two-in-a-row rule."""
+def _truncate(coeffs: np.ndarray):
+    """Index of the last retained coefficient: two in a row below DEFAULT_TOLERANCE of the largest."""
     mags = np.abs(coeffs)
-    thr = tolerance * mags.max()
+    thr = DEFAULT_TOLERANCE * mags.max()
     small = mags < thr
     for k in range(1, len(coeffs) - 1):
         if small[k] and small[k + 1]:
@@ -118,36 +114,37 @@ def _truncate(coeffs: np.ndarray, tolerance: float):
     return None
 
 
-def real_time_plan(bounds, t, tolerance=DEFAULT_TOLERANCE, max_order=DEFAULT_MAX_ORDER):
+def _retained(series, n: int, expansion: str) -> np.ndarray:
+    """The coefficients series(k), k = 0, 1, ..., up to the last one _truncate keeps.
+
+    The series is evaluated at k = 0..n+1, with n grown by 1.6x until the
+    truncation rule fires; past DEFAULT_MAX_ORDER the expansion is refused.
+    """
+    while True:
+        coeffs = series(np.arange(n + 2))
+        order = _truncate(coeffs)
+        if order is not None or n > DEFAULT_MAX_ORDER:
+            break
+        n = int(n * 1.6) + 16
+    if order is None or order > DEFAULT_MAX_ORDER:
+        raise ChebyshevOrderError(f"{expansion} needs order > {DEFAULT_MAX_ORDER}; "
+                                  "use the exact method or shorter propagation steps")
+    return coeffs[: order + 1]
+
+
+def real_time_plan(bounds, t):
     """Plan for exp(-i t H) with spectrum inside ``bounds``."""
     e_min, e_max = _pad_bounds(bounds)
     a = 0.5 * (e_max + e_min)
     half = 0.5 * (e_max - e_min)
     z = t * half
-    n = int(abs(z) + 20 + 12 * abs(z) ** (1.0 / 3.0))
-    while True:
-        k = np.arange(n + 2)
-        bessel = jv(k, z)
-        coeffs = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * bessel
-        order = _truncate(coeffs, tolerance)
-        if order is not None:
-            break
-        if n > max_order:
-            order = None
-            break
-        n = int(n * 1.6) + 16
-    if order is None or order > max_order:
-        raise ChebyshevOrderError(
-            f"exp(-itH) expansion needs order > {max_order} for t*width = {2 * z:.3g}; "
-            "raise max_order"
-        )
-    return ChebyshevPlan(
-        e_min, e_max, order, coeffs[: order + 1], tolerance,
-        kind="real", parameter=float(t), phase=np.exp(-1j * t * a),
-    )
+    coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z),
+                       int(abs(z) + 20 + 12 * abs(z) ** (1.0 / 3.0)),
+                       f"exp(-itH) expansion for t*width = {2 * z:.3g}")
+    return ChebyshevPlan(e_min, e_max, len(coeffs) - 1, coeffs, phase=np.exp(-1j * t * a))
 
 
-def imaginary_time_plan(bounds, beta, tolerance=DEFAULT_TOLERANCE, max_order=DEFAULT_MAX_ORDER):
+def imaginary_time_plan(bounds, beta):
     """Plan for exp(-beta H / 2) with spectrum inside ``bounds``."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -155,29 +152,12 @@ def imaginary_time_plan(bounds, beta, tolerance=DEFAULT_TOLERANCE, max_order=DEF
     a = 0.5 * (e_max + e_min)
     half = 0.5 * (e_max - e_min)
     z = 0.5 * beta * half
-    n = int(z + 20 + 9 * np.sqrt(z))
-    while True:
-        k = np.arange(n + 2)
-        # scaled modified Bessel ive(k, z) = I_k(z) exp(-z) avoids overflow;
-        # the missing exp(z) joins the prefactor in the log domain
-        bessel = ive(k, z)
-        coeffs = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * bessel
-        order = _truncate(coeffs, tolerance)
-        if order is not None:
-            break
-        if n > max_order:
-            order = None
-            break
-        n = int(n * 1.6) + 16
-    if order is None or order > max_order:
-        raise ChebyshevOrderError(
-            f"exp(-bH/2) expansion needs order > {max_order} for beta*width = "
-            f"{beta * (e_max - e_min):.3g}; raise max_order"
-        )
-    return ChebyshevPlan(
-        e_min, e_max, order, coeffs[: order + 1], tolerance,
-        kind="imag", parameter=float(beta), log_prefactor=z - 0.5 * beta * a,
-    )
+    # scaled modified Bessel ive(k, z) = I_k(z) exp(-z) avoids overflow;
+    # the missing exp(z) joins the prefactor in the log domain
+    coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * ive(k, z),
+                       int(z + 20 + 9 * np.sqrt(z)),
+                       f"exp(-bH/2) expansion for beta*width = {beta * (e_max - e_min):.3g}")
+    return ChebyshevPlan(e_min, e_max, len(coeffs) - 1, coeffs, log_prefactor=z - 0.5 * beta * a)
 
 
 def _apply_plan(model: SpinModel, plans: list[ChebyshevPlan], state: np.ndarray) -> list[np.ndarray]:
@@ -209,15 +189,14 @@ def _apply_plan(model: SpinModel, plans: list[ChebyshevPlan], state: np.ndarray)
     return accs
 
 
-def evolve_real_time(model: SpinModel, state: np.ndarray, t: float, plan=None,
-                     tolerance=DEFAULT_TOLERANCE, max_order=DEFAULT_MAX_ORDER) -> np.ndarray:
+def evolve_real_time(model: SpinModel, state: np.ndarray, t: float, plan=None) -> np.ndarray:
     """Return exp(-i t H) |state| via the Chebyshev expansion (norm preserving).
 
     A cached ``plan`` built by real_time_plan for the same t may be supplied
     to avoid recomputing coefficients (e.g. when stepping a time trace).
     """
     if plan is None:
-        plan = real_time_plan(energy_bounds(model), t, tolerance, max_order)
+        plan = real_time_plan(energy_bounds(model), t)
     return plan.phase * _apply_plan(model, [plan], state)[0]
 
 
@@ -420,10 +399,10 @@ def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary,
     "exact" gives the factor spectra: (H_E, H_S) when the model is
     uncoupled (lam = 0 or no coupling bonds), else (H,).  Each is
     diagonalized by parity sector (diagonalize_sectors), up to four dense
-    blocks of a quarter of the factor's dimension, built from the dense
-    matrix and so capped by the dense size limit; the sector vectors carry
-    no gauge fixing, which the projection does not need.  "chebyshev" gives
-    None, and "auto" is exact up to EXACT_AUTO_DIM.
+    blocks of a quarter of the factor's dimension, sliced from the kernel's
+    sparse matrix, with each factor capped at the dense cap; the sector
+    vectors carry no gauge fixing, which the projection does not need.
+    "chebyshev" gives None, and "auto" is exact up to EXACT_AUTO_DIM.
     """
     if method not in ("auto", "exact", "chebyshev"):
         raise ValueError(f"unknown method {method!r}")
@@ -465,8 +444,6 @@ def normalization_diagnostic(model: SpinModel, beta: float, n_realizations: int,
     """
     if model.coupling_bonds and model.lam != 0.0:
         raise ModelError("normalization diagnostic is defined for uncoupled models (lam = 0)")
-    if model.dim > DEFAULT_DIM_CAP:
-        raise SizeLimitError(f"dimension {model.dim} exceeds {DEFAULT_DIM_CAP}")
     es = diagonalize(model, "S", want_vectors=False).eigenvalues
     ee = diagonalize(model, "E", want_vectors=False).eigenvalues
     ws = np.exp(-beta * (es - es.min()))

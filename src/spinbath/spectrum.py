@@ -16,6 +16,10 @@ eigenvectors with that basis canonicalized (measurement in the H_S
 eigenbasis depends on it), and its values-only spectra come from the sector
 solve.
 
+The dense cap DEFAULT_DIM_CAP is checked in one place, ``_part_matrix``, on
+the part whose matrix or sector blocks become dense; an entirety above the
+cap is fine as long as the parts actually solved fit.
+
 All Boltzmann sums are evaluated with the ground energy subtracted before
 exponentiating (log-domain where needed), so partition-function ratios stay
 finite in double precision down to very low temperatures.
@@ -80,21 +84,21 @@ class SpectrumSummary:
         return int(np.sum(e - e[0] <= self.degeneracy_tolerance))
 
 
-def _part_matrix(model: SpinModel, part: str, dim_cap: int):
+def _part_matrix(model: SpinModel, part: str):
     """The kernel's CSR matrix of a part, refused above the dense cap."""
     applier = _applier(model, part)
-    if applier.dim > dim_cap:
-        raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {dim_cap}")
+    if applier.dim > DEFAULT_DIM_CAP:
+        raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {DEFAULT_DIM_CAP}")
     return applier.csr()
 
 
-def dense_matrix(model: SpinModel, part: str = FULL, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def dense_matrix(model: SpinModel, part: str = FULL) -> np.ndarray:
     """Dense real-symmetric matrix of a part, scattered from the kernel's CSR matrix.
 
     Row n holds the diagonal energy and, per bond, one off-diagonal element
     at the bond's flipped index, so the build costs O(dim x bonds).
     """
-    return _part_matrix(model, part, dim_cap).toarray()
+    return _part_matrix(model, part).toarray()
 
 
 _GAUGE_TOL_FACTOR = 1e-12  # block tolerance for gauge canonicalization
@@ -185,12 +189,7 @@ def _sorted_union(sectors) -> np.ndarray:
     return np.sort(np.concatenate([s.eigenvalues for s in sectors]))
 
 
-def diagonalize(
-    model: SpinModel,
-    part: str = FULL,
-    want_vectors: bool = True,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> SpectrumSummary:
+def diagonalize(model: SpinModel, part: str = FULL, want_vectors: bool = True) -> SpectrumSummary:
     """Full spectrum of the selected Hermitian part (eigenvalues ascending).
 
     Eigenvectors (columns of a real orthogonal matrix) are returned on
@@ -201,24 +200,23 @@ def diagonalize(
     ``diagonalize_sectors``; only the full-basis solve builds the dense matrix.
     """
     if not want_vectors:
-        h = _part_matrix(model, part, dim_cap)
+        h = _part_matrix(model, part)
         return _summary(_sorted_union(_parity_sectors(h, want_vectors=False)))
-    eigenvalues, eigenvectors = scipy.linalg.eigh(dense_matrix(model, part, dim_cap))
+    eigenvalues, eigenvectors = scipy.linalg.eigh(dense_matrix(model, part))
     return _summary(eigenvalues, _canonical_gauge(eigenvalues, eigenvectors))
 
 
-def diagonalize_sectors(model: SpinModel, part: str = FULL,
-                        dim_cap: int = DEFAULT_DIM_CAP) -> SpectrumSummary:
+def diagonalize_sectors(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     """Spectrum of a part with its eigenpairs in the parity sector layout.
 
     Each block, H[reps][:, reps] +- H[reps][:, partners], is sliced from
     the kernel's CSR matrix; the 2^N x 2^N dense matrix is never built, but
-    parts above ``dim_cap`` are still refused with SizeLimitError.
+    parts above DEFAULT_DIM_CAP are still refused with SizeLimitError.
     ``eigenvalues`` is the sorted union of the sector spectra and
     ``eigenvectors`` is None; the sector eigenvectors carry no gauge fixing,
     which the basis-independent thermal projection does not need.
     """
-    sectors = tuple(_parity_sectors(_part_matrix(model, part, dim_cap), want_vectors=True))
+    sectors = tuple(_parity_sectors(_part_matrix(model, part), want_vectors=True))
     return _summary(_sorted_union(sectors), sectors=sectors)
 
 
@@ -226,12 +224,11 @@ class ThermoFunctions:
     """ln Z, U and Var(E) as functions of the (total) inverse temperature x = n*beta.
 
     Built from a spectrum; all callables accept x >= 0.  ln Z(0) is the log
-    of the dimension; g is the ground state degeneracy.
+    of the dimension.
     """
 
-    def __init__(self, eigenvalues: np.ndarray, ground_degeneracy: int):
+    def __init__(self, eigenvalues: np.ndarray):
         self.eigenvalues = np.sort(np.asarray(eigenvalues, dtype=float))
-        self.g = int(ground_degeneracy)
         self._e0 = float(self.eigenvalues[0])
         self._shifted = self.eigenvalues - self._e0
 
@@ -265,4 +262,4 @@ class ThermoFunctions:
 def thermo(spec: SpectrumSummary) -> ThermoFunctions:
     if spec.dim == 0:
         raise ValueError("empty spectrum")
-    return ThermoFunctions(spec.eigenvalues, spec.ground_degeneracy)
+    return ThermoFunctions(spec.eigenvalues)

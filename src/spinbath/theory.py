@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
 from .hamiltonian import ENVIRONMENT, SYSTEM, SpinModel, apply_site_operator
-from .spectrum import DEFAULT_DIM_CAP, ThermoFunctions, diagonalize, thermo
+from .spectrum import ThermoFunctions, diagonalize, thermo
 
 
 @dataclass
@@ -33,26 +32,22 @@ class PredictionInputs:
 
     thermo_s: ThermoFunctions
     thermo_e: ThermoFunctions
-    dim_s: int
-    dim_e: int
     beta: float
 
     def __post_init__(self):
-        if self.thermo_s.dim != self.dim_s or self.thermo_e.dim != self.dim_e:
-            raise ValueError("thermo dimensions do not match dim_s/dim_e")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
 
     @property
     def dim(self) -> int:
-        return self.dim_s * self.dim_e
+        return self.thermo_s.dim * self.thermo_e.dim
 
 
 def prediction_inputs(model: SpinModel, beta: float) -> PredictionInputs:
     """Convenience constructor from a model's part spectra."""
     ts = thermo(diagonalize(model, SYSTEM, want_vectors=False))
     te = thermo(diagonalize(model, ENVIRONMENT, want_vectors=False))
-    return PredictionInputs(ts, te, model.dim_system, model.dim_env, beta)
+    return PredictionInputs(ts, te, beta)
 
 
 def sigma2_leading(inputs: PredictionInputs) -> float:
@@ -144,8 +139,7 @@ class SymmetryTraces:
 
 
 def first_order_symmetry_trace(model: SpinModel, beta: float,
-                               identity_shift: float = 0.0,
-                               dim_cap: int = DEFAULT_DIM_CAP) -> SymmetryTraces:
+                               identity_shift: float = 0.0) -> SymmetryTraces:
     """Evaluate Tr(H_SE e^{-beta H_E} e^{-beta H_S}) and the numerator pair.
 
     trace_a is the denominator trace; trace_b is
@@ -161,8 +155,6 @@ def first_order_symmetry_trace(model: SpinModel, beta: float,
     literal traces; the zero test is unaffected since the scales carry the
     same factor.
     """
-    if model.dim > dim_cap:
-        raise SizeLimitError(f"dimension {model.dim} exceeds cap {dim_cap}")
     spec_s = diagonalize(model, SYSTEM)
     spec_e = diagonalize(model, ENVIRONMENT)
     ws1 = np.exp(-beta * (spec_s.eigenvalues - spec_s.eigenvalues[0]))

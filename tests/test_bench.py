@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", [
         "beta_list = -1", "beta_list = 0.5 inf", "beta_list = nan", "lambda_list = inf",
         "lambda_list = 0 nan", "n_realizations = 0", "dt = 0", "dt = -0.5", "t_max = -1",
-        "n_draws = 1",
+        "n_draws = 1", "j_iso = nan", "j_system = inf", "omega_iso = -inf", "delta_iso = nan",
+        "identity_shift = inf", "t_burn = nan", "t_burn = inf", "t_burn = -1",
     ])
     def test_bad_sweep_values_rejected(self, line):
         key = line.split()[0]
@@ -110,6 +112,26 @@ class TestConfigParsing:
         path.write_text(f"{CONFIG_TEXT}\ndt = 0\n")
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: dt must be > 0")
+
+    @pytest.mark.parametrize("value", ["four", "0", "-2", "1.5"])
+    def test_bad_worker_count_rejected(self, value, monkeypatch, tmp_path, capsys):
+        from spinbath import cli
+
+        monkeypatch.setenv(bench.WORKERS_ENV, value)
+        with pytest.raises(ConfigError, match=bench.WORKERS_ENV):
+            bench.run(make_config(n_realizations=2))
+        path = tmp_path / "sweep.cfg"
+        path.write_text(CONFIG_TEXT)
+        assert cli.main(["run", str(path), "-o", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bench.WORKERS_ENV}")
+
+    @pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), ("1", 1), ("3", 3)])
+    def test_worker_count(self, value, workers, monkeypatch):
+        if value is None:
+            monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(bench.WORKERS_ENV, value)
+        assert bench._worker_count() == workers
 
     def test_default_realizations(self):
         assert bench.default_realizations(12) == 1000
@@ -156,8 +178,8 @@ class TestRun:
     def test_exact_and_chebyshev_methods_agree(self):
         a = bench.run(make_config(method="exact", n_realizations=6))
         b = bench.run(make_config(method="chebyshev", n_realizations=6))
-        sa = a.column("sigma", lambda r: isinstance(r["realization"], int))
-        sb = b.column("sigma", lambda r: isinstance(r["realization"], int))
+        sa = [r["sigma"] for r in a.dicts() if isinstance(r["realization"], int)]
+        sb = [r["sigma"] for r in b.dicts() if isinstance(r["realization"], int)]
         assert np.abs(np.array(sa) - np.array(sb)).max() < 1e-9
 
     def test_failed_point_recorded_in_row(self):
@@ -166,6 +188,16 @@ class TestRun:
         assert table.failed_points > 0
         good = [r for r in table.dicts() if r["n_env"] == 4 and r["realization"] == "mean"]
         assert len(good) == len(cfg.lambda_list)
+
+    def test_non_finite_bond_table_gives_error_row(self):
+        cfg = make_config(model="explicit", n_sys_list=(2,), n_env_list=(1,), lambda_list=(1.0,),
+                          system_bonds=((1, 2, float("nan"), 1.0, 1.0),),
+                          coupling_bonds=((2, 1, 0.5, 0.5, 0.5),))
+        (row,) = bench.run(cfg).dicts()
+        assert row["realization"] == "error"
+        assert row["error"] == "system_bonds: bond (1, 2) has a non-finite coupling"
+        trace = bench.run(replace(cfg, mode="time_trace", t_max=1.0))
+        assert trace.rows == [("error", "", "", "", row["error"])]
 
     def test_csv_roundtrip(self):
         table = bench.run(make_config(n_realizations=4))

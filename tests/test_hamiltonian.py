@@ -36,6 +36,19 @@ class TestSpinModel:
         with pytest.raises(ModelError):
             SpinModel(20, 20)  # exceeds the default size cap
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_couplings_rejected(self, bad):
+        with pytest.raises(ModelError, match="system_bonds"):
+            SpinModel(2, 1, system_bonds=((1, 2, 1.0, bad, 1.0),))
+        with pytest.raises(ModelError, match="env_bonds"):
+            SpinModel(1, 2, env_bonds=((1, 2, bad, 0.0, 0.0),))
+        with pytest.raises(ModelError, match="coupling_bonds"):
+            SpinModel(1, 1, coupling_bonds=((1, 1, 0.5, 0.5, bad),))
+        with pytest.raises(ModelError, match="lam"):
+            SpinModel(1, 1, coupling_bonds=((1, 1, 0.5, 0.5, 0.5),), lam=bad)
+        with pytest.raises(ModelError):
+            build_ring_model(2, 2, bad, 1, 2, 1.0)
+
     def test_ring_constructor(self):
         m = build_ring_model(4, 22, -1.0, 3, 5, 1.0)
         assert m.n_spins == 26 and m.dim_system == 16

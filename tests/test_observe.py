@@ -79,12 +79,11 @@ class TestReduce:
 
 class TestSigma:
     def test_diagonal_matrix_is_zero(self):
-        rdm = ReducedDensityMatrix(np.diag([0.4, 0.6]).astype(complex), _basis([0.0, 1.0]))
+        rdm = ReducedDensityMatrix(np.diag([0.4, 0.6]).astype(complex))
         assert sigma(rdm) == 0.0
 
     def test_single_offdiagonal(self):
-        rdm = ReducedDensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex),
-                                   _basis([0.0, 1.0]))
+        rdm = ReducedDensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex))
         assert abs(sigma(rdm) - 0.3) < 1e-15
 
     def test_zero_for_eigenvector_product(self):
@@ -122,17 +121,16 @@ class TestFitB:
     def test_exact_gibbs_recovers_beta(self):
         energies = np.array([-1.0, -0.2, 0.4, 1.3])
         beta = 0.85
-        rdm = ReducedDensityMatrix(np.diag(gibbs_weights(energies, beta)).astype(complex),
-                                   _basis(energies))
+        rdm = ReducedDensityMatrix(np.diag(gibbs_weights(energies, beta)).astype(complex))
         assert abs(fit_b(rdm, _basis(energies)) - beta) < 1e-12
 
     def test_uniform_diagonal_gives_zero(self):
         energies = np.array([-1.0, 0.0, 2.0])
-        rdm = ReducedDensityMatrix((np.eye(3) / 3).astype(complex), _basis(energies))
+        rdm = ReducedDensityMatrix((np.eye(3) / 3).astype(complex))
         assert abs(fit_b(rdm, _basis(energies))) < 1e-14
 
     def test_all_energies_equal_is_undefined(self):
-        rdm = ReducedDensityMatrix((np.eye(3) / 3).astype(complex), _basis([1.0, 1.0, 1.0]))
+        rdm = ReducedDensityMatrix((np.eye(3) / 3).astype(complex))
         with pytest.raises(FitError):
             fit_b(rdm, _basis([1.0, 1.0, 1.0]))
 
@@ -140,14 +138,14 @@ class TestFitB:
         energies = np.array([0.0, 1.0])
         mat = np.diag([1.0, 0.0]).astype(complex)
         with pytest.warns(UserWarning):
-            fit_b(ReducedDensityMatrix(mat, _basis(energies)), _basis(energies))
+            fit_b(ReducedDensityMatrix(mat), _basis(energies))
 
 
 class TestDelta:
     def test_exact_gibbs_is_zero(self):
         energies = np.array([-1.0, 0.0, 0.7])
         p = gibbs_weights(energies, 1.1)
-        rdm = ReducedDensityMatrix(np.diag(p).astype(complex), _basis(energies))
+        rdm = ReducedDensityMatrix(np.diag(p).astype(complex))
         assert delta(rdm, _basis(energies), 1.1) < 1e-15
 
     def test_direct_formula_oracle(self):

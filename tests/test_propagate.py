@@ -231,10 +231,11 @@ class TestCanonicalThermalState:
         s2, _ = project(m, psi0, 2.2)
         assert np.abs(s12 - s2).max() < 1e-9
 
-    def test_order_overflow_error(self):
+    def test_order_overflow_error(self, monkeypatch):
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        monkeypatch.setattr(propagate, "DEFAULT_MAX_ORDER", 8)
         with pytest.raises(ChebyshevOrderError):
-            imaginary_time_plan(energy_bounds(m), 50.0, max_order=8)
+            imaginary_time_plan(energy_bounds(m), 50.0)
 
     def test_cancellation_guard(self):
         # random-coupling model whose ground state sits well inside the
@@ -362,12 +363,14 @@ class TestEvolveRealTime:
         b = evolve_real_time(m, psi, 4.1)
         assert np.abs(a - b).max() < 1e-9
 
-    def test_tolerance_self_consistency(self):
+    def test_tolerance_self_consistency(self, monkeypatch):
         m = build_ring_model(2, 4, -1.0, 3, 9, 1.0)
         psi = random_state(m.dim, 9)
         tol = 1e-9
-        coarse = evolve_real_time(m, psi, 5.0, plan=real_time_plan(energy_bounds(m), 5.0, tolerance=tol))
-        fine = evolve_real_time(m, psi, 5.0, plan=real_time_plan(energy_bounds(m), 5.0, tolerance=tol / 2))
+        monkeypatch.setattr(propagate, "DEFAULT_TOLERANCE", tol)
+        coarse = evolve_real_time(m, psi, 5.0, plan=real_time_plan(energy_bounds(m), 5.0))
+        monkeypatch.setattr(propagate, "DEFAULT_TOLERANCE", tol / 2)
+        fine = evolve_real_time(m, psi, 5.0, plan=real_time_plan(energy_bounds(m), 5.0))
         assert np.abs(coarse - fine).max() < tol
 
     def test_ensemble_time_translation_invariance(self):
@@ -410,6 +413,12 @@ class TestNormalizationDiagnostic:
         m = build_ring_model(2, 4, -1.0, 2, 7, 0.0)
         diffs = normalization_diagnostic(m, 0.0, 5, 3)
         assert diffs.max() < 5e-15
+
+    def test_entirety_above_dense_cap(self):
+        # 2^15 entirety whose parts (16 and 2048) fit the dense cap
+        m = build_ring_model(4, 11, -1.0, 31, 37, 0.0)
+        diffs = normalization_diagnostic(m, 1.0, 8, 5)
+        assert diffs.shape == (8,) and np.all(np.isfinite(diffs))
 
     def test_deterministic(self):
         m = build_ring_model(2, 4, -1.0, 2, 7, 0.0)

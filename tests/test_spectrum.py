@@ -93,10 +93,11 @@ class TestDiagonalize:
                 h = dense_matrix(m, part)
                 assert np.array_equal(h, apply_hamiltonian(m, part, np.eye(h.shape[0])))
 
-    def test_dim_cap(self):
+    def test_dim_cap(self, monkeypatch):
         m = build_ring_model(2, 4, 1.0, 1, 1, 1.0)
+        monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", 16)
         with pytest.raises(SizeLimitError):
-            diagonalize(m, "FULL", dim_cap=16)
+            diagonalize(m, "FULL")
 
     def test_degenerate_gauge_is_canonical(self):
         # any solver gauge inside a degenerate block maps to the same basis
@@ -156,14 +157,16 @@ class TestParitySectors:
         assert np.array_equal(values, np.sort(np.concatenate(gathered)))
 
     @pytest.mark.parametrize("part", ["S", "E", "FULL"])
-    def test_sectors_keep_dim_cap(self, part):
+    def test_sectors_keep_dim_cap(self, part, monkeypatch):
         model = parity_models()["ring_even"]
         dim = dense_matrix(model, part).shape[0]
+        monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", dim - 1)
         with pytest.raises(SizeLimitError):
-            diagonalize_sectors(model, part, dim_cap=dim - 1)
+            diagonalize_sectors(model, part)
         with pytest.raises(SizeLimitError):
-            diagonalize(model, part, want_vectors=False, dim_cap=dim - 1)
-        assert diagonalize_sectors(model, part, dim_cap=dim).dim == dim
+            diagonalize(model, part, want_vectors=False)
+        monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", dim)
+        assert diagonalize_sectors(model, part).dim == dim
 
     def test_sector_shapes(self):
         # even N: P_z x P_x gives 4 sectors of dim/4, paired under P_x;
@@ -184,7 +187,7 @@ class TestParitySectors:
 
 class TestThermo:
     def test_two_levels_beta_zero(self):
-        t = ThermoFunctions(np.array([0.0, 1.0]), 1)
+        t = ThermoFunctions(np.array([0.0, 1.0]))
         assert t.log_z(0.0) == np.log(2.0)
         assert abs(t.u(0.0) - 0.5) < 1e-15
         assert abs(t.energy_variance(0.0) - 0.25) < 1e-15
@@ -216,20 +219,20 @@ class TestThermo:
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 30.0))
     def test_specific_heat_nonnegative(self, seed, beta):
         rng = np.random.default_rng(seed)
-        t = ThermoFunctions(np.sort(rng.normal(size=12)), 1)
+        t = ThermoFunctions(np.sort(rng.normal(size=12)))
         assert t.energy_variance(beta) >= -1e-12    # C = beta^2 Var(E) >= 0
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 5.0))
     def test_dlnz_dbeta_is_minus_u(self, seed, beta):
         rng = np.random.default_rng(seed)
-        t = ThermoFunctions(np.sort(rng.normal(size=10)), 1)
+        t = ThermoFunctions(np.sort(rng.normal(size=10)))
         h = 1e-6 * max(beta, 1.0)
         fd = (t.log_z(beta + h) - t.log_z(beta - h)) / (2 * h)
         assert abs(fd + t.u(beta)) < 1e-5 * max(1.0, abs(t.u(beta)))
 
     def test_z_ratio_log_domain_survives_large_beta(self):
-        t = ThermoFunctions(np.array([-3.0, -1.0, 2.0]), 1)
+        t = ThermoFunctions(np.array([-3.0, -1.0, 2.0]))
         r = t.z_ratio(2, 400.0)
         assert np.isfinite(r) and r > 0
 

@@ -17,9 +17,9 @@ from spinbath.theory import (
 
 
 def two_level_inputs(e_s, e_e, beta):
-    ts = ThermoFunctions(np.array([-e_s, e_s]), 1)
-    te = ThermoFunctions(np.array([-e_e, e_e]), 1)
-    return PredictionInputs(ts, te, 2, 2, beta)
+    ts = ThermoFunctions(np.array([-e_s, e_s]))
+    te = ThermoFunctions(np.array([-e_e, e_e]))
+    return PredictionInputs(ts, te, beta)
 
 
 class TestLeadingOrder:
@@ -140,6 +140,13 @@ class TestSymmetryTraces:
         assert abs(tr.trace_a) > 1e-3 * tr.scale_a
         assert abs(tr.trace_b) > 1e-6 * tr.scale_b
 
+    def test_entirety_above_dense_cap_with_small_parts(self):
+        # 2^15 entirety, parts of 16 and 2048: only the parts are made dense
+        model = build_chain_model(4, 11, 1.0, -0.7, 0.4, 1.0)
+        tr = first_order_symmetry_trace(model, 0.7)
+        assert abs(tr.trace_a) < 1e-10 * tr.scale_a
+        assert abs(tr.trace_b) < 1e-10 * tr.scale_b
+
     def test_shift_value_at_beta_zero(self):
         # at beta = 0 the shifted trace_a is exactly shift * D
         model = SpinModel(2, 2, coupling_bonds=((1, 1, 0.3, 0.2, 0.1),))
@@ -149,9 +156,7 @@ class TestSymmetryTraces:
 
 class TestPredictionInputs:
     def test_dimension_validation(self):
-        ts = ThermoFunctions(np.zeros(4), 4)
-        te = ThermoFunctions(np.zeros(8), 8)
-        with pytest.raises(ValueError):
-            PredictionInputs(ts, te, 4, 4, 1.0)
-        inp = PredictionInputs(ts, te, 4, 8, 1.0)
+        ts = ThermoFunctions(np.zeros(4))
+        te = ThermoFunctions(np.zeros(8))
+        inp = PredictionInputs(ts, te, 1.0)
         assert inp.dim == 32
