@@ -25,8 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import observe, theory
-from .errors import ConfigError, SpinBathError
-from .hamiltonian import SYSTEM, SpinModel, build_chain_model, build_ring_model
+from .errors import ConfigError, ModelError, SpinBathError
+from .hamiltonian import (DEFAULT_SIZE_CAP, SYSTEM, SpinModel, build_chain_model,
+                          build_ring_model)
 from .propagate import (
     alternating_product_state,
     canonical_thermal_state,
@@ -120,6 +121,9 @@ class ExperimentConfig:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if not self.t_max >= 0.0:
             raise ConfigError(f"t_max must be >= 0, got {self.t_max}")
+        if not np.isfinite(self.t_max / self.dt):
+            raise ConfigError(f"t_max and t_max / dt must be finite, got t_max = {self.t_max}, "
+                              f"dt = {self.dt}")
         if self.t_burn is not None and not (np.isfinite(self.t_burn) and self.t_burn >= 0.0):
             raise ConfigError(f"t_burn must be finite and >= 0, got {self.t_burn}")
         if self.n_draws < 2:
@@ -530,7 +534,14 @@ def _run_moments(config: ExperimentConfig) -> ResultTable:
                "deviation_se", "error"]
     ns, ne = config.n_sys_list[0], config.n_env_list[0]
     dim = 2 ** (ns + ne)
-    mc = moment_check(dim, config.n_draws, config.master_seed)
+    try:
+        # checked before any draw: a 2^N-amplitude state is allocated per draw
+        if not 1 <= ns + ne <= DEFAULT_SIZE_CAP:
+            raise ModelError(f"moment_check needs 1 <= N <= {DEFAULT_SIZE_CAP}, got N = {ns + ne}")
+        mc = moment_check(dim, config.n_draws, config.master_seed)
+    except SpinBathError as exc:
+        return ResultTable(columns, [(dim, config.n_draws, "error", "", "", "", "", str(exc))],
+                           {"mode": config.mode})
     dev = mc.deviations()
     rows = [
         (dim, config.n_draws, "x", mc.mean_x, mc.stderr_x, mc.ref_x, dev[0], ""),

@@ -20,7 +20,8 @@ Each part is held once, as one real ``scipy.sparse`` CSR matrix with a row
 of 1 + bonds entries (the diagonal, then one flipped index per bond), and
 that matrix serves every consumer: ``apply_hamiltonian``, the Gershgorin
 ``energy_bounds`` and, in ``spectrum``, the dense matrix and the parity
-sector blocks.  Above _CACHE_DIM_LIMIT the kernel streams its bonds instead.
+sector blocks.  Above _CACHE_DIM_LIMIT the kernel streams its bonds instead,
+one row block at a time, for the product and the bounds alike.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ class _Applier:
     The CSR product sums each row in that order, the order of the per-bond
     loop, so both modes give the same numbers.  The arrays are read-only,
     so no ``scipy.sparse`` operation can reorder the layout in place.
-    Above the limit each call streams the bonds instead.  Both the build and
-    a streamed product go _ROW_BLOCK rows at a time, reading each index's
-    bits once per block, so their scratch memory does not grow with dim.
+    Above the limit each call streams the bonds instead.  The build, the
+    streamed product and bands go _ROW_BLOCK rows at a time, reading each
+    index's bits once per block, so their scratch does not grow with dim.
     """
 
     def __init__(self, n_bits: int, terms):
@@ -223,11 +224,11 @@ class _Applier:
         self.matrix = self._build_csr() if self.dim <= _CACHE_DIM_LIMIT else None
 
     def _row_blocks(self):
-        """(rows, idx, bits) per block of _ROW_BLOCK consecutive indices; bits[b] holds bit b."""
+        """(rows, diagonal, bonds) per block of _ROW_BLOCK consecutive rows (see _bonds)."""
         for start in range(0, self.dim, _ROW_BLOCK):
             idx = np.arange(start, min(start + _ROW_BLOCK, self.dim), dtype=_index_dtype(self.dim))
             bits = [((idx >> b) & 1).astype(np.uint8) for b in range(self.n_bits)]
-            yield slice(start, start + idx.shape[0]), idx, bits
+            yield slice(start, start + idx.shape[0]), self._diagonal(idx, bits), self._bonds(idx, bits)
 
     def _diagonal(self, idx, bits):
         """The zz pieces of all bonds, accumulated in ``terms`` order."""
@@ -241,20 +242,16 @@ class _Applier:
         for (bi, bj, same, crossed) in self.kept:
             yield idx ^ ((1 << bi) | (1 << bj)), np.where(bits[bi] == bits[bj], same, crossed)
 
-    def csr(self):
-        """The part as a CSR matrix: the cached one, or built afresh when streamed."""
-        return self.matrix if self.matrix is not None else self._build_csr()
-
     def _build_csr(self):
         """Fill the (dim, 1 + kept bonds) value and index arrays one row block at a time."""
         width = 1 + len(self.kept)
         data = np.empty((self.dim, width))
         index_dtype = _index_dtype(self.dim * width + 1)
         indices = np.empty((self.dim, width), dtype=index_dtype)
-        for rows, idx, bits in self._row_blocks():
-            data[rows, 0] = self._diagonal(idx, bits)
-            indices[rows, 0] = idx
-            for col, (flip, coeff) in enumerate(self._bonds(idx, bits), start=1):
+        for rows, diag, bonds in self._row_blocks():
+            data[rows, 0] = diag
+            indices[rows, 0] = np.arange(rows.start, rows.stop)
+            for col, (flip, coeff) in enumerate(bonds, start=1):
                 indices[rows, col] = flip
                 data[rows, col] = coeff
         data.flags.writeable = indices.flags.writeable = False
@@ -263,8 +260,13 @@ class _Applier:
                                       shape=(self.dim, self.dim))
 
     def bands(self):
-        """(dim, 1 + kept bonds) view of the cached values: the diagonal, then one column per bond."""
-        return self.matrix.data.reshape(self.dim, -1)
+        """(diagonal, bond coefficient columns) per row block: the cached values whole, or streamed."""
+        if self.matrix is None:
+            for _, diag, bonds in self._row_blocks():
+                yield diag, (coeff for _, coeff in bonds)
+        else:
+            values = self.matrix.data.reshape(self.dim, -1)
+            yield values[:, 0], values.T[1:]
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         if state.shape[0] != self.dim:
@@ -282,10 +284,9 @@ class _Applier:
     def _streamed(self, state):
         out = np.empty(state.shape, dtype=np.result_type(state, float))
         column = state.ndim > 1
-        for rows, idx, bits in self._row_blocks():
-            diag = self._diagonal(idx, bits)
+        for rows, diag, bonds in self._row_blocks():
             acc = (diag[:, None] if column else diag) * state[rows]
-            for flip, coeff in self._bonds(idx, bits):
+            for flip, coeff in bonds:
                 acc += (coeff[:, None] if column else coeff) * state[flip]
             out[rows] = acc
         return out
@@ -338,28 +339,22 @@ def apply_site_operator(model: SpinModel, part: str, site: int, axis: str, state
 
 
 def energy_bounds(model: SpinModel, part: str = FULL) -> tuple[float, float]:
-    """Rigorous bounds containing the spectrum of the selected part.
+    """Gershgorin bounds containing the spectrum of the selected part.
 
-    Small dimensions get exact Gershgorin row bounds from the cached CSR
-    matrix (each kept bond contributes one off-diagonal element per row, so
-    the row radius is the sum of that row's bond magnitudes, accumulated
-    bond by bond in ``terms`` order).  Above the caching limit the coarser
-    triangle-inequality bound +/- sum over bond components |c|/4 (coupling
-    weighted by |lam|) is used.  Empty bond lists give (0, 0); the spectrum
-    is always contained.
+    Each kept bond contributes one off-diagonal element per row, so a row's
+    radius is the sum of that row's bond magnitudes, accumulated bond by
+    bond in ``terms`` order.  The rows come from the applier's bands: the
+    cached CSR values as one block, or _ROW_BLOCK rows at a time from a
+    streamed part, so the bounds are the same exact per-row ones at every
+    size.  Empty bond lists give (0, 0); the spectrum is always contained.
     """
-    applier = _applier(model, part)
-    if applier.matrix is not None:
-        bands = applier.bands()
-        radius = np.zeros(applier.dim)
-        for col in range(1, bands.shape[1]):
-            radius += np.abs(bands[:, col])
-        lo = float(np.min(bands[:, 0] - radius))
-        hi = float(np.max(bands[:, 0] + radius))
-    else:
-        s = sum(abs(scale) * (abs(cx) + abs(cy) + abs(cz)) / 4.0
-                for (_, _, cx, cy, cz, scale) in applier.terms)
-        lo, hi = -s, s
+    lo, hi = np.inf, -np.inf
+    for diag, coeffs in _applier(model, part).bands():
+        radius = np.zeros(diag.shape[0])
+        for coeff in coeffs:
+            radius += np.abs(coeff)
+        lo = min(lo, float(np.min(diag - radius)))
+        hi = max(hi, float(np.max(diag + radius)))
     if lo == hi == 0.0:
         return (0.0, 0.0)
     # eigenvalues can saturate the mathematical bound; pad past the dense

@@ -23,8 +23,8 @@ initial states and a list of betas and has two backends.
   real GEMMs on its float view (real_matmul).  Each column is normalized
   through its weights in the eigenbasis, where its norm is a weighted sum
   of squares;
-- Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> per
-  column up to the largest order and accumulate every beta's expansion
+- Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> on the
+  whole block up to the largest order and accumulate every beta's expansion
   from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
   056702 (2003)), so the cost is the largest order, not the sum.
 
@@ -333,31 +333,29 @@ def _exact_projections(factors, psi0: np.ndarray, betas):
 
 
 def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
-    """Chebyshev backend: one shared recurrence per column for every beta > 0."""
+    """Chebyshev backend: one shared recurrence on the whole block for every beta > 0."""
     bounds = energy_bounds(model)
     plans = [imaginary_time_plan(bounds, beta) for beta in betas if beta > 0.0]
     if not plans:
         return [_unprojected(psi0) for _ in betas]
-    states = [np.empty(psi0.shape, dtype=complex) for _ in plans]
-    norm_sq = np.empty((len(plans), psi0.shape[1]))
-    for j in range(psi0.shape[1]):
-        column = psi0[:, j]
-        for i, (plan, raw) in enumerate(zip(plans, _apply_plan(model, plans, column))):
-            raw_norm = np.linalg.norm(raw)
-            # The scaled series sums to exp(-z(x - x_min)) profiles with terms
-            # of order one; once the surviving amplitude falls near machine
-            # epsilon the single-shot projection has cancelled away all
-            # precision.
-            if not raw_norm > 1e-12 * np.linalg.norm(column):
-                raise ChebyshevOrderError(
-                    "beta * spectral width too large for a single double-precision "
-                    "Chebyshev projection; use the exact backend or compose shorter "
-                    "imaginary-time projections"
-                )
-            states[i][:, j] = raw / raw_norm
-            with np.errstate(over="ignore", under="ignore"):
-                norm_sq[i, j] = np.exp(2.0 * (np.log(raw_norm) + plan.log_prefactor))
-    projected = iter(zip(states, norm_sq))
+    raws = _apply_plan(model, plans, psi0)
+    # each column's norm as a vector's, so no column's result depends on its block
+    psi0_norm, *raw_norms = (np.array([np.linalg.norm(c) for c in x.T]) for x in (psi0, *raws))
+    # The scaled series sums to exp(-z(x - x_min)) profiles with terms of
+    # order one; once the surviving amplitude falls near machine epsilon the
+    # single-shot projection has cancelled away all precision.
+    if not all(np.all(raw_norm > 1e-12 * psi0_norm) for raw_norm in raw_norms):
+        raise ChebyshevOrderError(
+            "beta * spectral width too large for a single double-precision "
+            "Chebyshev projection; use the exact backend or compose shorter "
+            "imaginary-time projections"
+        )
+    projected = []
+    for plan, raw, raw_norm in zip(plans, raws, raw_norms):
+        raw /= raw_norm
+        with np.errstate(over="ignore", under="ignore"):
+            projected.append((raw, np.exp(2.0 * (np.log(raw_norm) + plan.log_prefactor))))
+    projected = iter(projected)
     return [next(projected) if beta > 0.0 else _unprojected(psi0) for beta in betas]
 
 
@@ -375,8 +373,8 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     basis or parity sectors), highest bits first, whose dimensions multiply
     to model.dim (see projection_spectrum), the block is projected exactly
     and lazily, so only one beta's block is held at a time; without it a
-    single Chebyshev recurrence per column serves every beta and never
-    builds a dense matrix.
+    single Chebyshev recurrence on the whole block serves every beta and
+    never builds a dense matrix.
     """
     psi0 = np.asarray(psi0)
     if psi0.ndim != 2 or psi0.shape[0] != model.dim:

@@ -89,7 +89,8 @@ def _part_matrix(model: SpinModel, part: str):
     applier = _applier(model, part)
     if applier.dim > DEFAULT_DIM_CAP:
         raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {DEFAULT_DIM_CAP}")
-    return applier.csr()
+    # cached whenever it fits the cap, so the cap must stay at or below _CACHE_DIM_LIMIT
+    return applier.matrix
 
 
 def dense_matrix(model: SpinModel, part: str = FULL) -> np.ndarray:

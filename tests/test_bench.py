@@ -99,6 +99,7 @@ class TestConfigParsing:
         "lambda_list = 0 nan", "n_realizations = 0", "dt = 0", "dt = -0.5", "t_max = -1",
         "n_draws = 1", "j_iso = nan", "j_system = inf", "omega_iso = -inf", "delta_iso = nan",
         "identity_shift = inf", "t_burn = nan", "t_burn = inf", "t_burn = -1",
+        "t_max = inf", "t_max = 1e300\ndt = 1e-300",
     ])
     def test_bad_sweep_values_rejected(self, line):
         key = line.split()[0]
@@ -278,6 +279,25 @@ class TestOtherModes:
         rows = list(table.dicts())
         assert [r["moment"] for r in rows] == ["x", "x2", "xx"]
         assert all(r["deviation_se"] < 4.0 for r in rows)
+
+    @pytest.mark.parametrize("n_sys, n_env", [(0, 0), (4, 25), (20, 20)])
+    def test_moment_check_size_gives_error_row(self, n_sys, n_env, monkeypatch, tmp_path, capsys):
+        # N = 0, 29 and 40 become one error row before any random state is drawn
+        from spinbath import cli
+
+        def refuse(*args):
+            raise AssertionError("moment_check must not run")
+
+        monkeypatch.setattr(bench, "moment_check", refuse)
+        cfg = make_config(mode="moment_check", n_sys_list=(n_sys,), n_env_list=(n_env,))
+        table = bench.run(cfg)
+        assert table.failed_points == 1
+        (row,) = table.dicts()
+        assert row["moment"] == "error" and f"got N = {n_sys + n_env}" in row["error"]
+        path = tmp_path / "moments.cfg"
+        path.write_text(bench.render_config(cfg))
+        assert cli.main(["run", str(path), "-o", str(tmp_path / "moments.csv")]) == 1
+        assert "1 sweep point(s) failed" in capsys.readouterr().err
 
     def test_time_trace_mode(self):
         cfg = make_config(mode="time_trace", lambda_list=(1.0,), beta_list=(0.8,),

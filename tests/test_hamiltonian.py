@@ -151,9 +151,10 @@ class TestApply:
 
 @contextmanager
 def streamed_kernel():
-    """Every applier built inside the block streams its bonds instead of caching a matrix."""
+    """Every applier built inside the block streams its bonds, 4 rows at a time, with no matrix."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hamiltonian, "_CACHE_DIM_LIMIT", 0)
+        mp.setattr(hamiltonian, "_ROW_BLOCK", 4)
         hamiltonian._applier.cache_clear()
         try:
             yield
@@ -212,17 +213,24 @@ class TestKernelModes:
     def test_csr_equals_streamed_random_models(self, model, seed):
         self.check(model, seed)
 
+    @staticmethod
+    def check_bounds(model):
+        parts = ("S", "E", "SE", "FULL")
+        reference = {p: per_bond_bounds(model, p) for p in parts}
+        for p in parts:
+            assert energy_bounds(model, p) == reference[p]
+        with streamed_kernel():
+            for p in parts:
+                assert energy_bounds(model, p) == reference[p]
+
     @pytest.mark.parametrize("name", sorted(parity_models()))
     def test_bounds_equal_per_bond_gershgorin(self, name):
-        model = parity_models()[name]
-        for part in ("S", "E", "SE", "FULL"):
-            assert energy_bounds(model, part) == per_bond_bounds(model, part)
+        self.check_bounds(parity_models()[name])
 
     @settings(max_examples=20, deadline=None)
     @given(small_models())
     def test_bounds_equal_per_bond_gershgorin_random_models(self, model):
-        for part in ("S", "E", "SE", "FULL"):
-            assert energy_bounds(model, part) == per_bond_bounds(model, part)
+        self.check_bounds(model)
 
     def test_csr_layout(self):
         # 12 bytes per entry: the diagonal, then one int32-indexed entry per kept bond

@@ -204,9 +204,29 @@ class TestCanonicalThermalState:
             return apply(*args)
 
         monkeypatch.setattr(propagate, "apply_hamiltonian", counted)
-        canonical_thermal_state(m, random_state(m.dim, 1)[:, None], betas)
+        canonical_thermal_state(m, random_block(m, (1, 2, 3)), betas)
         assert len(orders) == 3 and max(orders) < sum(orders)
-        assert calls == [(m.dim,)] * max(orders)     # one vector per matvec
+        assert calls == [(m.dim, 3)] * max(orders)     # one block per matvec
+
+    @pytest.mark.parametrize("model", [build_ring_model(2, 5, -1.0, 25, 17, 1.0),
+                                       build_chain_model(3, 4, 1.0, 0.8, 0.5, 0.7)],
+                             ids=["ring", "chain"])
+    def test_block_matches_single_columns(self, model):
+        # the block recurrence gives each column bitwise what it gets alone;
+        # beta = 0 returns the block itself, whose squared norms are one
+        # reduction over the block, so they agree only to rounding
+        psi0 = random_block(model, range(5))
+        betas = (0.0, 0.3, 0.9, 2.0)
+        blocks = list(canonical_thermal_state(model, psi0, betas))
+        for j in range(5):
+            singles = canonical_thermal_state(model, psi0[:, j:j + 1], betas)
+            for beta, (states, norm_sq), (single, single_norm) in zip(betas, blocks, singles,
+                                                                      strict=True):
+                assert np.array_equal(states[:, j:j + 1], single)
+                if beta > 0.0:
+                    assert np.array_equal(norm_sq[j:j + 1], single_norm)
+                else:
+                    assert abs(norm_sq[j] - single_norm[0]) < 1e-15 * single_norm[0]
 
     def test_typicality_energy_estimate(self):
         # <psi_beta|H|psi_beta> approximates the canonical mean energy
