@@ -190,7 +190,7 @@ def criterion_4(ctx: Context) -> CriterionResult:
     hs = diagonalize(model, SYSTEM)
     block = np.column_stack([random_state(model.dim, (MASTER_SEED, "c4", r)) for r in range(200)])
     (states, _), = canonical_thermal_state(model, block, [50.0],
-                                           projection_spectrum(model, "exact"))
+                                           projection_spectrum(model, "exact"), traced_env=True)
     mean = float(np.mean(observe.measure_state(states, 4, hs).sigma))
     passed = mean < 1e-3 and g_s == 1
     return CriterionResult(4, "g_S=1 low-temperature sigma collapse", passed,

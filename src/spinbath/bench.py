@@ -260,11 +260,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _field(text: str) -> str:
-    """A CSV field as written: quoted, inner quotes doubled, if it holds , " or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _field(value) -> str:
+    """A CSV field as written: _fmt's text, quoted with inner quotes doubled if it holds , " or a line break.
+
+    Only text is scanned: a float's repr and an int's digits never hold those.
+    """
+    text = _fmt(value)
+    if isinstance(value, (int, float)) or not any(c in text for c in ',"\r\n'):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _parse(tok: str):
@@ -292,7 +296,7 @@ class ResultTable:
             lines.append(f"# {key}={self.meta[key]}")
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(_field(_fmt(v)) for v in row))
+            lines.append(",".join(_field(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -394,7 +398,8 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
             random_state(model.dim, realization_seed(config.master_seed, key, r))
             for r in range(start, stop)
         ])
-        projected = canonical_thermal_state(model, block, config.beta_list, full_spec)
+        projected = canonical_thermal_state(model, block, config.beta_list, full_spec,
+                                            traced_env=True)
         for beta, (states, _) in zip(config.beta_list, projected):
             rep = observe.measure_state(states, n_sys, hs_spec, beta_ref=beta)
             _store(per_beta[beta], sample_rows[beta], rep, (n_sys, n_env, lam, beta),

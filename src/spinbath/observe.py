@@ -72,6 +72,19 @@ def _float_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+_TILE_ROWS = 64     # rows per tile of _transposed: 64 x 256 complex columns is 256 KiB
+
+
+def _transposed(state: np.ndarray) -> np.ndarray:
+    """state.T as a C-contiguous array, copied tile by tile so each tile stays in cache."""
+    if state.ndim == 1 or state.T.flags.c_contiguous:
+        return np.ascontiguousarray(state.T)
+    out = np.empty(state.shape[::-1], dtype=state.dtype)
+    for start in range(0, state.shape[0], _TILE_ROWS):
+        out[:, start:start + _TILE_ROWS] = state[start:start + _TILE_ROWS].T
+    return out
+
+
 def reduce_to_system(state: np.ndarray, n_system: int,
                      hs_eigenbasis: SpectrumSummary) -> ReducedDensityMatrix:
     """Trace out the environment, then rotate to the H_S eigenbasis.
@@ -80,7 +93,9 @@ def reduce_to_system(state: np.ndarray, n_system: int,
     gives a (k, D_S, D_S) stack.  The product-basis layout (system on the
     low bits) makes the trace a reshape: each column's amplitudes form a
     (dim_E, dim_S) matrix M with rho = M^dagger M, and the k products and
-    rotations each run as one batched matmul.
+    rotations each run as one batched matmul.  M^dagger M is a real Gram
+    product on M's float view, whose columns interleave Re and Im of each
+    system index, so no conjugate copy is made.
     """
     state = np.asarray(state)
     dim_s = 2**n_system
@@ -89,9 +104,14 @@ def reduce_to_system(state: np.ndarray, n_system: int,
     v = hs_eigenbasis.eigenvectors
     if v is None or v.shape[0] != dim_s:
         raise DimensionError("hs_eigenbasis must carry eigenvectors of dimension 2**n_system")
-    # (k, dim_E, dim_S); a C-ordered block is transposed once so every M is contiguous
-    m = np.ascontiguousarray(state.T).reshape(-1, state.shape[0] // dim_s, dim_s)
-    rho = m.conj().swapaxes(1, 2) @ m
+    # (k, dim_E, dim_S), every M contiguous
+    m = _transposed(state.astype(complex, copy=False)).reshape(-1, state.shape[0] // dim_s, dim_s)
+    r = m.view(m.real.dtype)
+    gram = r.swapaxes(1, 2) @ r
+    re_rows, im_rows = gram[:, 0::2], gram[:, 1::2]
+    rho = np.empty(m.shape[:1] + (dim_s, dim_s), dtype=m.dtype)
+    rho.real = re_rows[:, :, 0::2] + im_rows[:, :, 1::2]
+    rho.imag = re_rows[:, :, 1::2] - im_rows[:, :, 0::2]
     rho = v.conj().T @ rho @ v
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
     return ReducedDensityMatrix(rho if state.ndim == 2 else rho[0])
@@ -183,6 +203,10 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    if not (np.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max!r}")
+    if not np.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt = {t_max!r} / {dt!r} is not a finite step count")
     if hs_spectrum is None:
         hs_spectrum = diagonalize(model, SYSTEM)
     n_steps = int(round(t_max / dt))

@@ -22,7 +22,8 @@ initial states and a list of betas and has two backends.
   viewed as (before, d_i, after) and multiplied along the middle axis by
   real GEMMs on its float view (real_matmul).  Each column is normalized
   through its weights in the eigenbasis, where its norm is a weighted sum
-  of squares;
+  of squares.  A caller that only traces E out passes ``traced_env=True``,
+  and an uncoupled block then skips the H_E back transform;
 - Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> on the
   whole block up to the largest order and accumulate every beta's expansion
   from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
@@ -173,7 +174,11 @@ def _apply_plan(model: SpinModel, plans: list[ChebyshevPlan], state: np.ndarray)
     half = 0.5 * (plans[0].e_max - plans[0].e_min)
 
     def x_apply(v):
-        return (apply_hamiltonian(model, FULL, v) - a * v) / half
+        # in place on the fresh matvec result: (H v - a v) / half, bit for bit
+        y = apply_hamiltonian(model, FULL, v)
+        y -= a * v
+        y /= half
+        return y
 
     t_prev = state.astype(complex)
     accs = [p.coefficients[0] * t_prev for p in plans]
@@ -181,7 +186,9 @@ def _apply_plan(model: SpinModel, plans: list[ChebyshevPlan], state: np.ndarray)
     for p, acc in zip(plans, accs):
         acc += p.coefficients[1] * t_cur
     for k in range(2, max(p.order for p in plans) + 1):
-        t_next = 2.0 * x_apply(t_cur) - t_prev
+        t_next = x_apply(t_cur)
+        t_next *= 2.0
+        t_next -= t_prev
         for p, acc in zip(plans, accs):
             if k <= p.order:
                 acc += p.coefficients[k] * t_next
@@ -294,7 +301,7 @@ def _along_axis(transform, factor: SpectrumSummary, x: np.ndarray, axis: int) ->
     return transform(factor, view).reshape(x.shape)
 
 
-def _exact_projections(factors, psi0: np.ndarray, betas):
+def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
     """Exact backend: project in the product eigenbasis, yielding one beta's block at a time.
 
     The block is viewed as (d_1, ..., d_m, k), factor i acting on axis i;
@@ -304,6 +311,11 @@ def _exact_projections(factors, psi0: np.ndarray, betas):
     squared norm of a projected column is sum w^2 |coeff0|^2 / G, read off
     in the eigenbasis; the weights w / (G * norm) then give normalized
     columns straight out of the back transforms.
+
+    With ``traced_env`` and two factors (H_E, H_S) the H_E back transform
+    is left out, so the environment axis stays in H_E's eigenbasis; its
+    gain G_E leaves with it, and the weights w / (G * norm / sqrt(G_E))
+    keep the columns normalized.
     """
     shape = tuple(f.dim for f in factors) + psi0.shape[1:]
     coeff0 = psi0.reshape(shape)
@@ -314,6 +326,8 @@ def _exact_projections(factors, psi0: np.ndarray, betas):
                                               for f in factors]).ravel()
     e0 = sum(f.eigenvalues[0] for f in factors)
     gain = math.prod(_pair_gain(f) for f in factors)
+    first_back = 1 if traced_env and len(factors) == 2 else 0
+    skipped_gain = _pair_gain(factors[0]) if first_back else 1
     for beta in betas:
         if beta == 0.0:
             yield _unprojected(psi0)
@@ -323,10 +337,10 @@ def _exact_projections(factors, psi0: np.ndarray, betas):
         # sum w^2 |coeff0|^2 per column, with no temporary block
         raw_norm_sq = (np.einsum("i,ij,ij->j", w_sq, coeff0.real, coeff0.real)
                        + np.einsum("i,ij,ij->j", w_sq, coeff0.imag, coeff0.imag)) / gain
-        raw = coeff0 * np.multiply.outer(w, 1.0 / (gain * np.sqrt(raw_norm_sq)))
+        raw = coeff0 * np.multiply.outer(w, 1.0 / (gain * np.sqrt(raw_norm_sq / skipped_gain)))
         raw = raw.reshape(shape)
-        for axis, f in enumerate(factors):
-            raw = _along_axis(_from_eigenbasis, f, raw, axis)
+        for axis in range(first_back, len(factors)):
+            raw = _along_axis(_from_eigenbasis, factors[axis], raw, axis)
         with np.errstate(over="ignore", under="ignore"):
             norm_sq = raw_norm_sq * np.exp(-beta * e0)
         yield raw.reshape(psi0.shape), norm_sq
@@ -360,7 +374,8 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
 
 
 def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
-                            spectrum: tuple[SpectrumSummary, ...] | None = None):
+                            spectrum: tuple[SpectrumSummary, ...] | None = None, *,
+                            traced_env: bool = False):
     """Project a (dim, k) block of initial states to every inverse temperature in ``betas``.
 
     Returns an iterable of one (states, norm_sq) pair per beta, in order:
@@ -375,6 +390,14 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     and lazily, so only one beta's block is held at a time; without it a
     single Chebyshev recurrence on the whole block serves every beta and
     never builds a dense matrix.
+
+    ``traced_env=True`` is for callers that only trace the environment out
+    (reduce_to_system): with an uncoupled (H_E, H_S) spectrum, each beta > 0
+    block then keeps its environment axis in H_E's eigenbasis and skips
+    that back transform.  Tr_E does not see a unitary on E, so the reduced
+    density matrix is the same; the states are not, and must not be
+    evolved or embedded.  Coupled spectra, the Chebyshev backend and
+    beta = 0 ignore the flag.
     """
     psi0 = np.asarray(psi0)
     if psi0.ndim != 2 or psi0.shape[0] != model.dim:
@@ -388,7 +411,7 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
             or math.prod(f.dim for f in spectrum) != model.dim:
         raise ValueError("the exact backend needs factor spectra with eigenvectors "
                          "whose dimensions multiply to the model dimension")
-    return _exact_projections(spectrum, psi0, betas)
+    return _exact_projections(spectrum, psi0, betas, traced_env)
 
 
 def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:
@@ -428,7 +451,7 @@ def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray
     sys_vec[sys_index] = 1.0
     env_spec = diagonalize_sectors(model, ENVIRONMENT)
     env0 = random_state(model.dim_env, seed)[:, None]
-    (env_vec, _), = _exact_projections((env_spec,), env0, [beta])
+    (env_vec, _), = _exact_projections((env_spec,), env0, [beta], traced_env=False)
     return np.kron(env_vec[:, 0], sys_vec)
 
 

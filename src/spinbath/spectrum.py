@@ -161,7 +161,11 @@ def _parity_sectors(h, want_vectors: bool) -> list[Sector]:
 
     def solve(reps, partners, sign, block):
         if want_vectors:
-            return Sector(reps, partners, sign, *scipy.linalg.eigh(block))
+            # divide and conquer, into the fresh block's own memory: the block
+            # is symmetric, so its transpose is the Fortran-ordered block LAPACK
+            # overwrites without a copy
+            return Sector(reps, partners, sign,
+                          *scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True))
         return Sector(reps, partners, sign, scipy.linalg.eigvalsh(block), None)
 
     if n_bits % 2 or n_bits == 0:

@@ -228,6 +228,23 @@ class TestRun:
         again = bench.ResultTable.from_csv(text)
         assert again.rows == table.rows and again.meta == {"mode": "x"}
 
+    def test_csv_mixed_fields_bytes(self):
+        # numbers are written bare without a scan; text is quoted only when it needs it
+        table = bench.ResultTable(
+            ["n_sys", "beta", "realization", "sigma", "error"],
+            [(4, 0.1, 0, 1.5e-300, ""), (4, 50.0, "mean", -0.0, ""),
+             (12, float("inf"), "n", 256, 'x, "y"\r\nz'), (0, 2.5, "error", "", "a,b")],
+            {"mode": "x"})
+        assert table.to_csv() == (
+            "# spinbath-csv v1\n# mode=x\n"
+            "n_sys,beta,realization,sigma,error\n"
+            "4,0.1,0,1.5e-300,\n"
+            "4,50.0,mean,-0.0,\n"
+            '12,inf,n,256,"x, ""y""\r\nz"\n'
+            '0,2.5,error,,"a,b"\n')
+        again = bench.ResultTable.from_csv(table.to_csv())
+        assert again.rows == table.rows
+
     def test_csv_rows_without_separators_unchanged(self):
         table = bench.run(make_config(n_realizations=3))
         lines = table.to_csv().splitlines()

@@ -268,6 +268,21 @@ class TestBlockMeasure:
             assert np.abs(rdm.matrix[k] - reduce_to_system(col, 3, hs).matrix).max() < 1e-15
         assert np.abs(rdm.diagonal - np.einsum("kii->ki", rdm.matrix).real).max() == 0.0
 
+    @pytest.mark.parametrize("k", [1, 256])
+    def test_matches_per_column_gram(self, k):
+        # rho = M^dagger M per column, rotated to the H_S eigenbasis
+        model = build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0)
+        hs = diagonalize(model, "S")
+        v = hs.eigenvectors
+        rng = np.random.default_rng(k)
+        block = rng.standard_normal((model.dim, k)) + 1j * rng.standard_normal((model.dim, k))
+        rdm = reduce_to_system(block, 4, hs)
+        for j in range(k):
+            m = block[:, j].reshape(-1, 16)
+            ref = v.T @ (m.conj().T @ m) @ v
+            ref = 0.5 * (ref + ref.conj().T)
+            assert np.abs(rdm.matrix[j] - ref).max() < 1e-13 * np.abs(ref).max()
+
     def test_rejects_three_dimensional_state(self):
         model = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         hs = diagonalize(model, "S")
@@ -284,6 +299,22 @@ class TestTraceTimeSeries:
         rep = measure_state(st, 2, hs, beta_ref=0.5)
         assert len(rows) == 1
         assert rows[0] == (0.0, rep.sigma, rep.delta, rep.b)
+
+    @pytest.mark.parametrize("t_max, dt", [(float("inf"), 0.5), (-1.0, 0.5),
+                                           (float("nan"), 0.5), (1e300, 1e-300)])
+    def test_rejects_unbounded_step_count(self, t_max, dt, monkeypatch):
+        import spinbath.observe
+
+        m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        hs = diagonalize(m, "S")
+        st = thermal_state(m, 0.5, 2)
+
+        def no_step(*args):
+            raise AssertionError("stepped before rejecting t_max / dt")
+
+        monkeypatch.setattr(spinbath.observe, "evolve_real_time", no_step)
+        with pytest.raises(ValueError, match="t_max"):
+            trace_time_series(m, st, t_max, dt, hs)
 
     def test_x_state_stationary_small(self):
         m = build_ring_model(2, 4, -1.0, 5, 6, 1.0)

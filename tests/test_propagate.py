@@ -228,6 +228,30 @@ class TestCanonicalThermalState:
                 else:
                     assert abs(norm_sq[j] - single_norm[0]) < 1e-15 * single_norm[0]
 
+    def test_in_place_recurrence_matches_expression_form(self):
+        # the recurrence as written before it worked in place: same operations, same bits
+        m = build_ring_model(2, 4, -1.0, 3, 5, 1.0)
+        plans = [imaginary_time_plan(energy_bounds(m), beta) for beta in (0.4, 3.0)]
+        psi0 = random_block(m, (5, 6, 7))
+        a = 0.5 * (plans[0].e_max + plans[0].e_min)
+        half = 0.5 * (plans[0].e_max - plans[0].e_min)
+
+        def x_apply(v):
+            return (propagate.apply_hamiltonian(m, "FULL", v) - a * v) / half
+
+        t_prev = psi0.astype(complex)
+        t_cur = x_apply(t_prev)
+        accs = [p.coefficients[0] * t_prev + p.coefficients[1] * t_cur for p in plans]
+        for k in range(2, max(p.order for p in plans) + 1):
+            t_next = 2.0 * x_apply(t_cur) - t_prev
+            for p, acc in zip(plans, accs):
+                if k <= p.order:
+                    acc += p.coefficients[k] * t_next
+            t_prev, t_cur = t_cur, t_next
+        got = propagate._apply_plan(m, plans, psi0)
+        assert plans[0].order != plans[1].order
+        assert all(np.array_equal(g, r) for g, r in zip(got, accs, strict=True))
+
     def test_typicality_energy_estimate(self):
         # <psi_beta|H|psi_beta> approximates the canonical mean energy
         m = build_ring_model(2, 6, -1.0, 8, 9, 1.0)   # D = 256
@@ -351,6 +375,49 @@ class TestCanonicalThermalState:
             assert (env.dim, sys_.dim) == (m.dim_env, m.dim_system)
         # "auto" still decides on model.dim alone
         assert projection_spectrum(build_ring_model(2, 11, -1.0, 5, 6, 0.0), "auto") is None
+
+
+class TestTracedEnvironment:
+    """traced_env=True leaves an uncoupled block's H_E axis in H_E's eigenbasis."""
+
+    BETAS = (0.0, 0.5, 5.0, 50.0)
+
+    @pytest.mark.parametrize("model", [build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0),
+                                       build_ring_model(3, 5, -1.0, 7, 11, 0.0)],
+                             ids=["chain4+8", "ring3+5"])
+    @pytest.mark.filterwarnings("ignore:reduced density diagonal floored")
+    def test_measures_unchanged(self, model):
+        from spinbath.observe import measure_state
+
+        factors = projection_spectrum(model, "exact")
+        # even N_E pairs its sectors under P_x (gain 2), odd N_E does not (gain 1)
+        assert propagate._pair_gain(factors[0]) == (1 if model.n_env % 2 else 2)
+        hs = diagonalize(model, "S")
+        psi0 = random_block(model, range(16))
+        traced = canonical_thermal_state(model, psi0, self.BETAS, factors, traced_env=True)
+        rotated = canonical_thermal_state(model, psi0, self.BETAS, factors)
+        for beta, (st, nt), (sr, nr) in zip(self.BETAS, traced, rotated, strict=True):
+            assert np.array_equal(nt, nr)
+            assert np.abs(np.linalg.norm(st, axis=0) - 1.0).max() < 1e-13
+            rt, rr = (measure_state(s, model.n_system, hs, beta_ref=beta) for s in (st, sr))
+            assert np.abs(rt.sigma - rr.sigma).max() < 1e-12
+            assert np.abs(rt.delta - rr.delta).max() < 1e-12
+            if beta < 50.0:
+                # at beta = 50 the excited populations lie below rounding (some
+                # diagonal entries come out negative), so the fitted b is noise
+                # on either path and is not compared
+                assert np.abs(rt.b - rr.b).max() < 1e-11 * max(1.0, np.abs(rr.b).max())
+                assert np.abs(rt.delta_fit - rr.delta_fit).max() < 1e-12
+
+    def test_coupled_and_chebyshev_ignore_flag(self):
+        m = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
+        psi0 = random_block(m, (1, 2, 3))
+        betas = (0.0, 0.5, 2.0)
+        for spectrum in (projection_spectrum(m, "exact"), None):
+            traced = canonical_thermal_state(m, psi0, betas, spectrum, traced_env=True)
+            plain = canonical_thermal_state(m, psi0, betas, spectrum)
+            for (st, nt), (sp, np_) in zip(traced, plain, strict=True):
+                assert np.array_equal(st, sp) and np.array_equal(nt, np_)
 
 
 class TestEvolveRealTime:

@@ -151,7 +151,7 @@ class TestParitySectors:
             block = h[np.ix_(s.reps, s.reps)]
             if s.partners is not None:
                 block = block + s.sign * h[np.ix_(s.reps, s.partners)]
-            evals, evecs = scipy.linalg.eigh(block)
+            evals, evecs = scipy.linalg.eigh(block, driver="evd")
             assert np.array_equal(s.eigenvalues, evals) and np.array_equal(s.eigenvectors, evecs)
             gathered.append(scipy.linalg.eigvalsh(block))
         assert np.array_equal(values, np.sort(np.concatenate(gathered)))
