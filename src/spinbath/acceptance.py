@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bench, observe, theory
-from .hamiltonian import SYSTEM, build_chain_model, build_ring_model
+from .hamiltonian import ENVIRONMENT, SYSTEM, build_chain_model, build_ring_model
 from .propagate import (
     canonical_thermal_state,
     moment_check,
@@ -25,7 +25,7 @@ from .propagate import (
     random_state,
 )
 from .seeds import spawn_rng
-from .spectrum import diagonalize
+from .spectrum import diagonalize, diagonalize_sectors
 from .theory import first_order_symmetry_trace, infinite_temperature_scaling, low_temperature_limits
 
 MASTER_SEED = 20160902
@@ -171,8 +171,8 @@ def criterion_3(ctx: Context) -> CriterionResult:
         mean, err, _ = stats[beta]
         worst = max(worst, abs(mean - ref) / err)
     # converged evaluation of the closed form against the degeneracy limit
-    g_s = diagonalize(model, "S", want_vectors=False).ground_degeneracy
-    g_e = diagonalize(model, "E", want_vectors=False).ground_degeneracy
+    g_s = diagonalize_sectors(model, SYSTEM).ground_degeneracy
+    g_e = diagonalize_sectors(model, ENVIRONMENT).ground_degeneracy
     _, lim = low_temperature_limits(g_s, g_e, model.dim_system, model.dim_env)
     val = theory.delta2_full(theory.prediction_inputs(model, 500.0))
     rel = abs(val - lim) / lim
@@ -186,8 +186,8 @@ def criterion_4(ctx: Context) -> CriterionResult:
     """Non-degenerate system ground state: sigma collapses at low temperature."""
     t0 = time.perf_counter()
     model = build_chain_model(4, 8, -1.0, 1.0, 1.0, 0.0)
-    g_s = diagonalize(model, "S", want_vectors=False).ground_degeneracy
     hs = diagonalize(model, SYSTEM)
+    g_s = hs.ground_degeneracy
     block = np.column_stack([random_state(model.dim, (MASTER_SEED, "c4", r)) for r in range(200)])
     (states, _), = canonical_thermal_state(model, block, [50.0],
                                            projection_spectrum(model, "exact"), traced_env=True)

@@ -44,6 +44,7 @@ from .theory import first_order_symmetry_trace
 CSV_SCHEMA_VERSION = "spinbath-csv v1"
 MODES = ("static_measure", "time_trace", "theory_overlay", "symmetry_check",
          "normalization_diag", "moment_check")
+PLOT_MODES = ("static_measure", "theory_overlay", "time_trace")
 MODELS = ("ring", "chain", "explicit")
 WORKERS_ENV = "SPINBATH_WORKERS"
 # projection block size in amplitudes, independent of the worker count
@@ -514,6 +515,8 @@ def _run_symmetry(config: ExperimentConfig) -> ResultTable:
 
 
 def _run_normalization(config: ExperimentConfig) -> ResultTable:
+    if len(config.beta_list) != 1:
+        raise ConfigError("normalization_diag expects a single-valued beta axis")
     columns = ["n_sys", "n_env", "beta", "realization", "diff", "error"]
     rows = []
     beta = config.beta_list[0]
@@ -535,6 +538,8 @@ def _run_normalization(config: ExperimentConfig) -> ResultTable:
 
 
 def _run_moments(config: ExperimentConfig) -> ResultTable:
+    if len(config.n_sys_list) != 1 or len(config.n_env_list) != 1:
+        raise ConfigError("moment_check expects single-valued n_sys and n_env axes")
     columns = ["dim", "n_draws", "moment", "estimate", "stderr", "reference",
                "deviation_se", "error"]
     ns, ne = config.n_sys_list[0], config.n_env_list[0]
@@ -632,10 +637,13 @@ def plot_export(table: ResultTable):
 
     Returns (data_text, script_text); nothing is rendered here.  Static
     tables group aggregate rows into one block per (n_sys, n_env, lam) curve
-    over beta; trace tables export the series directly.  Byte-deterministic
-    for a fixed table.
+    over beta; trace tables export the series directly.  Tables of other
+    modes have no such curves and are refused.  Byte-deterministic for a
+    fixed table.
     """
     mode = table.meta.get("mode", "static_measure")
+    if mode not in PLOT_MODES:
+        raise ConfigError(f"cannot plot a {mode} table; plot supports {', '.join(PLOT_MODES)}")
     if mode == "time_trace":
         data = ["# spinbath trace: t sigma delta b"]
         for row in table.dicts():

@@ -16,18 +16,18 @@ the low ``n_system`` bits so the partial trace over the environment is a
 contiguous reshape.  Bit value 0 means spin up.  Bond tables use 1-based site
 labels within their own part.
 
-Each part is held once, as one real ``scipy.sparse`` CSR matrix with a row
-of 1 + bonds entries (the diagonal, then one flipped index per bond), and
-that matrix serves every consumer: ``apply_hamiltonian``, the Gershgorin
-``energy_bounds`` and, in ``spectrum``, the dense matrix and the parity
-sector blocks.  Above _CACHE_DIM_LIMIT the kernel streams its bonds instead,
-one row block at a time, for the product and the bounds alike.
+Each part is held once, by its model, as one real ``scipy.sparse`` CSR
+matrix with a row of 1 + bonds entries (the diagonal, then one flipped
+index per bond), and that matrix serves every consumer:
+``apply_hamiltonian``, the Gershgorin ``energy_bounds`` and, in
+``spectrum``, the dense matrix and the parity sector blocks.  Above
+_CACHE_DIM_LIMIT the kernel streams its bonds instead, one row block at a
+time, for the product and the bounds alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -86,6 +86,7 @@ class SpinModel:
     env_bonds: tuple[Bond, ...] = ()
     coupling_bonds: tuple[Bond, ...] = ()
     lam: float = 1.0
+    _appliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_system < 1 or self.n_env < 0:
@@ -292,9 +293,12 @@ class _Applier:
         return out
 
 
-@lru_cache(maxsize=16)
 def _applier(model: SpinModel, part: str) -> _Applier:
-    return _Applier(*_local_terms(model, part))
+    """The part's kernel, built on first use and held by the model."""
+    applier = model._appliers.get(part)
+    if applier is None:
+        applier = model._appliers.setdefault(part, _Applier(*_local_terms(model, part)))
+    return applier
 
 
 def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndarray:

@@ -17,13 +17,13 @@ initial states and a list of betas and has two backends.
   parity sector (see spectrum): each factor axis is gathered sector by
   sector, one gather per P_x pair giving both sectors' sum and difference,
   transformed with that sector's eigenvectors and assigned straight back,
-  so no full eigenvector matrix is formed.  A plain full-basis spectrum is
-  a valid factor too.  The block keeps its layout: for factor axis i it is
-  viewed as (before, d_i, after) and multiplied along the middle axis by
-  real GEMMs on its float view (real_matmul).  Each column is normalized
-  through its weights in the eigenbasis, where its norm is a weighted sum
-  of squares.  A caller that only traces E out passes ``traced_env=True``,
-  and an uncoupled block then skips the H_E back transform;
+  so no full eigenvector matrix is formed.  The block keeps its layout:
+  for factor axis i it is viewed as (before, d_i, after) and multiplied
+  along the middle axis by real GEMMs on its float view (real_matmul).
+  Each column is normalized through its weights in the eigenbasis, where
+  its norm is a weighted sum of squares.  A caller that only traces E out
+  passes ``traced_env=True``, and an uncoupled block then skips the H_E
+  back transform;
 - Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> on the
   whole block up to the largest order and accumulate every beta's expansion
   from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
@@ -46,7 +46,8 @@ from scipy.special import ive, jv
 from .errors import ChebyshevOrderError, DimensionError, ModelError
 from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian, energy_bounds
 from .seeds import spawn_rng
-from .spectrum import SpectrumSummary, diagonalize, diagonalize_sectors
+from .spectrum import SpectrumSummary, diagonalize_sectors
+from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py expects)
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
@@ -238,8 +239,6 @@ def _to_eigenbasis(factor: SpectrumSummary, x: np.ndarray) -> np.ndarray:
     sectors take the sum and the difference of one gather; the 1/sqrt(2) of
     that pair basis is left out here and on the way back (see _pair_gain).
     """
-    if factor.sectors is None:
-        return real_matmul(factor.eigenvectors.T, x)
     parts = []
     for s in factor.sectors:
         if s.partners is None:
@@ -258,8 +257,6 @@ def _from_eigenbasis(factor: SpectrumSummary, c: np.ndarray) -> np.ndarray:
 
     This undoes _to_eigenbasis up to the factor _pair_gain(factor).
     """
-    if factor.sectors is None:
-        return real_matmul(factor.eigenvectors, c)
     out = np.empty_like(c)
     start = 0
     for s in factor.sectors:
@@ -284,14 +281,11 @@ def _pair_gain(factor: SpectrumSummary) -> int:
     _from_eigenbasis(c) has squared norm gain * |c|^2, and
     _from_eigenbasis(_to_eigenbasis(x)) = gain * x.
     """
-    paired = factor.sectors is not None and factor.sectors[0].partners is not None
-    return 2 if paired else 1
+    return 1 if factor.sectors[0].partners is None else 2
 
 
 def _coefficient_energies(factor: SpectrumSummary) -> np.ndarray:
     """The factor's eigenvalues in the row order of _to_eigenbasis."""
-    if factor.sectors is None:
-        return factor.eigenvalues
     return np.concatenate([s.eigenvalues for s in factor.sectors])
 
 
@@ -384,8 +378,8 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     inf or underflow to 0 at extreme beta * |E|, while the states stay
     exact).  beta = 0 returns ``psi0`` itself with its squared column norms.
 
-    Given ``spectrum``, a tuple of factor spectra with eigenvectors (full
-    basis or parity sectors), highest bits first, whose dimensions multiply
+    Given ``spectrum``, a tuple of parity-sector factor spectra
+    (diagonalize_sectors), highest bits first, whose dimensions multiply
     to model.dim (see projection_spectrum), the block is projected exactly
     and lazily, so only one beta's block is held at a time; without it a
     single Chebyshev recurrence on the whole block serves every beta and
@@ -407,10 +401,9 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
         raise ValueError("betas must be finite and >= 0")
     if spectrum is None:
         return _chebyshev_projections(model, psi0, betas)
-    if any(f.eigenvectors is None and f.sectors is None for f in spectrum) \
-            or math.prod(f.dim for f in spectrum) != model.dim:
-        raise ValueError("the exact backend needs factor spectra with eigenvectors "
-                         "whose dimensions multiply to the model dimension")
+    if not all(f.sectors for f in spectrum) or math.prod(f.dim for f in spectrum) != model.dim:
+        raise ValueError("the exact backend needs parity-sector factor spectra (projection_spectrum "
+                         "or diagonalize_sectors) whose dimensions multiply to the model dimension")
     return _exact_projections(spectrum, psi0, betas, traced_env)
 
 
@@ -465,8 +458,8 @@ def normalization_diagnostic(model: SpinModel, beta: float, n_realizations: int,
     """
     if model.coupling_bonds and model.lam != 0.0:
         raise ModelError("normalization diagnostic is defined for uncoupled models (lam = 0)")
-    es = diagonalize(model, "S", want_vectors=False).eigenvalues
-    ee = diagonalize(model, "E", want_vectors=False).eigenvalues
+    es = diagonalize_sectors(model, SYSTEM).eigenvalues
+    ee = diagonalize_sectors(model, ENVIRONMENT).eigenvalues
     ws = np.exp(-beta * (es - es.min()))
     we = np.exp(-beta * (ee - ee.min()))
     p = np.kron(we / we.sum(), ws / ws.sum())     # index n = s + dim_S * e

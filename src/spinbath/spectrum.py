@@ -10,11 +10,12 @@ layout: for N bits the P_z sectors hold the indices of even and odd
 popcount; for even N >= 2 each splits again into P_x = +1 and -1 halves
 spanned by (|n> +- |n ^ mask>)/sqrt(2), 4 sectors of 2^N/4 in all; for odd
 N, P_x maps one P_z sector onto the other, so only the even one is solved.
-Projections use that layout, since exp(-beta H / 2) does not depend on the
-basis chosen inside degenerate levels.  ``diagonalize`` returns full-basis
-eigenvectors with that basis canonicalized (measurement in the H_S
-eigenbasis depends on it), and its values-only spectra come from the sector
-solve.
+Everything that does not depend on the basis chosen inside degenerate
+levels reads that layout: projections (exp(-beta H / 2) is basis-free),
+eigenvalues for the closed forms, degeneracy counts and Boltzmann weights.
+``diagonalize`` returns full-basis eigenvectors with that basis
+canonicalized; only measurement in the H_S eigenbasis and the symmetry
+traces need it.
 
 The dense cap DEFAULT_DIM_CAP is checked in one place, ``_part_matrix``, on
 the part whose matrix or sector blocks become dense; an entirety above the
@@ -46,23 +47,23 @@ class Sector:
     The sector basis is |r> over ``reps`` when ``partners`` is None, and
     otherwise (|r> + sign |p>)/sqrt(2) over the pairs r, p = r ^ mask; a
     sign -1 sector directly follows its sign +1 twin and shares its index
-    arrays.  ``eigenvectors`` holds the sector coordinates as columns (None
-    inside a values-only solve).
+    arrays.  ``eigenvectors`` holds the sector coordinates as columns.
     """
 
     reps: np.ndarray
     partners: np.ndarray | None
     sign: float
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
 
 
 @dataclass
 class SpectrumSummary:
-    """Sorted eigenvalues of one Hamiltonian part, optionally with vectors.
+    """Sorted eigenvalues of one Hamiltonian part with its eigenvectors.
 
-    The vectors are either full-basis columns (``eigenvectors``) or a parity
-    sector layout (``sectors``), never both.
+    The vectors are either gauged full-basis columns (``eigenvectors``, from
+    ``diagonalize``) or a parity sector layout (``sectors``, from
+    ``diagonalize_sectors``), never both.
     """
 
     eigenvalues: np.ndarray
@@ -146,10 +147,10 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return out
 
 
-def _parity_sectors(h, want_vectors: bool) -> list[Sector]:
+def _parity_sectors(h) -> list[Sector]:
     """The parity sectors of the CSR matrix h, each block sliced out and solved densely.
 
-    Values only unless ``want_vectors``; only the blocks are ever dense.
+    Only the blocks are ever dense.
     """
     dim = h.shape[0]
     n_bits = dim.bit_length() - 1
@@ -160,13 +161,11 @@ def _parity_sectors(h, want_vectors: bool) -> list[Sector]:
     mask = dim - 1
 
     def solve(reps, partners, sign, block):
-        if want_vectors:
-            # divide and conquer, into the fresh block's own memory: the block
-            # is symmetric, so its transpose is the Fortran-ordered block LAPACK
-            # overwrites without a copy
-            return Sector(reps, partners, sign,
-                          *scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True))
-        return Sector(reps, partners, sign, scipy.linalg.eigvalsh(block), None)
+        # divide and conquer, into the fresh block's own memory: the block
+        # is symmetric, so its transpose is the Fortran-ordered block LAPACK
+        # overwrites without a copy
+        return Sector(reps, partners, sign,
+                      *scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True))
 
     if n_bits % 2 or n_bits == 0:
         # P_z only; for odd N the odd sector is P_x of the even one
@@ -190,23 +189,16 @@ def _summary(eigenvalues, eigenvectors=None, sectors=None) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues, eigenvectors, tol, sectors)
 
 
-def _sorted_union(sectors) -> np.ndarray:
-    return np.sort(np.concatenate([s.eigenvalues for s in sectors]))
+def diagonalize(model: SpinModel, part: str = FULL) -> SpectrumSummary:
+    """Full spectrum of the selected Hermitian part with full-basis eigenvectors.
 
-
-def diagonalize(model: SpinModel, part: str = FULL, want_vectors: bool = True) -> SpectrumSummary:
-    """Full spectrum of the selected Hermitian part (eigenvalues ascending).
-
-    Eigenvectors (columns of a real orthogonal matrix) are returned on
-    request, with the basis inside degenerate blocks canonicalized against
-    the computational basis order so repeated runs and different solver
-    gauges agree.  Without vectors the eigenvalues are the sorted union of
-    the parity sectors' spectra, sliced from the sparse matrix as in
-    ``diagonalize_sectors``; only the full-basis solve builds the dense matrix.
+    The eigenvalues ascend and the eigenvectors are the columns of a real
+    orthogonal matrix, with the basis inside degenerate blocks
+    canonicalized against the computational basis order so repeated runs
+    and different solver gauges agree.  This is the form for work that
+    depends on the basis: measurement in the H_S eigenbasis and the
+    symmetry traces.  Everything else reads ``diagonalize_sectors``.
     """
-    if not want_vectors:
-        h = _part_matrix(model, part)
-        return _summary(_sorted_union(_parity_sectors(h, want_vectors=False)))
     eigenvalues, eigenvectors = scipy.linalg.eigh(dense_matrix(model, part))
     return _summary(eigenvalues, _canonical_gauge(eigenvalues, eigenvectors))
 
@@ -219,10 +211,11 @@ def diagonalize_sectors(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     parts above DEFAULT_DIM_CAP are still refused with SizeLimitError.
     ``eigenvalues`` is the sorted union of the sector spectra and
     ``eigenvectors`` is None; the sector eigenvectors carry no gauge fixing,
-    which the basis-independent thermal projection does not need.
+    which nothing basis-free (projection, closed-form eigenvalues,
+    degeneracy counts, Boltzmann weights) needs.
     """
-    sectors = tuple(_parity_sectors(_part_matrix(model, part), want_vectors=True))
-    return _summary(_sorted_union(sectors), sectors=sectors)
+    sectors = tuple(_parity_sectors(_part_matrix(model, part)))
+    return _summary(np.sort(np.concatenate([s.eigenvalues for s in sectors])), sectors=sectors)
 
 
 class ThermoFunctions:

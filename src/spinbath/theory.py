@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ENVIRONMENT, SYSTEM, SpinModel, apply_site_operator
-from .spectrum import ThermoFunctions, diagonalize, thermo
+from .spectrum import ThermoFunctions, diagonalize, diagonalize_sectors, thermo
 
 
 @dataclass
@@ -45,8 +45,8 @@ class PredictionInputs:
 
 def prediction_inputs(model: SpinModel, beta: float) -> PredictionInputs:
     """Convenience constructor from a model's part spectra."""
-    ts = thermo(diagonalize(model, SYSTEM, want_vectors=False))
-    te = thermo(diagonalize(model, ENVIRONMENT, want_vectors=False))
+    ts = thermo(diagonalize_sectors(model, SYSTEM))
+    te = thermo(diagonalize_sectors(model, ENVIRONMENT))
     return PredictionInputs(ts, te, beta)
 
 

@@ -328,6 +328,16 @@ class TestOtherModes:
         with pytest.raises(ConfigError):
             bench.run(make_config(mode="time_trace"))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(mode="normalization_diag", lambda_list=(0.0,), beta_list=(0.5, 1.0)),
+        dict(mode="moment_check", n_sys_list=(2, 3), n_env_list=(2,)),
+        dict(mode="moment_check", n_sys_list=(2,), n_env_list=(2, 3)),
+    ], ids=["normalization_beta", "moment_n_sys", "moment_n_env"])
+    def test_sweep_axes_read_once_must_be_single_valued(self, overrides):
+        # these modes read one value of the axis; a longer axis is refused, not truncated
+        with pytest.raises(ConfigError, match="single-valued"):
+            bench.run(make_config(n_realizations=2, n_draws=2, **overrides))
+
     @pytest.mark.parametrize("overrides,message", [
         (dict(n_sys_list=(4,), n_env_list=(12,), method="exact"), "exceeds dense cap"),
         (dict(coupling_seed=5, env_seed=6, n_env_list=(3,), beta_list=(500.0,),
@@ -389,3 +399,20 @@ class TestPlotExport:
         data, script = bench.plot_export(bench.run(cfg))
         assert data.startswith("# spinbath trace")
         assert "with lines" in script
+
+    @pytest.mark.parametrize("overrides", [
+        dict(mode="symmetry_check"),
+        dict(mode="normalization_diag", lambda_list=(0.0,), n_realizations=2),
+        dict(mode="moment_check", n_draws=2),
+    ], ids=["symmetry_check", "normalization_diag", "moment_check"])
+    def test_refuses_tables_without_curves(self, overrides, tmp_path, capsys):
+        from spinbath import cli
+
+        table = bench.run(make_config(**overrides))
+        with pytest.raises(ConfigError, match=overrides["mode"]):
+            bench.plot_export(table)
+        path = tmp_path / "table.csv"
+        table.save(path)
+        assert cli.main(["plot", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot plot a {overrides['mode']} table")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]

@@ -1,11 +1,14 @@
+import gc
+import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath import hamiltonian
+from spinbath import hamiltonian, spectrum
 from spinbath.errors import DimensionError, ModelError
 from spinbath.hamiltonian import (
     COUPLING_RANGE,
@@ -18,7 +21,7 @@ from spinbath.hamiltonian import (
 )
 from spinbath.hamiltonian import _local_terms
 from spinbath.propagate import random_state
-from spinbath.spectrum import diagonalize
+from spinbath.spectrum import diagonalize, diagonalize_sectors
 
 from conftest import SX, SY, SZ, dense_oracle, parity_models, site_operator, small_models
 
@@ -150,16 +153,12 @@ class TestApply:
 
 
 @contextmanager
-def streamed_kernel():
-    """Every applier built inside the block streams its bonds, 4 rows at a time, with no matrix."""
+def streamed_kernel(model):
+    """A fresh copy of model whose appliers stream their bonds, 4 rows at a time, with no matrix."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hamiltonian, "_CACHE_DIM_LIMIT", 0)
         mp.setattr(hamiltonian, "_ROW_BLOCK", 4)
-        hamiltonian._applier.cache_clear()
-        try:
-            yield
-        finally:
-            hamiltonian._applier.cache_clear()
+        yield replace(model)
 
 
 def kernel_inputs(dim, seed):
@@ -197,11 +196,11 @@ class TestKernelModes:
         parts = ("S", "E", "SE", "FULL")
         inputs = {p: kernel_inputs(2**_local_terms(model, p)[0], seed) for p in parts}
         cached = {p: [apply_hamiltonian(model, p, x) for x in inputs[p]] for p in parts}
-        with streamed_kernel():
+        with streamed_kernel(model) as streamed:
             for p in parts:
-                assert hamiltonian._applier(model, p).matrix is None
+                assert hamiltonian._applier(streamed, p).matrix is None
                 for x, ref in zip(inputs[p], cached[p]):
-                    out = apply_hamiltonian(model, p, x)
+                    out = apply_hamiltonian(streamed, p, x)
                     assert out.dtype == ref.dtype and np.array_equal(out, ref)
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
@@ -219,9 +218,9 @@ class TestKernelModes:
         reference = {p: per_bond_bounds(model, p) for p in parts}
         for p in parts:
             assert energy_bounds(model, p) == reference[p]
-        with streamed_kernel():
+        with streamed_kernel(model) as streamed:
             for p in parts:
-                assert energy_bounds(model, p) == reference[p]
+                assert energy_bounds(streamed, p) == reference[p]
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
     def test_bounds_equal_per_bond_gershgorin(self, name):
@@ -240,6 +239,18 @@ class TestKernelModes:
         assert h.indices.dtype == np.int32 and h.data.dtype == np.float64
         assert h.nnz == m.dim * (1 + n_bonds)
         assert not h.data.flags.writeable and not h.indices.flags.writeable
+
+    def test_kernel_freed_with_model(self):
+        m = build_ring_model(2, 3, -1.0, 5, 7, 1.0)
+        applier = weakref.ref(hamiltonian._applier(m, "FULL"))
+        assert hamiltonian._applier(m, "FULL") is applier()
+        del m
+        gc.collect()
+        assert applier() is None
+
+    def test_dense_cap_within_cached_kernels(self):
+        # spectrum slices sector blocks out of the cached CSR matrix, which a streamed part lacks
+        assert spectrum.DEFAULT_DIM_CAP <= hamiltonian._CACHE_DIM_LIMIT
 
 
 class TestSiteOperator:
@@ -311,13 +322,13 @@ class TestEnergyBounds:
         assert energy_bounds(m) == (0.0, 0.0)
 
     def test_contains_fig8_spectrum(self, fig8_model):
-        evals = diagonalize(fig8_model, want_vectors=False).eigenvalues
+        evals = diagonalize_sectors(fig8_model).eigenvalues
         lo, hi = energy_bounds(fig8_model)
         assert lo <= evals[0] and evals[-1] <= hi
 
     @settings(max_examples=15, deadline=None)
     @given(small_models())
     def test_contains_spectrum(self, model):
-        evals = diagonalize(model, want_vectors=False).eigenvalues
+        evals = diagonalize_sectors(model).eigenvalues
         lo, hi = energy_bounds(model)
         assert lo <= evals[0] + 1e-12 and evals[-1] <= hi + 1e-12

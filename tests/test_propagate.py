@@ -17,7 +17,7 @@ from spinbath.propagate import (
     random_state,
     real_time_plan,
 )
-from spinbath.spectrum import dense_matrix, diagonalize, thermo
+from spinbath.spectrum import dense_matrix, diagonalize, diagonalize_sectors, thermo
 
 from conftest import parity_models, small_models
 
@@ -32,18 +32,17 @@ def random_block(model, seeds):
     return np.column_stack([random_state(model.dim, seed) for seed in seeds])
 
 
-def assert_sectors_match_full_basis(model):
-    """The parity-sector projection against the full-basis (H,) one at betas 0, 0.7, 20."""
-    psi0 = random_block(model, (41, 42, 43))
+def assert_projection_matches_dense(model, seeds):
+    """The exact backend against the dense full-basis oracle at betas 0, 0.7, 20."""
+    psi0 = random_block(model, seeds)
     betas = (0.0, 0.7, 20.0)
     factors = projection_spectrum(model, "exact")
     assert all(f.sectors is not None and f.eigenvectors is None for f in factors)
-    sectors = canonical_thermal_state(model, psi0, betas, factors)
-    full = canonical_thermal_state(model, psi0, betas, (diagonalize(model, "FULL"),))
-    for (ss, ns), (sf, nf) in zip(sectors, full, strict=True):
-        assert ss.shape == sf.shape == (model.dim, 3)
-        assert np.abs(ss - sf).max() < 1e-12
-        assert np.abs(ns / nf - 1.0).max() < 1e-10
+    projected = canonical_thermal_state(model, psi0, betas, factors)
+    for beta, (states, norm_sq) in zip(betas, projected, strict=True):
+        assert states.shape == (model.dim, len(seeds))
+        assert np.abs(states - dense_projection(model, psi0, beta)).max() < 1e-12
+        assert np.abs(norm_sq / dense_norm_sq(model, psi0, beta) - 1.0).max() < 1e-10
 
 
 def two_product_matmul(m, x):
@@ -56,6 +55,18 @@ def dense_norm_sq(model, psi0, beta):
     e, v = np.linalg.eigh(dense_matrix(model))
     weights = np.exp(-beta * (e - e[0]))[:, None] * np.abs(v.T @ psi0) ** 2
     return np.exp(-beta * e[0]) * weights.sum(axis=0)
+
+
+def dense_propagator(model, part, beta):
+    """exp(-beta (H - E_0) / 2) of a part from the dense full-basis spectrum."""
+    e, v = np.linalg.eigh(dense_matrix(model, part))
+    return (v * np.exp(-0.5 * beta * (e - e[0]))) @ v.T
+
+
+def dense_projection(model, psi0, beta):
+    """The normalized columns exp(-beta H / 2) psi0 from the dense full-basis spectrum."""
+    raw = dense_propagator(model, "FULL", beta) @ psi0
+    return raw / np.linalg.norm(raw, axis=0)
 
 
 class TestRealMatmul:
@@ -256,7 +267,7 @@ class TestCanonicalThermalState:
         # <psi_beta|H|psi_beta> approximates the canonical mean energy
         m = build_ring_model(2, 6, -1.0, 8, 9, 1.0)   # D = 256
         beta = 0.8
-        tf = thermo(diagonalize(m, want_vectors=False))
+        tf = thermo(diagonalize_sectors(m))
         exact = tf.u(beta)
         from spinbath.hamiltonian import apply_hamiltonian
 
@@ -308,25 +319,17 @@ class TestCanonicalThermalState:
     ], ids=["chain", "ring"])
     def test_factorized_matches_full(self, model):
         # exp(-beta H / 2) = exp(-beta H_E / 2) (x) exp(-beta H_S / 2) when uncoupled
-        psi0 = random_block(model, (31, 32, 33))
-        betas = (0.0, 0.7, 20.0)
-        factors = projection_spectrum(model, "exact")
-        assert len(factors) == 2
-        product = canonical_thermal_state(model, psi0, betas, factors)
-        full = canonical_thermal_state(model, psi0, betas, (diagonalize(model, "FULL"),))
-        for (sp, np_), (sf, nf) in zip(product, full, strict=True):
-            assert sp.shape == sf.shape == (model.dim, 3)
-            assert np.abs(sp - sf).max() < 1e-12
-            assert np.abs(np_ / nf - 1.0).max() < 1e-10
+        assert len(projection_spectrum(model, "exact")) == 2
+        assert_projection_matches_dense(model, (31, 32, 33))
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
     def test_sectors_match_full_basis(self, name):
-        assert_sectors_match_full_basis(parity_models()[name])
+        assert_projection_matches_dense(parity_models()[name], (41, 42, 43))
 
     @settings(max_examples=15, deadline=None)
     @given(small_models())
     def test_sectors_match_full_basis_random_models(self, model):
-        assert_sectors_match_full_basis(model)
+        assert_projection_matches_dense(model, (41, 42, 43))
 
     def test_fig8_sigma_matches_full_basis_factors(self, fig8_model):
         # sigma depends on the gauged H_S basis, not on the projection's
@@ -337,10 +340,14 @@ class TestCanonicalThermalState:
         hs = diagonalize(fig8_model, "S")
         assert hs.ground_degeneracy == 5
         psi0 = random_block(fig8_model, [("fig8", r) for r in range(8)])
-        full_basis = (diagonalize(fig8_model, "E"), diagonalize(fig8_model, "S"))
         (ss, _), = canonical_thermal_state(fig8_model, psi0, [beta],
                                            projection_spectrum(fig8_model, "exact"))
-        (sf, _), = canonical_thermal_state(fig8_model, psi0, [beta], full_basis)
+        # the dense oracle per part: exp(-beta H_E / 2) (x) exp(-beta H_S / 2)
+        raw = np.einsum("ea,sb,abk->esk", dense_propagator(fig8_model, "E", beta),
+                        dense_propagator(fig8_model, "S", beta),
+                        psi0.reshape(fig8_model.dim_env, fig8_model.dim_system, -1)
+                        ).reshape(psi0.shape)
+        sf = raw / np.linalg.norm(raw, axis=0)
         for a, b in zip(ss.T, sf.T, strict=True):
             sa = sigma(reduce_to_system(a, 4, hs))
             sb = sigma(reduce_to_system(b, 4, hs))
@@ -356,7 +363,7 @@ class TestCanonicalThermalState:
             projection_spectrum(m, "dense")
         psi0 = random_block(m, (1,))
         for factors in ((diagonalize(m, "S"),), (diagonalize(m, "E"), diagonalize(m, "E")),
-                        (diagonalize(m, "E"), diagonalize(m, "S", want_vectors=False))):
+                        (diagonalize(m, "FULL"),)):
             with pytest.raises(ValueError):
                 canonical_thermal_state(m, psi0, [1.0], factors)
 

@@ -39,9 +39,6 @@ def check_sector_layout(model, part):
     spec = diagonalize_sectors(model, part)
     assert spec.eigenvectors is None and spec.dim == dim
     assert np.abs(spec.eigenvalues - ref).max() <= 1e-10
-    values_only = diagonalize(model, part, want_vectors=False)
-    assert values_only.sectors is None and values_only.eigenvectors is None
-    assert np.abs(values_only.eigenvalues - ref).max() <= 1e-10
     # the sectors tile the basis and their vectors are orthonormal eigenvectors
     v = sector_columns(spec, dim)
     energies = np.concatenate([s.eigenvalues for s in spec.sectors])
@@ -77,9 +74,9 @@ class TestDiagonalize:
     def test_matches_oracle(self, oracle):
         m = build_ring_model(2, 2, 0.7, 1, 2, 0.4)
         for part in ("S", "E", "FULL"):
-            ours = diagonalize(m, part, want_vectors=False).eigenvalues
             ref = np.linalg.eigvalsh(oracle(m, part))
-            assert np.abs(ours - ref).max() < 1e-12
+            for solve in (diagonalize, diagonalize_sectors):
+                assert np.abs(solve(m, part).eigenvalues - ref).max() < 1e-12
 
     def test_dense_matrix_equals_kernel_on_identity(self):
         # the scattered build holds exactly the kernel's matrix elements
@@ -145,7 +142,6 @@ class TestParitySectors:
 
         monkeypatch.setattr(spectrum, "dense_matrix", refuse)
         spec = diagonalize_sectors(model, part)
-        values = diagonalize(model, part, want_vectors=False).eigenvalues
         gathered = []
         for s in spec.sectors:
             block = h[np.ix_(s.reps, s.reps)]
@@ -153,8 +149,8 @@ class TestParitySectors:
                 block = block + s.sign * h[np.ix_(s.reps, s.partners)]
             evals, evecs = scipy.linalg.eigh(block, driver="evd")
             assert np.array_equal(s.eigenvalues, evals) and np.array_equal(s.eigenvectors, evecs)
-            gathered.append(scipy.linalg.eigvalsh(block))
-        assert np.array_equal(values, np.sort(np.concatenate(gathered)))
+            gathered.append(evals)
+        assert np.array_equal(spec.eigenvalues, np.sort(np.concatenate(gathered)))
 
     @pytest.mark.parametrize("part", ["S", "E", "FULL"])
     def test_sectors_keep_dim_cap(self, part, monkeypatch):
@@ -163,8 +159,6 @@ class TestParitySectors:
         monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", dim - 1)
         with pytest.raises(SizeLimitError):
             diagonalize_sectors(model, part)
-        with pytest.raises(SizeLimitError):
-            diagonalize(model, part, want_vectors=False)
         monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", dim)
         assert diagonalize_sectors(model, part).dim == dim
 
@@ -194,12 +188,12 @@ class TestThermo:
 
     def test_z_at_zero_is_dim(self):
         m = build_chain_model(3, 1, 0.9, 0, 0, 0)
-        t = thermo(diagonalize(m, "S", want_vectors=False))
+        t = thermo(diagonalize_sectors(m, "S"))
         assert t.log_z(0.0) == np.log(8.0)
 
     def test_free_energy_low_t_asymptote(self):
         m = SpinModel(2, 0, system_bonds=((1, 2, 1.0, 1.0, 1.0),))
-        t = thermo(diagonalize(m, "S", want_vectors=False))
+        t = thermo(diagonalize_sectors(m, "S"))
         beta = 50.0
         e0, g = -0.25, 3
         # free energy -ln Z / beta -> E_0 - ln(g) / beta
@@ -207,9 +201,9 @@ class TestThermo:
 
     def test_uncoupled_partition_function_factorizes(self):
         m = build_ring_model(2, 3, -1.0, 6, 8, 0.0)
-        tf = thermo(diagonalize(m, "FULL", want_vectors=False))
-        ts = thermo(diagonalize(m, "S", want_vectors=False))
-        te = thermo(diagonalize(m, "E", want_vectors=False))
+        tf = thermo(diagonalize_sectors(m, "FULL"))
+        ts = thermo(diagonalize_sectors(m, "S"))
+        te = thermo(diagonalize_sectors(m, "E"))
         for beta in (0.0, 0.3, 2.0, 20.0):
             lhs = tf.log_z(beta)
             rhs = ts.log_z(beta) + te.log_z(beta)
