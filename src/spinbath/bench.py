@@ -29,6 +29,7 @@ from .errors import ConfigError, ModelError, SpinBathError
 from .hamiltonian import (DEFAULT_SIZE_CAP, SYSTEM, SpinModel, build_chain_model,
                           build_ring_model)
 from .propagate import (
+    _BLOCK_AMPLITUDES,
     alternating_product_state,
     canonical_thermal_state,
     moment_check,
@@ -47,9 +48,6 @@ MODES = ("static_measure", "time_trace", "theory_overlay", "symmetry_check",
 PLOT_MODES = ("static_measure", "theory_overlay", "time_trace")
 MODELS = ("ring", "chain", "explicit")
 WORKERS_ENV = "SPINBATH_WORKERS"
-# projection block size in amplitudes, independent of the worker count
-# (256 columns at 2^12, one column from 2^20 on)
-_BLOCK_AMPLITUDES = 2**20
 
 
 def default_realizations(n_spins: int) -> int:
@@ -127,6 +125,13 @@ class ExperimentConfig:
                               f"dt = {self.dt}")
         if self.t_burn is not None and not (np.isfinite(self.t_burn) and self.t_burn >= 0.0):
             raise ConfigError(f"t_burn must be finite and >= 0, got {self.t_burn}")
+        if self.mode == "time_trace" and self.t_burn is not None:
+            # the trace's times k * dt grow with k, so two samples lie past
+            # t_burn exactly when the second to last does
+            n_steps = round(self.t_max / self.dt)
+            if not (n_steps >= 1 and (n_steps - 1) * self.dt > self.t_burn):
+                raise ConfigError(f"t_burn = {self.t_burn} leaves fewer than two samples of a "
+                                  f"trace to t_max = {self.t_max} in steps of dt = {self.dt}")
         if self.n_draws < 2:
             raise ConfigError(f"n_draws must be >= 2, got {self.n_draws}")
 
@@ -461,7 +466,7 @@ def _run_time_trace(config: ExperimentConfig) -> ResultTable:
     n_sys, n_env = config.n_sys_list[0], config.n_env_list[0]
     lam, beta = config.lambda_list[0], config.beta_list[0]
     j_ref = abs(config.j_system if config.model == "ring" else config.j_iso) or 1.0
-    t_burn = config.t_burn if config.t_burn is not None else 300.0 / j_ref
+    t_burn = config.t_burn if config.t_burn is not None else min(300.0 / j_ref, config.t_max / 2)
     columns = ["t", "sigma", "delta", "b", "error"]
     meta = {"mode": config.mode, "initial_state": config.initial_state,
             "beta": beta, "lam": lam, "t_burn": t_burn}

@@ -24,14 +24,17 @@ initial states and a list of betas and has two backends.
   its norm is a weighted sum of squares.  A caller that only traces E out
   passes ``traced_env=True``, and an uncoupled block then skips the H_E
   back transform;
-- Chebyshev: without a spectrum, run one recurrence T_k(X)|psi_0> on the
-  whole block up to the largest order and accumulate every beta's expansion
-  from it (the shared-vector scheme of Dobrovitski & De Raedt, PRE 67,
-  056702 (2003)), so the cost is the largest order, not the sum.
+- Chebyshev: without a spectrum, plan the whole beta grid at once and run
+  one recurrence T_k(X)|psi_0> on the whole block up to the grid's largest
+  order, accumulating every beta's expansion from it (the shared-vector
+  scheme of Dobrovitski & De Raedt, PRE 67, 056702 (2003)), so the cost is
+  the largest order, not the sum.
 
 ``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
 those factors or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
-exp(-i t H) uses the same recurrence with a single plan.
+exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) runs the
+same recurrence: a plan over a time grid t_1..t_m gives every exp(-i t_j H)
+|psi> from one recurrence, each time with its own coefficient column.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
 EXACT_AUTO_DIM = 2**12         # "auto" projects exactly up to this dimension
+# amplitudes held in one block of states: a projection's realizations, a
+# time trace's output times (256 columns at 2^12, one column from 2^20 on)
+_BLOCK_AMPLITUDES = 2**20
 
 
 def _sub_seed(seed, *extra) -> tuple:
@@ -75,19 +81,26 @@ def random_state(dim: int, seed) -> np.ndarray:
 
 @dataclass
 class ChebyshevPlan:
-    """Retained expansion coefficients for one propagator, exp(-i t H) or exp(-beta H / 2).
+    """Retained expansion coefficients of exp(-i t H) or exp(-beta H / 2) at a point or a grid.
 
-    The spectrum is mapped onto [-1, 1] via (e_min, e_max).  ``coefficients``
-    carry the full term weights (2 - delta_k0 and the i^k / sign factors);
-    the scalar prefactor exp(log_prefactor) * phase is applied at the end.
+    The spectrum is mapped onto [-1, 1] via (e_min, e_max).  ``at`` is the
+    t or beta the plan expands, a float or a 1-D grid.  For a float,
+    ``coefficients`` is the vector c_0..c_order; for a grid it is an
+    (order + 1, len(at)) array with one column per point, zero past that
+    column's own order in ``orders`` (``order`` is the largest).  The
+    coefficients carry the full term weights (2 - delta_k0 and the i^k /
+    sign factors); the scalar prefactor exp(log_prefactor) * phase, one per
+    point, is applied at the end.
     """
 
     e_min: float
     e_max: float
     order: int
     coefficients: np.ndarray
-    log_prefactor: float = 0.0
-    phase: complex = 1.0 + 0j
+    at: float | np.ndarray
+    orders: tuple[int, ...]
+    log_prefactor: float | np.ndarray = 0.0
+    phase: complex | np.ndarray = 1.0 + 0j
 
     def __post_init__(self):
         if self.e_max <= self.e_min:
@@ -134,45 +147,72 @@ def _retained(series, n: int, expansion: str) -> np.ndarray:
     return coeffs[: order + 1]
 
 
-def real_time_plan(bounds, t):
-    """Plan for exp(-i t H) with spectrum inside ``bounds``."""
+def _plan(bounds, at, column) -> ChebyshevPlan:
+    """The plan at a float ``at`` or at every point of a non-empty 1-D grid.
+
+    ``column(a, half, x)`` gives one point's (coefficients, log_prefactor,
+    phase) for a spectrum of centre a and half-width half, so each grid
+    column is bitwise the plan of its point alone.
+    """
     e_min, e_max = _pad_bounds(bounds)
     a = 0.5 * (e_max + e_min)
     half = 0.5 * (e_max - e_min)
-    z = t * half
-    coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z),
-                       int(abs(z) + 20 + 12 * abs(z) ** (1.0 / 3.0)),
-                       f"exp(-itH) expansion for t*width = {2 * z:.3g}")
-    return ChebyshevPlan(e_min, e_max, len(coeffs) - 1, coeffs, phase=np.exp(-1j * t * a))
+    points = np.asarray(at, dtype=float)
+    if points.ndim > 1 or points.size == 0:
+        raise ValueError(f"a plan is made at a float or a non-empty 1-D grid, got shape {points.shape}")
+    coeffs, log_prefactors, phases = zip(*(column(a, half, float(x)) for x in points.ravel()))
+    orders = tuple(len(c) - 1 for c in coeffs)
+    if points.ndim == 0:
+        return ChebyshevPlan(e_min, e_max, orders[0], coeffs[0], float(points), orders,
+                             log_prefactors[0], phases[0])
+    grid = np.zeros((max(orders) + 1, len(coeffs)), dtype=np.result_type(*coeffs))
+    for j, c in enumerate(coeffs):
+        grid[: len(c), j] = c
+    return ChebyshevPlan(e_min, e_max, max(orders), grid, points, orders,
+                         np.array(log_prefactors), np.array(phases))
+
+
+def real_time_plan(bounds, t):
+    """Plan for exp(-i t H) with spectrum inside ``bounds``, at a time t or a 1-D grid of times."""
+    def column(a, half, t):
+        z = t * half
+        coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z),
+                           int(abs(z) + 20 + 12 * abs(z) ** (1.0 / 3.0)),
+                           f"exp(-itH) expansion for t*width = {2 * z:.3g}")
+        return coeffs, 0.0, np.exp(-1j * t * a)
+
+    return _plan(bounds, t, column)
 
 
 def imaginary_time_plan(bounds, beta):
-    """Plan for exp(-beta H / 2) with spectrum inside ``bounds``."""
-    if beta < 0:
+    """Plan for exp(-beta H / 2) with spectrum inside ``bounds``, at a beta or a 1-D grid of betas."""
+    if np.any(np.asarray(beta) < 0):
         raise ValueError("beta must be >= 0")
-    e_min, e_max = _pad_bounds(bounds)
-    a = 0.5 * (e_max + e_min)
-    half = 0.5 * (e_max - e_min)
-    z = 0.5 * beta * half
-    # scaled modified Bessel ive(k, z) = I_k(z) exp(-z) avoids overflow;
-    # the missing exp(z) joins the prefactor in the log domain
-    coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * ive(k, z),
-                       int(z + 20 + 9 * np.sqrt(z)),
-                       f"exp(-bH/2) expansion for beta*width = {beta * (e_max - e_min):.3g}")
-    return ChebyshevPlan(e_min, e_max, len(coeffs) - 1, coeffs, log_prefactor=z - 0.5 * beta * a)
+
+    def column(a, half, beta):
+        z = 0.5 * beta * half
+        # scaled modified Bessel ive(k, z) = I_k(z) exp(-z) avoids overflow;
+        # the missing exp(z) joins the prefactor in the log domain
+        coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * ive(k, z),
+                           int(z + 20 + 9 * np.sqrt(z)),
+                           f"exp(-bH/2) expansion for beta*width = {2 * beta * half:.3g}")
+        return coeffs, z - 0.5 * beta * a, 1.0 + 0j
+
+    return _plan(bounds, beta, column)
 
 
-def _apply_plan(model: SpinModel, plans: list[ChebyshevPlan], state: np.ndarray) -> list[np.ndarray]:
-    """Clenshaw-free forward recurrence: sum_k c_k T_k(X) |state> for each plan.
+def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> list[np.ndarray]:
+    """Clenshaw-free forward recurrence: sum_k c_k T_k(X) |state> for each column of the plan.
 
-    The plans must share one spectral map (the first plan's bounds are
-    used); T_k(X)|state> is computed once up to the largest order and each
-    plan's sum stops at its own order.
+    T_k(X)|state> is computed once, up to plan.order, and each column's sum
+    stops at its own order.  Returns one array shaped like ``state`` per
+    column (a float plan has one column).
     """
     if state.shape[0] != model.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != model dimension {model.dim}")
-    a = 0.5 * (plans[0].e_max + plans[0].e_min)
-    half = 0.5 * (plans[0].e_max - plans[0].e_min)
+    a = 0.5 * (plan.e_max + plan.e_min)
+    half = 0.5 * (plan.e_max - plan.e_min)
+    columns = list(zip(plan.orders, plan.coefficients.reshape(plan.order + 1, -1).T))
 
     def x_apply(v):
         # in place on the fresh matvec result: (H v - a v) / half, bit for bit
@@ -182,30 +222,39 @@ def _apply_plan(model: SpinModel, plans: list[ChebyshevPlan], state: np.ndarray)
         return y
 
     t_prev = state.astype(complex)
-    accs = [p.coefficients[0] * t_prev for p in plans]
+    accs = [c[0] * t_prev for _, c in columns]
     t_cur = x_apply(t_prev)
-    for p, acc in zip(plans, accs):
-        acc += p.coefficients[1] * t_cur
-    for k in range(2, max(p.order for p in plans) + 1):
+    for (_, c), acc in zip(columns, accs):
+        acc += c[1] * t_cur
+    for k in range(2, plan.order + 1):
         t_next = x_apply(t_cur)
         t_next *= 2.0
         t_next -= t_prev
-        for p, acc in zip(plans, accs):
-            if k <= p.order:
-                acc += p.coefficients[k] * t_next
+        for (order, c), acc in zip(columns, accs):
+            if k <= order:
+                acc += c[k] * t_next
         t_prev, t_cur = t_cur, t_next
     return accs
 
 
-def evolve_real_time(model: SpinModel, state: np.ndarray, t: float, plan=None) -> np.ndarray:
-    """Return exp(-i t H) |state| via the Chebyshev expansion (norm preserving).
+def evolve_real_time(model: SpinModel, state: np.ndarray, t: float | np.ndarray,
+                     plan: ChebyshevPlan | None = None) -> np.ndarray:
+    """Return exp(-i t H) |state> via the Chebyshev expansion (norm preserving).
 
-    A cached ``plan`` built by real_time_plan for the same t may be supplied
-    to avoid recomputing coefficients (e.g. when stepping a time trace).
+    ``t`` is a time or a 1-D grid of times; a grid appends one axis, so a
+    vector state gives the (dim, len(t)) block of the states at every t,
+    all from one recurrence.  A ``plan`` built by real_time_plan for the
+    same t may be supplied to avoid recomputing coefficients (e.g. when
+    stepping a time trace); a plan made for other times is refused.
     """
     if plan is None:
         plan = real_time_plan(energy_bounds(model), t)
-    return plan.phase * _apply_plan(model, [plan], state)[0]
+    elif not np.array_equal(plan.at, t):
+        raise ValueError(f"plan made for t = {plan.at}, not for t = {t}")
+    columns = _apply_plan(model, plan, state)
+    if np.ndim(plan.at) == 0:
+        return plan.phase * columns[0]
+    return np.stack([phase * column for phase, column in zip(plan.phase, columns)], axis=-1)
 
 
 def real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -342,11 +391,11 @@ def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
 
 def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
     """Chebyshev backend: one shared recurrence on the whole block for every beta > 0."""
-    bounds = energy_bounds(model)
-    plans = [imaginary_time_plan(bounds, beta) for beta in betas if beta > 0.0]
-    if not plans:
+    positive = [beta for beta in betas if beta > 0.0]
+    if not positive:
         return [_unprojected(psi0) for _ in betas]
-    raws = _apply_plan(model, plans, psi0)
+    plan = imaginary_time_plan(energy_bounds(model), positive)
+    raws = _apply_plan(model, plan, psi0)
     # each column's norm as a vector's, so no column's result depends on its block
     psi0_norm, *raw_norms = (np.array([np.linalg.norm(c) for c in x.T]) for x in (psi0, *raws))
     # The scaled series sums to exp(-z(x - x_min)) profiles with terms of
@@ -359,10 +408,10 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
             "imaginary-time projections"
         )
     projected = []
-    for plan, raw, raw_norm in zip(plans, raws, raw_norms):
+    for log_prefactor, raw, raw_norm in zip(plan.log_prefactor, raws, raw_norms):
         raw /= raw_norm
         with np.errstate(over="ignore", under="ignore"):
-            projected.append((raw, np.exp(2.0 * (np.log(raw_norm) + plan.log_prefactor))))
+            projected.append((raw, np.exp(2.0 * (np.log(raw_norm) + log_prefactor))))
     projected = iter(projected)
     return [next(projected) if beta > 0.0 else _unprojected(psi0) for beta in betas]
 

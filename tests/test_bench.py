@@ -324,6 +324,28 @@ class TestOtherModes:
         assert len(ts) == 11 and ts[0] == 0.0 and ts[-1] == 5.0
         assert any(r["t"] == "mean" for r in table.dicts())
 
+    def test_default_t_burn_leaves_aggregate_rows(self):
+        # the default burn-in is at most half the trace, so a default trace has late samples
+        cfg = make_config(mode="time_trace", n_sys_list=(2,), n_env_list=(3,),
+                          lambda_list=(1.0,), beta_list=(0.8,))
+        table = bench.run(cfg)
+        rows = list(table.dicts())
+        assert [r["t"] for r in rows[601:]] == ["mean", "stddev", "n"]
+        assert all(isinstance(r["t"], float) for r in rows[:601])
+        assert rows[-1]["sigma"] == 300 and table.meta["t_burn"] == 150.0
+
+    @pytest.mark.parametrize("t_max, t_burn", [(5.0, 4.5), (5.0, 5.0), (0.0, 0.0), (0.4, 0.0)])
+    def test_t_burn_leaving_under_two_samples_rejected(self, t_max, t_burn):
+        cfg = make_config(mode="time_trace", lambda_list=(1.0,), beta_list=(0.8,),
+                          t_max=5.0, dt=0.5, t_burn=4.0)
+        table = bench.run(cfg)      # samples at t = 4.5 and 5.0 lie past t_burn
+        assert [r["t"] for r in table.dicts()][-3:] == ["mean", "stddev", "n"]
+        with pytest.raises(ConfigError, match="t_burn"):
+            replace(cfg, t_max=t_max, t_burn=t_burn)
+        with pytest.raises(ConfigError, match="t_burn"):
+            bench.parse_config(bench.render_config(cfg).replace(
+                "t_max = 5.0", f"t_max = {t_max}").replace("t_burn = 4.0", f"t_burn = {t_burn}"))
+
     def test_time_trace_needs_single_point(self):
         with pytest.raises(ConfigError):
             bench.run(make_config(mode="time_trace"))

@@ -13,7 +13,8 @@ from spinbath.observe import (
     sigma,
     trace_time_series,
 )
-from spinbath.propagate import canonical_thermal_state, projection_spectrum, random_state
+from spinbath.propagate import (canonical_thermal_state, evolve_real_time, projection_spectrum,
+                                random_state)
 from spinbath.spectrum import SpectrumSummary, diagonalize
 
 
@@ -315,6 +316,61 @@ class TestTraceTimeSeries:
         monkeypatch.setattr(spinbath.observe, "evolve_real_time", no_step)
         with pytest.raises(ValueError, match="t_max"):
             trace_time_series(m, st, t_max, dt, hs)
+
+    @staticmethod
+    def stepped_reference(m, st, t_max, dt, hs, beta_ref):
+        """The trace by one scalar-time step and one single-state measurement per sample."""
+        rows = []
+        for k in range(int(round(t_max / dt)) + 1):
+            rep = measure_state(st, m.n_system, hs, beta_ref)
+            rows.append((k * dt, rep.sigma, rep.delta, rep.b))
+            st = evolve_real_time(m, st, dt)
+        return rows
+
+    @staticmethod
+    def counted_steps(monkeypatch):
+        """Record the number of output times of every evolve_real_time call of a trace."""
+        import spinbath.observe
+
+        calls = []
+        evolve = spinbath.observe.evolve_real_time
+
+        def counted(model, state, t, plan):
+            calls.append(len(t))
+            return evolve(model, state, t, plan)
+
+        monkeypatch.setattr(spinbath.observe, "evolve_real_time", counted)
+        return calls
+
+    @pytest.mark.parametrize("t_max, chunks", [(20.0, [16, 16, 8]), (3.0, [6]), (0.0, [])],
+                             ids=["remainder", "short", "zero"])
+    def test_chunks_match_single_steps(self, t_max, chunks, monkeypatch):
+        m = build_ring_model(2, 4, -1.0, 5, 6, 1.0)
+        hs = diagonalize(m, "S")
+        st = thermal_state(m, 0.9, 17)
+        ref = self.stepped_reference(m, st, t_max, 0.5, hs, 0.9)
+        calls = self.counted_steps(monkeypatch)
+        rows = trace_time_series(m, st, t_max, 0.5, hs, beta_ref=0.9)
+        assert calls == chunks
+        assert len(rows) == len(ref)
+        for row, r in zip(rows, ref):
+            assert row[0] == r[0] and all(type(v) is float for v in row)
+            assert max(abs(a - b) for a, b in zip(row[1:], r[1:])) < 1e-12
+
+    def test_one_step_per_call_within_a_one_state_budget(self, monkeypatch):
+        import spinbath.observe
+
+        m = build_ring_model(2, 4, -1.0, 5, 6, 1.0)
+        hs = diagonalize(m, "S")
+        st = thermal_state(m, 0.9, 17)
+        chunked = trace_time_series(m, st, 10.0, 0.5, hs, beta_ref=0.9)
+        monkeypatch.setattr(spinbath.observe, "_BLOCK_AMPLITUDES", m.dim)
+        calls = self.counted_steps(monkeypatch)
+        rows = trace_time_series(m, st, 10.0, 0.5, hs, beta_ref=0.9)
+        assert calls == [1] * 20
+        assert rows == self.stepped_reference(m, st, 10.0, 0.5, hs, 0.9)
+        assert [r[0] for r in rows] == [r[0] for r in chunked]
+        assert max(abs(a - b) for row, c in zip(rows, chunked) for a, b in zip(row, c)) < 1e-12
 
     def test_x_state_stationary_small(self):
         m = build_ring_model(2, 4, -1.0, 5, 6, 1.0)

@@ -242,25 +242,26 @@ class TestCanonicalThermalState:
     def test_in_place_recurrence_matches_expression_form(self):
         # the recurrence as written before it worked in place: same operations, same bits
         m = build_ring_model(2, 4, -1.0, 3, 5, 1.0)
-        plans = [imaginary_time_plan(energy_bounds(m), beta) for beta in (0.4, 3.0)]
+        plan = imaginary_time_plan(energy_bounds(m), [0.4, 3.0])
         psi0 = random_block(m, (5, 6, 7))
-        a = 0.5 * (plans[0].e_max + plans[0].e_min)
-        half = 0.5 * (plans[0].e_max - plans[0].e_min)
+        a = 0.5 * (plan.e_max + plan.e_min)
+        half = 0.5 * (plan.e_max - plan.e_min)
 
         def x_apply(v):
             return (propagate.apply_hamiltonian(m, "FULL", v) - a * v) / half
 
+        columns = list(zip(plan.orders, plan.coefficients.T))
         t_prev = psi0.astype(complex)
         t_cur = x_apply(t_prev)
-        accs = [p.coefficients[0] * t_prev + p.coefficients[1] * t_cur for p in plans]
-        for k in range(2, max(p.order for p in plans) + 1):
+        accs = [c[0] * t_prev + c[1] * t_cur for _, c in columns]
+        for k in range(2, plan.order + 1):
             t_next = 2.0 * x_apply(t_cur) - t_prev
-            for p, acc in zip(plans, accs):
-                if k <= p.order:
-                    acc += p.coefficients[k] * t_next
+            for (order, c), acc in zip(columns, accs):
+                if k <= order:
+                    acc += c[k] * t_next
             t_prev, t_cur = t_cur, t_next
-        got = propagate._apply_plan(m, plans, psi0)
-        assert plans[0].order != plans[1].order
+        got = propagate._apply_plan(m, plan, psi0)
+        assert plan.orders[0] < plan.orders[1] == plan.order
         assert all(np.array_equal(g, r) for g, r in zip(got, accs, strict=True))
 
     def test_typicality_energy_estimate(self):
@@ -466,6 +467,41 @@ class TestEvolveRealTime:
         monkeypatch.setattr(propagate, "DEFAULT_TOLERANCE", tol / 2)
         fine = evolve_real_time(m, psi, 5.0, plan=real_time_plan(energy_bounds(m), 5.0))
         assert np.abs(coarse - fine).max() < tol
+
+    def test_plan_for_other_times_refused(self):
+        m = build_ring_model(2, 4, -1.0, 3, 9, 1.0)
+        psi = random_state(m.dim, 10)
+        bounds = energy_bounds(m)
+        for t, plan in [(1.0, real_time_plan(bounds, 2.0)),
+                        ([0.5, 1.0], real_time_plan(bounds, [0.5, 1.5])),
+                        ([0.5], real_time_plan(bounds, 0.5)),
+                        (0.5, real_time_plan(bounds, [0.5]))]:
+            with pytest.raises(ValueError, match="plan made for t"):
+                evolve_real_time(m, psi, t, plan)
+
+    def test_grid_plan_columns_match_single_point_plans(self):
+        # each column of a grid plan, and of the states it evolves to, is
+        # bitwise what the plan at that point alone gives
+        m = build_ring_model(2, 4, -1.0, 3, 9, 1.0)
+        bounds = energy_bounds(m)
+        psi = random_state(m.dim, 11)
+        times = 0.5 * np.arange(1, 17)
+        for make, grid in ((real_time_plan, times), (imaginary_time_plan, [0.3, 0.9, 2.0])):
+            plan = make(bounds, grid)
+            assert plan.coefficients.shape == (plan.order + 1, len(grid))
+            assert plan.order == max(plan.orders) and isinstance(plan.order, int)
+            for j, x in enumerate(grid):
+                single = make(bounds, float(x))
+                assert single.coefficients.ndim == 1 and single.orders == (single.order,)
+                assert plan.orders[j] == single.order
+                assert np.array_equal(plan.coefficients[: single.order + 1, j], single.coefficients)
+                assert not plan.coefficients[single.order + 1:, j].any()
+                assert plan.log_prefactor[j] == single.log_prefactor
+                assert plan.phase[j] == single.phase
+        block = evolve_real_time(m, psi, times)
+        assert block.shape == (m.dim, len(times))
+        for j, t in enumerate(times):
+            assert np.array_equal(block[:, j], evolve_real_time(m, psi, float(t)))
 
     def test_ensemble_time_translation_invariance(self):
         # sigma of the canonical ensemble is stationary under real-time
