@@ -16,13 +16,17 @@ the low ``n_system`` bits so the partial trace over the environment is a
 contiguous reshape.  Bit value 0 means spin up.  Bond tables use 1-based site
 labels within their own part.
 
-Each part is held once, by its model, as one real ``scipy.sparse`` CSR
-matrix with a row of 1 + bonds entries (the diagonal, then one flipped
-index per bond), and that matrix serves every consumer:
-``apply_hamiltonian``, the Gershgorin ``energy_bounds`` and, in
-``spectrum``, the dense matrix and the parity sector blocks.  Above
-_CACHE_DIM_LIMIT the kernel streams its bonds instead, one row block at a
-time, for the product and the bounds alike.
+Each of S, E and SE is held once, by its model, as one real
+``scipy.sparse`` CSR matrix (the diagonal, then one flipped index per
+bond, exact zeros dropped).  FULL is never held as one matrix of all the
+bonds: ``apply_hamiltonian`` composes it as (H_E (x) 1_S) x, H_E's own
+matrix on the block's real (2^{n_E}, 2^{n_S} * 2k) view, plus one narrow
+full-space matrix of the system and lam-scaled coupling bonds.  The
+Gershgorin ``energy_bounds`` stream exact per-row values from the bond
+tables, one row block at a time, at every size; ``spectrum`` assembles
+the FULL matrix for its dense matrix and parity sector blocks from the
+same two pieces.  Above _CACHE_DIM_LIMIT a kernel streams its bonds
+instead of holding a matrix.
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ ENVIRONMENT = "E"
 COUPLING = "SE"
 FULL = "FULL"
 _PARTS = (SYSTEM, ENVIRONMENT, COUPLING, FULL)
+_NARROW = "S+lamSE"          # FULL's full-space kernel: system and lam-scaled coupling bonds
 
 DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
 _CACHE_DIM_LIMIT = 2**20     # above this, bond index arrays are streamed
-_ROW_BLOCK = 4096            # rows per pass of the CSR build and of a streamed product
+_ROW_BLOCK = 4096            # rows per pass of the CSR build, a streamed product and the bounds
 
 COUPLING_RANGE = 4.0 / 3.0   # random couplings are uniform on [-4/3, 4/3]
 
@@ -166,7 +171,8 @@ def _local_terms(model: SpinModel, part: str):
     """Bond terms as (bit_i, bit_j, cx, cy, cz, scale) plus the local spin count.
 
     Parts S and E are expressed on their own 2^{n_part} space (environment
-    site j sits on local bit j-1); SE and FULL live on the full 2^N space.
+    site j sits on local bit j-1); SE, FULL and _NARROW (FULL's system and
+    lam-scaled coupling bonds) live on the full 2^N space.
     """
     ns = model.n_system
     if part == SYSTEM:
@@ -178,14 +184,14 @@ def _local_terms(model: SpinModel, part: str):
     if part == COUPLING:
         terms = [(i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.coupling_bonds]
         return model.n_spins, terms
-    if part == FULL:
-        terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds]
-        terms += [(ns + i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.env_bonds]
-        terms += [
+    if part in (FULL, _NARROW):
+        system = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds]
+        env = [(ns + i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.env_bonds]
+        coupling = [
             (i - 1, ns + j - 1, cx, cy, cz, model.lam)
             for (i, j, cx, cy, cz) in model.coupling_bonds
         ]
-        return model.n_spins, terms
+        return model.n_spins, system + (env if part == FULL else []) + coupling
     raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
 
 
@@ -194,121 +200,170 @@ def _index_dtype(n: int):
     return np.int32 if n <= 2**31 else np.int64
 
 
-class _Applier:
-    """Kernel for one Hamiltonian part: one cached real CSR matrix, or bonds streamed per call.
+def _kept(terms):
+    """(bit_i, bit_j, parallel coeff, antiparallel coeff) of the bonds with a nonzero flip coefficient."""
+    kept = []
+    for (bi, bj, cx, cy, cz, scale) in terms:
+        same, crossed = -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0
+        if same != 0.0 or crossed != 0.0:
+            kept.append((bi, bj, same, crossed))
+    return kept
+
+
+def _row_blocks(n_bits: int, terms):
+    """(rows, diagonal, bonds) per block of _ROW_BLOCK consecutive rows of a part.
 
     For each bond the off-diagonal (xx + yy) piece flips both bits; the
     source-dependent coefficient is -(cx - cy)/4 for parallel spins and
-    -(cx + cy)/4 for antiparallel ones.  All zz pieces accumulate into one
-    diagonal.  Up to _CACHE_DIM_LIMIT the part is held as one
-    ``scipy.sparse`` CSR matrix with a fixed row layout: the diagonal, then
-    one entry per kept bond (a bond whose coefficients are not all zero) in
-    ``terms`` order, so 12 bytes (float64 value, int32 column) per entry.
-    The CSR product sums each row in that order, the order of the per-bond
-    loop, so both modes give the same numbers.  The arrays are read-only,
-    so no ``scipy.sparse`` operation can reorder the layout in place.
-    Above the limit each call streams the bonds instead.  The build, the
-    streamed product and bands go _ROW_BLOCK rows at a time, reading each
-    index's bits once per block, so their scratch does not grow with dim.
+    -(cx + cy)/4 for antiparallel ones.  ``diagonal`` accumulates the zz
+    pieces of all bonds in ``terms`` order; ``bonds`` yields one (flipped
+    index, coefficient) pair of arrays per kept bond (a bond whose two flip
+    coefficients are not both zero), also in ``terms`` order.  Each index's
+    bits are read once per block, so the scratch does not grow with dim.
+    """
+    kept = _kept(terms)
+    dim = 2**n_bits
+    for start in range(0, dim, _ROW_BLOCK):
+        idx = np.arange(start, min(start + _ROW_BLOCK, dim), dtype=_index_dtype(dim))
+        bits = [((idx >> b) & 1).astype(np.uint8) for b in range(n_bits)]
+        diag = np.zeros(idx.shape[0])
+        for (bi, bj, cx, cy, cz, scale) in terms:
+            diag -= scale * cz * (0.5 - bits[bi]) * (0.5 - bits[bj])
+        yield slice(start, start + idx.shape[0]), diag, _flips(idx, bits, kept)
+
+
+def _flips(idx, bits, kept):
+    """(flipped index, coefficient) arrays of the kept bonds, one bond at a time."""
+    for (bi, bj, same, crossed) in kept:
+        yield idx ^ ((1 << bi) | (1 << bj)), np.where(bits[bi] == bits[bj], same, crossed)
+
+
+def _contiguous(state) -> np.ndarray:
+    """state as a C-ordered float or complex array, copied only when it is not one already."""
+    return np.ascontiguousarray(state, dtype=np.result_type(state, float))
+
+
+def _float_view(state: np.ndarray, rows: int) -> np.ndarray:
+    """The C-ordered state as a real (rows, m) matrix, without a copy.
+
+    A complex entry becomes two adjacent columns (real, imaginary), so one
+    real product serves both parts, and the result views back as complex.
+    """
+    x = state.reshape(rows, state.size // rows)
+    return x.view(x.real.dtype) if np.iscomplexobj(x) else x
+
+
+class _Applier:
+    """Kernel for S, E, SE or FULL's narrow part: one cached real CSR matrix, or bonds streamed per call.
+
+    Up to _CACHE_DIM_LIMIT the bonds are held as one ``scipy.sparse`` CSR
+    matrix whose rows hold the diagonal, then one entry per kept bond in
+    ``terms`` order (see _row_blocks), with the exact zeros dropped: 12
+    bytes (float64 value, int32 column) per stored entry.  The arrays are
+    read-only, so no ``scipy.sparse`` operation can reorder the layout in
+    place.  Above the limit each product streams the row blocks instead.
+    Both modes sum each row in the same order, so they give the same
+    numbers up to the sign of an exact zero.  ``product`` takes a real
+    C-ordered (dim, m) matrix, so one pass over the matrix serves every
+    column, and a complex block's real and imaginary parts alike.
     """
 
     def __init__(self, n_bits: int, terms):
         self.n_bits = n_bits
         self.dim = 2**n_bits
         self.terms = terms
-        # (bit_i, bit_j, parallel coeff, antiparallel coeff) of the kept bonds
-        self.kept = []
-        for (bi, bj, cx, cy, cz, scale) in terms:
-            same, crossed = -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0
-            if same != 0.0 or crossed != 0.0:
-                self.kept.append((bi, bj, same, crossed))
         self.matrix = self._build_csr() if self.dim <= _CACHE_DIM_LIMIT else None
 
-    def _row_blocks(self):
-        """(rows, diagonal, bonds) per block of _ROW_BLOCK consecutive rows (see _bonds)."""
-        for start in range(0, self.dim, _ROW_BLOCK):
-            idx = np.arange(start, min(start + _ROW_BLOCK, self.dim), dtype=_index_dtype(self.dim))
-            bits = [((idx >> b) & 1).astype(np.uint8) for b in range(self.n_bits)]
-            yield slice(start, start + idx.shape[0]), self._diagonal(idx, bits), self._bonds(idx, bits)
-
-    def _diagonal(self, idx, bits):
-        """The zz pieces of all bonds, accumulated in ``terms`` order."""
-        diag = np.zeros(idx.shape[0])
-        for (bi, bj, cx, cy, cz, scale) in self.terms:
-            diag -= scale * cz * (0.5 - bits[bi]) * (0.5 - bits[bj])
-        return diag
-
-    def _bonds(self, idx, bits):
-        """(flipped index, coefficient) arrays of the kept bonds, one bond at a time."""
-        for (bi, bj, same, crossed) in self.kept:
-            yield idx ^ ((1 << bi) | (1 << bj)), np.where(bits[bi] == bits[bj], same, crossed)
-
     def _build_csr(self):
-        """Fill the (dim, 1 + kept bonds) value and index arrays one row block at a time."""
-        width = 1 + len(self.kept)
+        """Fill (dim, 1 + kept bonds) value and index arrays one row block at a time, then drop the zeros."""
+        width = 1 + len(_kept(self.terms))
         data = np.empty((self.dim, width))
-        index_dtype = _index_dtype(self.dim * width + 1)
-        indices = np.empty((self.dim, width), dtype=index_dtype)
-        for rows, diag, bonds in self._row_blocks():
+        indices = np.empty((self.dim, width), dtype=_index_dtype(self.dim * width + 1))
+        for rows, diag, bonds in _row_blocks(self.n_bits, self.terms):
             data[rows, 0] = diag
             indices[rows, 0] = np.arange(rows.start, rows.stop)
             for col, (flip, coeff) in enumerate(bonds, start=1):
                 indices[rows, col] = flip
                 data[rows, col] = coeff
+        stored = data != 0.0
+        indptr = np.zeros(self.dim + 1, dtype=indices.dtype)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+        data, indices = data[stored], indices[stored]
         data.flags.writeable = indices.flags.writeable = False
-        indptr = np.arange(0, self.dim * width + 1, width, dtype=index_dtype)
-        return scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
-                                      shape=(self.dim, self.dim))
+        return scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
-    def bands(self):
-        """(diagonal, bond coefficient columns) per row block: the cached values whole, or streamed."""
-        if self.matrix is None:
-            for _, diag, bonds in self._row_blocks():
-                yield diag, (coeff for _, coeff in bonds)
-        else:
-            values = self.matrix.data.reshape(self.dim, -1)
-            yield values[:, 0], values.T[1:]
-
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        if state.shape[0] != self.dim:
-            raise DimensionError(f"state dimension {state.shape[0]} != {self.dim}")
-        if self.matrix is None:
-            return self._streamed(state)
-        if np.iscomplexobj(state):
-            # two real products: a complex operand would upcast the cached values
-            out = np.empty(state.shape, dtype=np.result_type(state, float))
-            out.real = self.matrix @ state.real
-            out.imag = self.matrix @ state.imag
-            return out
-        return self.matrix @ state
-
-    def _streamed(self, state):
-        out = np.empty(state.shape, dtype=np.result_type(state, float))
-        column = state.ndim > 1
-        for rows, diag, bonds in self._row_blocks():
-            acc = (diag[:, None] if column else diag) * state[rows]
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """H x for a real C-ordered (dim, m) matrix x."""
+        if self.matrix is not None:
+            return self.matrix @ x
+        out = np.empty_like(x)
+        for rows, diag, bonds in _row_blocks(self.n_bits, self.terms):
+            acc = diag[:, None] * x[rows]
             for flip, coeff in bonds:
-                acc += (coeff[:, None] if column else coeff) * state[flip]
+                acc += coeff[:, None] * x[flip]
             out[rows] = acc
         return out
 
+    def __call__(self, state: np.ndarray) -> np.ndarray:
+        state = _contiguous(state)
+        _check_dim(state, self.dim)
+        return self.product(_float_view(state, self.dim)).view(state.dtype).reshape(state.shape)
 
-def _applier(model: SpinModel, part: str) -> _Applier:
-    """The part's kernel, built on first use and held by the model."""
+
+class _Composed:
+    """FULL as (H_E (x) 1_S) x + (1_E (x) H_S + lam H_SE) x, with no matrix of all the bonds.
+
+    The environment occupies the high bits, so H_E's own 2^{n_E} kernel
+    multiplies the block viewed as one real (2^{n_E}, 2^{n_S} * m) matrix;
+    the narrow full-space kernel, whose rows hold 1 + system + coupling
+    entries, adds the system and coupling bonds.  Each row is the sum
+    (H_E row) + (narrow row), in both kernel modes.
+    """
+
+    matrix = None  # the parts hold the matrices
+
+    def __init__(self, env: _Applier, narrow: _Applier):
+        self.env, self.narrow = env, narrow
+        self.dim = narrow.dim
+
+    def __call__(self, state: np.ndarray) -> np.ndarray:
+        state = _contiguous(state)
+        _check_dim(state, self.dim)
+        out = self.env.product(_float_view(state, self.env.dim))
+        out += self.narrow.product(_float_view(state, self.dim)).reshape(out.shape)
+        return out.view(state.dtype).reshape(state.shape)
+
+
+def _check_dim(state, dim):
+    if state.shape[0] != dim:
+        raise DimensionError(f"state dimension {state.shape[0]} != {dim}")
+
+
+def _applier(model: SpinModel, part: str):
+    """The part's kernel, built on first use and held by the model.
+
+    FULL composes the ENVIRONMENT kernel with the _NARROW one, so the model
+    holds those two matrices and no matrix of all the bonds.
+    """
     applier = model._appliers.get(part)
     if applier is None:
-        applier = model._appliers.setdefault(part, _Applier(*_local_terms(model, part)))
+        if part == FULL:
+            kernel = _Composed(_applier(model, ENVIRONMENT), _applier(model, _NARROW))
+        else:
+            kernel = _Applier(*_local_terms(model, part))
+        applier = model._appliers.setdefault(part, kernel)
     return applier
 
 
 def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndarray:
-    """Return H_part @ state through the part's sparse matrix (never a dense one).
+    """Return H_part @ state through the part's sparse kernel (never a dense matrix).
 
     ``part`` is one of "S", "E", "SE", "FULL"; S and E act on their local
     2^{n_part}-dimensional spaces, SE and FULL on the full 2^N space (FULL
     includes the factor lam on the coupling part, SE does not).  ``state``
-    may be a vector or a (dim, k) batch of columns; the result is not
-    normalized (the map is linear).
+    may be a vector or a (dim, k) batch of columns, in any memory order (a
+    block that is not C-ordered is copied once); the result has the dtype
+    ``result_type(state, float)`` and is not normalized (the map is linear).
     """
     return _applier(model, part)(np.asarray(state))
 
@@ -347,15 +402,15 @@ def energy_bounds(model: SpinModel, part: str = FULL) -> tuple[float, float]:
 
     Each kept bond contributes one off-diagonal element per row, so a row's
     radius is the sum of that row's bond magnitudes, accumulated bond by
-    bond in ``terms`` order.  The rows come from the applier's bands: the
-    cached CSR values as one block, or _ROW_BLOCK rows at a time from a
-    streamed part, so the bounds are the same exact per-row ones at every
-    size.  Empty bond lists give (0, 0); the spectrum is always contained.
+    bond in ``terms`` order.  The rows are streamed _ROW_BLOCK at a time
+    from the bond table, with no matrix built, so the bounds are the same
+    exact per-row ones at every size.  Empty bond lists give (0, 0); the
+    spectrum is always contained.
     """
     lo, hi = np.inf, -np.inf
-    for diag, coeffs in _applier(model, part).bands():
+    for _, diag, bonds in _row_blocks(*_local_terms(model, part)):
         radius = np.zeros(diag.shape[0])
-        for coeff in coeffs:
+        for _, coeff in bonds:
             radius += np.abs(coeff)
         lo = min(lo, float(np.min(diag - radius)))
         hi = max(hi, float(np.max(diag + radius)))

@@ -4,7 +4,7 @@ Every bond term -c_a S^a_i S^a_j commutes with the global parities
 P_z = prod sigma^z and P_x = prod sigma^x, so each part's H is block
 diagonal by parity (standard exact-diagonalization practice, Sandvik, AIP
 Conf. Proc. 1297, 135 (2010)).  ``diagonalize_sectors`` slices the blocks
-out of the kernel's CSR matrix (see hamiltonian), so only the blocks are
+out of the part's CSR matrix (``_part_matrix``), so only the blocks are
 ever dense, solves them one by one and keeps the eigenpairs in a sector
 layout: for N bits the P_z sectors hold the indices of even and odd
 popcount; for even N >= 2 each splits again into P_x = +1 and -1 halves
@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import SizeLimitError
 from .hamiltonian import FULL, SpinModel, _applier
@@ -86,16 +87,25 @@ class SpectrumSummary:
 
 
 def _part_matrix(model: SpinModel, part: str):
-    """The kernel's CSR matrix of a part, refused above the dense cap."""
+    """The CSR matrix of a part, refused above the dense cap.
+
+    S, E and SE are their kernels' own matrices.  FULL is assembled as
+    kron(H_E, 1_S) + narrow from the two matrices its product composes,
+    so its entries are the product's, sum for sum.
+    """
     applier = _applier(model, part)
     if applier.dim > DEFAULT_DIM_CAP:
         raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {DEFAULT_DIM_CAP}")
-    # cached whenever it fits the cap, so the cap must stay at or below _CACHE_DIM_LIMIT
+    # every kernel at or below the cap is cached, so the cap must stay at
+    # or below _CACHE_DIM_LIMIT
+    if part == FULL:
+        eye = scipy.sparse.identity(model.dim_system, format="csr")
+        return scipy.sparse.kron(applier.env.matrix, eye, format="csr") + applier.narrow.matrix
     return applier.matrix
 
 
 def dense_matrix(model: SpinModel, part: str = FULL) -> np.ndarray:
-    """Dense real-symmetric matrix of a part, scattered from the kernel's CSR matrix.
+    """Dense real-symmetric matrix of a part, scattered from its CSR matrix (``_part_matrix``).
 
     Row n holds the diagonal energy and, per bond, one off-diagonal element
     at the bond's flipped index, so the build costs O(dim x bonds).
@@ -207,7 +217,7 @@ def diagonalize_sectors(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     """Spectrum of a part with its eigenpairs in the parity sector layout.
 
     Each block, H[reps][:, reps] +- H[reps][:, partners], is sliced from
-    the kernel's CSR matrix; the 2^N x 2^N dense matrix is never built, but
+    the part's CSR matrix; the 2^N x 2^N dense matrix is never built, but
     parts above DEFAULT_DIM_CAP are still refused with SizeLimitError.
     ``eigenvalues`` is the sorted union of the sector spectra and
     ``eigenvectors`` is None; the sector eigenvectors carry no gauge fixing,

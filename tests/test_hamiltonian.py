@@ -20,7 +20,7 @@ from spinbath.hamiltonian import (
     energy_bounds,
 )
 from spinbath.hamiltonian import _local_terms
-from spinbath.propagate import random_state
+from spinbath.propagate import canonical_thermal_state, random_state
 from spinbath.spectrum import diagonalize, diagonalize_sectors
 
 from conftest import SX, SY, SZ, dense_oracle, parity_models, site_operator, small_models
@@ -152,6 +152,49 @@ class TestApply:
             assert np.abs(out[:, k] - apply_hamiltonian(m, "FULL", block[:, k])).max() < 1e-14
 
 
+def full_product_models():
+    """Ring, chain and explicit models for the FULL product, with n_env 0 and 1 among them."""
+    return {
+        "ring": build_ring_model(2, 4, -1.0, 3, 5, 0.35),
+        "chain": build_chain_model(3, 3, 1.0, 0.8, 0.6, 0.7),
+        "explicit": parity_models()["explicit_even"],
+        "n_env_0": SpinModel(3, 0, system_bonds=((1, 2, 0.9, -0.3, 0.5), (2, 3, 0.4, 0.4, -0.2)),
+                             lam=0.5),
+        "n_env_1": SpinModel(2, 1, system_bonds=((1, 2, 0.9, -0.3, 0.5),),
+                             coupling_bonds=((1, 1, 0.3, -0.9, 0.2), (2, 1, 0.6, 0.6, 0.6)),
+                             lam=-0.8),
+    }
+
+
+class TestFullProduct:
+    """The composed FULL product against the dense oracle, for every input layout."""
+
+    @staticmethod
+    def layouts(dim, seed):
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        wide = rng.normal(size=(dim, 7)) + 1j * rng.normal(size=(dim, 7))
+        return {"vector": vec, "block": block, "real vector": vec.real, "real block": block.real,
+                "F-ordered": np.asfortranarray(block), "real F-ordered": np.asfortranarray(block.real),
+                "column slice": wide[:, 1:6:2], "real column slice": wide.real[:, ::3],
+                "one column": block[:, :1], "float32": block.real.astype(np.float32),
+                "complex64": block.astype(np.complex64)}
+
+    @pytest.mark.parametrize("name", sorted(full_product_models()))
+    def test_matches_dense_oracle(self, name, oracle):
+        m = full_product_models()[name]
+        h = oracle(m, "FULL")
+        for label, x in self.layouts(m.dim, 5).items():
+            before = x.copy()
+            out = apply_hamiltonian(m, "FULL", x)
+            assert out.shape == x.shape, label
+            assert out.dtype == np.result_type(x, float), label
+            ref = h @ x.astype(np.result_type(x, float))
+            assert np.abs(out - ref).max() < 1e-13 * max(1.0, np.abs(ref).max()), label
+            assert np.array_equal(x, before), label
+
+
 @contextmanager
 def streamed_kernel(model):
     """A fresh copy of model whose appliers stream their bonds, 4 rows at a time, with no matrix."""
@@ -232,21 +275,44 @@ class TestKernelModes:
         self.check_bounds(model)
 
     def test_csr_layout(self):
-        # 12 bytes per entry: the diagonal, then one int32-indexed entry per kept bond
+        # the kernels that serve products: H_E on its own space and FULL's narrow
+        # full-space matrix; 12 bytes per stored entry, the diagonal then one
+        # int32-indexed entry per kept bond, exact zeros dropped
         m = build_ring_model(2, 3, -1.0, 5, 7, 1.0)
-        h = hamiltonian._applier(m, "FULL").matrix
-        n_bonds = len(m.system_bonds) + len(m.env_bonds) + len(m.coupling_bonds)
-        assert h.indices.dtype == np.int32 and h.data.dtype == np.float64
-        assert h.nnz == m.dim * (1 + n_bonds)
-        assert not h.data.flags.writeable and not h.indices.flags.writeable
+        hamiltonian._applier(m, "FULL")
+        kernels = {"E": (m.dim_env, len(m.env_bonds)),
+                   hamiltonian._NARROW: (m.dim, len(m.system_bonds) + len(m.coupling_bonds))}
+        for part, (dim, n_bonds) in kernels.items():
+            h = m._appliers[part].matrix
+            assert h.shape == (dim, dim)
+            assert h.indices.dtype == np.int32 and h.data.dtype == np.float64
+            assert np.all(h.data != 0.0) and h.nnz == np.count_nonzero(h.toarray())
+            assert np.diff(h.indptr).max() <= 1 + n_bonds
+            assert not h.data.flags.writeable and not h.indices.flags.writeable
+        # the isotropic system bond stores no entry where its spins are parallel
+        narrow_width = 1 + len(m.system_bonds) + len(m.coupling_bonds)
+        assert m._appliers[hamiltonian._NARROW].matrix.nnz < m.dim * narrow_width
 
     def test_kernel_freed_with_model(self):
         m = build_ring_model(2, 3, -1.0, 5, 7, 1.0)
-        applier = weakref.ref(hamiltonian._applier(m, "FULL"))
-        assert hamiltonian._applier(m, "FULL") is applier()
-        del m
+        full = hamiltonian._applier(m, "FULL")
+        kernels = [weakref.ref(k) for k in (full, full.env, full.narrow)]
+        assert hamiltonian._applier(m, "FULL") is kernels[0]()
+        del m, full
         gc.collect()
-        assert applier() is None
+        assert all(k() is None for k in kernels)
+
+    def test_chebyshev_projection_holds_no_wide_kernel(self):
+        # FULL is composed, so no kernel of 2^N rows holds the environment bonds
+        m = build_ring_model(2, 10, -1.0, 3, 5, 1.0)
+        psi0 = random_state(m.dim, 4)[:, None]
+        list(canonical_thermal_state(m, psi0, [0.5]))
+        width = 1 + len(m.system_bonds) + len(m.coupling_bonds)
+        full_space = [k.matrix for k in m._appliers.values()
+                      if k.matrix is not None and k.matrix.shape[0] == m.dim]
+        assert full_space
+        for h in full_space:
+            assert np.diff(h.indptr).max() <= width and h.nnz <= m.dim * width
 
     def test_dense_cap_within_cached_kernels(self):
         # spectrum slices sector blocks out of the cached CSR matrix, which a streamed part lacks
