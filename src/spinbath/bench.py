@@ -396,7 +396,6 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
 
     per_beta = {beta: {m: np.empty(n_real) for m in ("sigma", "delta", "b", "delta_fit")}
                 for beta in config.beta_list}
-    sample_rows = {beta: [] for beta in config.beta_list}
     block_columns = max(1, _BLOCK_AMPLITUDES // model.dim)
     for start in range(0, n_real, block_columns):
         stop = min(start + block_columns, n_real)
@@ -408,27 +407,19 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
                                             traced_env=True)
         for beta, (states, _) in zip(config.beta_list, projected):
             rep = observe.measure_state(states, n_sys, hs_spec, beta_ref=beta)
-            _store(per_beta[beta], sample_rows[beta], rep, (n_sys, n_env, lam, beta),
-                   range(start, stop), with_theory)
+            for name, values in per_beta[beta].items():
+                values[start:stop] = getattr(rep, name)
+    extra = ("", "", "") if with_theory else ("",)
     for beta in config.beta_list:
-        rows.extend(sample_rows[beta])
         prefix = (n_sys, n_env, lam, beta)
+        samples = zip(*(values.tolist() for values in per_beta[beta].values()))
+        rows.extend(prefix + (r, *values) + extra for r, values in enumerate(samples))
         agg = _aggregate_rows(prefix, per_beta[beta], columns_after=3 if with_theory else 1)
         if with_theory:
             ts, td = theory_vals[beta]
             agg[0] = agg[0][:-3] + (ts, td, "")
         rows.extend(agg)
     return rows
-
-
-def _store(acc, sample_rows, rep, prefix, realizations, with_theory):
-    """Sample rows and accumulated measures of one block of realizations at one beta."""
-    measures = ("sigma", "delta", "b", "delta_fit")
-    for name in measures:
-        acc[name][realizations.start:realizations.stop] = getattr(rep, name)
-    extra = ("", "", "") if with_theory else ("",)
-    columns = zip(realizations, *(getattr(rep, name).tolist() for name in measures))
-    sample_rows.extend(prefix + values + extra for values in columns)
 
 
 def _run_static(config: ExperimentConfig, with_theory: bool) -> ResultTable:

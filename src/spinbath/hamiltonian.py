@@ -304,11 +304,6 @@ class _Applier:
             out[rows] = acc
         return out
 
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        state = _contiguous(state)
-        _check_dim(state, self.dim)
-        return self.product(_float_view(state, self.dim)).view(state.dtype).reshape(state.shape)
-
 
 class _Composed:
     """FULL as (H_E (x) 1_S) x + (1_E (x) H_S + lam H_SE) x, with no matrix of all the bonds.
@@ -326,17 +321,11 @@ class _Composed:
         self.env, self.narrow = env, narrow
         self.dim = narrow.dim
 
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        state = _contiguous(state)
-        _check_dim(state, self.dim)
-        out = self.env.product(_float_view(state, self.env.dim))
-        out += self.narrow.product(_float_view(state, self.dim)).reshape(out.shape)
-        return out.view(state.dtype).reshape(state.shape)
-
-
-def _check_dim(state, dim):
-    if state.shape[0] != dim:
-        raise DimensionError(f"state dimension {state.shape[0]} != {dim}")
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """H x for a real C-ordered (dim, m) matrix x."""
+        out = self.env.product(x.reshape(self.env.dim, -1))
+        out += self.narrow.product(x).reshape(out.shape)
+        return out.reshape(x.shape)
 
 
 def _applier(model: SpinModel, part: str):
@@ -364,8 +353,13 @@ def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndar
     may be a vector or a (dim, k) batch of columns, in any memory order (a
     block that is not C-ordered is copied once); the result has the dtype
     ``result_type(state, float)`` and is not normalized (the map is linear).
+    The kernels' ``product`` only sees the block's real (dim, m) float view.
     """
-    return _applier(model, part)(np.asarray(state))
+    kernel = _applier(model, part)
+    state = _contiguous(np.asarray(state))
+    if state.shape[0] != kernel.dim:
+        raise DimensionError(f"state dimension {state.shape[0]} != {kernel.dim}")
+    return kernel.product(_float_view(state, kernel.dim)).view(state.dtype).reshape(state.shape)
 
 
 def apply_site_operator(model: SpinModel, part: str, site: int, axis: str, state: np.ndarray):

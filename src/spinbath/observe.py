@@ -20,7 +20,6 @@ gives floats.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -121,30 +120,10 @@ def reduce_to_system(state: np.ndarray, n_system: int,
     return ReducedDensityMatrix(rho if state.ndim == 2 else rho[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_pairs(dim: int):
-    """Read-only row and column indices of the strict upper triangle, once per dimension."""
-    i, j = np.triu_indices(dim, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
 def sigma(rdm: ReducedDensityMatrix) -> float | np.ndarray:
     """Root-sum-square of the strictly upper-triangular moduli."""
-    i, j = _upper_pairs(rdm.dim)
+    i, j = np.triu_indices(rdm.dim, 1)
     return _float_or_array(np.sqrt(np.sum(np.abs(rdm.matrix[..., i, j]) ** 2, axis=-1)))
-
-
-@functools.lru_cache(maxsize=8)
-def _distinct_pairs(energy_bytes: bytes, width: float):
-    """Index pairs i < j of distinct energies, once per spectrum (keyed by its float64 bytes)."""
-    energies = np.frombuffer(energy_bytes)
-    tol = ENERGY_TOL_FACTOR * (width if width > 0 else 1.0)
-    i, j = _upper_pairs(len(energies))
-    keep = np.abs(energies[i] - energies[j]) > tol
-    i, j = i[keep], j[keep]
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
 
 
 def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float | np.ndarray:
@@ -155,7 +134,10 @@ def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float | np
     equal the fit is undefined.
     """
     e = hs_spectrum.eigenvalues
-    i, j = _distinct_pairs(np.asarray(e, dtype=float).tobytes(), hs_spectrum.width)
+    width = hs_spectrum.width
+    i, j = np.triu_indices(len(e), 1)
+    distinct = np.abs(e[i] - e[j]) > ENERGY_TOL_FACTOR * (width if width > 0 else 1.0)
+    i, j = i[distinct], j[distinct]
     if len(i) == 0:
         raise FitError("all system energies are equal; b is undefined")
     diag = rdm.diagonal
@@ -206,7 +188,9 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
     for beta_ref.  Each chunk runs one Chebyshev recurrence from the state
     at its start to the next m times (a real_time_plan over the grid dt,
     2 dt, ..., m dt) and measures the (dim, m) block in one measure_state
-    call; the next chunk starts from the chunk's last column.  m is
+    call; that block is the view of a points-major recurrence block, so its
+    transpose is C-contiguous and the reduction copies nothing.  The next
+    chunk starts from the chunk's last column.  m is
     _TRACE_CHUNK, fewer when m * dim would pass _BLOCK_AMPLITUDES, and the
     last chunk may be shorter; each grid length is planned once.
     """

@@ -33,8 +33,11 @@ initial states and a list of betas and has two backends.
 ``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
 those factors or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
 exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) runs the
-same recurrence: a plan over a time grid t_1..t_m gives every exp(-i t_j H)
-|psi> from one recurrence, each time with its own coefficient column.
+same recurrence.  Every ChebyshevPlan is a grid of points, one coefficient
+column each; a float t or beta is the one-point grid.  The recurrence fills
+one points-major (points, *state.shape) block, each row stopping at its
+point's own order, so a time grid t_1..t_m gives every exp(-i t_j H)|psi>
+from one recurrence, and the beta rows are normalized in place.
 """
 
 from __future__ import annotations
@@ -81,32 +84,39 @@ def random_state(dim: int, seed) -> np.ndarray:
 
 @dataclass
 class ChebyshevPlan:
-    """Retained expansion coefficients of exp(-i t H) or exp(-beta H / 2) at a point or a grid.
+    """Retained expansion coefficients of exp(-i t H) or exp(-beta H / 2) on a grid of points.
 
     The spectrum is mapped onto [-1, 1] via (e_min, e_max).  ``at`` is the
-    t or beta the plan expands, a float or a 1-D grid.  For a float,
-    ``coefficients`` is the vector c_0..c_order; for a grid it is an
-    (order + 1, len(at)) array with one column per point, zero past that
-    column's own order in ``orders`` (``order`` is the largest).  The
-    coefficients carry the full term weights (2 - delta_k0 and the i^k /
-    sign factors); the scalar prefactor exp(log_prefactor) * phase, one per
-    point, is applied at the end.
+    1-D grid of t or beta the plan expands; a plan made at one float is the
+    one-point grid.  ``coefficients`` is an (order + 1, len(at)) array with
+    one column per point, zero past that point's own order; ``order`` and
+    ``point_orders`` are read off it.  The coefficients carry the full term
+    weights (2 - delta_k0 and the i^k / sign factors); the scalar prefactor
+    exp(log_prefactor) * phase, one entry per point, is applied at the end.
     """
 
     e_min: float
     e_max: float
-    order: int
     coefficients: np.ndarray
-    at: float | np.ndarray
-    orders: tuple[int, ...]
-    log_prefactor: float | np.ndarray = 0.0
-    phase: complex | np.ndarray = 1.0 + 0j
+    at: np.ndarray
+    log_prefactor: np.ndarray
+    phase: np.ndarray
 
     def __post_init__(self):
         if self.e_max <= self.e_min:
             raise ValueError("need e_max > e_min")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        if self.coefficients.ndim != 2 or self.coefficients.shape[0] < 2:
+            raise ValueError("coefficients must be an (order + 1, points) grid with order >= 1")
+
+    @property
+    def order(self) -> int:
+        """The largest point order: the recurrence's length."""
+        return self.coefficients.shape[0] - 1
+
+    @property
+    def point_orders(self) -> np.ndarray:
+        """Each point's order: the index of its column's last nonzero coefficient."""
+        return self.order - np.argmax(self.coefficients[::-1] != 0, axis=0)
 
 
 def _pad_bounds(bounds):
@@ -148,7 +158,7 @@ def _retained(series, n: int, expansion: str) -> np.ndarray:
 
 
 def _plan(bounds, at, column) -> ChebyshevPlan:
-    """The plan at a float ``at`` or at every point of a non-empty 1-D grid.
+    """The plan at every point of a float ``at`` (a one-point grid) or a non-empty 1-D grid.
 
     ``column(a, half, x)`` gives one point's (coefficients, log_prefactor,
     phase) for a spectrum of centre a and half-width half, so each grid
@@ -157,19 +167,14 @@ def _plan(bounds, at, column) -> ChebyshevPlan:
     e_min, e_max = _pad_bounds(bounds)
     a = 0.5 * (e_max + e_min)
     half = 0.5 * (e_max - e_min)
-    points = np.asarray(at, dtype=float)
+    points = np.atleast_1d(np.asarray(at, dtype=float))
     if points.ndim > 1 or points.size == 0:
-        raise ValueError(f"a plan is made at a float or a non-empty 1-D grid, got shape {points.shape}")
-    coeffs, log_prefactors, phases = zip(*(column(a, half, float(x)) for x in points.ravel()))
-    orders = tuple(len(c) - 1 for c in coeffs)
-    if points.ndim == 0:
-        return ChebyshevPlan(e_min, e_max, orders[0], coeffs[0], float(points), orders,
-                             log_prefactors[0], phases[0])
-    grid = np.zeros((max(orders) + 1, len(coeffs)), dtype=np.result_type(*coeffs))
+        raise ValueError(f"a plan is made at a float or a non-empty 1-D grid, got shape {np.shape(at)}")
+    coeffs, log_prefactors, phases = zip(*(column(a, half, float(x)) for x in points))
+    grid = np.zeros((max(len(c) for c in coeffs), len(coeffs)), dtype=np.result_type(*coeffs))
     for j, c in enumerate(coeffs):
         grid[: len(c), j] = c
-    return ChebyshevPlan(e_min, e_max, max(orders), grid, points, orders,
-                         np.array(log_prefactors), np.array(phases))
+    return ChebyshevPlan(e_min, e_max, grid, points, np.array(log_prefactors), np.array(phases))
 
 
 def real_time_plan(bounds, t):
@@ -201,18 +206,17 @@ def imaginary_time_plan(bounds, beta):
     return _plan(bounds, beta, column)
 
 
-def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> list[np.ndarray]:
-    """Clenshaw-free forward recurrence: sum_k c_k T_k(X) |state> for each column of the plan.
+def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.ndarray:
+    """Clenshaw-free forward recurrence: sum_k c_k T_k(X) |state> for each point of the plan.
 
-    T_k(X)|state> is computed once, up to plan.order, and each column's sum
-    stops at its own order.  Returns one array shaped like ``state`` per
-    column (a float plan has one column).
+    T_k(X)|state> is computed once, up to plan.order, and each point's sum
+    stops at its own order.  Returns the points-major (len(plan.at),
+    *state.shape) block whose row j is point j's sum.
     """
     if state.shape[0] != model.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != model dimension {model.dim}")
     a = 0.5 * (plan.e_max + plan.e_min)
     half = 0.5 * (plan.e_max - plan.e_min)
-    columns = list(zip(plan.orders, plan.coefficients.reshape(plan.order + 1, -1).T))
 
     def x_apply(v):
         # in place on the fresh matvec result: (H v - a v) / half, bit for bit
@@ -222,19 +226,21 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> lis
         return y
 
     t_prev = state.astype(complex)
-    accs = [c[0] * t_prev for _, c in columns]
     t_cur = x_apply(t_prev)
-    for (_, c), acc in zip(columns, accs):
-        acc += c[1] * t_cur
+    block = np.empty((len(plan.at), *state.shape), dtype=complex)
+    rows = list(zip(block, plan.coefficients.T, plan.point_orders.tolist()))
+    for row, c, _ in rows:
+        np.multiply(c[0], t_prev, out=row)
+        row += c[1] * t_cur
     for k in range(2, plan.order + 1):
         t_next = x_apply(t_cur)
         t_next *= 2.0
         t_next -= t_prev
-        for (order, c), acc in zip(columns, accs):
+        for row, c, order in rows:
             if k <= order:
-                acc += c[k] * t_next
+                row += c[k] * t_next
         t_prev, t_cur = t_cur, t_next
-    return accs
+    return block
 
 
 def evolve_real_time(model: SpinModel, state: np.ndarray, t: float | np.ndarray,
@@ -244,17 +250,19 @@ def evolve_real_time(model: SpinModel, state: np.ndarray, t: float | np.ndarray,
     ``t`` is a time or a 1-D grid of times; a grid appends one axis, so a
     vector state gives the (dim, len(t)) block of the states at every t,
     all from one recurrence.  A ``plan`` built by real_time_plan for the
-    same t may be supplied to avoid recomputing coefficients (e.g. when
-    stepping a time trace); a plan made for other times is refused.
+    same times may be supplied to avoid recomputing coefficients (e.g. when
+    stepping a time trace); a float t and the one-point grid [t] share a
+    plan, and a plan made for other times is refused.
     """
     if plan is None:
         plan = real_time_plan(energy_bounds(model), t)
-    elif not np.array_equal(plan.at, t):
+    elif not np.array_equal(plan.at, np.atleast_1d(t)):
         raise ValueError(f"plan made for t = {plan.at}, not for t = {t}")
-    columns = _apply_plan(model, plan, state)
-    if np.ndim(plan.at) == 0:
-        return plan.phase * columns[0]
-    return np.stack([phase * column for phase, column in zip(plan.phase, columns)], axis=-1)
+    block = _apply_plan(model, plan, state)
+    for row, phase in zip(block, plan.phase):
+        # phase first: numpy's complex product is not bitwise symmetric in its operands
+        np.multiply(phase, row, out=row)
+    return block[0] if np.ndim(t) == 0 else np.moveaxis(block, 0, -1)
 
 
 def real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -395,7 +403,7 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
     if not positive:
         return [_unprojected(psi0) for _ in betas]
     plan = imaginary_time_plan(energy_bounds(model), positive)
-    raws = _apply_plan(model, plan, psi0)
+    raws = _apply_plan(model, plan, psi0)    # one (dim, k) row per beta, normalized in place
     # each column's norm as a vector's, so no column's result depends on its block
     psi0_norm, *raw_norms = (np.array([np.linalg.norm(c) for c in x.T]) for x in (psi0, *raws))
     # The scaled series sums to exp(-z(x - x_min)) profiles with terms of

@@ -7,6 +7,7 @@ from spinbath import propagate
 from spinbath.errors import ChebyshevOrderError, DimensionError, ModelError
 from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model, energy_bounds
 from spinbath.propagate import (
+    ChebyshevPlan,
     alternating_product_state,
     canonical_thermal_state,
     evolve_real_time,
@@ -250,7 +251,8 @@ class TestCanonicalThermalState:
         def x_apply(v):
             return (propagate.apply_hamiltonian(m, "FULL", v) - a * v) / half
 
-        columns = list(zip(plan.orders, plan.coefficients.T))
+        orders = [int(np.flatnonzero(c)[-1]) for c in plan.coefficients.T]
+        columns = list(zip(orders, plan.coefficients.T))
         t_prev = psi0.astype(complex)
         t_cur = x_apply(t_prev)
         accs = [c[0] * t_prev + c[1] * t_cur for _, c in columns]
@@ -261,7 +263,8 @@ class TestCanonicalThermalState:
                     acc += c[k] * t_next
             t_prev, t_cur = t_cur, t_next
         got = propagate._apply_plan(m, plan, psi0)
-        assert plan.orders[0] < plan.orders[1] == plan.order
+        assert orders[0] < orders[1] == plan.order
+        assert got.shape == (2, *psi0.shape)
         assert all(np.array_equal(g, r) for g, r in zip(got, accs, strict=True))
 
     def test_typicality_energy_estimate(self):
@@ -474,10 +477,32 @@ class TestEvolveRealTime:
         bounds = energy_bounds(m)
         for t, plan in [(1.0, real_time_plan(bounds, 2.0)),
                         ([0.5, 1.0], real_time_plan(bounds, [0.5, 1.5])),
-                        ([0.5], real_time_plan(bounds, 0.5)),
-                        (0.5, real_time_plan(bounds, [0.5]))]:
+                        ([0.5], real_time_plan(bounds, 1.0)),
+                        (0.5, real_time_plan(bounds, [0.5, 1.0]))]:
             with pytest.raises(ValueError, match="plan made for t"):
                 evolve_real_time(m, psi, t, plan)
+        # a float t and the one-point grid [t] are the same plan; t sets the shape
+        alone = evolve_real_time(m, psi, 0.5)
+        assert np.array_equal(evolve_real_time(m, psi, 0.5, real_time_plan(bounds, [0.5])), alone)
+        assert np.array_equal(evolve_real_time(m, psi, [0.5], real_time_plan(bounds, 0.5)),
+                              alone[:, None])
+
+    def test_float_plan_is_one_point_grid(self):
+        # every field has one type however the plan was made, and the orders
+        # are read off the zero-padded coefficient grid
+        bounds = energy_bounds(build_ring_model(2, 4, -1.0, 3, 9, 1.0))
+        for make, x in ((real_time_plan, 2.0), (imaginary_time_plan, 0.9)):
+            plan, grid = make(bounds, x), make(bounds, [x])
+            assert plan.at.shape == plan.log_prefactor.shape == plan.phase.shape == (1,)
+            assert plan.coefficients.shape == (plan.order + 1, 1)
+            for name in ("coefficients", "at", "log_prefactor", "phase"):
+                assert np.array_equal(getattr(plan, name), getattr(grid, name))
+            assert isinstance(plan.order, int) and plan.point_orders.tolist() == [plan.order]
+            assert plan.coefficients[plan.order, 0] != 0.0
+            padded = ChebyshevPlan(plan.e_min, plan.e_max,
+                                   np.vstack([plan.coefficients, np.zeros((3, 1))]),
+                                   plan.at, plan.log_prefactor, plan.phase)
+            assert padded.order == plan.order + 3 and padded.point_orders.tolist() == [plan.order]
 
     def test_grid_plan_columns_match_single_point_plans(self):
         # each column of a grid plan, and of the states it evolves to, is
@@ -489,15 +514,16 @@ class TestEvolveRealTime:
         for make, grid in ((real_time_plan, times), (imaginary_time_plan, [0.3, 0.9, 2.0])):
             plan = make(bounds, grid)
             assert plan.coefficients.shape == (plan.order + 1, len(grid))
-            assert plan.order == max(plan.orders) and isinstance(plan.order, int)
+            assert plan.order == max(plan.point_orders) and isinstance(plan.order, int)
             for j, x in enumerate(grid):
                 single = make(bounds, float(x))
-                assert single.coefficients.ndim == 1 and single.orders == (single.order,)
-                assert plan.orders[j] == single.order
-                assert np.array_equal(plan.coefficients[: single.order + 1, j], single.coefficients)
+                assert single.coefficients.shape == (single.order + 1, 1)
+                assert plan.point_orders[j] == single.order
+                assert np.array_equal(plan.coefficients[: single.order + 1, j],
+                                      single.coefficients[:, 0])
                 assert not plan.coefficients[single.order + 1:, j].any()
-                assert plan.log_prefactor[j] == single.log_prefactor
-                assert plan.phase[j] == single.phase
+                assert plan.log_prefactor[j] == single.log_prefactor[0]
+                assert plan.phase[j] == single.phase[0]
         block = evolve_real_time(m, psi, times)
         assert block.shape == (m.dim, len(times))
         for j, t in enumerate(times):
