@@ -27,6 +27,7 @@ from .propagate import (
     normalization_diagnostic,
     projection_spectrum,
     random_state,
+    spectral_bounds,
 )
 from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, thermo
 from .theory import (

@@ -23,6 +23,7 @@ from .propagate import (
     normalization_diagnostic,
     projection_spectrum,
     random_state,
+    spectral_bounds,
 )
 from .seeds import spawn_rng
 from .spectrum import diagonalize, diagonalize_sectors
@@ -285,9 +286,12 @@ def criterion_7(ctx: Context) -> CriterionResult:
     model = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
     hs = diagonalize(model, SYSTEM)
     psi0 = random_state(model.dim, (MASTER_SEED, "c7", 0))[:, None]
-    (states, _), = canonical_thermal_state(model, psi0, [beta], projection_spectrum(model, "exact"))
-    state = states[:, 0]
-    rows = observe.trace_time_series(model, state, 300.0, 0.5, hs, beta_ref=beta)
+    spectrum = projection_spectrum(model, "exact")
+    (states, _), = canonical_thermal_state(model, psi0, [beta], spectrum)
+    bounds = spectral_bounds(model, *spectrum)
+    del spectrum        # the trace holds no sector eigenvectors
+    rows = observe.trace_time_series(model, states[:, 0], 300.0, 0.5, hs, beta_ref=beta,
+                                     bounds=bounds)
     sig = np.array([r[1] for r in rows])
     max_dev = float(np.abs(sig - sig.mean()).max())
     ratio = max_dev / sig.std(ddof=1)

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import observe, theory
 from .errors import ConfigError, ModelError, SpinBathError
-from .hamiltonian import (DEFAULT_SIZE_CAP, SYSTEM, SpinModel, build_chain_model,
-                          build_ring_model)
+from .hamiltonian import (DEFAULT_SIZE_CAP, ENVIRONMENT, SYSTEM, SpinModel,
+                          build_chain_model, build_ring_model)
 from .propagate import (
     _BLOCK_AMPLITUDES,
     alternating_product_state,
@@ -36,10 +36,11 @@ from .propagate import (
     normalization_diagnostic,
     projection_spectrum,
     random_state,
+    spectral_bounds,
 )
 from .propagate import real_matmul  # noqa: F401  (a binding benchmark/tracer.py expects)
 from .seeds import realization_seed
-from .spectrum import diagonalize
+from .spectrum import diagonalize, diagonalize_sectors
 from .theory import first_order_symmetry_trace
 
 CSV_SCHEMA_VERSION = "spinbath-csv v1"
@@ -480,15 +481,27 @@ def _time_trace(config: ExperimentConfig, n_sys: int, n_env: int, lam: float, be
     model = config.build_model(n_sys, n_env, lam)
     hs_spec = diagonalize(model, SYSTEM)
     seed = realization_seed(config.master_seed, config.structure_key(n_sys, n_env), 0)
-    if config.initial_state == "x":
-        psi0 = random_state(model.dim, seed)[:, None]
-        (states, _), = canonical_thermal_state(model, psi0, [beta],
-                                               projection_spectrum(model, config.method))
-        state = states[:, 0]
-    else:
-        state = alternating_product_state(model, beta, seed)
+    state, bounds = _trace_start(config, model, hs_spec, beta, seed)
     return observe.trace_time_series(model, state, config.t_max, config.dt,
-                                     hs_spec, beta_ref=beta)
+                                     hs_spec, beta_ref=beta, bounds=bounds)
+
+
+def _trace_start(config: ExperimentConfig, model: SpinModel, hs_spec, beta: float, seed):
+    """A time trace's initial state and the bounds its expansion runs on.
+
+    The spectra solved to prepare the state give the bounds (spectral_bounds)
+    and are dropped on return, so no sector eigenvectors are held during the
+    trace; without them (Chebyshev projection) the bounds are None, which
+    the trace reads as Gershgorin's.
+    """
+    if config.initial_state == "x":
+        spectrum = projection_spectrum(model, config.method)
+        psi0 = random_state(model.dim, seed)[:, None]
+        (states, _), = canonical_thermal_state(model, psi0, [beta], spectrum)
+        return states[:, 0], spectral_bounds(model, *spectrum) if spectrum is not None else None
+    env_spec = diagonalize_sectors(model, ENVIRONMENT)
+    return (alternating_product_state(model, beta, seed, env_spec),
+            spectral_bounds(model, env_spec, hs_spec))
 
 
 def _run_symmetry(config: ExperimentConfig) -> ResultTable:

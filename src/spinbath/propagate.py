@@ -33,11 +33,13 @@ initial states and a list of betas and has two backends.
 ``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
 those factors or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
 exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) runs the
-same recurrence.  Every ChebyshevPlan is a grid of points, one coefficient
-column each; a float t or beta is the one-point grid.  The recurrence fills
-one points-major (points, *state.shape) block, each row stopping at its
-point's own order, so a time grid t_1..t_m gives every exp(-i t_j H)|psi>
-from one recurrence, and the beta rows are normalized in place.
+same recurrence, on Gershgorin bounds or, where spectra were solved anyway,
+on the tighter ``spectral_bounds`` they give.  Every ChebyshevPlan is a
+grid of points, one coefficient column each; a float t or beta is the
+one-point grid.  The recurrence fills one points-major (points,
+*state.shape) block, each row stopping at its point's own order, so a time
+grid t_1..t_m gives every exp(-i t_j H)|psi> from one recurrence, and the
+beta rows are normalized in place.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ import numpy as np
 from scipy.special import ive, jv
 
 from .errors import ChebyshevOrderError, DimensionError, ModelError
-from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian, energy_bounds
+from .hamiltonian import (COUPLING, ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian,
+                          energy_bounds)
 from .seeds import spawn_rng
 from .spectrum import SpectrumSummary, diagonalize_sectors
 from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py expects)
@@ -58,6 +61,7 @@ from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
 EXACT_AUTO_DIM = 2**12         # "auto" projects exactly up to this dimension
+SPECTRAL_PAD = 1e-8            # relative pad of spectral_bounds (eigh errs by about 1e-12)
 # amplitudes held in one block of states: a projection's realizations, a
 # time trace's output times (256 columns at 2^12, one column from 2^20 on)
 _BLOCK_AMPLITUDES = 2**20
@@ -126,6 +130,44 @@ def _pad_bounds(bounds):
         # map is defined, the expansion then reduces to the exact scalar
         e_min, e_max = e_min - 0.5, e_max + 0.5
     return e_min, e_max
+
+
+def spectral_bounds(model: SpinModel, *spectra: SpectrumSummary) -> tuple[float, float]:
+    """Bounds on H's spectrum from spectra already solved, for expansions that hold them.
+
+    ``spectra`` is the full H's (one factor of dimension model.dim) or the
+    (H_E, H_S) pair, as projection_spectrum gives them; only their extreme
+    eigenvalues are read.  The extremes add (Weyl: the lowest eigenvalue of
+    a sum is at least the sum of the lowest ones), and a coupled model given
+    only its parts adds lam times the Gershgorin bounds of H_SE.  The result
+    is padded by SPECTRAL_PAD of its width, far past eigh's rounding and
+    too little to move an expansion's order, and clipped to the Gershgorin
+    bounds energy_bounds(model), which contain the spectrum as well.
+    Extremes outside their own part's Gershgorin bounds belong to another
+    model and raise ValueError.
+    """
+    dims = tuple(s.dim for s in spectra)
+    if dims == (model.dim,):
+        parts = (FULL,)
+    elif dims == (model.dim_env, model.dim_system):
+        parts = (ENVIRONMENT, SYSTEM)
+    else:
+        raise ValueError(f"spectra of dimensions {dims} are neither H's ({model.dim},) "
+                         f"nor the (H_E, H_S) pair ({model.dim_env}, {model.dim_system})")
+    lo = hi = 0.0
+    for part, s in zip(parts, spectra):
+        e_min, e_max = float(s.eigenvalues[0]), float(s.eigenvalues[-1])
+        g_min, g_max = energy_bounds(model, part)
+        if e_min < g_min or e_max > g_max:
+            raise ValueError(f"spectrum ({e_min:.6g}, {e_max:.6g}) lies outside the Gershgorin "
+                             f"bounds ({g_min:.6g}, {g_max:.6g}) of part {part}: another model's")
+        lo, hi = lo + e_min, hi + e_max
+    if parts != (FULL,) and model.lam != 0.0 and model.coupling_bonds:
+        c_min, c_max = sorted(model.lam * b for b in energy_bounds(model, COUPLING))
+        lo, hi = lo + c_min, hi + c_max
+    pad = SPECTRAL_PAD * (hi - lo)
+    g_min, g_max = energy_bounds(model)
+    return max(lo - pad, g_min), min(hi + pad, g_max)
 
 
 def _truncate(coeffs: np.ndarray):
@@ -484,13 +526,16 @@ def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary,
     return (diagonalize_sectors(model, FULL),)
 
 
-def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray:
+def alternating_product_state(model: SpinModel, beta: float, seed,
+                              env_spectrum: SpectrumSummary) -> np.ndarray:
     """Product initial state: system up-down-up-... , environment thermal.
 
     The system factor is the basis state with site 1 up, site 2 down and so
     on; the environment factor is a canonical thermal state of H_E alone at
-    inverse temperature beta (drawn per seed).  This is the relaxation
-    starting point used alongside canonical thermal states of the entirety.
+    inverse temperature beta (drawn per seed), projected on
+    ``env_spectrum``, H_E's diagonalize_sectors, which the caller keeps for
+    the trace's bounds.  This is the relaxation starting point used
+    alongside canonical thermal states of the entirety.
     """
     if model.n_env < 1:
         raise ModelError("product state needs an environment")
@@ -499,9 +544,8 @@ def alternating_product_state(model: SpinModel, beta: float, seed) -> np.ndarray
         sys_index |= 1 << (site - 1)
     sys_vec = np.zeros(model.dim_system, dtype=complex)
     sys_vec[sys_index] = 1.0
-    env_spec = diagonalize_sectors(model, ENVIRONMENT)
     env0 = random_state(model.dim_env, seed)[:, None]
-    (env_vec, _), = _exact_projections((env_spec,), env0, [beta], traced_env=False)
+    (env_vec, _), = _exact_projections((env_spectrum,), env0, [beta], traced_env=False)
     return np.kron(env_vec[:, 0], sys_vec)
 
 

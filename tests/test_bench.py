@@ -324,6 +324,40 @@ class TestOtherModes:
         assert len(ts) == 11 and ts[0] == 0.0 and ts[-1] == 5.0
         assert any(r["t"] == "mean" for r in table.dicts())
 
+    @pytest.mark.parametrize("initial_state", ["x", "ududy"])
+    def test_time_trace_expands_on_the_spectra_it_solved(self, initial_state, monkeypatch):
+        # the x state's projection spectrum, or the product state's H_E sectors
+        # (solved once) with H_S, bound the trace's expansion
+        from spinbath import propagate
+        from spinbath.propagate import spectral_bounds
+        from spinbath.spectrum import diagonalize, diagonalize_sectors
+
+        cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
+                          beta_list=(0.8,), t_max=1.0, dt=0.5, initial_state=initial_state)
+        solved, traced = [], []
+
+        def counted(model, part):
+            solved.append(part)
+            return diagonalize_sectors(model, part)
+
+        def trace(*args, bounds, **kwargs):
+            traced.append(bounds)
+            return []
+
+        monkeypatch.setattr(bench, "diagonalize_sectors", counted)
+        monkeypatch.setattr(propagate, "diagonalize_sectors", counted)
+        monkeypatch.setattr(bench.observe, "trace_time_series", trace)
+        bench.run(cfg)
+        model = cfg.build_model(2, 6, 1.0)
+        if initial_state == "x":
+            assert solved == ["FULL"]
+            expected = spectral_bounds(model, diagonalize_sectors(model, "FULL"))
+        else:
+            assert solved == ["E"]
+            expected = spectral_bounds(model, diagonalize_sectors(model, "E"),
+                                       diagonalize(model, "S"))
+        assert traced == [expected]
+
     def test_default_t_burn_leaves_aggregate_rows(self):
         # the default burn-in is at most half the trace, so a default trace has late samples
         cfg = make_config(mode="time_trace", n_sys_list=(2,), n_env_list=(3,),

@@ -15,7 +15,7 @@ from spinbath.observe import (
 )
 from spinbath.propagate import (canonical_thermal_state, evolve_real_time, projection_spectrum,
                                 random_state)
-from spinbath.spectrum import SpectrumSummary, diagonalize
+from spinbath.spectrum import SpectrumSummary, diagonalize, diagonalize_sectors
 
 
 def thermal_state(model, beta, seed, method="auto"):
@@ -372,6 +372,34 @@ class TestTraceTimeSeries:
         assert [r[0] for r in rows] == [r[0] for r in chunked]
         assert max(abs(a - b) for row, c in zip(rows, chunked) for a, b in zip(row, c)) < 1e-12
 
+    def test_spectral_bounds_match_gershgorin_trace_in_fewer_matvecs(self, monkeypatch):
+        import spinbath.propagate as propagate
+
+        m = build_ring_model(4, 6, -1.0, 23, 29, 1.0)
+        hs = diagonalize(m, "S")
+        spectrum = projection_spectrum(m, "exact")
+        psi0 = random_state(m.dim, 41)[:, None]
+        (states, _), = canonical_thermal_state(m, psi0, [0.9], spectrum)
+        bounds = propagate.spectral_bounds(m, *spectrum)
+        calls = []
+        apply = propagate.apply_hamiltonian
+
+        def counted(*args):
+            calls.append(1)
+            return apply(*args)
+
+        monkeypatch.setattr(propagate, "apply_hamiltonian", counted)
+        rows, n_calls = [], []
+        for b in (None, bounds):
+            calls.clear()
+            rows.append(trace_time_series(m, states[:, 0], 40.0, 0.5, hs, beta_ref=0.9, bounds=b))
+            n_calls.append(len(calls))
+        gershgorin, spectral = rows
+        assert [r[0] for r in spectral] == [r[0] for r in gershgorin]
+        assert max(abs(a - b) for r, g in zip(spectral, gershgorin)
+                   for a, b in zip(r[1:], g[1:])) < 1e-12
+        assert n_calls[1] < 0.75 * n_calls[0]
+
     def test_x_state_stationary_small(self):
         m = build_ring_model(2, 4, -1.0, 5, 6, 1.0)
         hs = diagonalize(m, "S")
@@ -389,10 +417,11 @@ class TestTraceTimeSeries:
 
         m = build_ring_model(4, 6, -1.0, 23, 29, 1.0)
         hs = diagonalize(m, "S")
+        env = diagonalize_sectors(m, "E")
         beta = 0.9
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # early diagonals touch the log floor
-            ud_rows = trace_time_series(m, alternating_product_state(m, beta, 7),
+            ud_rows = trace_time_series(m, alternating_product_state(m, beta, 7, env),
                                         200.0, 1.0, hs, beta_ref=beta)
         t = np.array([r[0] for r in ud_rows])
         sig = np.array([r[1] for r in ud_rows])

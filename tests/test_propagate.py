@@ -548,10 +548,88 @@ class TestEvolveRealTime:
         assert abs(st_.mean() - s0.mean()) < 5 * se
 
 
+RING_2_6 = (build_ring_model, (2, 6, -1.0, 5, 6))
+CHAIN_4_6 = (build_chain_model, (4, 6, 1.0, 1.0, 1.0))
+
+
+class TestSpectralBounds:
+    @staticmethod
+    def assert_valid(model, bounds):
+        """The bounds contain H's dense spectrum and lie inside its Gershgorin bounds."""
+        e = scipy.linalg.eigvalsh(dense_matrix(model))
+        g_min, g_max = energy_bounds(model)
+        assert g_min <= bounds[0] <= e[0] and e[-1] <= bounds[1] <= g_max
+
+    @pytest.mark.parametrize("build, args", [RING_2_6, CHAIN_4_6], ids=["ring_2_6", "chain_4_6"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_projection_spectra(self, build, args, lam):
+        # the full H's spectrum when coupled, the exact (H_E, H_S) sum at lam = 0
+        m = build(*args, lam)
+        spectrum = projection_spectrum(m, "exact")
+        assert len(spectrum) == (2 if lam == 0.0 else 1)
+        bounds = propagate.spectral_bounds(m, *spectrum)
+        self.assert_valid(m, bounds)
+        e = scipy.linalg.eigvalsh(dense_matrix(m))
+        assert np.allclose(bounds, (e[0], e[-1]), rtol=0, atol=1e-7 * (e[-1] - e[0]))
+
+    @pytest.mark.parametrize("build, args", [RING_2_6, CHAIN_4_6], ids=["ring_2_6", "chain_4_6"])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_coupled_parts_add_gershgorin_coupling(self, build, args, lam):
+        # the product-state trace's form: E_E + E_S + lam * Gershgorin(H_SE)
+        m = build(*args, lam)
+        env, hs = diagonalize_sectors(m, "E"), diagonalize(m, "S")
+        bounds = propagate.spectral_bounds(m, env, hs)
+        self.assert_valid(m, bounds)
+        c_min, c_max = energy_bounds(m, "SE")
+        weyl = (env.eigenvalues[0] + hs.eigenvalues[0] + lam * c_min,
+                env.eigenvalues[-1] + hs.eigenvalues[-1] + lam * c_max)
+        assert bounds[0] <= weyl[0] and bounds[1] >= weyl[1]
+
+    def test_tighter_than_gershgorin_on_rings(self):
+        m = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
+        lo, hi = propagate.spectral_bounds(m, *projection_spectrum(m, "exact"))
+        g_min, g_max = energy_bounds(m)
+        assert hi - lo < 0.5 * (g_max - g_min)
+        bounds = [(lo, hi), (g_min, g_max)]
+        orders = [real_time_plan(b, 0.5 * np.arange(1, 17)).order for b in bounds]
+        assert orders == [81, 141]
+
+    def test_other_models_spectrum_refused(self, monkeypatch):
+        ring = build_ring_model(2, 6, -1.0, 5, 6, 1.0)
+        chain = build_chain_model(2, 6, 1.0, 1.0, 1.0, 1.0)
+        ring_spectrum = projection_spectrum(ring, "exact")
+        with pytest.raises(ValueError, match="another model"):
+            propagate.spectral_bounds(chain, *ring_spectrum)
+        with pytest.raises(ValueError, match="dimensions"):
+            propagate.spectral_bounds(build_ring_model(2, 5, -1.0, 5, 6, 1.0), *ring_spectrum)
+        with pytest.raises(ValueError, match="dimensions"):
+            propagate.spectral_bounds(ring, *ring_spectrum, *ring_spectrum)
+        # a time trace prepared on the wrong spectrum stops before it has a state
+        from spinbath import bench
+
+        monkeypatch.setattr(bench, "projection_spectrum", lambda model, method: ring_spectrum)
+        monkeypatch.setattr(bench.observe, "trace_time_series",
+                            lambda *a, **k: pytest.fail("traced on another model's bounds"))
+        cfg = bench.ExperimentConfig(mode="time_trace", model="chain", j_iso=1.0, omega_iso=1.0,
+                                     delta_iso=1.0, n_sys_list=(2,), n_env_list=(6,),
+                                     lambda_list=(1.0,), beta_list=(0.9,), t_max=1.0, dt=0.5)
+        with pytest.raises(ValueError, match="another model"):
+            bench.run(cfg)
+
+    def test_real_time_on_spectral_bounds_matches_dense(self):
+        m = build_ring_model(2, 6, -1.0, 5, 6, 1.0)
+        bounds = propagate.spectral_bounds(m, *projection_spectrum(m, "exact"))
+        t = 100.0 / (bounds[1] - bounds[0])
+        psi = random_state(m.dim, 12)
+        out = evolve_real_time(m, psi, t, real_time_plan(bounds, t))
+        ref = scipy.linalg.expm(-1j * t * dense_matrix(m)) @ psi
+        assert np.abs(out - ref).max() < 1e-10
+
+
 class TestProductState:
     def test_alternating_pattern_and_norm(self):
         m = build_ring_model(4, 4, -1.0, 3, 5, 1.0)
-        state = alternating_product_state(m, 0.9, 5)
+        state = alternating_product_state(m, 0.9, 5, diagonalize_sectors(m, "E"))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
         # tracing out the environment leaves the pure up-down-up-down state
         rho = state.reshape(-1, 16)
@@ -561,7 +639,7 @@ class TestProductState:
     def test_needs_environment(self):
         m = SpinModel(2, 0, system_bonds=((1, 2, 1, 1, 1),))
         with pytest.raises(ModelError):
-            alternating_product_state(m, 1.0, 0)
+            alternating_product_state(m, 1.0, 0, None)
 
 
 class TestNormalizationDiagnostic:
