@@ -72,15 +72,15 @@ def calibrate(src: Path) -> dict:
             "random_state_per_s": draws / draws_s}
 
 
-def run_workload(root: Path, workload: str, seed: int) -> dict:
+def run_workload(root: Path, workload: str) -> dict:
     """One untraced benchmark run: its end-to-end medians and its run record."""
     done = subprocess.run([sys.executable, str(root / "benchmark" / "run.py"),
-                           "--workload", workload, "--seed", str(seed)],
+                           "--workload", workload, "--seed", str(DEFAULT_SEED)],
                           cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"benchmark/run.py --workload {workload} failed:\n{done.stderr[-4000:]}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    saved = root / "benchmark" / "runs" / f"{workload}-seed{seed}-trace0.json"
+    saved = root / "benchmark" / "runs" / f"{workload}-seed{DEFAULT_SEED}-trace0.json"
     record = json.loads(saved.read_text())["record"]
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "metrics": result["metrics"], "record": record}
@@ -136,7 +136,6 @@ def main() -> int:
     parser.add_argument("--pr", type=int, help="number of the change being recorded")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout to measure (default: this repository)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("-o", "--output", type=Path, help="default: BENCH_<pr>.json here")
     parser.add_argument("--check", nargs="+", metavar="FILE",
                         help="validate recorded files instead of recording")
@@ -147,9 +146,9 @@ def main() -> int:
         parser.error("--pr is required to record")
     root = args.root.resolve()
     declared = json.loads((root / "BENCHMARK.json").read_text())
-    workloads = {w["name"]: run_workload(root, w["name"], args.seed)
+    workloads = {w["name"]: run_workload(root, w["name"])
                  for w in declared["workloads"]}
-    doc = {"pr": args.pr, "seed": args.seed,
+    doc = {"pr": args.pr, "seed": DEFAULT_SEED,
            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
            "calibration": calibrate(root / "src"), "workloads": workloads}
     output = args.output or ROOT / f"BENCH_{args.pr}.json"

@@ -154,10 +154,11 @@ def spectral_bounds(model: SpinModel, *spectra: SpectrumSummary) -> tuple[float,
     else:
         raise ValueError(f"spectra of dimensions {dims} are neither H's ({model.dim},) "
                          f"nor the (H_E, H_S) pair ({model.dim_env}, {model.dim_system})")
+    full = energy_bounds(model)
     lo = hi = 0.0
     for part, s in zip(parts, spectra):
         e_min, e_max = float(s.eigenvalues[0]), float(s.eigenvalues[-1])
-        g_min, g_max = energy_bounds(model, part)
+        g_min, g_max = full if part == FULL else energy_bounds(model, part)
         if e_min < g_min or e_max > g_max:
             raise ValueError(f"spectrum ({e_min:.6g}, {e_max:.6g}) lies outside the Gershgorin "
                              f"bounds ({g_min:.6g}, {g_max:.6g}) of part {part}: another model's")
@@ -166,8 +167,7 @@ def spectral_bounds(model: SpinModel, *spectra: SpectrumSummary) -> tuple[float,
         c_min, c_max = sorted(model.lam * b for b in energy_bounds(model, COUPLING))
         lo, hi = lo + c_min, hi + c_max
     pad = SPECTRAL_PAD * (hi - lo)
-    g_min, g_max = energy_bounds(model)
-    return max(lo - pad, g_min), min(hi + pad, g_max)
+    return max(lo - pad, full[0]), min(hi + pad, full[1])
 
 
 def _truncate(coeffs: np.ndarray):
