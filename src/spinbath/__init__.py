@@ -28,6 +28,7 @@ from .propagate import (
     projection_spectrum,
     random_state,
     spectral_bounds,
+    traced_frame,
 )
 from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, thermo
 from .theory import (

@@ -24,6 +24,7 @@ from .propagate import (
     projection_spectrum,
     random_state,
     spectral_bounds,
+    traced_frame,
 )
 from .seeds import spawn_rng
 from .spectrum import diagonalize, diagonalize_sectors
@@ -190,9 +191,9 @@ def criterion_4(ctx: Context) -> CriterionResult:
     hs = diagonalize(model, SYSTEM)
     g_s = hs.ground_degeneracy
     block = np.column_stack([random_state(model.dim, (MASTER_SEED, "c4", r)) for r in range(200)])
-    (states, _), = canonical_thermal_state(model, block, [50.0],
-                                           projection_spectrum(model, "exact"), traced_env=True)
-    mean = float(np.mean(observe.measure_state(states, 4, hs).sigma))
+    spectrum = projection_spectrum(model, "exact")
+    (states, _), = canonical_thermal_state(model, block, [50.0], spectrum, traced_env=True)
+    mean = float(np.mean(observe.measure_state(states, 4, traced_frame(hs, spectrum)).sigma))
     passed = mean < 1e-3 and g_s == 1
     return CriterionResult(4, "g_S=1 low-temperature sigma collapse", passed,
                            f"mean sigma = {mean:.2e} at beta|J|=50 (g_S={g_s})",

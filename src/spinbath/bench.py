@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +38,7 @@ from .propagate import (
     projection_spectrum,
     random_state,
     spectral_bounds,
+    traced_frame,
 )
 from .propagate import real_matmul  # noqa: F401  (a binding benchmark/tracer.py expects)
 from .seeds import realization_seed
@@ -267,13 +269,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _field(value) -> str:
     """A CSV field as written: _fmt's text, quoted with inner quotes doubled if it holds , " or a line break.
 
     Only text is scanned: a float's repr and an int's digits never hold those.
+    A Python float or int, most of a table's fields, is rendered first,
+    with the text _fmt gives it; subclasses such as numpy.float64 take the
+    general path.
     """
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int:
+        return str(value)
     text = _fmt(value)
-    if isinstance(value, (int, float)) or not any(c in text for c in ',"\r\n'):
+    if isinstance(value, (int, float)) or not _NEEDS_QUOTES.search(text):
         return text
     return '"' + text.replace('"', '""') + '"'
 
@@ -303,7 +316,7 @@ class ResultTable:
             lines.append(f"# {key}={self.meta[key]}")
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(_field(v) for v in row))
+            lines.append(",".join([_field(v) for v in row]))
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -384,6 +397,8 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
     n_real = config.realizations(model.n_spins)
     hs_spec = diagonalize(model, SYSTEM)
     full_spec = projection_spectrum(model, config.method)
+    # traced blocks are measured in the frame they are projected in
+    hs_frame = traced_frame(hs_spec, full_spec)
     key = config.structure_key(n_sys, n_env)
     theory_vals = {}
     if with_theory:
@@ -407,7 +422,7 @@ def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
         projected = canonical_thermal_state(model, block, config.beta_list, full_spec,
                                             traced_env=True)
         for beta, (states, _) in zip(config.beta_list, projected):
-            rep = observe.measure_state(states, n_sys, hs_spec, beta_ref=beta)
+            rep = observe.measure_state(states, n_sys, hs_frame, beta_ref=beta)
             for name, values in per_beta[beta].items():
                 values[start:stop] = getattr(rep, name)
     extra = ("", "", "") if with_theory else ("",)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, FitError
 from .hamiltonian import SYSTEM, SpinModel, energy_bounds
-from .propagate import _BLOCK_AMPLITUDES, evolve_real_time, real_time_plan
+from .propagate import _BLOCK_AMPLITUDES, _transposed, evolve_real_time, real_time_plan
 from .spectrum import SpectrumSummary, diagonalize
 
 LOG_FLOOR = 1e-300          # diagonal entries are clipped here before log
@@ -73,19 +73,6 @@ class MeasureReport:
 def _float_or_array(values: np.ndarray):
     """A float for one matrix's reduction, the (k,) array for a stack's."""
     return float(values) if values.ndim == 0 else values
-
-
-_TILE_ROWS = 64     # rows per tile of _transposed: 64 x 256 complex columns is 256 KiB
-
-
-def _transposed(state: np.ndarray) -> np.ndarray:
-    """state.T as a C-contiguous array, copied tile by tile so each tile stays in cache."""
-    if state.ndim == 1 or state.T.flags.c_contiguous:
-        return np.ascontiguousarray(state.T)
-    out = np.empty(state.shape[::-1], dtype=state.dtype)
-    for start in range(0, state.shape[0], _TILE_ROWS):
-        out[:, start:start + _TILE_ROWS] = state[start:start + _TILE_ROWS].T
-    return out
 
 
 def reduce_to_system(state: np.ndarray, n_system: int,

@@ -21,9 +21,12 @@ initial states and a list of betas and has two backends.
   for factor axis i it is viewed as (before, d_i, after) and multiplied
   along the middle axis by real GEMMs on its float view (real_matmul).
   Each column is normalized through its weights in the eigenbasis, where
-  its norm is a weighted sum of squares.  A caller that only traces E out
-  passes ``traced_env=True``, and an uncoupled block then skips the H_E
-  back transform;
+  its norm is one GEMV of the squared weights against |coefficients|^2.  A
+  caller that only traces E out and measures passes ``traced_env=True``:
+  an uncoupled block then stays in the product eigenbasis on both axes,
+  held realization-major so each beta is one weighting of one array, and
+  is measured in the H_S eigenbasis that ``traced_frame`` re-expresses in
+  H_S's sector-eigenbasis coordinates;
 - Chebyshev: without a spectrum, plan the whole beta grid at once and run
   one recurrence T_k(X)|psi_0> on the whole block up to the grid's largest
   order, accumulating every beta's expansion from it (the shared-vector
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ive, jv
@@ -326,6 +329,19 @@ def real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m @ x
 
 
+_TILE_ROWS = 64     # rows per tile of _transposed: 64 x 256 complex columns is 256 KiB
+
+
+def _transposed(state: np.ndarray) -> np.ndarray:
+    """state.T as a C-contiguous array, copied tile by tile so each tile stays in cache."""
+    if state.ndim == 1 or state.T.flags.c_contiguous:
+        return np.ascontiguousarray(state.T)
+    out = np.empty(state.shape[::-1], dtype=state.dtype)
+    for start in range(0, state.shape[0], _TILE_ROWS):
+        out[:, start:start + _TILE_ROWS] = state[start:start + _TILE_ROWS].T
+    return out
+
+
 def _unprojected(psi0: np.ndarray):
     """The beta = 0 result: the block itself and its squared column norms."""
     return psi0, np.linalg.norm(psi0, axis=0) ** 2
@@ -400,42 +416,48 @@ def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
     The block is viewed as (d_1, ..., d_m, k), factor i acting on axis i;
     exp(-beta/2 * sum_i eps_i) weights each product eigenvector, with every
     factor's ground energy (its lowest sorted eigenvalue) shifted out.  The
-    back transforms are orthogonal up to the gain G of _pair_gain, so the
-    squared norm of a projected column is sum w^2 |coeff0|^2 / G, read off
-    in the eigenbasis; the weights w / (G * norm) then give normalized
+    transforms are orthogonal up to the gain G of _pair_gain, so the squared
+    norm of a projected column is sum w^2 |coeff0|^2 / G, read off in the
+    eigenbasis by one GEMV of w^2 against |coeff0|^2, which is formed once
+    and realization-major.  The weights w / (G * norm) then give normalized
     columns straight out of the back transforms.
 
-    With ``traced_env`` and two factors (H_E, H_S) the H_E back transform
-    is left out, so the environment axis stays in H_E's eigenbasis; its
-    gain G_E leaves with it, and the weights w / (G * norm / sqrt(G_E))
-    keep the columns normalized.
+    With ``traced_env`` and two factors (H_E, H_S) there are no back
+    transforms: the coefficients are held as one C-ordered (k, dim) array,
+    each beta weights it by w / sqrt(G * norm^2), and the yielded (dim, k)
+    block is that array's transpose, beta = 0 included.
     """
     shape = tuple(f.dim for f in factors) + psi0.shape[1:]
     coeff0 = psi0.reshape(shape)
     for axis, f in enumerate(factors):
         coeff0 = _along_axis(_to_eigenbasis, f, coeff0, axis)
     coeff0 = coeff0.reshape(psi0.shape)
+    in_eigenbasis = traced_env and len(factors) == 2
+    if in_eigenbasis:
+        coeff0 = _transposed(coeff0)
+    # C-ordered (k, dim) on both paths, so their GEMVs give bitwise equal norms
+    rows = coeff0 if in_eigenbasis else coeff0.T
+    abs_sq = np.ascontiguousarray(rows.real ** 2 + rows.imag ** 2)
     shifted = functools.reduce(np.add.outer, [_coefficient_energies(f) - f.eigenvalues[0]
                                               for f in factors]).ravel()
     e0 = sum(f.eigenvalues[0] for f in factors)
     gain = math.prod(_pair_gain(f) for f in factors)
-    first_back = 1 if traced_env and len(factors) == 2 else 0
-    skipped_gain = _pair_gain(factors[0]) if first_back else 1
     for beta in betas:
         if beta == 0.0:
-            yield _unprojected(psi0)
+            states, norm_sq = _unprojected(psi0)
+            yield ((coeff0 / math.sqrt(gain)).T if in_eigenbasis else states), norm_sq
             continue
         w = np.exp(-0.5 * beta * shifted)
-        w_sq = w * w
-        # sum w^2 |coeff0|^2 per column, with no temporary block
-        raw_norm_sq = (np.einsum("i,ij,ij->j", w_sq, coeff0.real, coeff0.real)
-                       + np.einsum("i,ij,ij->j", w_sq, coeff0.imag, coeff0.imag)) / gain
-        raw = coeff0 * np.multiply.outer(w, 1.0 / (gain * np.sqrt(raw_norm_sq / skipped_gain)))
-        raw = raw.reshape(shape)
-        for axis in range(first_back, len(factors)):
-            raw = _along_axis(_from_eigenbasis, factors[axis], raw, axis)
+        raw_norm_sq = abs_sq @ (w * w) / gain
         with np.errstate(over="ignore", under="ignore"):
             norm_sq = raw_norm_sq * np.exp(-beta * e0)
+        if in_eigenbasis:
+            yield (coeff0 * np.multiply.outer(1.0 / np.sqrt(gain * raw_norm_sq), w)).T, norm_sq
+            continue
+        raw = coeff0 * np.multiply.outer(w, 1.0 / (gain * np.sqrt(raw_norm_sq)))
+        raw = raw.reshape(shape)
+        for axis, f in enumerate(factors):
+            raw = _along_axis(_from_eigenbasis, f, raw, axis)
         yield raw.reshape(psi0.shape), norm_sq
 
 
@@ -485,12 +507,16 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     never builds a dense matrix.
 
     ``traced_env=True`` is for callers that only trace the environment out
-    (reduce_to_system): with an uncoupled (H_E, H_S) spectrum, each beta > 0
-    block then keeps its environment axis in H_E's eigenbasis and skips
-    that back transform.  Tr_E does not see a unitary on E, so the reduced
-    density matrix is the same; the states are not, and must not be
-    evolved or embedded.  Coupled spectra, the Chebyshev backend and
-    beta = 0 ignore the flag.
+    and measure (reduce_to_system, measure_state): with an uncoupled
+    (H_E, H_S) spectrum, every block, beta = 0 included, is then left in
+    the product eigenbasis on both factor axes, as the coordinates
+    _to_eigenbasis gives them, and no back transform runs.  Tr_E does not
+    see a unitary on E, and rho_S is measured in the H_S eigenbasis
+    re-expressed in those coordinates, which traced_frame gives; the states
+    themselves are not computational-basis states and must not be evolved
+    or embedded.  Each block is the transpose of a C-contiguous (k, dim)
+    array, so the reduction copies nothing.  Coupled spectra and the
+    Chebyshev backend ignore the flag.
     """
     psi0 = np.asarray(psi0)
     if psi0.ndim != 2 or psi0.shape[0] != model.dim:
@@ -504,6 +530,26 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
         raise ValueError("the exact backend needs parity-sector factor spectra (projection_spectrum "
                          "or diagonalize_sectors) whose dimensions multiply to the model dimension")
     return _exact_projections(spectrum, psi0, betas, traced_env)
+
+
+def traced_frame(hs_spectrum: SpectrumSummary,
+                 spectrum: tuple[SpectrumSummary, ...] | None) -> SpectrumSummary:
+    """H_S's eigenbasis in the coordinates of canonical_thermal_state(..., traced_env=True) blocks.
+
+    ``hs_spectrum`` is diagonalize(model, SYSTEM), whose gauged eigenvectors
+    V are computational-basis columns.  Given an uncoupled (H_E, H_S)
+    spectrum, the traced blocks hold their system axis in the coordinates
+    of H_S's sector eigenbasis Q = _from_eigenbasis(1) / sqrt(_pair_gain),
+    so the same spectrum is returned with V re-expressed there as Q^T V:
+    measuring in it costs a D_S x D_S rotation of rho_S, not a pass over
+    the block.  Any other spectrum leaves the blocks in the computational
+    basis, and hs_spectrum is returned as it is.
+    """
+    if spectrum is None or len(spectrum) != 2:
+        return hs_spectrum
+    system = spectrum[1]
+    q = _from_eigenbasis(system, np.eye(system.dim)[None])[0] / math.sqrt(_pair_gain(system))
+    return replace(hs_spectrum, eigenvectors=q.T @ hs_spectrum.eigenvectors)
 
 
 def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:

@@ -245,6 +245,20 @@ class TestRun:
         again = bench.ResultTable.from_csv(table.to_csv())
         assert again.rows == table.rows
 
+        def reference_field(value):
+            # the rendering of every field before floats and ints took a fast path
+            text = "" if value is None or value == "" else (
+                repr(value) if isinstance(value, float) else str(value))
+            if isinstance(value, (int, float)) or not any(c in text for c in ',"\r\n'):
+                return text
+            return '"' + text.replace('"', '""') + '"'
+
+        values = [0.1, -0.0, 1.5e-300, float("inf"), float("nan"), 2.0**60, 0, -7, 10**20,
+                  True, None, "", "mean", 'x, "y"\r\nz', "a\nb", np.float64(0.25),
+                  np.float64(-1e-310), np.int64(3)]
+        for v in values:
+            assert bench._field(v) == reference_field(v), v
+
     def test_csv_rows_without_separators_unchanged(self):
         table = bench.run(make_config(n_realizations=3))
         lines = table.to_csv().splitlines()

@@ -389,7 +389,7 @@ class TestCanonicalThermalState:
 
 
 class TestTracedEnvironment:
-    """traced_env=True leaves an uncoupled block's H_E axis in H_E's eigenbasis."""
+    """traced_env=True leaves an uncoupled block in the product eigenbasis, measured by traced_frame."""
 
     BETAS = (0.0, 0.5, 5.0, 50.0)
 
@@ -405,12 +405,14 @@ class TestTracedEnvironment:
         assert propagate._pair_gain(factors[0]) == (1 if model.n_env % 2 else 2)
         hs = diagonalize(model, "S")
         psi0 = random_block(model, range(16))
+        frame = propagate.traced_frame(hs, factors)
         traced = canonical_thermal_state(model, psi0, self.BETAS, factors, traced_env=True)
         rotated = canonical_thermal_state(model, psi0, self.BETAS, factors)
         for beta, (st, nt), (sr, nr) in zip(self.BETAS, traced, rotated, strict=True):
             assert np.array_equal(nt, nr)
             assert np.abs(np.linalg.norm(st, axis=0) - 1.0).max() < 1e-13
-            rt, rr = (measure_state(s, model.n_system, hs, beta_ref=beta) for s in (st, sr))
+            rt = measure_state(st, model.n_system, frame, beta_ref=beta)
+            rr = measure_state(sr, model.n_system, hs, beta_ref=beta)
             assert np.abs(rt.sigma - rr.sigma).max() < 1e-12
             assert np.abs(rt.delta - rr.delta).max() < 1e-12
             if beta < 50.0:
@@ -419,6 +421,25 @@ class TestTracedEnvironment:
                 # on either path and is not compared
                 assert np.abs(rt.b - rr.b).max() < 1e-11 * max(1.0, np.abs(rr.b).max())
                 assert np.abs(rt.delta_fit - rr.delta_fit).max() < 1e-12
+
+    def test_block_transpose_is_c_contiguous(self):
+        # reduce_to_system then reads each realization's amplitudes without a copy
+        m = build_chain_model(2, 4, 1.0, 1.0, 1.0, 0.0)
+        psi0 = random_block(m, range(5))
+        for states, _ in canonical_thermal_state(m, psi0, self.BETAS, projection_spectrum(m, "exact"),
+                                                 traced_env=True):
+            assert states.shape == psi0.shape and states.T.flags.c_contiguous
+
+    def test_frame_only_for_uncoupled_spectra(self):
+        m = build_ring_model(2, 4, -1.0, 3, 5, 0.0)
+        hs = diagonalize(m, "S")
+        frame = propagate.traced_frame(hs, projection_spectrum(m, "exact"))
+        assert np.array_equal(frame.eigenvalues, hs.eigenvalues)
+        w = frame.eigenvectors
+        assert np.abs(w.T @ w - np.eye(m.dim_system)).max() < 1e-13
+        coupled = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
+        for spectrum in (projection_spectrum(coupled, "exact"), None):
+            assert propagate.traced_frame(hs, spectrum) is hs
 
     def test_coupled_and_chebyshev_ignore_flag(self):
         m = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
