@@ -33,9 +33,10 @@ from .spectrum import SpectrumSummary, diagonalize
 LOG_FLOOR = 1e-300          # diagonal entries are clipped here before log
 ENERGY_TOL_FACTOR = 1e-9    # relative tolerance deciding E_i != E_j in the fit
 # output times per Chebyshev recurrence of a time trace: a 600-step ring 4+8
-# trace on spectral bounds (2 vCPUs, one BLAS thread, medians of 6 rounds)
-# took 3.55/1.33/1.19/1.20 s with 1/8/16/32 times per recurrence
-_TRACE_CHUNK = 16
+# trace on spectral bounds (2 vCPUs, one BLAS thread, medians of 7 rounds)
+# took 1.18/0.94/0.79/0.86 s with 8/16/32/64 times per recurrence, once each
+# point's sum grew by one GEMV per ring of recurrence vectors (_apply_plan)
+_TRACE_CHUNK = 32
 
 
 @dataclass
@@ -178,7 +179,8 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
     2 dt, ..., m dt) and measures the (dim, m) block in one measure_state
     call; that block is the view of a points-major recurrence block, so its
     transpose is C-contiguous and the reduction copies nothing.  The next
-    chunk starts from the chunk's last column.  m is
+    chunk starts from a copy of the chunk's last column, and the block is
+    dropped before that chunk's recurrence runs.  m is
     _TRACE_CHUNK, fewer when m * dim would pass _BLOCK_AMPLITUDES, and the
     last chunk may be shorter; each grid length is planned once.
 
@@ -186,8 +188,8 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
     prepare the initial state passes propagate.spectral_bounds of them, and
     None expands on the Gershgorin bounds energy_bounds(model).  A chunk's
     order grows with m * dt times the width, so on ring 4+8 (width 10.5
-    against Gershgorin's 22.9) a 16-step chunk of dt = 0.5 takes 81 matvecs,
-    5.1 per sample, instead of 141.
+    against Gershgorin's 22.9) a 32-step chunk of dt = 0.5 takes 133
+    matvecs, 4.2 per sample, instead of 245.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -213,5 +215,6 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
         rep = measure_state(block, model.n_system, hs_spectrum, beta_ref)
         times = [k * dt for k in range(start + 1, start + m + 1)]
         rows.extend(zip(times, rep.sigma.tolist(), rep.delta.tolist(), rep.b.tolist()))
-        state = block[:, -1]
+        state = block[:, -1].copy()
+        del block
     return rows

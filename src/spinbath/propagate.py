@@ -29,9 +29,10 @@ initial states and a list of betas and has two backends.
   H_S's sector-eigenbasis coordinates;
 - Chebyshev: without a spectrum, plan the whole beta grid at once and run
   one recurrence T_k(X)|psi_0> on the whole block up to the grid's largest
-  order, accumulating every beta's expansion from it (the shared-vector
-  scheme of Dobrovitski & De Raedt, PRE 67, 056702 (2003)), so the cost is
-  the largest order, not the sum.
+  order, every beta's expansion summed from it (the shared-vector scheme of
+  Dobrovitski & De Raedt, PRE 67, 056702 (2003)), so the cost is the
+  largest order, not the sum.  The recurrence vectors fill a ring, and
+  each beta's row gains a full ring's terms in place by one GEMV.
 
 ``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
 those factors or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
@@ -52,6 +53,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import dgemv, zgemv
 from scipy.special import ive, jv
 
 from .errors import ChebyshevOrderError, DimensionError, ModelError
@@ -68,6 +70,9 @@ SPECTRAL_PAD = 1e-8            # relative pad of spectral_bounds (eigh errs by a
 # amplitudes held in one block of states: a projection's realizations, a
 # time trace's output times (256 columns at 2^12, one column from 2^20 on)
 _BLOCK_AMPLITUDES = 2**20
+# amplitudes in _apply_plan's ring of recurrence vectors: 8 vectors at 2^12,
+# from 2^14 on the recurrence pair alone, whose peak a deeper ring would pass
+_RING_AMPLITUDES = 2**15
 
 
 def _sub_seed(seed, *extra) -> tuple:
@@ -257,6 +262,17 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
     T_k(X)|state> is computed once, up to plan.order, and each point's sum
     stops at its own order.  Returns the points-major (len(plan.at),
     *state.shape) block whose row j is point j's sum.
+
+    T_k is held in slot k % depth of a ring of depth >= 2 state-sized
+    vectors, depth set by the state's size alone (_RING_AMPLITUDES).  Before
+    a slot is overwritten, every depth orders, the ring is flushed: each
+    point's row gains, in place, one GEMV (dgemv on float views for real
+    coefficients, else zgemv) of the ring's Fortran-ordered view against
+    that point's contiguous coefficient slice, cut at its own order.  No
+    row depends on the other points, so a grid plan's row is bitwise its
+    single-point plan's.  Each matvec's fresh result is the recurrence's
+    scratch vector, so at depth 2 the peak is that of adding each order to
+    each row by itself.
     """
     if state.shape[0] != model.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != model dimension {model.dim}")
@@ -270,21 +286,34 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
         y /= half
         return y
 
-    t_prev = state.astype(complex)
-    t_cur = x_apply(t_prev)
-    block = np.empty((len(plan.at), *state.shape), dtype=complex)
-    rows = list(zip(block, plan.coefficients.T, plan.point_orders.tolist()))
-    for row, c, _ in rows:
-        np.multiply(c[0], t_prev, out=row)
-        row += c[1] * t_cur
+    size = state.size
+    depth = max(2, _RING_AMPLITUDES // size)
+    ring = np.empty((depth, *state.shape), dtype=complex)
+    block = np.zeros((len(plan.at), *state.shape), dtype=complex)
+    slots, rows = ring.reshape(depth, size), block.reshape(len(block), size)
+    gemv = zgemv if np.iscomplexobj(plan.coefficients) else dgemv
+    if gemv is dgemv:
+        slots, rows = slots.view(float), rows.view(float)
+    points = [(row, np.ascontiguousarray(c[: order + 1]), order)
+              for row, c, order in zip(rows, plan.coefficients.T, plan.point_orders.tolist())]
+
+    def flush(start, stop):
+        # slot i holds T_{start + i}: start is a multiple of depth
+        for row, c, order in points:
+            n = min(stop, order + 1) - start
+            if n > 0:
+                gemv(1.0, slots[:n].T, c[start:start + n], beta=1.0, y=row, overwrite_y=True)
+
+    ring[0] = state
+    ring[1] = x_apply(ring[0])
     for k in range(2, plan.order + 1):
-        t_next = x_apply(t_cur)
+        if k % depth == 0:
+            flush(k - depth, k)
+        t_next = x_apply(ring[(k - 1) % depth])
         t_next *= 2.0
-        t_next -= t_prev
-        for row, c, order in rows:
-            if k <= order:
-                row += c[k] * t_next
-        t_prev, t_cur = t_cur, t_next
+        np.subtract(t_next, ring[(k - 2) % depth], out=ring[k % depth])
+        del t_next      # the next matvec's result takes its place
+    flush(plan.order - plan.order % depth, plan.order + 1)
     return block
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spinbath.errors import DimensionError, FitError
-from spinbath.hamiltonian import build_chain_model, build_ring_model
+from spinbath.hamiltonian import build_chain_model, build_ring_model, energy_bounds
 from spinbath.observe import (
     ReducedDensityMatrix,
+    _TRACE_CHUNK,
     delta,
     fit_b,
     gibbs_weights,
@@ -14,7 +15,7 @@ from spinbath.observe import (
     trace_time_series,
 )
 from spinbath.propagate import (canonical_thermal_state, evolve_real_time, projection_spectrum,
-                                random_state)
+                                random_state, real_time_plan)
 from spinbath.spectrum import SpectrumSummary, diagonalize, diagonalize_sectors
 
 
@@ -342,20 +343,49 @@ class TestTraceTimeSeries:
         monkeypatch.setattr(spinbath.observe, "evolve_real_time", counted)
         return calls
 
-    @pytest.mark.parametrize("t_max, chunks", [(20.0, [16, 16, 8]), (3.0, [6]), (0.0, [])],
+    @pytest.mark.parametrize("n_steps", [2 * _TRACE_CHUNK + _TRACE_CHUNK // 2, 6, 0],
                              ids=["remainder", "short", "zero"])
-    def test_chunks_match_single_steps(self, t_max, chunks, monkeypatch):
+    def test_chunks_match_single_steps(self, n_steps, monkeypatch):
         m = build_ring_model(2, 4, -1.0, 5, 6, 1.0)
         hs = diagonalize(m, "S")
         st = thermal_state(m, 0.9, 17)
+        t_max = 0.5 * n_steps
         ref = self.stepped_reference(m, st, t_max, 0.5, hs, 0.9)
         calls = self.counted_steps(monkeypatch)
         rows = trace_time_series(m, st, t_max, 0.5, hs, beta_ref=0.9)
-        assert calls == chunks
+        full, rest = divmod(n_steps, _TRACE_CHUNK)
+        assert calls == [_TRACE_CHUNK] * full + [rest] * (rest > 0)
         assert len(rows) == len(ref)
         for row, r in zip(rows, ref):
             assert row[0] == r[0] and all(type(v) is float for v in row)
             assert max(abs(a - b) for a, b in zip(row[1:], r[1:])) < 1e-12
+
+    def test_one_chunk_block_at_a_time(self):
+        # the next chunk starts from a copy of the last column, so a chunked
+        # trace peaks under one chunk's recurrence (its block and ring) plus
+        # half a block, not two blocks
+        import tracemalloc
+
+        m = build_ring_model(2, 10, -1.0, 5, 6, 1.0)
+        hs = diagonalize(m, "S")
+        st = random_state(m.dim, 3)
+        bounds = energy_bounds(m)
+        plan = real_time_plan(bounds, 0.5 * np.arange(1, _TRACE_CHUNK + 1))
+        n_steps = 2 * _TRACE_CHUNK + _TRACE_CHUNK // 2
+        peaks = []
+        for run in (lambda: evolve_real_time(m, st, plan.at, plan),
+                    lambda: trace_time_series(m, st, 0.5 * n_steps, 0.5, hs, bounds=bounds)):
+            run()                           # the model holds its kernel's matrices
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        one_chunk, trace = peaks
+        assert one_chunk > _TRACE_CHUNK * st.nbytes
+        assert trace < one_chunk + _TRACE_CHUNK * st.nbytes / 2
 
     def test_one_step_per_call_within_a_one_state_budget(self, monkeypatch):
         import spinbath.observe

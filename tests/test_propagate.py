@@ -46,6 +46,27 @@ def assert_projection_matches_dense(model, seeds):
         assert np.abs(norm_sq / dense_norm_sq(model, psi0, beta) - 1.0).max() < 1e-10
 
 
+def term_by_term(model, plan, psi0):
+    """The plan's sums in expression form: one recurrence, each term added to each row by itself."""
+    a = 0.5 * (plan.e_max + plan.e_min)
+    half = 0.5 * (plan.e_max - plan.e_min)
+
+    def x_apply(v):
+        return (propagate.apply_hamiltonian(model, "FULL", v) - a * v) / half
+
+    columns = list(zip(plan.point_orders.tolist(), plan.coefficients.T))
+    t_prev = psi0.astype(complex)
+    t_cur = x_apply(t_prev)
+    accs = [c[0] * t_prev + c[1] * t_cur for _, c in columns]
+    for k in range(2, plan.order + 1):
+        t_next = 2.0 * x_apply(t_cur) - t_prev
+        for (order, c), acc in zip(columns, accs):
+            if k <= order:
+                acc += c[k] * t_next
+        t_prev, t_cur = t_cur, t_next
+    return accs
+
+
 def two_product_matmul(m, x):
     """The reference for real_matmul: separate real products of the real and imaginary parts."""
     return m @ np.ascontiguousarray(x.real) + 1j * (m @ np.ascontiguousarray(x.imag))
@@ -241,31 +262,17 @@ class TestCanonicalThermalState:
                     assert abs(norm_sq[j] - single_norm[0]) < 1e-15 * single_norm[0]
 
     def test_in_place_recurrence_matches_expression_form(self):
-        # the recurrence as written before it worked in place: same operations, same bits
+        # the recurrence as written before it worked in place, each term added
+        # one by one: the ring's GEMV sums group the terms differently, so the
+        # rows agree to rounding, well within 1e-14 of each row's largest entry
         m = build_ring_model(2, 4, -1.0, 3, 5, 1.0)
         plan = imaginary_time_plan(energy_bounds(m), [0.4, 3.0])
         psi0 = random_block(m, (5, 6, 7))
-        a = 0.5 * (plan.e_max + plan.e_min)
-        half = 0.5 * (plan.e_max - plan.e_min)
-
-        def x_apply(v):
-            return (propagate.apply_hamiltonian(m, "FULL", v) - a * v) / half
-
-        orders = [int(np.flatnonzero(c)[-1]) for c in plan.coefficients.T]
-        columns = list(zip(orders, plan.coefficients.T))
-        t_prev = psi0.astype(complex)
-        t_cur = x_apply(t_prev)
-        accs = [c[0] * t_prev + c[1] * t_cur for _, c in columns]
-        for k in range(2, plan.order + 1):
-            t_next = 2.0 * x_apply(t_cur) - t_prev
-            for (order, c), acc in zip(columns, accs):
-                if k <= order:
-                    acc += c[k] * t_next
-            t_prev, t_cur = t_cur, t_next
         got = propagate._apply_plan(m, plan, psi0)
-        assert orders[0] < orders[1] == plan.order
+        assert plan.point_orders[0] < plan.point_orders[1] == plan.order
         assert got.shape == (2, *psi0.shape)
-        assert all(np.array_equal(g, r) for g, r in zip(got, accs, strict=True))
+        for g, r in zip(got, term_by_term(m, plan, psi0), strict=True):
+            assert np.abs(g - r).max() <= 1e-14 * np.abs(r).max()
 
     def test_typicality_energy_estimate(self):
         # <psi_beta|H|psi_beta> approximates the canonical mean energy
@@ -567,6 +574,64 @@ class TestEvolveRealTime:
         s0, st_ = np.array(s0), np.array(st_)
         se = np.sqrt(s0.var(ddof=1) + st_.var(ddof=1)) / np.sqrt(len(s0))
         assert abs(st_.mean() - s0.mean()) < 5 * se
+
+
+class TestRecurrenceRing:
+    DEPTH = 4
+
+    @staticmethod
+    def cut(plan, orders):
+        """A grid plan whose column j is the plan's first column cut at orders[j]."""
+        grid = np.zeros((max(orders) + 1, len(orders)), dtype=plan.coefficients.dtype)
+        for j, order in enumerate(orders):
+            grid[: order + 1, j] = plan.coefficients[: order + 1, 0]
+        n = len(orders)
+        return ChebyshevPlan(plan.e_min, plan.e_max, grid, np.arange(n, dtype=float),
+                             np.zeros(n), np.ones(n, dtype=complex))
+
+    @pytest.mark.parametrize("orders", [[1, 2], [1, 3], [2, 3, 4], [3, 4, 8],
+                                        [2, 3, 4, 8, 9, 13, 18]],
+                             ids=["below", "depth-1", "depth", "2depth", "several"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
+    @pytest.mark.parametrize("make, x", [(real_time_plan, 12.0), (imaginary_time_plan, 9.0)],
+                             ids=["real", "imaginary"])
+    def test_flush_boundaries(self, make, x, shape, orders, monkeypatch):
+        # a ring of DEPTH slots flushed every DEPTH orders: each row, cut below,
+        # at or past a flush, is bitwise its single-point plan's and holds
+        # every term of its sum, up to rounding of terms |c_k T_k| <= |c_k|
+        # (a cut imaginary-time sum cancels far below its terms)
+        m = build_ring_model(2, 4, -1.0, 3, 9, 1.0)
+        state = random_block(m, range(3)) if shape else random_state(m.dim, 5)
+        monkeypatch.setattr(propagate, "_RING_AMPLITUDES", self.DEPTH * state.size)
+        base = make(energy_bounds(m), x)
+        grid = self.cut(base, orders)
+        assert grid.point_orders.tolist() == orders
+        rows = propagate._apply_plan(m, grid, state)
+        assert rows.shape == (len(orders), *state.shape)
+        for row, ref, c, order in zip(rows, term_by_term(m, grid, state), grid.coefficients.T,
+                                      orders, strict=True):
+            assert np.array_equal(row, propagate._apply_plan(m, self.cut(base, [order]), state)[0])
+            assert np.linalg.norm(row - ref) <= 1e-14 * np.abs(c).sum() * np.linalg.norm(state)
+
+    def test_peak_memory_of_a_per_order_accumulation(self):
+        # the rows plus four vectors, the peak of adding each order to each
+        # row by itself: the recurrence pair, the matvec's result and its
+        # scratch; from 2^14 amplitudes on the ring is that pair
+        import tracemalloc
+
+        m = build_ring_model(4, 10, -1.0, 25, 17, 1.0)
+        plan = imaginary_time_plan(energy_bounds(m), [0.3, 0.9, 2.0])
+        psi = random_state(m.dim, 3)[:, None]
+        propagate.apply_hamiltonian(m, "FULL", psi)     # the model holds its kernel's matrices
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = propagate._apply_plan(m, plan, psi)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == len(plan.at) * psi.nbytes == 3 * 2**18
+        assert peak <= (len(plan.at) + 4) * psi.nbytes + 2**14
 
 
 RING_2_6 = (build_ring_model, (2, 6, -1.0, 5, 6))
