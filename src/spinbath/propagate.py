@@ -294,15 +294,15 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
     gemv = zgemv if np.iscomplexobj(plan.coefficients) else dgemv
     if gemv is dgemv:
         slots, rows = slots.view(float), rows.view(float)
-    points = [(row, np.ascontiguousarray(c[: order + 1]), order)
+    points = [(row, np.ascontiguousarray(c[: order + 1]))
               for row, c, order in zip(rows, plan.coefficients.T, plan.point_orders.tolist())]
 
     def flush(start, stop):
         # slot i holds T_{start + i}: start is a multiple of depth
-        for row, c, order in points:
-            n = min(stop, order + 1) - start
-            if n > 0:
-                gemv(1.0, slots[:n].T, c[start:start + n], beta=1.0, y=row, overwrite_y=True)
+        for row, c in points:
+            cut = c[start:stop]
+            if cut.size:
+                gemv(1.0, slots[:cut.size].T, cut, beta=1.0, y=row, overwrite_y=True)
 
     ring[0] = state
     ring[1] = x_apply(ring[0])
