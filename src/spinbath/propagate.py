@@ -270,9 +270,12 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
     coefficients, else zgemv) of the ring's Fortran-ordered view against
     that point's contiguous coefficient slice, cut at its own order.  No
     row depends on the other points, so a grid plan's row is bitwise its
-    single-point plan's.  Each matvec's fresh result is the recurrence's
-    scratch vector, so at depth 2 the peak is that of adding each order to
-    each row by itself.
+    single-point plan's.  The columns of a (dim, k) state share the
+    block's depth, so a column is bitwise its lone run only where both
+    depths agree: always from 2^14 amplitudes per column on, else while
+    the point orders stay below both.  Each matvec's fresh result is the
+    recurrence's scratch vector, so at depth 2 the peak is that of adding
+    each order to each row by itself.
     """
     if state.shape[0] != model.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != model dimension {model.dim}")

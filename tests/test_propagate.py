@@ -245,9 +245,11 @@ class TestCanonicalThermalState:
                                        build_chain_model(3, 4, 1.0, 0.8, 0.5, 0.7)],
                              ids=["ring", "chain"])
     def test_block_matches_single_columns(self, model):
-        # the block recurrence gives each column bitwise what it gets alone;
-        # beta = 0 returns the block itself, whose squared norms are one
-        # reduction over the block, so they agree only to rounding
+        # the block recurrence gives each column bitwise what it gets alone,
+        # here where every order stays below both ring depths (51 vectors
+        # for the block, 256 alone); beta = 0 returns the block itself,
+        # whose squared norms are one reduction over the block, so they
+        # agree only to rounding
         psi0 = random_block(model, range(5))
         betas = (0.0, 0.3, 0.9, 2.0)
         blocks = list(canonical_thermal_state(model, psi0, betas))
