@@ -502,7 +502,7 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
         return [_unprojected(psi0) for _ in betas]
     plan = imaginary_time_plan(energy_bounds(model), positive)
     raws = _apply_plan(model, plan, psi0)    # one (dim, k) row per beta, normalized in place
-    # each column's norm as a vector's, so no column's result depends on its block
+    # each column's norm as a vector's, so the norms add no dependence on the block
     psi0_norm, *raw_norms = (np.array([np.linalg.norm(c) for c in x.T]) for x in (psi0, *raws))
     # The scaled series sums to exp(-z(x - x_min)) profiles with terms of
     # order one; once the surviving amplitude falls near machine epsilon the
