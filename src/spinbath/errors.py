@@ -14,7 +14,7 @@ class DimensionError(SpinBathError):
 
 
 class SizeLimitError(SpinBathError):
-    """A part's matrix would be made dense above spectrum.DEFAULT_DIM_CAP."""
+    """A part's CSR would pass hamiltonian._KERNEL_BYTES, or go dense above spectrum.DEFAULT_DIM_CAP."""
 
 
 class ChebyshevOrderError(SpinBathError):

@@ -25,8 +25,7 @@ full-space matrix of the system and lam-scaled coupling bonds.  The
 Gershgorin ``energy_bounds`` stream exact per-row values from the bond
 tables, one row block at a time, at every size; ``spectrum`` assembles
 the FULL matrix for its dense matrix and parity sector blocks from the
-same two pieces.  Above _CACHE_DIM_LIMIT a kernel streams its bonds
-instead of holding a matrix.
+same two pieces.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .errors import DimensionError, ModelError
+from .errors import DimensionError, ModelError, SizeLimitError
 from .seeds import spawn_rng
 
 # part selectors for apply_hamiltonian / diagonalize
@@ -48,8 +47,8 @@ _PARTS = (SYSTEM, ENVIRONMENT, COUPLING, FULL)
 _NARROW = "S+lamSE"          # FULL's full-space kernel: system and lam-scaled coupling bonds
 
 DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
-_CACHE_DIM_LIMIT = 2**20     # above this, bond index arrays are streamed
-_ROW_BLOCK = 4096            # rows per pass of the CSR build, a streamed product and the bounds
+_KERNEL_BYTES = 3 * 2**30    # upper bound on one part's CSR values and indices
+_ROW_BLOCK = 4096            # rows per pass of the CSR build and the bounds
 
 COUPLING_RANGE = 4.0 / 3.0   # random couplings are uniform on [-4/3, 4/3]
 
@@ -195,11 +194,6 @@ def _local_terms(model: SpinModel, part: str):
     raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
 
 
-def _index_dtype(n: int):
-    """The narrowest of int32 and int64 that holds the integers below n."""
-    return np.int32 if n <= 2**31 else np.int64
-
-
 def _kept(terms):
     """(bit_i, bit_j, parallel coeff, antiparallel coeff) of the bonds with a nonzero flip coefficient."""
     kept = []
@@ -224,7 +218,7 @@ def _row_blocks(n_bits: int, terms):
     kept = _kept(terms)
     dim = 2**n_bits
     for start in range(0, dim, _ROW_BLOCK):
-        idx = np.arange(start, min(start + _ROW_BLOCK, dim), dtype=_index_dtype(dim))
+        idx = np.arange(start, min(start + _ROW_BLOCK, dim), dtype=np.int32)
         bits = [((idx >> b) & 1).astype(np.uint8) for b in range(n_bits)]
         diag = np.zeros(idx.shape[0])
         for (bi, bj, cx, cy, cz, scale) in terms:
@@ -254,55 +248,59 @@ def _float_view(state: np.ndarray, rows: int) -> np.ndarray:
 
 
 class _Applier:
-    """Kernel for S, E, SE or FULL's narrow part: one cached real CSR matrix, or bonds streamed per call.
+    """Kernel for S, E, SE or FULL's narrow part: one real CSR matrix.
 
-    Up to _CACHE_DIM_LIMIT the bonds are held as one ``scipy.sparse`` CSR
-    matrix whose rows hold the diagonal, then one entry per kept bond in
-    ``terms`` order (see _row_blocks), with the exact zeros dropped: 12
-    bytes (float64 value, int32 column) per stored entry.  The arrays are
+    Its rows hold the diagonal, then one entry per kept bond in ``terms``
+    order (see _row_blocks), with the exact zeros dropped: 12 bytes
+    (float64 value, int32 column) per stored entry.  The arrays are
     read-only, so no ``scipy.sparse`` operation can reorder the layout in
-    place.  Above the limit each product streams the row blocks instead.
-    Both modes sum each row in the same order, so they give the same
-    numbers up to the sign of an exact zero.  ``product`` takes a real
-    C-ordered (dim, m) matrix, so one pass over the matrix serves every
-    column, and a complex block's real and imaginary parts alike.
+    place.  ``product`` takes a real C-ordered (dim, m) matrix, so one pass
+    over the matrix serves every column, and a complex block's real and
+    imaginary parts alike.
     """
 
     def __init__(self, n_bits: int, terms):
-        self.n_bits = n_bits
-        self.dim = 2**n_bits
-        self.terms = terms
-        self.matrix = self._build_csr() if self.dim <= _CACHE_DIM_LIMIT else None
+        """Build the matrix in arrays of dim * (1 + kept bonds) entries, then shrink them to fit.
 
-    def _build_csr(self):
-        """Fill (dim, 1 + kept bonds) value and index arrays one row block at a time, then drop the zeros."""
-        width = 1 + len(_kept(self.terms))
-        data = np.empty((self.dim, width))
-        indices = np.empty((self.dim, width), dtype=_index_dtype(self.dim * width + 1))
-        for rows, diag, bonds in _row_blocks(self.n_bits, self.terms):
-            data[rows, 0] = diag
-            indices[rows, 0] = np.arange(rows.start, rows.stop)
-            for col, (flip, coeff) in enumerate(bonds, start=1):
-                indices[rows, col] = flip
-                data[rows, col] = coeff
-        stored = data != 0.0
-        indptr = np.zeros(self.dim + 1, dtype=indices.dtype)
-        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-        data, indices = data[stored], indices[stored]
+        A bound past _KERNEL_BYTES is refused before anything is allocated,
+        which also keeps every index within int32.
+        """
+        self.dim = 2**n_bits
+        width = 1 + len(_kept(terms))
+        if 12 * self.dim * width > _KERNEL_BYTES:
+            raise SizeLimitError(
+                f"{self.dim} rows of {width} entries pass the kernel budget, {_KERNEL_BYTES} B")
+        data = np.empty(self.dim * width)
+        indices = np.empty(self.dim * width, dtype=np.int32)
+        indptr = np.zeros(self.dim + 1, dtype=np.int32)
+        for rows, diag, bonds in _row_blocks(n_bits, terms):
+            _write_block(data, indices, indptr, rows, diag, bonds, width)
+        data.resize(indptr[-1], refcheck=False)
+        indices.resize(indptr[-1], refcheck=False)
         data.flags.writeable = indices.flags.writeable = False
-        return scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
+        self.matrix = scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """H x for a real C-ordered (dim, m) matrix x."""
-        if self.matrix is not None:
-            return self.matrix @ x
-        out = np.empty_like(x)
-        for rows, diag, bonds in _row_blocks(self.n_bits, self.terms):
-            acc = diag[:, None] * x[rows]
-            for flip, coeff in bonds:
-                acc += coeff[:, None] * x[flip]
-            out[rows] = acc
-        return out
+        return self.matrix @ x
+
+
+def _write_block(data, indices, indptr, rows, diag, bonds, width):
+    """Fill a row block full width from indptr[rows.start] on, then move its nonzeros down to there."""
+    start = indptr[rows.start]      # at most rows.start * width, so the block fits below the bound
+    values = data[start:start + (rows.stop - rows.start) * width].reshape(-1, width)
+    columns = indices[start:start + values.size].reshape(-1, width)
+    values[:, 0] = diag
+    columns[:, 0] = np.arange(rows.start, rows.stop)
+    for col, (flip, coeff) in enumerate(bonds, start=1):
+        columns[:, col] = flip
+        values[:, col] = coeff
+    stored = values != 0.0
+    ends = indptr[rows.start + 1:rows.stop + 1]
+    np.cumsum(np.count_nonzero(stored, axis=1), out=ends)
+    ends += start
+    data[start:ends[-1]] = values[stored]
+    indices[start:ends[-1]] = columns[stored]
 
 
 class _Composed:
@@ -312,10 +310,8 @@ class _Composed:
     multiplies the block viewed as one real (2^{n_E}, 2^{n_S} * m) matrix;
     the narrow full-space kernel, whose rows hold 1 + system + coupling
     entries, adds the system and coupling bonds.  Each row is the sum
-    (H_E row) + (narrow row), in both kernel modes.
+    (H_E row) + (narrow row).
     """
-
-    matrix = None  # the parts hold the matrices
 
     def __init__(self, env: _Applier, narrow: _Applier):
         self.env, self.narrow = env, narrow

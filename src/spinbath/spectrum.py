@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import SizeLimitError
-from .hamiltonian import FULL, SpinModel, _applier
+from .hamiltonian import FULL, SpinModel, _applier, _local_terms
 
 DEFAULT_DIM_CAP = 2**14
 DEGENERACY_TOL_FACTOR = 1e-8  # default tolerance = factor * spectral width
@@ -87,17 +87,16 @@ class SpectrumSummary:
 
 
 def _part_matrix(model: SpinModel, part: str):
-    """The CSR matrix of a part, refused above the dense cap.
+    """The CSR matrix of a part, refused above the dense cap before its kernel is built.
 
     S, E and SE are their kernels' own matrices.  FULL is assembled as
     kron(H_E, 1_S) + narrow from the two matrices its product composes,
     so its entries are the product's, sum for sum.
     """
+    dim = 2**_local_terms(model, part)[0]
+    if dim > DEFAULT_DIM_CAP:
+        raise SizeLimitError(f"dimension {dim} exceeds dense cap {DEFAULT_DIM_CAP}")
     applier = _applier(model, part)
-    if applier.dim > DEFAULT_DIM_CAP:
-        raise SizeLimitError(f"dimension {applier.dim} exceeds dense cap {DEFAULT_DIM_CAP}")
-    # every kernel at or below the cap is cached, so the cap must stay at
-    # or below _CACHE_DIM_LIMIT
     if part == FULL:
         eye = scipy.sparse.identity(model.dim_system, format="csr")
         return scipy.sparse.kron(applier.env.matrix, eye, format="csr") + applier.narrow.matrix

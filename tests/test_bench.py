@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinbath import bench
+from spinbath import bench, hamiltonian
 from spinbath.errors import ConfigError
 
 
@@ -189,6 +189,18 @@ class TestRun:
         assert table.failed_points > 0
         good = [r for r in table.dicts() if r["n_env"] == 4 and r["realization"] == "mean"]
         assert len(good) == len(cfg.lambda_list)
+
+    def test_kernel_over_budget_gives_error_rows(self, monkeypatch):
+        # ring 2+3's largest part holds at most 1536 bytes, ring 2+6's 12288
+        monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", 4096)
+        cfg = make_config(method="chebyshev", n_env_list=(3, 6), n_realizations=4)
+        rows = list(bench.run(cfg).dicts())
+        refused = [r for r in rows if r["n_env"] == 6]
+        assert len(refused) == len(cfg.lambda_list) * len(cfg.beta_list)
+        assert all(r["realization"] == "error" and "kernel budget" in r["error"] for r in refused)
+        kept = [r for r in rows if r["n_env"] == 3]
+        assert all(r["error"] == "" for r in kept)
+        assert sum(isinstance(r["realization"], int) for r in kept) == 4 * len(cfg.lambda_list)
 
     def test_non_finite_bond_table_gives_error_row(self):
         cfg = make_config(model="explicit", n_sys_list=(2,), n_env_list=(1,), lambda_list=(1.0,),

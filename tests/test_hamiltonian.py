@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath import hamiltonian, spectrum
-from spinbath.errors import DimensionError, ModelError
+from spinbath import hamiltonian
+from spinbath.errors import DimensionError, ModelError, SizeLimitError
 from spinbath.hamiltonian import (
     COUPLING_RANGE,
     SpinModel,
@@ -196,19 +197,11 @@ class TestFullProduct:
 
 
 @contextmanager
-def streamed_kernel(model):
-    """A fresh copy of model whose appliers stream their bonds, 4 rows at a time, with no matrix."""
+def block_built(model):
+    """A fresh copy of model whose kernels and bounds are built 4 rows at a time."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hamiltonian, "_CACHE_DIM_LIMIT", 0)
         mp.setattr(hamiltonian, "_ROW_BLOCK", 4)
         yield replace(model)
-
-
-def kernel_inputs(dim, seed):
-    rng = np.random.default_rng(seed)
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-    return [vec, block, vec.real, block.real]
 
 
 def per_bond_bounds(model, part):
@@ -232,28 +225,27 @@ def per_bond_bounds(model, part):
 
 
 class TestKernelModes:
-    """The cached CSR kernel against the streamed per-bond one, bit for bit."""
+    """The CSR kernels: their layout, row block by row block, their bounds and their lifetime."""
 
     @staticmethod
-    def check(model, seed):
-        parts = ("S", "E", "SE", "FULL")
-        inputs = {p: kernel_inputs(2**_local_terms(model, p)[0], seed) for p in parts}
-        cached = {p: [apply_hamiltonian(model, p, x) for x in inputs[p]] for p in parts}
-        with streamed_kernel(model) as streamed:
+    def check(model):
+        parts = ("S", "E", "SE", hamiltonian._NARROW)
+        default = {p: hamiltonian._applier(model, p).matrix for p in parts}
+        with block_built(model) as blocked:
             for p in parts:
-                assert hamiltonian._applier(streamed, p).matrix is None
-                for x, ref in zip(inputs[p], cached[p]):
-                    out = apply_hamiltonian(streamed, p, x)
-                    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+                h = hamiltonian._applier(blocked, p).matrix
+                for name in ("data", "indices", "indptr"):
+                    ours, ref = getattr(h, name), getattr(default[p], name)
+                    assert ours.dtype == ref.dtype and np.array_equal(ours, ref), (p, name)
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
-    def test_csr_equals_streamed(self, name):
-        self.check(parity_models()[name], 11)
+    def test_block_build_bitwise(self, name):
+        self.check(parity_models()[name])
 
     @settings(max_examples=20, deadline=None)
-    @given(small_models(), st.integers(0, 2**32 - 1))
-    def test_csr_equals_streamed_random_models(self, model, seed):
-        self.check(model, seed)
+    @given(small_models())
+    def test_block_build_bitwise_random_models(self, model):
+        self.check(model)
 
     @staticmethod
     def check_bounds(model):
@@ -261,9 +253,9 @@ class TestKernelModes:
         reference = {p: per_bond_bounds(model, p) for p in parts}
         for p in parts:
             assert energy_bounds(model, p) == reference[p]
-        with streamed_kernel(model) as streamed:
+        with block_built(model) as blocked:
             for p in parts:
-                assert energy_bounds(streamed, p) == reference[p]
+                assert energy_bounds(blocked, p) == reference[p]
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
     def test_bounds_equal_per_bond_gershgorin(self, name):
@@ -285,7 +277,7 @@ class TestKernelModes:
         for part, (dim, n_bonds) in kernels.items():
             h = m._appliers[part].matrix
             assert h.shape == (dim, dim)
-            assert h.indices.dtype == np.int32 and h.data.dtype == np.float64
+            assert h.indices.dtype == h.indptr.dtype == np.int32 and h.data.dtype == np.float64
             assert np.all(h.data != 0.0) and h.nnz == np.count_nonzero(h.toarray())
             assert np.diff(h.indptr).max() <= 1 + n_bonds
             assert not h.data.flags.writeable and not h.indices.flags.writeable
@@ -309,14 +301,52 @@ class TestKernelModes:
         list(canonical_thermal_state(m, psi0, [0.5]))
         width = 1 + len(m.system_bonds) + len(m.coupling_bonds)
         full_space = [k.matrix for k in m._appliers.values()
-                      if k.matrix is not None and k.matrix.shape[0] == m.dim]
+                      if isinstance(k, hamiltonian._Applier) and k.dim == m.dim]
         assert full_space
         for h in full_space:
             assert np.diff(h.indptr).max() <= width and h.nnz <= m.dim * width
 
-    def test_dense_cap_within_cached_kernels(self):
-        # spectrum slices sector blocks out of the cached CSR matrix, which a streamed part lacks
-        assert spectrum.DEFAULT_DIM_CAP <= hamiltonian._CACHE_DIM_LIMIT
+    @staticmethod
+    def bound_bytes(model, part):
+        n_bits, terms = _local_terms(model, part)
+        return 12 * 2**n_bits * (1 + len(hamiltonian._kept(terms)))
+
+    def test_part_over_budget_refused_before_allocating(self, monkeypatch):
+        m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)
+        refused = self.bound_bytes(m, "E")         # FULL builds H_E first
+        monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", refused - 1)
+        psi = random_state(m.dim, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="kernel budget"):
+                apply_hamiltonian(m, "FULL", psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < refused / 50 and not m._appliers
+
+    def test_part_at_budget_built(self, monkeypatch):
+        m = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
+        bound = self.bound_bytes(m, hamiltonian._NARROW)
+        monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", bound)
+        hamiltonian._applier(m, hamiltonian._NARROW)
+        monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", bound - 1)
+        with pytest.raises(SizeLimitError):
+            hamiltonian._applier(replace(m), hamiltonian._NARROW)
+
+    def test_build_peaks_near_bound(self):
+        # each row block's nonzeros go straight into the bound-length arrays,
+        # which then shrink in place
+        m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)
+        n_bits, terms = _local_terms(m, hamiltonian._NARROW)
+        tracemalloc.start()
+        try:
+            kernel = hamiltonian._Applier(n_bits, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.dim == 2**16
+        assert peak <= 1.3 * self.bound_bytes(m, hamiltonian._NARROW)
 
 
 class TestSiteOperator:

@@ -95,6 +95,7 @@ class TestDiagonalize:
         monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", 16)
         with pytest.raises(SizeLimitError):
             diagonalize(m, "FULL")
+        assert not m._appliers      # refused before any kernel is built
 
     def test_degenerate_gauge_is_canonical(self):
         # any solver gauge inside a degenerate block maps to the same basis
