@@ -7,20 +7,18 @@ realizations; sample rows and aggregate rows (mean, stderr, n) go to one CSV
 whose schema is fixed in a header comment.
 
 Seed discipline: realization r of a sweep point draws its random state from
-a key containing the master seed, the structural coordinates (sizes and
-constructor seeds) and r, but not the coupling strength or the temperature.
-Sweeps along lambda or beta therefore share random states (common random
-numbers), which is what makes the small coupling-induced shift of sigma^2
-measurable at desk scale (see sigma2_excess).
+a key of the master seed, the structural coordinates (sizes and constructor
+seeds) and r, not the coupling strength or the temperature, once per pass
+over a structure's lambda values.  Sweeps along lambda or beta therefore
+share random states (common random numbers), which is what makes the small
+coupling-induced shift of sigma^2 measurable at desk scale (sigma2_excess).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +40,7 @@ from .propagate import (
 )
 from .propagate import real_matmul  # noqa: F401  (a binding benchmark/tracer.py expects)
 from .seeds import realization_seed
-from .spectrum import diagonalize, diagonalize_sectors
+from .spectrum import diagonalize, diagonalize_sectors, thermo
 from .theory import first_order_symmetry_trace
 
 CSV_SCHEMA_VERSION = "spinbath-csv v1"
@@ -50,7 +48,7 @@ MODES = ("static_measure", "time_trace", "theory_overlay", "symmetry_check",
          "normalization_diag", "moment_check")
 PLOT_MODES = ("static_measure", "theory_overlay", "time_trace")
 MODELS = ("ring", "chain", "explicit")
-WORKERS_ENV = "SPINBATH_WORKERS"
+_PASS_BYTES = 2**28     # sector eigenvector bytes held by one pass over the realizations
 
 
 def default_realizations(n_spins: int) -> int:
@@ -106,8 +104,11 @@ class ExperimentConfig:
         if self.method not in ("auto", "exact", "chebyshev"):
             raise ConfigError(f"unknown method {self.method!r}")
         for name in ("n_sys_list", "n_env_list", "lambda_list", "beta_list"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} repeats a value, got {values}")
         if self.initial_state not in ("x", "ududy"):
             raise ConfigError(f"initial_state must be 'x' or 'ududy', got {self.initial_state!r}")
         if not all(np.isfinite(beta) and beta >= 0.0 for beta in self.beta_list):
@@ -375,67 +376,73 @@ def _aggregate_rows(prefix: tuple, samples: dict[str, np.ndarray], columns_after
 # ---------------------------------------------------------------------------
 # mode runners
 
-def _worker_count() -> int:
-    """SPINBATH_WORKERS as an integer >= 1; unset or empty means 1."""
-    text = os.environ.get(WORKERS_ENV, "").strip()
-    if not text:
-        return 1
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
-    return workers
+def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_theory: bool):
+    """({lam: {beta: {measure: samples}} or lam's error text}, {beta: closed forms} or None).
 
-
-def _static_group(config: ExperimentConfig, n_sys: int, n_env: int, lam: float,
-                  with_theory: bool):
-    """All rows for one (structure, lambda) group: samples then aggregates."""
-    rows = []
-    model = config.build_model(n_sys, n_env, lam)
-    n_real = config.realizations(model.n_spins)
-    hs_spec = diagonalize(model, SYSTEM)
-    full_spec = projection_spectrum(model, config.method)
-    # traced blocks are measured in the frame they are projected in
-    hs_frame = traced_frame(hs_spec, full_spec)
+    H_S is solved once.  Consecutive lambda values share a pass until their
+    sector eigenvectors reach _PASS_BYTES (a lambda without a spectrum is a
+    pass of its own); each realization is drawn once per pass and projected
+    at every lambda of it, so lambda points share random states by
+    construction.  The closed forms read the first uncoupled (H_E, H_S)
+    pair a pass solved, else solve the parts.
+    """
+    base = config.build_model(n_sys, n_env, config.lambda_list[0])
+    hs_spec = diagonalize(base, SYSTEM)
+    n_real = config.realizations(base.n_spins)
     key = config.structure_key(n_sys, n_env)
-    theory_vals = {}
-    if with_theory:
-        # part spectra do not depend on lam, so the uncoupled prediction can
-        # be built from this group's model directly
-        inputs0 = theory.prediction_inputs(model, 0.0)
-        for beta in config.beta_list:
-            inp = replace(inputs0, beta=beta)
-            theory_vals[beta] = (float(np.sqrt(theory.sigma2_full(inp))),
-                                 float(np.sqrt(theory.delta2_full(inp))))
+    block_columns = max(1, _BLOCK_AMPLITUDES // base.dim)
+    results, pending, inputs0 = {}, list(config.lambda_list), None
 
-    per_beta = {beta: {m: np.empty(n_real) for m in ("sigma", "delta", "b", "delta_fit")}
-                for beta in config.beta_list}
-    block_columns = max(1, _BLOCK_AMPLITUDES // model.dim)
-    for start in range(0, n_real, block_columns):
-        stop = min(start + block_columns, n_real)
-        block = np.column_stack([
-            random_state(model.dim, realization_seed(config.master_seed, key, r))
-            for r in range(start, stop)
-        ])
-        projected = canonical_thermal_state(model, block, config.beta_list, full_spec,
-                                            traced_env=True)
-        for beta, (states, _) in zip(config.beta_list, projected):
-            rep = observe.measure_state(states, n_sys, hs_frame, beta_ref=beta)
-            for name, values in per_beta[beta].items():
-                values[start:stop] = getattr(rep, name)
-    extra = ("", "", "") if with_theory else ("",)
+    def run_pass():
+        # a call per pass, so its models and spectra are dropped before the next one
+        nonlocal inputs0
+        points, held = [], 0
+        while pending and (not points or held < _PASS_BYTES):
+            lam = pending.pop(0)
+            try:
+                model = config.build_model(n_sys, n_env, lam)
+                spectrum = projection_spectrum(model, config.method)
+            except SpinBathError as exc:
+                results[lam] = str(exc)
+                continue
+            if with_theory and inputs0 is None and spectrum is not None and len(spectrum) == 2:
+                inputs0 = theory.PredictionInputs(thermo(spectrum[1]), thermo(spectrum[0]), 0.0)
+            # traced blocks are measured in the frame they are projected in
+            points.append((lam, model, spectrum, traced_frame(hs_spec, spectrum)))
+            results[lam] = {beta: {m: np.empty(n_real) for m in ("sigma", "delta", "b", "delta_fit")}
+                            for beta in config.beta_list}
+            held += _PASS_BYTES if spectrum is None else sum(
+                s.eigenvectors.nbytes for factor in spectrum for s in factor.sectors)
+        for start in range(0, n_real if points else 0, block_columns):
+            stop = min(start + block_columns, n_real)
+            block = np.column_stack([
+                random_state(base.dim, realization_seed(config.master_seed, key, r))
+                for r in range(start, stop)
+            ])
+            for lam, model, spectrum, frame in points:
+                if isinstance(results[lam], str):
+                    continue
+                try:
+                    projected = canonical_thermal_state(model, block, config.beta_list, spectrum,
+                                                        traced_env=True)
+                    for beta, (states, _) in zip(config.beta_list, projected):
+                        rep = observe.measure_state(states, n_sys, frame, beta_ref=beta)
+                        for name, values in results[lam][beta].items():
+                            values[start:stop] = getattr(rep, name)
+                except SpinBathError as exc:
+                    results[lam] = str(exc)
+
+    while pending:
+        run_pass()
+    if not with_theory:
+        return results, None
+    if inputs0 is None:
+        inputs0 = theory.prediction_inputs(base, 0.0)     # part spectra do not depend on lam
+    closed = {}
     for beta in config.beta_list:
-        prefix = (n_sys, n_env, lam, beta)
-        samples = zip(*(values.tolist() for values in per_beta[beta].values()))
-        rows.extend(prefix + (r, *values) + extra for r, values in enumerate(samples))
-        agg = _aggregate_rows(prefix, per_beta[beta], columns_after=3 if with_theory else 1)
-        if with_theory:
-            ts, td = theory_vals[beta]
-            agg[0] = agg[0][:-3] + (ts, td, "")
-        rows.extend(agg)
-    return rows
+        inp = replace(inputs0, beta=beta)
+        closed[beta] = (float(np.sqrt(theory.sigma2_full(inp))), float(np.sqrt(theory.delta2_full(inp))))
+    return results, closed
 
 
 def _run_static(config: ExperimentConfig, with_theory: bool) -> ResultTable:
@@ -444,25 +451,27 @@ def _run_static(config: ExperimentConfig, with_theory: bool) -> ResultTable:
     if with_theory:
         columns += ["theory_sigma", "theory_delta"]
     columns += ["error"]
-    groups = [(ns, ne, lam) for ns in config.n_sys_list for ne in config.n_env_list
-              for lam in config.lambda_list]
-
-    def run_group(args):
-        ns, ne, lam = args
-        try:
-            return _static_group(config, ns, ne, lam, with_theory)
-        except SpinBathError as exc:
-            pad = ("", "", "", "") + (("", "") if with_theory else ())
-            return [(ns, ne, lam, beta, "error") + pad + (str(exc),)
-                    for beta in config.beta_list]
-
-    workers = _worker_count()
-    if workers == 1:
-        blocks = [run_group(g) for g in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run_group, groups))
-    rows = [row for block in blocks for row in block]
+    extra = ("",) * (len(columns) - 9)
+    rows = []
+    for ns in config.n_sys_list:
+        for ne in config.n_env_list:
+            try:
+                results, closed = _static_structure(config, ns, ne, with_theory)
+            except SpinBathError as exc:
+                results, closed = dict.fromkeys(config.lambda_list, str(exc)), None
+            for lam in config.lambda_list:
+                for beta in config.beta_list:
+                    prefix = (ns, ne, lam, beta)
+                    if isinstance(results[lam], str):
+                        rows.append(prefix + ("error",) + ("",) * (len(columns) - 6) + (results[lam],))
+                        continue
+                    measured = results[lam][beta]
+                    samples = zip(*(values.tolist() for values in measured.values()))
+                    rows.extend(prefix + (r, *values) + extra for r, values in enumerate(samples))
+                    agg = _aggregate_rows(prefix, measured, columns_after=len(extra))
+                    if with_theory:
+                        agg[0] = agg[0][:-3] + closed[beta] + ("",)
+                    rows.extend(agg)
     return ResultTable(columns, rows, {"mode": config.mode, "master_seed": config.master_seed})
 
 

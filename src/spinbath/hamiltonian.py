@@ -212,14 +212,15 @@ def _row_blocks(n_bits: int, terms):
     -(cx + cy)/4 for antiparallel ones.  ``diagonal`` accumulates the zz
     pieces of all bonds in ``terms`` order; ``bonds`` yields one (flipped
     index, coefficient) pair of arrays per kept bond (a bond whose two flip
-    coefficients are not both zero), also in ``terms`` order.  Each index's
-    bits are read once per block, so the scratch does not grow with dim.
+    coefficients are not both zero), also in ``terms`` order.  Only the bits
+    the terms read are extracted, once per block, so the scratch does not grow with dim.
     """
     kept = _kept(terms)
+    read = {b for term in terms for b in term[:2]}
     dim = 2**n_bits
     for start in range(0, dim, _ROW_BLOCK):
         idx = np.arange(start, min(start + _ROW_BLOCK, dim), dtype=np.int32)
-        bits = [((idx >> b) & 1).astype(np.uint8) for b in range(n_bits)]
+        bits = {b: ((idx >> b) & 1).astype(np.uint8) for b in read}
         diag = np.zeros(idx.shape[0])
         for (bi, bj, cx, cy, cz, scale) in terms:
             diag -= scale * cz * (0.5 - bits[bi]) * (0.5 - bits[bj])

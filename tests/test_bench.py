@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from spinbath import bench, hamiltonian
 from spinbath.errors import ConfigError
+from spinbath.propagate import random_state
 
 
 def make_config(**overrides):
@@ -99,7 +99,7 @@ class TestConfigParsing:
         "lambda_list = 0 nan", "n_realizations = 0", "dt = 0", "dt = -0.5", "t_max = -1",
         "n_draws = 1", "j_iso = nan", "j_system = inf", "omega_iso = -inf", "delta_iso = nan",
         "identity_shift = inf", "t_burn = nan", "t_burn = inf", "t_burn = -1",
-        "t_max = inf", "t_max = 1e300\ndt = 1e-300",
+        "t_max = inf", "t_max = 1e300\ndt = 1e-300", "lambda_list = 0 0", "n_sys_list = 2 2",
     ])
     def test_bad_sweep_values_rejected(self, line):
         key = line.split()[0]
@@ -114,26 +114,6 @@ class TestConfigParsing:
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: dt must be > 0")
 
-    @pytest.mark.parametrize("value", ["four", "0", "-2", "1.5"])
-    def test_bad_worker_count_rejected(self, value, monkeypatch, tmp_path, capsys):
-        from spinbath import cli
-
-        monkeypatch.setenv(bench.WORKERS_ENV, value)
-        with pytest.raises(ConfigError, match=bench.WORKERS_ENV):
-            bench.run(make_config(n_realizations=2))
-        path = tmp_path / "sweep.cfg"
-        path.write_text(CONFIG_TEXT)
-        assert cli.main(["run", str(path), "-o", str(tmp_path / "out.csv")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {bench.WORKERS_ENV}")
-
-    @pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), ("1", 1), ("3", 3)])
-    def test_worker_count(self, value, workers, monkeypatch):
-        if value is None:
-            monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(bench.WORKERS_ENV, value)
-        assert bench._worker_count() == workers
-
     def test_default_realizations(self):
         assert bench.default_realizations(12) == 1000
         assert bench.default_realizations(13) == 10
@@ -143,15 +123,66 @@ class TestConfigParsing:
 class TestRun:
     def test_reproducible_and_parallel_equivalent(self):
         cfg = make_config()
-        a = bench.run(cfg).to_csv()
-        b = bench.run(cfg).to_csv()
-        assert a == b
-        os.environ[bench.WORKERS_ENV] = "3"
-        try:
-            c = bench.run(cfg).to_csv()
-        finally:
-            del os.environ[bench.WORKERS_ENV]
-        assert a == c
+        assert bench.run(cfg).to_csv() == bench.run(cfg).to_csv()
+
+    def test_each_realization_drawn_once_per_pass(self, monkeypatch):
+        # ring 2+4 in blocks of 4 columns: 6 realizations take 2 blocks
+        monkeypatch.setattr(bench, "_BLOCK_AMPLITUDES", 4 * 64)
+        draws = []
+
+        def counted(dim, seed):
+            draws.append(seed)
+            return random_state(dim, seed)
+
+        monkeypatch.setattr(bench, "random_state", counted)
+        cfg = make_config(method="exact", lambda_list=(0.0, 0.5, 1.0), n_realizations=6)
+        one_pass = bench.run(cfg).to_csv()
+        assert len(draws) == 6
+        monkeypatch.setattr(bench, "_PASS_BYTES", 0)     # every lambda a pass of its own
+        assert bench.run(cfg).to_csv() == one_pass
+        assert len(draws) == 6 + 6 * 3
+
+    def test_rows_equal_single_lambda_sweeps(self):
+        cfg = make_config(method="exact", lambda_list=(0.0, 0.5, 1.0), n_realizations=6,
+                          beta_list=(0.5, 2.0))
+        rows = bench.run(cfg).rows
+        for lam in cfg.lambda_list:
+            assert [r for r in rows if r[2] == lam] == bench.run(replace(cfg, lambda_list=(lam,))).rows
+
+    def test_part_spectra_solved_once_per_structure(self, monkeypatch):
+        from spinbath import propagate, theory
+
+        solved = []
+
+        def counting(name, solve):
+            def wrapper(model, part):
+                solved.append((name, part))
+                return solve(model, part)
+            return wrapper
+
+        monkeypatch.setattr(bench, "diagonalize", counting("gauged", bench.diagonalize))
+        for module in (propagate, theory):
+            monkeypatch.setattr(module, "diagonalize_sectors",
+                                counting("sectors", module.diagonalize_sectors))
+        bench.run(make_config(mode="theory_overlay", method="exact",
+                              lambda_list=(0.0, 0.5, 1.0), n_realizations=4))
+        assert sorted(solved) == sorted([
+            ("gauged", hamiltonian.SYSTEM), ("sectors", hamiltonian.ENVIRONMENT),
+            ("sectors", hamiltonian.SYSTEM), ("sectors", hamiltonian.FULL),
+            ("sectors", hamiltonian.FULL)])
+
+    def test_refused_coupled_spectrum_leaves_uncoupled_rows(self, monkeypatch):
+        from spinbath import spectrum
+
+        # ring 2+4: the parts (4 and 16) fit, FULL (64) does not
+        monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", 16)
+        cfg = make_config(mode="theory_overlay", method="exact", lambda_list=(0.0, 0.5, 1.0),
+                          n_realizations=4, beta_list=(0.5, 2.0))
+        rows = bench.run(cfg).rows
+        refused = [r for r in rows if r[2] != 0.0]
+        assert len(refused) == 2 * 2
+        assert all(r[4] == "error" and "dense cap" in r[-1] for r in refused)
+        assert [r for r in rows if r[2] == 0.0] == bench.run(replace(cfg, lambda_list=(0.0,))).rows
 
     def test_aggregate_consistency(self):
         table = bench.run(make_config())
