@@ -192,7 +192,7 @@ def criterion_4(ctx: Context) -> CriterionResult:
     g_s = hs.ground_degeneracy
     block = np.column_stack([random_state(model.dim, (MASTER_SEED, "c4", r)) for r in range(200)])
     spectrum = projection_spectrum(model, "exact")
-    (states, _), = canonical_thermal_state(model, block, [50.0], spectrum, traced_env=True)
+    states, = canonical_thermal_state(model, block, [50.0], spectrum, traced_env=True)
     mean = float(np.mean(observe.measure_state(states, 4, traced_frame(hs, spectrum)).sigma))
     passed = mean < 1e-3 and g_s == 1
     return CriterionResult(4, "g_S=1 low-temperature sigma collapse", passed,
@@ -264,7 +264,7 @@ def criterion_6(ctx: Context) -> CriterionResult:
             beta = factor / width
             raw = v @ (np.exp(-0.5 * beta * e) * (v.conj().T @ psi0))
             oracle_state = raw / np.linalg.norm(raw)
-            (states, _), = canonical_thermal_state(model, psi0[:, None], [beta])
+            states, = canonical_thermal_state(model, psi0[:, None], [beta])
             worst_imag = max(worst_imag, float(np.abs(states[:, 0] - oracle_state).max()))
     # one cross-check against an independent dense exponential routine
     small = cases[0]
@@ -288,7 +288,7 @@ def criterion_7(ctx: Context) -> CriterionResult:
     hs = diagonalize(model, SYSTEM)
     psi0 = random_state(model.dim, (MASTER_SEED, "c7", 0))[:, None]
     spectrum = projection_spectrum(model, "exact")
-    (states, _), = canonical_thermal_state(model, psi0, [beta], spectrum)
+    states, = canonical_thermal_state(model, psi0, [beta], spectrum)
     bounds = spectral_bounds(model, *spectrum)
     del spectrum        # the trace holds no sector eigenvectors
     rows = observe.trace_time_series(model, states[:, 0], 300.0, 0.5, hs, beta_ref=beta,
@@ -300,8 +300,8 @@ def criterion_7(ctx: Context) -> CriterionResult:
     model0 = build_ring_model(4, 8, -1.0, 23, 29, 0.0)
     hs0 = diagonalize(model0, SYSTEM)
     block = np.column_stack([random_state(model0.dim, (MASTER_SEED, "c7b", r)) for r in range(100)])
-    (states, _), = canonical_thermal_state(model0, block, [beta],
-                                           projection_spectrum(model0, "chebyshev"))
+    states, = canonical_thermal_state(model0, block, [beta],
+                                      projection_spectrum(model0, "chebyshev"))
     bs = observe.measure_state(states, 4, hs0).b
     b_dev = abs(bs.mean() - beta) / (bs.std(ddof=1) / np.sqrt(len(bs)))
     passed = ratio < 5.0 and b_dev < 3.0

@@ -425,7 +425,7 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
                 try:
                     projected = canonical_thermal_state(model, block, config.beta_list, spectrum,
                                                         traced_env=True)
-                    for beta, (states, _) in zip(config.beta_list, projected):
+                    for beta, states in zip(config.beta_list, projected):
                         rep = observe.measure_state(states, n_sys, frame, beta_ref=beta)
                         for name, values in results[lam][beta].items():
                             values[start:stop] = getattr(rep, name)
@@ -521,7 +521,7 @@ def _trace_start(config: ExperimentConfig, model: SpinModel, hs_spec, beta: floa
     if config.initial_state == "x":
         spectrum = projection_spectrum(model, config.method)
         psi0 = random_state(model.dim, seed)[:, None]
-        (states, _), = canonical_thermal_state(model, psi0, [beta], spectrum)
+        states, = canonical_thermal_state(model, psi0, [beta], spectrum)
         return states[:, 0], spectral_bounds(model, *spectrum) if spectrum is not None else None
     env_spec = diagonalize_sectors(model, ENVIRONMENT)
     return (alternating_product_state(model, beta, seed, env_spec),

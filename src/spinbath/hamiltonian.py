@@ -23,9 +23,9 @@ bonds: ``apply_hamiltonian`` composes it as (H_E (x) 1_S) x, H_E's own
 matrix on the block's real (2^{n_E}, 2^{n_S} * 2k) view, plus one narrow
 full-space matrix of the system and lam-scaled coupling bonds.  The
 Gershgorin ``energy_bounds`` stream exact per-row values from the bond
-tables, one row block at a time, at every size; ``spectrum`` assembles
-the FULL matrix for its dense matrix and parity sector blocks from the
-same two pieces.
+tables, one row block at a time, at every size; ``part_matrix`` assembles
+the FULL matrix, which ``spectrum`` reads for its dense matrix and parity
+sector blocks, from the same two pieces.
 """
 
 from __future__ import annotations
@@ -339,6 +339,20 @@ def _applier(model: SpinModel, part: str):
             kernel = _Applier(*_local_terms(model, part))
         applier = model._appliers.setdefault(part, kernel)
     return applier
+
+
+def part_matrix(model: SpinModel, part: str) -> scipy.sparse.csr_array:
+    """The real CSR matrix of a part, on the same space as apply_hamiltonian(part).
+
+    S, E and SE are their kernels' own matrices.  FULL, which no kernel
+    holds, is assembled as kron(H_E, 1_S) + narrow from the two matrices
+    its product composes, so its entries are the product's, sum for sum.
+    """
+    applier = _applier(model, part)
+    if part == FULL:
+        eye = scipy.sparse.identity(model.dim_system, format="csr")
+        return scipy.sparse.kron(applier.env.matrix, eye, format="csr") + applier.narrow.matrix
+    return applier.matrix
 
 
 def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndarray:

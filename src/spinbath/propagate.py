@@ -103,15 +103,14 @@ class ChebyshevPlan:
     one-point grid.  ``coefficients`` is an (order + 1, len(at)) array with
     one column per point, zero past that point's own order; ``order`` and
     ``point_orders`` are read off it.  The coefficients carry the full term
-    weights (2 - delta_k0 and the i^k / sign factors); the scalar prefactor
-    exp(log_prefactor) * phase, one entry per point, is applied at the end.
+    weights (2 - delta_k0 and the i^k / sign factors); the scalar ``phase``,
+    one entry per point, is applied at the end.
     """
 
     e_min: float
     e_max: float
     coefficients: np.ndarray
     at: np.ndarray
-    log_prefactor: np.ndarray
     phase: np.ndarray
 
     def __post_init__(self):
@@ -210,9 +209,9 @@ def _retained(series, n: int, expansion: str) -> np.ndarray:
 def _plan(bounds, at, column) -> ChebyshevPlan:
     """The plan at every point of a float ``at`` (a one-point grid) or a non-empty 1-D grid.
 
-    ``column(a, half, x)`` gives one point's (coefficients, log_prefactor,
-    phase) for a spectrum of centre a and half-width half, so each grid
-    column is bitwise the plan of its point alone.
+    ``column(a, half, x)`` gives one point's (coefficients, phase) for a
+    spectrum of centre a and half-width half, so each grid column is bitwise
+    the plan of its point alone.
     """
     e_min, e_max = _pad_bounds(bounds)
     a = 0.5 * (e_max + e_min)
@@ -220,11 +219,11 @@ def _plan(bounds, at, column) -> ChebyshevPlan:
     points = np.atleast_1d(np.asarray(at, dtype=float))
     if points.ndim > 1 or points.size == 0:
         raise ValueError(f"a plan is made at a float or a non-empty 1-D grid, got shape {np.shape(at)}")
-    coeffs, log_prefactors, phases = zip(*(column(a, half, float(x)) for x in points))
+    coeffs, phases = zip(*(column(a, half, float(x)) for x in points))
     grid = np.zeros((max(len(c) for c in coeffs), len(coeffs)), dtype=np.result_type(*coeffs))
     for j, c in enumerate(coeffs):
         grid[: len(c), j] = c
-    return ChebyshevPlan(e_min, e_max, grid, points, np.array(log_prefactors), np.array(phases))
+    return ChebyshevPlan(e_min, e_max, grid, points, np.array(phases))
 
 
 def real_time_plan(bounds, t):
@@ -234,7 +233,7 @@ def real_time_plan(bounds, t):
         coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z),
                            int(abs(z) + 20 + 12 * abs(z) ** (1.0 / 3.0)),
                            f"exp(-itH) expansion for t*width = {2 * z:.3g}")
-        return coeffs, 0.0, np.exp(-1j * t * a)
+        return coeffs, np.exp(-1j * t * a)
 
     return _plan(bounds, t, column)
 
@@ -247,11 +246,11 @@ def imaginary_time_plan(bounds, beta):
     def column(a, half, beta):
         z = 0.5 * beta * half
         # scaled modified Bessel ive(k, z) = I_k(z) exp(-z) avoids overflow;
-        # the missing exp(z) joins the prefactor in the log domain
+        # the missing scalar exp(z - beta a / 2) goes with the normalization
         coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * ive(k, z),
                            int(z + 20 + 9 * np.sqrt(z)),
                            f"exp(-bH/2) expansion for beta*width = {2 * beta * half:.3g}")
-        return coeffs, z - 0.5 * beta * a, 1.0 + 0j
+        return coeffs, 1.0 + 0j
 
     return _plan(bounds, beta, column)
 
@@ -376,17 +375,13 @@ def _transposed(state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unprojected(psi0: np.ndarray):
-    """The beta = 0 result: the block itself and its squared column norms."""
-    return psi0, np.linalg.norm(psi0, axis=0) ** 2
-
-
 def _to_eigenbasis(factor: SpectrumSummary, x: np.ndarray) -> np.ndarray:
     """Coordinates of the (A, d, B) block x in a factor's eigenbasis, along axis 1.
 
     Rows follow the factor's eigenpairs in sector order.  A P_x pair's two
-    sectors take the sum and the difference of one gather; the 1/sqrt(2) of
-    that pair basis is left out here and on the way back (see _pair_gain).
+    sectors take the sum and the difference of one gather, against
+    eigenvectors that hold the pair basis' 1/sqrt(2) (see spectrum.Sector),
+    so the transform is orthonormal and _from_eigenbasis is its inverse.
     """
     parts = []
     for s in factor.sectors:
@@ -404,7 +399,7 @@ def _to_eigenbasis(factor: SpectrumSummary, x: np.ndarray) -> np.ndarray:
 def _from_eigenbasis(factor: SpectrumSummary, c: np.ndarray) -> np.ndarray:
     """Computational-basis rows from eigenbasis rows along axis 1.
 
-    This undoes _to_eigenbasis up to the factor _pair_gain(factor).
+    This is the inverse of _to_eigenbasis, and its transpose.
     """
     out = np.empty_like(c)
     start = 0
@@ -421,16 +416,6 @@ def _from_eigenbasis(factor: SpectrumSummary, c: np.ndarray) -> np.ndarray:
             plus -= y
             out[:, s.partners] = plus
     return out
-
-
-def _pair_gain(factor: SpectrumSummary) -> int:
-    """2 for a factor whose sectors pair indices under P_x, else 1.
-
-    Both transforms leave out the pair basis' 1/sqrt(2), so
-    _from_eigenbasis(c) has squared norm gain * |c|^2, and
-    _from_eigenbasis(_to_eigenbasis(x)) = gain * x.
-    """
-    return 1 if factor.sectors[0].partners is None else 2
 
 
 def _coefficient_energies(factor: SpectrumSummary) -> np.ndarray:
@@ -450,16 +435,16 @@ def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
     The block is viewed as (d_1, ..., d_m, k), factor i acting on axis i;
     exp(-beta/2 * sum_i eps_i) weights each product eigenvector, with every
     factor's ground energy (its lowest sorted eigenvalue) shifted out.  The
-    transforms are orthogonal up to the gain G of _pair_gain, so the squared
-    norm of a projected column is sum w^2 |coeff0|^2 / G, read off in the
-    eigenbasis by one GEMV of w^2 against |coeff0|^2, which is formed once
-    and realization-major.  The weights w / (G * norm) then give normalized
-    columns straight out of the back transforms.
+    transforms are orthonormal, so the squared norm of a weighted column is
+    sum w^2 |coeff0|^2, read off in the eigenbasis by one GEMV of w^2
+    against |coeff0|^2, which is formed once and realization-major.  The
+    weights w / norm then give normalized columns straight out of the back
+    transforms.
 
     With ``traced_env`` and two factors (H_E, H_S) there are no back
     transforms: the coefficients are held as one C-ordered (k, dim) array,
-    each beta weights it by w / sqrt(G * norm^2), and the yielded (dim, k)
-    block is that array's transpose, beta = 0 included.
+    each beta weights it by w / norm, and the yielded (dim, k) block is
+    that array's transpose, beta = 0 included.
     """
     shape = tuple(f.dim for f in factors) + psi0.shape[1:]
     coeff0 = psi0.reshape(shape)
@@ -474,32 +459,26 @@ def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
     abs_sq = np.ascontiguousarray(rows.real ** 2 + rows.imag ** 2)
     shifted = functools.reduce(np.add.outer, [_coefficient_energies(f) - f.eigenvalues[0]
                                               for f in factors]).ravel()
-    e0 = sum(f.eigenvalues[0] for f in factors)
-    gain = math.prod(_pair_gain(f) for f in factors)
     for beta in betas:
         if beta == 0.0:
-            states, norm_sq = _unprojected(psi0)
-            yield ((coeff0 / math.sqrt(gain)).T if in_eigenbasis else states), norm_sq
+            yield coeff0.T if in_eigenbasis else psi0
             continue
         w = np.exp(-0.5 * beta * shifted)
-        raw_norm_sq = abs_sq @ (w * w) / gain
-        with np.errstate(over="ignore", under="ignore"):
-            norm_sq = raw_norm_sq * np.exp(-beta * e0)
+        scale = 1.0 / np.sqrt(abs_sq @ (w * w))
         if in_eigenbasis:
-            yield (coeff0 * np.multiply.outer(1.0 / np.sqrt(gain * raw_norm_sq), w)).T, norm_sq
+            yield (coeff0 * np.multiply.outer(scale, w)).T
             continue
-        raw = coeff0 * np.multiply.outer(w, 1.0 / (gain * np.sqrt(raw_norm_sq)))
-        raw = raw.reshape(shape)
+        raw = (coeff0 * np.multiply.outer(w, scale)).reshape(shape)
         for axis, f in enumerate(factors):
             raw = _along_axis(_from_eigenbasis, f, raw, axis)
-        yield raw.reshape(psi0.shape), norm_sq
+        yield raw.reshape(psi0.shape)
 
 
 def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
     """Chebyshev backend: one shared recurrence on the whole block for every beta > 0."""
     positive = [beta for beta in betas if beta > 0.0]
     if not positive:
-        return [_unprojected(psi0) for _ in betas]
+        return [psi0 for _ in betas]
     plan = imaginary_time_plan(energy_bounds(model), positive)
     raws = _apply_plan(model, plan, psi0)    # one (dim, k) row per beta, normalized in place
     # each column's norm as a vector's, so the norms add no dependence on the block
@@ -513,13 +492,10 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
             "Chebyshev projection; use the exact backend or compose shorter "
             "imaginary-time projections"
         )
-    projected = []
-    for log_prefactor, raw, raw_norm in zip(plan.log_prefactor, raws, raw_norms):
+    for raw, raw_norm in zip(raws, raw_norms):
         raw /= raw_norm
-        with np.errstate(over="ignore", under="ignore"):
-            projected.append((raw, np.exp(2.0 * (np.log(raw_norm) + log_prefactor))))
-    projected = iter(projected)
-    return [next(projected) if beta > 0.0 else _unprojected(psi0) for beta in betas]
+    projected = iter(raws)
+    return [next(projected) if beta > 0.0 else psi0 for beta in betas]
 
 
 def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
@@ -527,11 +503,9 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
                             traced_env: bool = False):
     """Project a (dim, k) block of initial states to every inverse temperature in ``betas``.
 
-    Returns an iterable of one (states, norm_sq) pair per beta, in order:
-    ``states`` holds the normalized columns exp(-beta H / 2)|psi_0>, and
-    ``norm_sq`` per column <psi_0| exp(-beta H) |psi_0> (it may overflow to
-    inf or underflow to 0 at extreme beta * |E|, while the states stay
-    exact).  beta = 0 returns ``psi0`` itself with its squared column norms.
+    Returns an iterable of one (dim, k) block per beta, in order, holding
+    the normalized columns exp(-beta H / 2)|psi_0>; beta = 0 returns
+    ``psi0`` itself.
 
     Given ``spectrum``, a tuple of parity-sector factor spectra
     (diagonalize_sectors), highest bits first, whose dimensions multiply
@@ -573,16 +547,15 @@ def traced_frame(hs_spectrum: SpectrumSummary,
     ``hs_spectrum`` is diagonalize(model, SYSTEM), whose gauged eigenvectors
     V are computational-basis columns.  Given an uncoupled (H_E, H_S)
     spectrum, the traced blocks hold their system axis in the coordinates
-    of H_S's sector eigenbasis Q = _from_eigenbasis(1) / sqrt(_pair_gain),
-    so the same spectrum is returned with V re-expressed there as Q^T V:
-    measuring in it costs a D_S x D_S rotation of rho_S, not a pass over
-    the block.  Any other spectrum leaves the blocks in the computational
+    of H_S's sector eigenbasis Q = _from_eigenbasis(1), so the same
+    spectrum is returned with V re-expressed there as Q^T V: measuring in
+    it costs a D_S x D_S rotation of rho_S, not a pass over the block.  Any other spectrum leaves the blocks in the computational
     basis, and hs_spectrum is returned as it is.
     """
     if spectrum is None or len(spectrum) != 2:
         return hs_spectrum
     system = spectrum[1]
-    q = _from_eigenbasis(system, np.eye(system.dim)[None])[0] / math.sqrt(_pair_gain(system))
+    q = _from_eigenbasis(system, np.eye(system.dim)[None])[0]
     return replace(hs_spectrum, eigenvectors=q.T @ hs_spectrum.eigenvectors)
 
 
@@ -625,7 +598,7 @@ def alternating_product_state(model: SpinModel, beta: float, seed,
     sys_vec = np.zeros(model.dim_system, dtype=complex)
     sys_vec[sys_index] = 1.0
     env0 = random_state(model.dim_env, seed)[:, None]
-    (env_vec, _), = _exact_projections((env_spectrum,), env0, [beta], traced_env=False)
+    env_vec, = _exact_projections((env_spectrum,), env0, [beta], traced_env=False)
     return np.kron(env_vec[:, 0], sys_vec)
 
 

@@ -4,7 +4,7 @@ Every bond term -c_a S^a_i S^a_j commutes with the global parities
 P_z = prod sigma^z and P_x = prod sigma^x, so each part's H is block
 diagonal by parity (standard exact-diagonalization practice, Sandvik, AIP
 Conf. Proc. 1297, 135 (2010)).  ``diagonalize_sectors`` slices the blocks
-out of the part's CSR matrix (``_part_matrix``), so only the blocks are
+out of the part's CSR matrix (``part_matrix``), so only the blocks are
 ever dense, solves them one by one and keeps the eigenpairs in a sector
 layout: for N bits the P_z sectors hold the indices of even and odd
 popcount; for even N >= 2 each splits again into P_x = +1 and -1 halves
@@ -32,10 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import SizeLimitError
-from .hamiltonian import FULL, SpinModel, _applier, _local_terms
+from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, part_matrix
 
 DEFAULT_DIM_CAP = 2**14
 DEGENERACY_TOL_FACTOR = 1e-8  # default tolerance = factor * spectral width
@@ -48,7 +47,8 @@ class Sector:
     The sector basis is |r> over ``reps`` when ``partners`` is None, and
     otherwise (|r> + sign |p>)/sqrt(2) over the pairs r, p = r ^ mask; a
     sign -1 sector directly follows its sign +1 twin and shares its index
-    arrays.  ``eigenvectors`` holds the sector coordinates as columns.
+    arrays.  ``eigenvectors`` holds each eigenvector's amplitudes on
+    ``reps`` as a column; on ``partners`` they are ``sign`` times those.
     """
 
     reps: np.ndarray
@@ -87,20 +87,11 @@ class SpectrumSummary:
 
 
 def _part_matrix(model: SpinModel, part: str):
-    """The CSR matrix of a part, refused above the dense cap before its kernel is built.
-
-    S, E and SE are their kernels' own matrices.  FULL is assembled as
-    kron(H_E, 1_S) + narrow from the two matrices its product composes,
-    so its entries are the product's, sum for sum.
-    """
-    dim = 2**_local_terms(model, part)[0]
+    """hamiltonian.part_matrix, refused above the dense cap before any kernel is built."""
+    dim = {SYSTEM: model.dim_system, ENVIRONMENT: model.dim_env}.get(part, model.dim)
     if dim > DEFAULT_DIM_CAP:
         raise SizeLimitError(f"dimension {dim} exceeds dense cap {DEFAULT_DIM_CAP}")
-    applier = _applier(model, part)
-    if part == FULL:
-        eye = scipy.sparse.identity(model.dim_system, format="csr")
-        return scipy.sparse.kron(applier.env.matrix, eye, format="csr") + applier.narrow.matrix
-    return applier.matrix
+    return part_matrix(model, part)
 
 
 def dense_matrix(model: SpinModel, part: str = FULL) -> np.ndarray:
@@ -173,8 +164,10 @@ def _parity_sectors(h) -> list[Sector]:
         # divide and conquer, into the fresh block's own memory: the block
         # is symmetric, so its transpose is the Fortran-ordered block LAPACK
         # overwrites without a copy
-        return Sector(reps, partners, sign,
-                      *scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True))
+        eigenvalues, eigenvectors = scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True)
+        if partners is not None:
+            eigenvectors /= np.sqrt(2.0)
+        return Sector(reps, partners, sign, eigenvalues, eigenvectors)
 
     if n_bits % 2 or n_bits == 0:
         # P_z only; for odd N the odd sector is P_x of the even one

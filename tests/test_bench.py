@@ -121,7 +121,7 @@ class TestConfigParsing:
 
 
 class TestRun:
-    def test_reproducible_and_parallel_equivalent(self):
+    def test_reproducible(self):
         cfg = make_config()
         assert bench.run(cfg).to_csv() == bench.run(cfg).to_csv()
 

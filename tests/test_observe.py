@@ -22,8 +22,7 @@ from spinbath.spectrum import SpectrumSummary, diagonalize, diagonalize_sectors
 def thermal_state(model, beta, seed, method="auto"):
     """One canonical thermal pure state drawn from ``seed``."""
     psi0 = random_state(model.dim, seed)[:, None]
-    (states, _), = canonical_thermal_state(model, psi0, [beta],
-                                           projection_spectrum(model, method))
+    states, = canonical_thermal_state(model, psi0, [beta], projection_spectrum(model, method))
     return states[:, 0]
 
 
@@ -71,7 +70,7 @@ class TestReduce:
         acc = np.zeros(4)
         n = 500
         psi0 = np.column_stack([random_state(m.dim, ("gibbs", r)) for r in range(n)])
-        (states, _), = canonical_thermal_state(m, psi0, [beta], projection_spectrum(m, "exact"))
+        states, = canonical_thermal_state(m, psi0, [beta], projection_spectrum(m, "exact"))
         for st in states.T:
             acc += reduce_to_system(st, 2, hs).diagonal / n
         ref = gibbs_weights(hs.eigenvalues, beta)
@@ -192,8 +191,7 @@ class TestBlockMeasure:
     @staticmethod
     def block_for(model, beta):
         psi0 = np.column_stack([random_state(model.dim, ("block", r)) for r in range(6)])
-        (states, _), = canonical_thermal_state(model, psi0, [beta],
-                                               projection_spectrum(model, "exact"))
+        states, = canonical_thermal_state(model, psi0, [beta], projection_spectrum(model, "exact"))
         return states
 
     @staticmethod
@@ -409,7 +407,7 @@ class TestTraceTimeSeries:
         hs = diagonalize(m, "S")
         spectrum = projection_spectrum(m, "exact")
         psi0 = random_state(m.dim, 41)[:, None]
-        (states, _), = canonical_thermal_state(m, psi0, [0.9], spectrum)
+        states, = canonical_thermal_state(m, psi0, [0.9], spectrum)
         bounds = propagate.spectral_bounds(m, *spectrum)
         calls = []
         apply = propagate.apply_hamiltonian

@@ -24,9 +24,9 @@ from conftest import parity_models, small_models
 
 
 def project(model, psi, beta, spectrum=None):
-    """One column projected to one beta: (state, norm_sq)."""
-    (states, norm_sq), = canonical_thermal_state(model, psi[:, None], [beta], spectrum)
-    return states[:, 0], norm_sq[0]
+    """One column projected to one beta."""
+    states, = canonical_thermal_state(model, psi[:, None], [beta], spectrum)
+    return states[:, 0]
 
 
 def random_block(model, seeds):
@@ -40,10 +40,9 @@ def assert_projection_matches_dense(model, seeds):
     factors = projection_spectrum(model, "exact")
     assert all(f.sectors is not None and f.eigenvectors is None for f in factors)
     projected = canonical_thermal_state(model, psi0, betas, factors)
-    for beta, (states, norm_sq) in zip(betas, projected, strict=True):
+    for beta, states in zip(betas, projected, strict=True):
         assert states.shape == (model.dim, len(seeds))
         assert np.abs(states - dense_projection(model, psi0, beta)).max() < 1e-12
-        assert np.abs(norm_sq / dense_norm_sq(model, psi0, beta) - 1.0).max() < 1e-10
 
 
 def term_by_term(model, plan, psi0):
@@ -70,13 +69,6 @@ def term_by_term(model, plan, psi0):
 def two_product_matmul(m, x):
     """The reference for real_matmul: separate real products of the real and imaginary parts."""
     return m @ np.ascontiguousarray(x.real) + 1j * (m @ np.ascontiguousarray(x.imag))
-
-
-def dense_norm_sq(model, psi0, beta):
-    """<psi_0| exp(-beta H) |psi_0> per column from the dense full-basis spectrum."""
-    e, v = np.linalg.eigh(dense_matrix(model))
-    weights = np.exp(-beta * (e - e[0]))[:, None] * np.abs(v.T @ psi0) ** 2
-    return np.exp(-beta * e[0]) * weights.sum(axis=0)
 
 
 def dense_propagator(model, part, beta):
@@ -129,7 +121,7 @@ class TestRealMatmul:
 
 
 class TestEigenbasisNorm:
-    """Column norms read off in the eigenbasis against the projected columns and a dense oracle."""
+    """Column norms read off in the eigenbasis: unit-norm columns that match a dense oracle."""
 
     @staticmethod
     def check(model):
@@ -137,9 +129,9 @@ class TestEigenbasisNorm:
         betas = (0.7, 20.0, 200.0)
         projected = canonical_thermal_state(model, psi0, betas,
                                             projection_spectrum(model, "exact"))
-        for beta, (states, norm_sq) in zip(betas, projected, strict=True):
+        for beta, states in zip(betas, projected, strict=True):
             assert np.abs(np.linalg.norm(states, axis=0) - 1.0).max() < 1e-13
-            assert np.abs(norm_sq / dense_norm_sq(model, psi0, beta) - 1.0).max() < 1e-12
+            assert np.abs(states - dense_projection(model, psi0, beta)).max() < 1e-12
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
     def test_coupled_parity_models(self, name):
@@ -155,6 +147,30 @@ class TestEigenbasisNorm:
     ], ids=["S_even_E_odd", "S_odd_E_even", "both_odd", "both_even"])
     def test_factorized_models(self, model):
         assert len(projection_spectrum(model, "exact")) == 2
+        self.check(model)
+
+
+class TestEigenbasisTransforms:
+    """_to_eigenbasis is orthonormal along its axis and _from_eigenbasis is its inverse."""
+
+    @staticmethod
+    def check(model):
+        rng = np.random.default_rng(9)
+        for part in ("S", "E", "FULL"):
+            factor = diagonalize_sectors(model, part)
+            x = rng.standard_normal((2, factor.dim, 3)) + 1j * rng.standard_normal((2, factor.dim, 3))
+            c = propagate._to_eigenbasis(factor, x)
+            assert np.abs(np.linalg.norm(c, axis=1) - np.linalg.norm(x, axis=1)).max() < 1e-13
+            assert np.abs(propagate._from_eigenbasis(factor, c) - x).max() < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    def test_parity_models(self, name):
+        # even N (P_x pairs), odd N, and the one-spin and zero-spin parts
+        self.check(parity_models()[name])
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_models())
+    def test_random_models(self, model):
         self.check(model)
 
 
@@ -186,9 +202,8 @@ class TestCanonicalThermalState:
         m = build_ring_model(2, 3, -1.0, 1, 2, 1.0)
         psi0 = random_block(m, (5, 6))
         for spectrum in (projection_spectrum(m, "exact"), None):
-            (states, norm_sq), = canonical_thermal_state(m, psi0, [0.0], spectrum)
+            states, = canonical_thermal_state(m, psi0, [0.0], spectrum)
             assert states is psi0
-            assert np.abs(norm_sq - 1.0).max() < 1e-14
 
     def test_matches_dense_projection(self):
         # N = 4 toy entirety at beta = 1 against scipy's dense exponential
@@ -197,11 +212,9 @@ class TestCanonicalThermalState:
         psi0 = random_state(m.dim, 11)
         raw = scipy.linalg.expm(-0.5 * h) @ psi0
         oracle_state = raw / np.linalg.norm(raw)
-        oracle_norm = float(np.linalg.norm(raw) ** 2)
         for method in ("exact", "chebyshev"):
-            state, norm_sq = project(m, psi0, 1.0, projection_spectrum(m, method))
+            state = project(m, psi0, 1.0, projection_spectrum(m, method))
             assert np.abs(state - oracle_state).max() < 1e-10
-            assert abs(norm_sq - oracle_norm) < 1e-10 * oracle_norm
 
     def test_methods_agree(self):
         m = build_ring_model(3, 4, -1.0, 2, 3, 1.0)   # N = 7
@@ -209,10 +222,9 @@ class TestCanonicalThermalState:
         betas = (0.0, 0.2, 3.0)
         exact = canonical_thermal_state(m, psi0, betas, projection_spectrum(m, "exact"))
         cheb = canonical_thermal_state(m, psi0, betas, projection_spectrum(m, "chebyshev"))
-        for (se, ne), (sc, nc) in zip(exact, cheb, strict=True):
+        for se, sc in zip(exact, cheb, strict=True):
             assert se.shape == sc.shape == (m.dim, 3)
             assert np.abs(se - sc).max() < 1e-10
-            assert np.abs(ne - nc).max() < 1e-10 * ne.max()
 
     def test_multi_beta_matches_single_beta(self):
         # the shared recurrence gives bit-identical states to one run per beta
@@ -220,10 +232,9 @@ class TestCanonicalThermalState:
         psi0 = random_block(m, (3, 4))
         betas = (0.3, 0.9, 2.0)
         shared = canonical_thermal_state(m, psi0, betas)
-        for beta, (states, norm_sq) in zip(betas, shared, strict=True):
-            (single, single_norm), = canonical_thermal_state(m, psi0, [beta])
+        for beta, states in zip(betas, shared, strict=True):
+            single, = canonical_thermal_state(m, psi0, [beta])
             assert np.array_equal(states, single)
-            assert np.array_equal(norm_sq, single_norm)
 
     def test_shared_recurrence_matvec_count(self, monkeypatch):
         m = build_ring_model(2, 5, -1.0, 25, 17, 1.0)
@@ -247,21 +258,14 @@ class TestCanonicalThermalState:
     def test_block_matches_single_columns(self, model):
         # the block recurrence gives each column bitwise what it gets alone,
         # here where every order stays below both ring depths (51 vectors
-        # for the block, 256 alone); beta = 0 returns the block itself,
-        # whose squared norms are one reduction over the block, so they
-        # agree only to rounding
+        # for the block, 256 alone); beta = 0 returns the block itself
         psi0 = random_block(model, range(5))
         betas = (0.0, 0.3, 0.9, 2.0)
         blocks = list(canonical_thermal_state(model, psi0, betas))
         for j in range(5):
             singles = canonical_thermal_state(model, psi0[:, j:j + 1], betas)
-            for beta, (states, norm_sq), (single, single_norm) in zip(betas, blocks, singles,
-                                                                      strict=True):
+            for states, single in zip(blocks, singles, strict=True):
                 assert np.array_equal(states[:, j:j + 1], single)
-                if beta > 0.0:
-                    assert np.array_equal(norm_sq[j:j + 1], single_norm)
-                else:
-                    assert abs(norm_sq[j] - single_norm[0]) < 1e-15 * single_norm[0]
 
     def test_in_place_recurrence_matches_expression_form(self):
         # the recurrence as written before it worked in place, each term added
@@ -285,7 +289,7 @@ class TestCanonicalThermalState:
         from spinbath.hamiltonian import apply_hamiltonian
 
         psi0 = random_block(m, [(21, r) for r in range(50)])
-        (states, _), = canonical_thermal_state(m, psi0, [beta], projection_spectrum(m, "exact"))
+        states, = canonical_thermal_state(m, psi0, [beta], projection_spectrum(m, "exact"))
         vals = np.array([float(np.real(np.vdot(st, apply_hamiltonian(m, "FULL", st))))
                          for st in states.T])
         dev = abs(vals.mean() - exact) / (vals.std(ddof=1) / np.sqrt(len(vals)))
@@ -294,9 +298,9 @@ class TestCanonicalThermalState:
     def test_semigroup(self):
         m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         psi0 = random_state(m.dim, 4)
-        s1, _ = project(m, psi0, 1.3)
-        s12, _ = project(m, s1, 0.9)
-        s2, _ = project(m, psi0, 2.2)
+        s1 = project(m, psi0, 1.3)
+        s12 = project(m, s1, 0.9)
+        s2 = project(m, psi0, 2.2)
         assert np.abs(s12 - s2).max() < 1e-9
 
     def test_order_overflow_error(self, monkeypatch):
@@ -319,7 +323,7 @@ class TestCanonicalThermalState:
         # so the ground component keeps full precision at any beta
         m = build_chain_model(2, 6, 1.0, 1.0, 1.0, 1.0)
         psi0 = random_state(m.dim, 1)
-        state, _ = project(m, psi0, 500.0)
+        state = project(m, psi0, 500.0)
         spec = diagonalize(m)
         ground = spec.eigenvectors[:, spec.eigenvalues - spec.eigenvalues[0]
                                    <= spec.degeneracy_tolerance]
@@ -353,8 +357,8 @@ class TestCanonicalThermalState:
         hs = diagonalize(fig8_model, "S")
         assert hs.ground_degeneracy == 5
         psi0 = random_block(fig8_model, [("fig8", r) for r in range(8)])
-        (ss, _), = canonical_thermal_state(fig8_model, psi0, [beta],
-                                           projection_spectrum(fig8_model, "exact"))
+        ss, = canonical_thermal_state(fig8_model, psi0, [beta],
+                                      projection_spectrum(fig8_model, "exact"))
         # the dense oracle per part: exp(-beta H_E / 2) (x) exp(-beta H_S / 2)
         raw = np.einsum("ea,sb,abk->esk", dense_propagator(fig8_model, "E", beta),
                         dense_propagator(fig8_model, "S", beta),
@@ -410,15 +414,12 @@ class TestTracedEnvironment:
         from spinbath.observe import measure_state
 
         factors = projection_spectrum(model, "exact")
-        # even N_E pairs its sectors under P_x (gain 2), odd N_E does not (gain 1)
-        assert propagate._pair_gain(factors[0]) == (1 if model.n_env % 2 else 2)
         hs = diagonalize(model, "S")
         psi0 = random_block(model, range(16))
         frame = propagate.traced_frame(hs, factors)
         traced = canonical_thermal_state(model, psi0, self.BETAS, factors, traced_env=True)
         rotated = canonical_thermal_state(model, psi0, self.BETAS, factors)
-        for beta, (st, nt), (sr, nr) in zip(self.BETAS, traced, rotated, strict=True):
-            assert np.array_equal(nt, nr)
+        for beta, st, sr in zip(self.BETAS, traced, rotated, strict=True):
             assert np.abs(np.linalg.norm(st, axis=0) - 1.0).max() < 1e-13
             rt = measure_state(st, model.n_system, frame, beta_ref=beta)
             rr = measure_state(sr, model.n_system, hs, beta_ref=beta)
@@ -435,8 +436,8 @@ class TestTracedEnvironment:
         # reduce_to_system then reads each realization's amplitudes without a copy
         m = build_chain_model(2, 4, 1.0, 1.0, 1.0, 0.0)
         psi0 = random_block(m, range(5))
-        for states, _ in canonical_thermal_state(m, psi0, self.BETAS, projection_spectrum(m, "exact"),
-                                                 traced_env=True):
+        for states in canonical_thermal_state(m, psi0, self.BETAS, projection_spectrum(m, "exact"),
+                                              traced_env=True):
             assert states.shape == psi0.shape and states.T.flags.c_contiguous
 
     def test_frame_only_for_uncoupled_spectra(self):
@@ -457,8 +458,8 @@ class TestTracedEnvironment:
         for spectrum in (projection_spectrum(m, "exact"), None):
             traced = canonical_thermal_state(m, psi0, betas, spectrum, traced_env=True)
             plain = canonical_thermal_state(m, psi0, betas, spectrum)
-            for (st, nt), (sp, np_) in zip(traced, plain, strict=True):
-                assert np.array_equal(st, sp) and np.array_equal(nt, np_)
+            for st, sp in zip(traced, plain, strict=True):
+                assert np.array_equal(st, sp)
 
 
 class TestEvolveRealTime:
@@ -523,15 +524,15 @@ class TestEvolveRealTime:
         bounds = energy_bounds(build_ring_model(2, 4, -1.0, 3, 9, 1.0))
         for make, x in ((real_time_plan, 2.0), (imaginary_time_plan, 0.9)):
             plan, grid = make(bounds, x), make(bounds, [x])
-            assert plan.at.shape == plan.log_prefactor.shape == plan.phase.shape == (1,)
+            assert plan.at.shape == plan.phase.shape == (1,)
             assert plan.coefficients.shape == (plan.order + 1, 1)
-            for name in ("coefficients", "at", "log_prefactor", "phase"):
+            for name in ("coefficients", "at", "phase"):
                 assert np.array_equal(getattr(plan, name), getattr(grid, name))
             assert isinstance(plan.order, int) and plan.point_orders.tolist() == [plan.order]
             assert plan.coefficients[plan.order, 0] != 0.0
             padded = ChebyshevPlan(plan.e_min, plan.e_max,
                                    np.vstack([plan.coefficients, np.zeros((3, 1))]),
-                                   plan.at, plan.log_prefactor, plan.phase)
+                                   plan.at, plan.phase)
             assert padded.order == plan.order + 3 and padded.point_orders.tolist() == [plan.order]
 
     def test_grid_plan_columns_match_single_point_plans(self):
@@ -552,7 +553,6 @@ class TestEvolveRealTime:
                 assert np.array_equal(plan.coefficients[: single.order + 1, j],
                                       single.coefficients[:, 0])
                 assert not plan.coefficients[single.order + 1:, j].any()
-                assert plan.log_prefactor[j] == single.log_prefactor[0]
                 assert plan.phase[j] == single.phase[0]
         block = evolve_real_time(m, psi, times)
         assert block.shape == (m.dim, len(times))
@@ -569,7 +569,7 @@ class TestEvolveRealTime:
         hs = diag(m, "S")
         s0, st_ = [], []
         psi0 = random_block(m, [("tti", r) for r in range(100)])
-        (states, _), = canonical_thermal_state(m, psi0, [0.9])
+        states, = canonical_thermal_state(m, psi0, [0.9])
         for st in states.T:
             s0.append(measure_state(st, 4, hs).sigma)
             st_.append(measure_state(evolve_real_time(m, st, 10.0), 4, hs).sigma)
@@ -589,7 +589,7 @@ class TestRecurrenceRing:
             grid[: order + 1, j] = plan.coefficients[: order + 1, 0]
         n = len(orders)
         return ChebyshevPlan(plan.e_min, plan.e_max, grid, np.arange(n, dtype=float),
-                             np.zeros(n), np.ones(n, dtype=complex))
+                             np.ones(n, dtype=complex))
 
     @pytest.mark.parametrize("orders", [[1, 2], [1, 3], [2, 3, 4], [3, 4, 8],
                                         [2, 3, 4, 8, 9, 13, 18]],
