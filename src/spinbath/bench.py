@@ -423,10 +423,14 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
                 if isinstance(results[lam], str):
                     continue
                 try:
-                    projected = canonical_thermal_state(model, block, config.beta_list, spectrum,
-                                                        traced_env=True)
-                    for beta, states in zip(config.beta_list, projected):
+                    # next() and del, not zip, whose reused result tuple would
+                    # keep the last beta's block alive while the next is made
+                    projected = iter(canonical_thermal_state(model, block, config.beta_list,
+                                                             spectrum, traced_env=True))
+                    for beta in config.beta_list:
+                        states = next(projected)
                         rep = observe.measure_state(states, n_sys, frame, beta_ref=beta)
+                        del states
                         for name, values in results[lam][beta].items():
                             values[start:stop] = getattr(rep, name)
                 except SpinBathError as exc:

@@ -362,7 +362,9 @@ def real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m @ x
 
 
-_TILE_ROWS = 64     # rows per tile of _transposed: 64 x 256 complex columns is 256 KiB
+# rows per tile of _transposed (64 x 256 complex columns is 256 KiB) and of
+# the exact backend's row-by-row scratch
+_TILE_ROWS = 64
 
 
 def _transposed(state: np.ndarray) -> np.ndarray:
@@ -378,28 +380,39 @@ def _transposed(state: np.ndarray) -> np.ndarray:
 def _to_eigenbasis(factor: SpectrumSummary, x: np.ndarray) -> np.ndarray:
     """Coordinates of the (A, d, B) block x in a factor's eigenbasis, along axis 1.
 
-    Rows follow the factor's eigenpairs in sector order.  A P_x pair's two
-    sectors take the sum and the difference of one gather, against
-    eigenvectors that hold the pair basis' 1/sqrt(2) (see spectrum.Sector),
-    so the transform is orthonormal and _from_eigenbasis is its inverse.
+    Rows follow the factor's eigenpairs in sector order, each sector's
+    product written straight into the one output block.  A P_x pair's two
+    sectors take the sum and the difference of one gather (the difference
+    first, then the sum in the gather's own memory), against eigenvectors
+    that hold the pair basis' 1/sqrt(2) (see spectrum.Sector), so the
+    transform is orthonormal and _from_eigenbasis is its inverse.
     """
-    parts = []
+    out = np.empty_like(x)
+    start = 0
     for s in factor.sectors:
+        stop = start + s.eigenvalues.shape[0]
         if s.partners is None:
             v = x[:, s.reps]
         elif s.sign > 0:
-            a, b = x[:, s.reps], x[:, s.partners]
-            v, minus = a + b, a - b
+            v, b = x[:, s.reps], x[:, s.partners]
+            minus = v - b
+            v += b
+            del b
         else:
             v = minus
-        parts.append(real_matmul(s.eigenvectors.T, v))
-    return np.concatenate(parts, axis=1)
+            del minus
+        out[:, start:stop] = real_matmul(s.eigenvectors.T, v)
+        del v
+        start = stop
+    return out
 
 
 def _from_eigenbasis(factor: SpectrumSummary, c: np.ndarray) -> np.ndarray:
     """Computational-basis rows from eigenbasis rows along axis 1.
 
-    This is the inverse of _to_eigenbasis, and its transpose.
+    This is the inverse of _to_eigenbasis, and its transpose.  A P_x pair's
+    sum is scattered a few rows at a time and its difference formed in
+    place, so a pair holds its two sector products and no third.
     """
     out = np.empty_like(c)
     start = 0
@@ -412,9 +425,13 @@ def _from_eigenbasis(factor: SpectrumSummary, c: np.ndarray) -> np.ndarray:
         elif s.sign > 0:
             plus = y
         else:
-            out[:, s.reps] = plus + y
+            for r in range(0, len(s.reps), _TILE_ROWS):
+                tile = slice(r, r + _TILE_ROWS)
+                out[:, s.reps[tile]] = plus[:, tile] + y[:, tile]
             plus -= y
             out[:, s.partners] = plus
+            del plus
+        del y
     return out
 
 
@@ -437,9 +454,12 @@ def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
     factor's ground energy (its lowest sorted eigenvalue) shifted out.  The
     transforms are orthonormal, so the squared norm of a weighted column is
     sum w^2 |coeff0|^2, read off in the eigenbasis by one GEMV of w^2
-    against |coeff0|^2, which is formed once and realization-major.  The
-    weights w / norm then give normalized columns straight out of the back
-    transforms.
+    against |coeff0|^2, which is formed once, C-ordered and
+    realization-major.  The weights w / norm then give normalized columns
+    straight out of the back transforms.  Squares and weights are formed
+    _TILE_ROWS rows at a time into their one output, so besides the
+    coefficients a beta holds |coeff0|^2 and the block it yields, plus the
+    back transforms' scratch; the block is not referenced here once yielded.
 
     With ``traced_env`` and two factors (H_E, H_S) there are no back
     transforms: the coefficients are held as one C-ordered (k, dim) array,
@@ -456,22 +476,35 @@ def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
         coeff0 = _transposed(coeff0)
     # C-ordered (k, dim) on both paths, so their GEMVs give bitwise equal norms
     rows = coeff0 if in_eigenbasis else coeff0.T
-    abs_sq = np.ascontiguousarray(rows.real ** 2 + rows.imag ** 2)
+    abs_sq = np.empty(rows.shape)
+    for r in range(0, len(rows), _TILE_ROWS):
+        tile = rows[r:r + _TILE_ROWS]
+        abs_sq[r:r + _TILE_ROWS] = tile.real ** 2 + tile.imag ** 2
     shifted = functools.reduce(np.add.outer, [_coefficient_energies(f) - f.eigenvalues[0]
                                               for f in factors]).ravel()
+
+    def weighted(beta):
+        w = np.exp(-0.5 * beta * shifted)
+        scale = 1.0 / np.sqrt(abs_sq @ (w * w))
+        # (k, dim) in the eigenbasis, else (dim, k): row factors, then column factors
+        row_f, col_f = (scale, w) if in_eigenbasis else (w, scale)
+        out = np.empty_like(coeff0)
+        for r in range(0, len(out), _TILE_ROWS):
+            tile = slice(r, r + _TILE_ROWS)
+            np.multiply(coeff0[tile], np.multiply.outer(row_f[tile], col_f), out=out[tile])
+        if in_eigenbasis:
+            return out.T
+        raw = out.reshape(shape)
+        del out
+        for axis, f in enumerate(factors):
+            raw = _along_axis(_from_eigenbasis, f, raw, axis)
+        return raw.reshape(psi0.shape)
+
     for beta in betas:
         if beta == 0.0:
             yield coeff0.T if in_eigenbasis else psi0
-            continue
-        w = np.exp(-0.5 * beta * shifted)
-        scale = 1.0 / np.sqrt(abs_sq @ (w * w))
-        if in_eigenbasis:
-            yield (coeff0 * np.multiply.outer(scale, w)).T
-            continue
-        raw = (coeff0 * np.multiply.outer(w, scale)).reshape(shape)
-        for axis, f in enumerate(factors):
-            raw = _along_axis(_from_eigenbasis, f, raw, axis)
-        yield raw.reshape(psi0.shape)
+        else:
+            yield weighted(beta)
 
 
 def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
@@ -510,9 +543,10 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     Given ``spectrum``, a tuple of parity-sector factor spectra
     (diagonalize_sectors), highest bits first, whose dimensions multiply
     to model.dim (see projection_spectrum), the block is projected exactly
-    and lazily, so only one beta's block is held at a time; without it a
-    single Chebyshev recurrence on the whole block serves every beta and
-    never builds a dense matrix.
+    and lazily: the iterable keeps no block it has yielded, so a caller
+    that drops each block before taking the next holds one beta's block at
+    a time; without it a single Chebyshev recurrence on the whole block
+    serves every beta and never builds a dense matrix.
 
     ``traced_env=True`` is for callers that only trace the environment out
     and measure (reduce_to_system, measure_state): with an uncoupled

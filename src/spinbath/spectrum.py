@@ -150,7 +150,9 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray
 def _parity_sectors(h) -> list[Sector]:
     """The parity sectors of the CSR matrix h, each block sliced out and solved densely.
 
-    Only the blocks are ever dense.
+    Only the blocks are ever dense, one at a time: a P_x pair's two blocks
+    are each one toarray() of the sparse sum or difference of the sliced
+    rows, which adds the same pairs of floats as the dense sum would.
     """
     dim = h.shape[0]
     n_bits = dim.bit_length() - 1
@@ -179,9 +181,9 @@ def _parity_sectors(h) -> list[Sector]:
         reps = idx[(parity == p) & (idx <= mask >> 1)]
         partners = reps ^ mask
         rows = h[reps]
-        same, crossed = rows[:, reps].toarray(), rows[:, partners].toarray()
-        sectors.append(solve(reps, partners, 1.0, same + crossed))
-        sectors.append(solve(reps, partners, -1.0, same - crossed))
+        same, crossed = rows[:, reps], rows[:, partners]
+        sectors.append(solve(reps, partners, 1.0, (same + crossed).toarray()))
+        sectors.append(solve(reps, partners, -1.0, (same - crossed).toarray()))
     return sectors
 
 

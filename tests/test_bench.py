@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +207,24 @@ class TestRun:
         s2 = [r["sigma"] for r in t2.dicts()
               if isinstance(r["realization"], int) and r["lam"] == 0.0 and r["beta"] == 0.5]
         assert s1 == s2
+
+    def test_exact_sweep_holds_one_beta_block(self):
+        # chain 4+8 in one block of 256 realizations (16 MiB): the caller's
+        # block, the eigen coefficients, |coeff0|^2 (half a block), the one
+        # beta block being measured and the measures' scratch, 3.8 blocks;
+        # a beta block kept alive while the next one is made reads 5.0
+        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
+                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
+                          n_realizations=256, method="exact")
+        block = 2**12 * 256 * 16
+        tracemalloc.start()
+        try:
+            table = bench.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.failed_points == 0
+        assert peak <= 4.5 * block
 
     def test_exact_and_chebyshev_methods_agree(self):
         a = bench.run(make_config(method="exact", n_realizations=6))

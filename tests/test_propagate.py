@@ -139,6 +139,25 @@ class TestEigenbasisNorm:
         assert len(projection_spectrum(model, "exact")) == (1 if model.coupling_bonds else 2)
         self.check(model)
 
+    def test_coupled_norms_from_c_ordered_squares(self):
+        # the norms are one GEMV of w^2 against |coeff0|^2 held C-ordered as
+        # (k, dim); held F-ordered, the GEMV sums in another order, and the
+        # block's bits change while staying within rounding of the oracle
+        model = build_ring_model(2, 6, -1.0, 3, 5, 0.5)
+        factors = projection_spectrum(model, "exact")
+        (factor,) = factors
+        psi0 = random_block(model, [("norm-layout", r) for r in range(16)])
+        coeff0 = propagate._to_eigenbasis(factor, psi0[None])[0]
+        abs_sq = np.ascontiguousarray((coeff0.real ** 2 + coeff0.imag ** 2).T)
+        shifted = propagate._coefficient_energies(factor) - factor.eigenvalues[0]
+        betas = (0.7, 20.0)
+        projected = canonical_thermal_state(model, psi0, betas, factors)
+        for beta, states in zip(betas, projected, strict=True):
+            w = np.exp(-0.5 * beta * shifted)
+            scale = 1.0 / np.sqrt(abs_sq @ (w * w))
+            weighted = coeff0 * np.multiply.outer(w, scale)
+            assert np.array_equal(states, propagate._from_eigenbasis(factor, weighted[None])[0])
+
     @pytest.mark.parametrize("model", [
         build_ring_model(2, 3, -1.0, 4, 9, 0.0),       # S even (P_x pairs), E odd
         build_ring_model(3, 4, -1.0, 2, 3, 0.0),       # S odd, E even

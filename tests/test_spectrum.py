@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinbath import spectrum
 from spinbath.errors import SizeLimitError
-from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model
+from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model, part_matrix
 from spinbath.spectrum import (
     ThermoFunctions,
     dense_matrix,
@@ -44,6 +46,24 @@ def check_sector_layout(model, part):
     energies = np.concatenate([s.eigenvalues for s in spec.sectors])
     assert np.abs(v.T @ v - np.eye(dim)).max() < 1e-12
     assert np.abs(h @ v - v * energies).max() < 1e-10 * max(spec.width, 1.0)
+
+
+def check_sectors_match_dense_sums(spec, h):
+    """Every sector bitwise against its block from the dense matrix h: both slices dense, then added.
+
+    A P_x pair sector's eigenvectors are scaled to their amplitudes on reps.
+    """
+    gathered = []
+    for s in spec.sectors:
+        block = h[np.ix_(s.reps, s.reps)]
+        if s.partners is not None:
+            block = block + s.sign * h[np.ix_(s.reps, s.partners)]
+        evals, evecs = scipy.linalg.eigh(block, driver="evd")
+        if s.partners is not None:
+            evecs /= np.sqrt(2.0)
+        assert np.array_equal(s.eigenvalues, evals) and np.array_equal(s.eigenvectors, evecs)
+        gathered.append(evals)
+    assert np.array_equal(spec.eigenvalues, np.sort(np.concatenate(gathered)))
 
 
 class TestDiagonalize:
@@ -131,8 +151,6 @@ class TestParitySectors:
     @pytest.mark.parametrize("name", sorted(parity_models()))
     @pytest.mark.parametrize("part", ["S", "E", "FULL"])
     def test_blocks_sliced_without_dense_matrix(self, name, part, monkeypatch):
-        # reference: the blocks gathered from the dense matrix, solved the same
-        # way, a P_x pair sector's eigenvectors scaled to their amplitudes on reps
         model = parity_models()[name]
         h = dense_matrix(model, part)
         dense = spectrum.dense_matrix
@@ -143,18 +161,32 @@ class TestParitySectors:
             return dense(m, p, *args, **kwargs)
 
         monkeypatch.setattr(spectrum, "dense_matrix", refuse)
-        spec = diagonalize_sectors(model, part)
-        gathered = []
-        for s in spec.sectors:
-            block = h[np.ix_(s.reps, s.reps)]
-            if s.partners is not None:
-                block = block + s.sign * h[np.ix_(s.reps, s.partners)]
-            evals, evecs = scipy.linalg.eigh(block, driver="evd")
-            if s.partners is not None:
-                evecs /= np.sqrt(2.0)
-            assert np.array_equal(s.eigenvalues, evals) and np.array_equal(s.eigenvectors, evecs)
-            gathered.append(evals)
-        assert np.array_equal(spec.eigenvalues, np.sort(np.concatenate(gathered)))
+        check_sectors_match_dense_sums(diagonalize_sectors(model, part), h)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_models())
+    def test_blocks_match_dense_sums_random_models(self, model):
+        # each pair block is one toarray() of a sparse sum or difference
+        for part in ("S", "E", "FULL"):
+            check_sectors_match_dense_sums(diagonalize_sectors(model, part),
+                                           dense_matrix(model, part))
+
+    def test_solve_peak_memory(self):
+        # ring 4+8's FULL sectors: four 1024 blocks, 32 MiB of eigenvectors
+        # held.  One dense block is alive per solve, beside evd's workspace
+        # of 2n^2 + 6n + 1 doubles; densifying both slices and then adding
+        # them would hold two blocks more (64.6 MiB).
+        h = part_matrix(build_ring_model(4, 8, -1.0, 23, 29, 1.0), "FULL")
+        tracemalloc.start()
+        try:
+            sectors = spectrum._parity_sectors(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = sectors[0].eigenvalues.shape[0]
+        held = sum(s.eigenvectors.nbytes for s in sectors)
+        assert n == 1024 and held == 2**25
+        assert peak <= held + 8 * (2 * n * n + 6 * n + 1) + 2**22
 
     @pytest.mark.parametrize("part", ["S", "E", "FULL"])
     def test_sectors_keep_dim_cap(self, part, monkeypatch):
