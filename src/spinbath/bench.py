@@ -49,6 +49,9 @@ MODES = ("static_measure", "time_trace", "theory_overlay", "symmetry_check",
 PLOT_MODES = ("static_measure", "theory_overlay", "time_trace")
 MODELS = ("ring", "chain", "explicit")
 _PASS_BYTES = 2**28     # sector eigenvector bytes held by one pass over the realizations
+# amplitudes in one block of an uncoupled pass, which runs no GEMM that
+# wants _BLOCK_AMPLITUDES: 32 columns, 2 MiB (an L2), at 2^12
+_UNCOUPLED_BLOCK_AMPLITUDES = 2**17
 
 
 def default_realizations(n_spins: int) -> int:
@@ -383,14 +386,18 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
     sector eigenvectors reach _PASS_BYTES (a lambda without a spectrum is a
     pass of its own); each realization is drawn once per pass and projected
     at every lambda of it, so lambda points share random states by
-    construction.  The closed forms read the first uncoupled (H_E, H_S)
+    construction.  A pass draws its realizations in blocks sized from its
+    spectra: where every point projects on an uncoupled (H_E, H_S) pair,
+    whose per-beta work is coefficient weights and Gram products, a block
+    holds _UNCOUPLED_BLOCK_AMPLITUDES, a cache's worth; a coupled or
+    Chebyshev point keeps _BLOCK_AMPLITUDES, the width its GEMMs and
+    recurrences need.  The closed forms read the first uncoupled (H_E, H_S)
     pair a pass solved, else solve the parts.
     """
     base = config.build_model(n_sys, n_env, config.lambda_list[0])
     hs_spec = diagonalize(base, SYSTEM)
     n_real = config.realizations(base.n_spins)
     key = config.structure_key(n_sys, n_env)
-    block_columns = max(1, _BLOCK_AMPLITUDES // base.dim)
     results, pending, inputs0 = {}, list(config.lambda_list), None
 
     def run_pass():
@@ -413,12 +420,14 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
                             for beta in config.beta_list}
             held += _PASS_BYTES if spectrum is None else sum(
                 s.eigenvectors.nbytes for factor in spectrum for s in factor.sectors)
+        uncoupled = all(spectrum is not None and len(spectrum) == 2 for _, _, spectrum, _ in points)
+        amplitudes = _UNCOUPLED_BLOCK_AMPLITUDES if uncoupled else _BLOCK_AMPLITUDES
+        block_columns = max(1, amplitudes // base.dim)
         for start in range(0, n_real if points else 0, block_columns):
             stop = min(start + block_columns, n_real)
-            block = np.column_stack([
-                random_state(base.dim, realization_seed(config.master_seed, key, r))
-                for r in range(start, stop)
-            ])
+            block = np.empty((base.dim, stop - start), dtype=complex)
+            for j, r in enumerate(range(start, stop)):
+                block[:, j] = random_state(base.dim, realization_seed(config.master_seed, key, r))
             for lam, model, spectrum, frame in points:
                 if isinstance(results[lam], str):
                     continue

@@ -67,8 +67,11 @@ DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
 EXACT_AUTO_DIM = 2**12         # "auto" projects exactly up to this dimension
 SPECTRAL_PAD = 1e-8            # relative pad of spectral_bounds (eigh errs by about 1e-12)
-# amplitudes held in one block of states: a projection's realizations, a
-# time trace's output times (256 columns at 2^12, one column from 2^20 on)
+# amplitudes held in one block of states: the realizations of a static pass
+# with a coupled or Chebyshev point, whose sector GEMMs run near the GEMM
+# peak only on wide blocks, and a time trace's output times (256 columns at
+# 2^12, one column from 2^20 on); an uncoupled pass runs no large GEMM and
+# takes the smaller bench._UNCOUPLED_BLOCK_AMPLITUDES
 _BLOCK_AMPLITUDES = 2**20
 # amplitudes in _apply_plan's ring of recurrence vectors: 8 vectors at 2^12,
 # from 2^14 on the recurrence pair alone, whose peak a deeper ring would pass
@@ -90,8 +93,12 @@ def random_state(dim: int, seed) -> np.ndarray:
     rng = spawn_rng(*(seed if isinstance(seed, tuple) else (seed,)))
     u = rng.random((2, dim))
     radius = np.sqrt(-2.0 * np.log1p(-u[0]))   # 1 - u in (0, 1], so log is finite
-    d = radius * np.cos(2.0 * np.pi * u[1]) + 1j * radius * np.sin(2.0 * np.pi * u[1])
-    return d / np.linalg.norm(d)
+    angle = 2.0 * np.pi * u[1]
+    d = np.empty(dim, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=d.real)
+    np.multiply(radius, np.sin(angle), out=d.imag)
+    d /= np.linalg.norm(d)
+    return d
 
 
 @dataclass

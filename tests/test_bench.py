@@ -208,15 +208,8 @@ class TestRun:
               if isinstance(r["realization"], int) and r["lam"] == 0.0 and r["beta"] == 0.5]
         assert s1 == s2
 
-    def test_exact_sweep_holds_one_beta_block(self):
-        # chain 4+8 in one block of 256 realizations (16 MiB): the caller's
-        # block, the eigen coefficients, |coeff0|^2 (half a block), the one
-        # beta block being measured and the measures' scratch, 3.8 blocks;
-        # a beta block kept alive while the next one is made reads 5.0
-        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
-                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
-                          n_realizations=256, method="exact")
-        block = 2**12 * 256 * 16
+    @staticmethod
+    def traced_peak(cfg):
         tracemalloc.start()
         try:
             table = bench.run(cfg)
@@ -224,7 +217,56 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert table.failed_points == 0
-        assert peak <= 4.5 * block
+        return peak
+
+    def test_exact_sweep_holds_one_beta_block(self, monkeypatch):
+        # chain 4+8 in one block of 256 realizations (16 MiB): the caller's
+        # block, the eigen coefficients, |coeff0|^2 (half a block), the one
+        # beta block being measured and the measures' scratch, 3.8 blocks;
+        # a beta block kept alive while the next one is made reads 5.0
+        monkeypatch.setattr(bench, "_UNCOUPLED_BLOCK_AMPLITUDES", 2**20)
+        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
+                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
+                          n_realizations=256, method="exact")
+        assert self.traced_peak(cfg) <= 4.5 * 2**12 * 256 * 16
+
+    def test_uncoupled_sweep_peak_in_cache_sized_blocks(self):
+        # the same sweep in blocks of 32 realizations (2 MiB) peaks at
+        # 8.4 MiB; in one block of 256 it read 61.4 MiB
+        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
+                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
+                          n_realizations=256, method="exact")
+        assert self.traced_peak(cfg) <= 16 * 2**20
+
+    @pytest.mark.parametrize("model, n_sys, n_env, lambda_list, n_realizations, widths", [
+        ("chain", 4, 8, (0.0,), 40, [32, 8]),
+        ("ring", 2, 10, (0.0, 0.5), 257, [256, 256, 1, 1]),
+    ], ids=["uncoupled_chain", "mixed_ring"])
+    def test_block_width_by_pass_kind(self, model, n_sys, n_env, lambda_list, n_realizations,
+                                      widths, monkeypatch):
+        # a pass projecting only on uncoupled (H_E, H_S) pairs draws blocks
+        # of _UNCOUPLED_BLOCK_AMPLITUDES; a pass with a coupled point keeps
+        # _BLOCK_AMPLITUDES for its sector GEMMs
+        seen, project = [], bench.canonical_thermal_state
+
+        def recorded(model, psi0, *args, **kwargs):
+            seen.append(psi0.shape[1])
+            return project(model, psi0, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "canonical_thermal_state", recorded)
+        cfg = make_config(model=model, n_sys_list=(n_sys,), n_env_list=(n_env,),
+                          lambda_list=lambda_list, n_realizations=n_realizations, method="exact")
+        assert bench.run(cfg).failed_points == 0
+        assert seen == widths
+
+    def test_uncoupled_rows_do_not_depend_on_block_budget(self, monkeypatch):
+        # chain 4+8's 64 realizations in two full blocks of 32 or one of 64
+        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
+                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
+                          n_realizations=64, method="exact")
+        default = bench.run(cfg).to_csv()
+        monkeypatch.setattr(bench, "_UNCOUPLED_BLOCK_AMPLITUDES", 2**20)
+        assert bench.run(cfg).to_csv() == default
 
     def test_exact_and_chebyshev_methods_agree(self):
         a = bench.run(make_config(method="exact", n_realizations=6))

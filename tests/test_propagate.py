@@ -205,6 +205,21 @@ class TestRandomState:
         a = random_state(1, 3)
         assert a.shape == (1,) and abs(abs(a[0]) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 4096, 2**16])
+    def test_bits_equal_the_complex_expression(self, dim):
+        # the draw as one complex expression, before the amplitudes were
+        # written into one array's real and imaginary parts in place
+        from spinbath.seeds import spawn_rng
+
+        def reference(seed):
+            u = spawn_rng(*seed).random((2, dim))
+            radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+            d = radius * np.cos(2.0 * np.pi * u[1]) + 1j * radius * np.sin(2.0 * np.pi * u[1])
+            return d / np.linalg.norm(d)
+
+        for seed in [(5,), (20160902, 4, 8, "chain", 17)]:
+            assert random_state(dim, seed).tobytes() == reference(seed).tobytes()
+
     def test_moments(self):
         mc = moment_check(16, 6000, 2718)
         assert max(mc.deviations()) < 3.0
