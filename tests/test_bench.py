@@ -209,6 +209,12 @@ class TestRun:
         assert s1 == s2
 
     @staticmethod
+    def chain_overlay(n_realizations):
+        return make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
+                           n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
+                           n_realizations=n_realizations, method="exact")
+
+    @staticmethod
     def traced_peak(cfg):
         tracemalloc.start()
         try:
@@ -225,17 +231,13 @@ class TestRun:
         # beta block being measured and the measures' scratch, 3.8 blocks;
         # a beta block kept alive while the next one is made reads 5.0
         monkeypatch.setattr(bench, "_UNCOUPLED_BLOCK_AMPLITUDES", 2**20)
-        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
-                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
-                          n_realizations=256, method="exact")
+        cfg = self.chain_overlay(256)
         assert self.traced_peak(cfg) <= 4.5 * 2**12 * 256 * 16
 
     def test_uncoupled_sweep_peak_in_cache_sized_blocks(self):
         # the same sweep in blocks of 32 realizations (2 MiB) peaks at
         # 8.4 MiB; in one block of 256 it read 61.4 MiB
-        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
-                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
-                          n_realizations=256, method="exact")
+        cfg = self.chain_overlay(256)
         assert self.traced_peak(cfg) <= 16 * 2**20
 
     @pytest.mark.parametrize("model, n_sys, n_env, lambda_list, n_realizations, widths", [
@@ -261,9 +263,7 @@ class TestRun:
 
     def test_uncoupled_rows_do_not_depend_on_block_budget(self, monkeypatch):
         # chain 4+8's 64 realizations in two full blocks of 32 or one of 64
-        cfg = make_config(mode="theory_overlay", model="chain", n_sys_list=(4,),
-                          n_env_list=(8,), lambda_list=(0.0,), beta_list=(0.3, 1.0, 3.0),
-                          n_realizations=64, method="exact")
+        cfg = self.chain_overlay(64)
         default = bench.run(cfg).to_csv()
         monkeypatch.setattr(bench, "_UNCOUPLED_BLOCK_AMPLITUDES", 2**20)
         assert bench.run(cfg).to_csv() == default
