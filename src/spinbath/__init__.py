@@ -17,7 +17,7 @@ from .hamiltonian import (
     build_ring_model,
     energy_bounds,
 )
-from .observe import MeasureReport, ReducedDensityMatrix, delta, fit_b, measure_state, reduce_to_system, sigma, trace_time_series
+from .observe import MeasureReport, ReducedDensityMatrix, delta, fit_b, measure_state, reduce_to_system, sigma, thermal_measures, trace_time_series
 from .propagate import (
     ChebyshevPlan,
     alternating_product_state,
@@ -28,7 +28,6 @@ from .propagate import (
     projection_spectrum,
     random_state,
     spectral_bounds,
-    traced_frame,
 )
 from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, thermo
 from .theory import (

@@ -24,7 +24,6 @@ from .propagate import (
     projection_spectrum,
     random_state,
     spectral_bounds,
-    traced_frame,
 )
 from .seeds import spawn_rng
 from .spectrum import diagonalize, diagonalize_sectors
@@ -191,9 +190,8 @@ def criterion_4(ctx: Context) -> CriterionResult:
     hs = diagonalize(model, SYSTEM)
     g_s = hs.ground_degeneracy
     block = np.column_stack([random_state(model.dim, (MASTER_SEED, "c4", r)) for r in range(200)])
-    spectrum = projection_spectrum(model, "exact")
-    states, = canonical_thermal_state(model, block, [50.0], spectrum, traced_env=True)
-    mean = float(np.mean(observe.measure_state(states, 4, traced_frame(hs, spectrum)).sigma))
+    report, = observe.thermal_measures(model, block, [50.0], projection_spectrum(model, "exact"), hs)
+    mean = float(np.mean(report.sigma))
     passed = mean < 1e-3 and g_s == 1
     return CriterionResult(4, "g_S=1 low-temperature sigma collapse", passed,
                            f"mean sigma = {mean:.2e} at beta|J|=50 (g_S={g_s})",
@@ -300,9 +298,9 @@ def criterion_7(ctx: Context) -> CriterionResult:
     model0 = build_ring_model(4, 8, -1.0, 23, 29, 0.0)
     hs0 = diagonalize(model0, SYSTEM)
     block = np.column_stack([random_state(model0.dim, (MASTER_SEED, "c7b", r)) for r in range(100)])
-    states, = canonical_thermal_state(model0, block, [beta],
-                                      projection_spectrum(model0, "chebyshev"))
-    bs = observe.measure_state(states, 4, hs0).b
+    report, = observe.thermal_measures(model0, block, [beta],
+                                       projection_spectrum(model0, "chebyshev"), hs0)
+    bs = report.b
     b_dev = abs(bs.mean() - beta) / (bs.std(ddof=1) / np.sqrt(len(bs)))
     passed = ratio < 5.0 and b_dev < 3.0
     return CriterionResult(7, "X-state stationarity and b fit", passed,

@@ -28,7 +28,6 @@ from .errors import ConfigError, ModelError, SpinBathError
 from .hamiltonian import (DEFAULT_SIZE_CAP, ENVIRONMENT, SYSTEM, SpinModel,
                           build_chain_model, build_ring_model)
 from .propagate import (
-    _BLOCK_AMPLITUDES,
     alternating_product_state,
     canonical_thermal_state,
     moment_check,
@@ -36,7 +35,6 @@ from .propagate import (
     projection_spectrum,
     random_state,
     spectral_bounds,
-    traced_frame,
 )
 from .propagate import real_matmul  # noqa: F401  (a binding benchmark/tracer.py expects)
 from .seeds import realization_seed
@@ -49,9 +47,10 @@ MODES = ("static_measure", "time_trace", "theory_overlay", "symmetry_check",
 PLOT_MODES = ("static_measure", "theory_overlay", "time_trace")
 MODELS = ("ring", "chain", "explicit")
 _PASS_BYTES = 2**28     # sector eigenvector bytes held by one pass over the realizations
-# amplitudes in one block of an uncoupled pass, which runs no GEMM that
-# wants _BLOCK_AMPLITUDES: 32 columns, 2 MiB (an L2), at 2^12
-_UNCOUPLED_BLOCK_AMPLITUDES = 2**17
+_BLOCK_AMPLITUDES = 2**17   # amplitudes in one block of realizations: 32 columns, 2 MiB, at 2^12
+# ... where a pass has a coupled exact point, whose 1024^2 sector GEMMs run
+# near the GEMM peak only on wide blocks (256 columns at 2^12)
+_COUPLED_BLOCK_AMPLITUDES = 2**20
 
 
 def default_realizations(n_spins: int) -> int:
@@ -384,15 +383,16 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
 
     H_S is solved once.  Consecutive lambda values share a pass until their
     sector eigenvectors reach _PASS_BYTES (a lambda without a spectrum is a
-    pass of its own); each realization is drawn once per pass and projected
-    at every lambda of it, so lambda points share random states by
-    construction.  A pass draws its realizations in blocks sized from its
-    spectra: where every point projects on an uncoupled (H_E, H_S) pair,
-    whose per-beta work is coefficient weights and Gram products, a block
-    holds _UNCOUPLED_BLOCK_AMPLITUDES, a cache's worth; a coupled or
-    Chebyshev point keeps _BLOCK_AMPLITUDES, the width its GEMMs and
-    recurrences need.  The closed forms read the first uncoupled (H_E, H_S)
-    pair a pass solved, else solve the parts.
+    pass of its own); each realization is drawn once per pass and measured
+    at every lambda and beta of it (observe.thermal_measures), so lambda
+    points share random states by construction.  Blocks hold
+    _BLOCK_AMPLITUDES, a cache's worth, or _COUPLED_BLOCK_AMPLITUDES in a
+    pass with a coupled exact point, for its sector GEMMs.  An exact pass
+    pads a partial block to a multiple of 4 columns (at most a full block)
+    with copies of its last realization and drops their rows: BLAS treats
+    a block's last k mod 4 rows and columns apart, so each realization
+    keeps its bits whatever n_realizations is.  The closed forms read
+    the first uncoupled (H_E, H_S) pair a pass solved, else solve the parts.
     """
     base = config.build_model(n_sys, n_env, config.lambda_list[0])
     hs_spec = diagonalize(base, SYSTEM)
@@ -414,34 +414,28 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
                 continue
             if with_theory and inputs0 is None and spectrum is not None and len(spectrum) == 2:
                 inputs0 = theory.PredictionInputs(thermo(spectrum[1]), thermo(spectrum[0]), 0.0)
-            # traced blocks are measured in the frame they are projected in
-            points.append((lam, model, spectrum, traced_frame(hs_spec, spectrum)))
+            points.append((lam, model, spectrum))
             results[lam] = {beta: {m: np.empty(n_real) for m in ("sigma", "delta", "b", "delta_fit")}
                             for beta in config.beta_list}
             held += _PASS_BYTES if spectrum is None else sum(
                 s.eigenvectors.nbytes for factor in spectrum for s in factor.sectors)
-        uncoupled = all(spectrum is not None and len(spectrum) == 2 for _, _, spectrum, _ in points)
-        amplitudes = _UNCOUPLED_BLOCK_AMPLITUDES if uncoupled else _BLOCK_AMPLITUDES
-        block_columns = max(1, amplitudes // base.dim)
+        spectra = [spectrum for _, _, spectrum in points]
+        coupled = any(s is not None and len(s) == 1 for s in spectra)
+        block_columns = max(1, (_COUPLED_BLOCK_AMPLITUDES if coupled else _BLOCK_AMPLITUDES) // base.dim)
+        exact = any(s is not None for s in spectra)     # a Chebyshev lambda is a pass of its own
         for start in range(0, n_real if points else 0, block_columns):
-            stop = min(start + block_columns, n_real)
-            block = np.empty((base.dim, stop - start), dtype=complex)
-            for j, r in enumerate(range(start, stop)):
-                block[:, j] = random_state(base.dim, realization_seed(config.master_seed, key, r))
-            for lam, model, spectrum, frame in points:
+            k = min(block_columns, n_real - start)
+            block = np.empty((base.dim, min(-(-k // 4) * 4, block_columns) if exact else k), dtype=complex)
+            for j in range(k):
+                block[:, j] = random_state(base.dim, realization_seed(config.master_seed, key, start + j))
+            block[:, k:] = block[:, k - 1:k]
+            for lam, model, spectrum in points:
                 if isinstance(results[lam], str):
                     continue
                 try:
-                    # next() and del, not zip, whose reused result tuple would
-                    # keep the last beta's block alive while the next is made
-                    projected = iter(canonical_thermal_state(model, block, config.beta_list,
-                                                             spectrum, traced_env=True))
-                    for beta in config.beta_list:
-                        states = next(projected)
-                        rep = observe.measure_state(states, n_sys, frame, beta_ref=beta)
-                        del states
-                        for name, values in results[lam][beta].items():
-                            values[start:stop] = getattr(rep, name)
+                    for rep in observe.thermal_measures(model, block, config.beta_list, spectrum, hs_spec):
+                        for name, values in results[lam][rep.beta_ref].items():
+                            values[start:start + k] = getattr(rep, name)[:k]
                 except SpinBathError as exc:
                     results[lam] = str(exc)
 

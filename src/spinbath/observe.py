@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import DimensionError, FitError
 from .hamiltonian import SYSTEM, SpinModel, energy_bounds
-from .propagate import _BLOCK_AMPLITUDES, _transposed, evolve_real_time, real_time_plan
+from .propagate import (_checked, _exact_projections, _traced_frame, _transposed,
+                        canonical_thermal_state, evolve_real_time, real_time_plan)
 from .spectrum import SpectrumSummary, diagonalize
 
 LOG_FLOOR = 1e-300          # diagonal entries are clipped here before log
@@ -37,6 +38,7 @@ ENERGY_TOL_FACTOR = 1e-9    # relative tolerance deciding E_i != E_j in the fit
 # took 1.18/0.94/0.79/0.86 s with 8/16/32/64 times per recurrence, once each
 # point's sum grew by one GEMV per ring of recurrence vectors (_apply_plan)
 _TRACE_CHUNK = 32
+_TRACE_AMPLITUDES = 2**20   # amplitudes in one chunk's block of output times
 
 
 @dataclass
@@ -154,16 +156,40 @@ def measure_state(state: np.ndarray, n_system: int, hs_spectrum: SpectrumSummary
                   beta_ref: float | None = None) -> MeasureReport:
     """Reduce a state, or a (dim, k) block of them, and package sigma, delta and the fitted b."""
     rdm = reduce_to_system(state, n_system, hs_spectrum)
-    return measure_rdm(rdm, hs_spectrum, beta_ref)
-
-
-def measure_rdm(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary,
-                beta_ref: float | None = None) -> MeasureReport:
     s = sigma(rdm)
     b = fit_b(rdm, hs_spectrum)
     d_fit = delta(rdm, hs_spectrum, b)
     d = delta(rdm, hs_spectrum, beta_ref) if beta_ref is not None else d_fit
     return MeasureReport(sigma=s, delta=d, b=b, beta_ref=beta_ref, delta_fit=d_fit)
+
+
+def thermal_measures(model: SpinModel, psi0: np.ndarray, betas,
+                     spectrum: tuple[SpectrumSummary, ...] | None, hs_spectrum: SpectrumSummary):
+    """Measure the canonical thermal states of a (dim, k) block at every beta in ``betas``.
+
+    Yields one MeasureReport of (k,) arrays per beta, with beta_ref = beta.
+    ``spectrum`` is canonical_thermal_state's and ``hs_spectrum`` is
+    diagonalize(model, SYSTEM).  An uncoupled (H_E, H_S) spectrum's blocks
+    stay in the product eigenbasis, with no back transform, and are measured
+    in hs_spectrum re-expressed there; any other spectrum, or None, gives
+    canonical_thermal_state's blocks.  Each block is dropped before the
+    next one is made.
+    """
+    if spectrum is not None and len(spectrum) == 2:
+        psi0, betas = _checked(model, psi0, betas, spectrum)
+        blocks = _exact_projections(spectrum, psi0, betas, in_eigenbasis=True)
+        hs_spectrum = _traced_frame(hs_spectrum, spectrum[1])
+    else:
+        betas = list(betas)
+        blocks = canonical_thermal_state(model, psi0, betas, spectrum)
+    # next() and del, not zip, whose reused result tuple would keep the
+    # last beta's block alive while the next one is made
+    blocks = iter(blocks)
+    for beta in betas:
+        states = next(blocks)
+        report = measure_state(states, model.n_system, hs_spectrum, beta_ref=beta)
+        del states
+        yield report
 
 
 def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float, dt: float,
@@ -181,7 +207,7 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
     transpose is C-contiguous and the reduction copies nothing.  The next
     chunk starts from a copy of the chunk's last column, and the block is
     dropped before that chunk's recurrence runs.  m is
-    _TRACE_CHUNK, fewer when m * dim would pass _BLOCK_AMPLITUDES, and the
+    _TRACE_CHUNK, fewer when m * dim would pass _TRACE_AMPLITUDES, and the
     last chunk may be shorter; each grid length is planned once.
 
     ``bounds`` must contain H's spectrum; a caller that solved spectra to
@@ -200,7 +226,7 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
     if hs_spectrum is None:
         hs_spectrum = diagonalize(model, SYSTEM)
     n_steps = int(round(t_max / dt))
-    chunk = min(_TRACE_CHUNK, max(1, _BLOCK_AMPLITUDES // model.dim))
+    chunk = min(_TRACE_CHUNK, max(1, _TRACE_AMPLITUDES // model.dim))
     state = np.asarray(initial_state, dtype=complex)
     rep = measure_state(state, model.n_system, hs_spectrum, beta_ref)
     rows = [(0 * dt, rep.sigma, rep.delta, rep.b)]

@@ -21,12 +21,7 @@ initial states and a list of betas and has two backends.
   for factor axis i it is viewed as (before, d_i, after) and multiplied
   along the middle axis by real GEMMs on its float view (real_matmul).
   Each column is normalized through its weights in the eigenbasis, where
-  its norm is one GEMV of the squared weights against |coefficients|^2.  A
-  caller that only traces E out and measures passes ``traced_env=True``:
-  an uncoupled block then stays in the product eigenbasis on both axes,
-  held realization-major so each beta is one weighting of one array, and
-  is measured in the H_S eigenbasis that ``traced_frame`` re-expresses in
-  H_S's sector-eigenbasis coordinates;
+  its norm is one GEMV of the squared weights against |coefficients|^2;
 - Chebyshev: without a spectrum, plan the whole beta grid at once and run
   one recurrence T_k(X)|psi_0> on the whole block up to the grid's largest
   order, every beta's expansion summed from it (the shared-vector scheme of
@@ -67,12 +62,6 @@ DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
 EXACT_AUTO_DIM = 2**12         # "auto" projects exactly up to this dimension
 SPECTRAL_PAD = 1e-8            # relative pad of spectral_bounds (eigh errs by about 1e-12)
-# amplitudes held in one block of states: the realizations of a static pass
-# with a coupled or Chebyshev point, whose sector GEMMs run near the GEMM
-# peak only on wide blocks, and a time trace's output times (256 columns at
-# 2^12, one column from 2^20 on); an uncoupled pass runs no large GEMM and
-# takes the smaller bench._UNCOUPLED_BLOCK_AMPLITUDES
-_BLOCK_AMPLITUDES = 2**20
 # amplitudes in _apply_plan's ring of recurrence vectors: 8 vectors at 2^12,
 # from 2^14 on the recurrence pair alone, whose peak a deeper ring would pass
 _RING_AMPLITUDES = 2**15
@@ -453,7 +442,7 @@ def _along_axis(transform, factor: SpectrumSummary, x: np.ndarray, axis: int) ->
     return transform(factor, view).reshape(x.shape)
 
 
-def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
+def _exact_projections(factors, psi0: np.ndarray, betas, in_eigenbasis: bool = False):
     """Exact backend: project in the product eigenbasis, yielding one beta's block at a time.
 
     The block is viewed as (d_1, ..., d_m, k), factor i acting on axis i;
@@ -468,17 +457,19 @@ def _exact_projections(factors, psi0: np.ndarray, betas, traced_env: bool):
     coefficients a beta holds |coeff0|^2 and the block it yields, plus the
     back transforms' scratch; the block is not referenced here once yielded.
 
-    With ``traced_env`` and two factors (H_E, H_S) there are no back
-    transforms: the coefficients are held as one C-ordered (k, dim) array,
-    each beta weights it by w / norm, and the yielded (dim, k) block is
-    that array's transpose, beta = 0 included.
+    With ``in_eigenbasis`` and an uncoupled (H_E, H_S) spectrum there are
+    no back transforms: the coefficients are held as one C-ordered (k, dim)
+    array, each beta weights it by w / norm, and the yielded (dim, k) block
+    is that array's transpose, beta = 0 included.  Such blocks are not
+    computational-basis states; only observe.thermal_measures reads them,
+    since Tr_E does not see a unitary on E and rho_S is measured in the
+    H_S eigenbasis re-expressed in their coordinates (_traced_frame).
     """
     shape = tuple(f.dim for f in factors) + psi0.shape[1:]
     coeff0 = psi0.reshape(shape)
     for axis, f in enumerate(factors):
         coeff0 = _along_axis(_to_eigenbasis, f, coeff0, axis)
     coeff0 = coeff0.reshape(psi0.shape)
-    in_eigenbasis = traced_env and len(factors) == 2
     if in_eigenbasis:
         coeff0 = _transposed(coeff0)
     # C-ordered (k, dim) on both paths, so their GEMVs give bitwise equal norms
@@ -538,9 +529,23 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
     return [next(projected) if beta > 0.0 else psi0 for beta in betas]
 
 
+def _checked(model: SpinModel, psi0, betas, spectrum) -> tuple[np.ndarray, list[float]]:
+    """psi0 as a (dim, k) array and betas as finite floats >= 0; a spectrum the exact backend takes."""
+    psi0 = np.asarray(psi0)
+    if psi0.ndim != 2 or psi0.shape[0] != model.dim:
+        raise DimensionError(f"psi0 must be a ({model.dim}, k) block, got shape {psi0.shape}")
+    betas = [float(beta) for beta in betas]
+    if not all(np.isfinite(beta) and beta >= 0.0 for beta in betas):
+        raise ValueError("betas must be finite and >= 0")
+    if spectrum is not None and (not all(f.sectors for f in spectrum)
+                                 or math.prod(f.dim for f in spectrum) != model.dim):
+        raise ValueError("the exact backend needs parity-sector factor spectra (projection_spectrum "
+                         "or diagonalize_sectors) whose dimensions multiply to the model dimension")
+    return psi0, betas
+
+
 def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
-                            spectrum: tuple[SpectrumSummary, ...] | None = None, *,
-                            traced_env: bool = False):
+                            spectrum: tuple[SpectrumSummary, ...] | None = None):
     """Project a (dim, k) block of initial states to every inverse temperature in ``betas``.
 
     Returns an iterable of one (dim, k) block per beta, in order, holding
@@ -554,48 +559,21 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     that drops each block before taking the next holds one beta's block at
     a time; without it a single Chebyshev recurrence on the whole block
     serves every beta and never builds a dense matrix.
-
-    ``traced_env=True`` is for callers that only trace the environment out
-    and measure (reduce_to_system, measure_state): with an uncoupled
-    (H_E, H_S) spectrum, every block, beta = 0 included, is then left in
-    the product eigenbasis on both factor axes, as the coordinates
-    _to_eigenbasis gives them, and no back transform runs.  Tr_E does not
-    see a unitary on E, and rho_S is measured in the H_S eigenbasis
-    re-expressed in those coordinates, which traced_frame gives; the states
-    themselves are not computational-basis states and must not be evolved
-    or embedded.  Each block is the transpose of a C-contiguous (k, dim)
-    array, so the reduction copies nothing.  Coupled spectra and the
-    Chebyshev backend ignore the flag.
     """
-    psi0 = np.asarray(psi0)
-    if psi0.ndim != 2 or psi0.shape[0] != model.dim:
-        raise DimensionError(f"psi0 must be a ({model.dim}, k) block, got shape {psi0.shape}")
-    betas = [float(beta) for beta in betas]
-    if not all(np.isfinite(beta) and beta >= 0.0 for beta in betas):
-        raise ValueError("betas must be finite and >= 0")
+    psi0, betas = _checked(model, psi0, betas, spectrum)
     if spectrum is None:
         return _chebyshev_projections(model, psi0, betas)
-    if not all(f.sectors for f in spectrum) or math.prod(f.dim for f in spectrum) != model.dim:
-        raise ValueError("the exact backend needs parity-sector factor spectra (projection_spectrum "
-                         "or diagonalize_sectors) whose dimensions multiply to the model dimension")
-    return _exact_projections(spectrum, psi0, betas, traced_env)
+    return _exact_projections(spectrum, psi0, betas)
 
 
-def traced_frame(hs_spectrum: SpectrumSummary,
-                 spectrum: tuple[SpectrumSummary, ...] | None) -> SpectrumSummary:
-    """H_S's eigenbasis in the coordinates of canonical_thermal_state(..., traced_env=True) blocks.
+def _traced_frame(hs_spectrum: SpectrumSummary, system: SpectrumSummary) -> SpectrumSummary:
+    """H_S's eigenbasis in the coordinates of blocks left in the eigenbasis of H_S's factor ``system``.
 
     ``hs_spectrum`` is diagonalize(model, SYSTEM), whose gauged eigenvectors
-    V are computational-basis columns.  Given an uncoupled (H_E, H_S)
-    spectrum, the traced blocks hold their system axis in the coordinates
-    of H_S's sector eigenbasis Q = _from_eigenbasis(1), so the same
-    spectrum is returned with V re-expressed there as Q^T V: measuring in
-    it costs a D_S x D_S rotation of rho_S, not a pass over the block.  Any other spectrum leaves the blocks in the computational
-    basis, and hs_spectrum is returned as it is.
+    V are computational-basis columns; the blocks hold Q = _from_eigenbasis(1)
+    coordinates, so V is re-expressed there as Q^T V and measuring costs a
+    D_S x D_S rotation of rho_S, not a pass over the block.
     """
-    if spectrum is None or len(spectrum) != 2:
-        return hs_spectrum
-    system = spectrum[1]
     q = _from_eigenbasis(system, np.eye(system.dim)[None])[0]
     return replace(hs_spectrum, eigenvectors=q.T @ hs_spectrum.eigenvectors)
 
@@ -639,7 +617,7 @@ def alternating_product_state(model: SpinModel, beta: float, seed,
     sys_vec = np.zeros(model.dim_system, dtype=complex)
     sys_vec[sys_index] = 1.0
     env0 = random_state(model.dim_env, seed)[:, None]
-    env_vec, = _exact_projections((env_spectrum,), env0, [beta], traced_env=False)
+    env_vec, = _exact_projections((env_spectrum,), env0, [beta])
     return np.kron(env_vec[:, 0], sys_vec)
 
 

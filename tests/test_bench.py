@@ -128,7 +128,7 @@ class TestRun:
 
     def test_each_realization_drawn_once_per_pass(self, monkeypatch):
         # ring 2+4 in blocks of 4 columns: 6 realizations take 2 blocks
-        monkeypatch.setattr(bench, "_BLOCK_AMPLITUDES", 4 * 64)
+        monkeypatch.setattr(bench, "_COUPLED_BLOCK_AMPLITUDES", 4 * 64)
         draws = []
 
         def counted(dim, seed):
@@ -230,7 +230,7 @@ class TestRun:
         # block, the eigen coefficients, |coeff0|^2 (half a block), the one
         # beta block being measured and the measures' scratch, 3.8 blocks;
         # a beta block kept alive while the next one is made reads 5.0
-        monkeypatch.setattr(bench, "_UNCOUPLED_BLOCK_AMPLITUDES", 2**20)
+        monkeypatch.setattr(bench, "_BLOCK_AMPLITUDES", 2**20)
         cfg = self.chain_overlay(256)
         assert self.traced_peak(cfg) <= 4.5 * 2**12 * 256 * 16
 
@@ -240,24 +240,25 @@ class TestRun:
         cfg = self.chain_overlay(256)
         assert self.traced_peak(cfg) <= 16 * 2**20
 
-    @pytest.mark.parametrize("model, n_sys, n_env, lambda_list, n_realizations, widths", [
-        ("chain", 4, 8, (0.0,), 40, [32, 8]),
-        ("ring", 2, 10, (0.0, 0.5), 257, [256, 256, 1, 1]),
-    ], ids=["uncoupled_chain", "mixed_ring"])
-    def test_block_width_by_pass_kind(self, model, n_sys, n_env, lambda_list, n_realizations,
-                                      widths, monkeypatch):
-        # a pass projecting only on uncoupled (H_E, H_S) pairs draws blocks
-        # of _UNCOUPLED_BLOCK_AMPLITUDES; a pass with a coupled point keeps
-        # _BLOCK_AMPLITUDES for its sector GEMMs
-        seen, project = [], bench.canonical_thermal_state
+    @pytest.mark.parametrize("model, n_sys, n_env, lambda_list, method, n_realizations, widths", [
+        ("chain", 4, 8, (0.0,), "exact", 40, [32, 8]),
+        ("ring", 2, 10, (0.0, 0.5), "exact", 257, [256, 256, 4, 4]),
+        ("ring", 2, 10, (1.0,), "chebyshev", 40, [32, 8]),
+    ], ids=["uncoupled_chain", "mixed_ring", "chebyshev_ring"])
+    def test_block_width_by_pass_kind(self, model, n_sys, n_env, lambda_list, method,
+                                      n_realizations, widths, monkeypatch):
+        # a pass draws blocks of _BLOCK_AMPLITUDES unless a point projects on
+        # a coupled exact spectrum, which keeps _COUPLED_BLOCK_AMPLITUDES for
+        # its sector GEMMs; an exact pass pads a partial block of 1 to 4
+        seen, measure = [], bench.observe.thermal_measures
 
-        def recorded(model, psi0, *args, **kwargs):
+        def recorded(model, psi0, *args):
             seen.append(psi0.shape[1])
-            return project(model, psi0, *args, **kwargs)
+            return measure(model, psi0, *args)
 
-        monkeypatch.setattr(bench, "canonical_thermal_state", recorded)
+        monkeypatch.setattr(bench.observe, "thermal_measures", recorded)
         cfg = make_config(model=model, n_sys_list=(n_sys,), n_env_list=(n_env,),
-                          lambda_list=lambda_list, n_realizations=n_realizations, method="exact")
+                          lambda_list=lambda_list, n_realizations=n_realizations, method=method)
         assert bench.run(cfg).failed_points == 0
         assert seen == widths
 
@@ -265,8 +266,20 @@ class TestRun:
         # chain 4+8's 64 realizations in two full blocks of 32 or one of 64
         cfg = self.chain_overlay(64)
         default = bench.run(cfg).to_csv()
-        monkeypatch.setattr(bench, "_UNCOUPLED_BLOCK_AMPLITUDES", 2**20)
+        monkeypatch.setattr(bench, "_BLOCK_AMPLITUDES", 2**20)
         assert bench.run(cfg).to_csv() == default
+
+    def test_rows_do_not_depend_on_n_realizations(self):
+        # 250 = 7 x 32 + 26: the last block is padded to 28 columns, so
+        # realizations 248 and 249 keep the bits they have among 256
+        cfg = make_config(model="chain", n_sys_list=(4,), n_env_list=(8,), lambda_list=(0.0,),
+                          beta_list=(0.3, 1.0, 3.0, 10.0), method="exact", master_seed=20160902)
+        rows = {}
+        for n in (256, 250):
+            table = bench.run(replace(cfg, n_realizations=n))
+            rows[n] = [r for r in table.rows if isinstance(r[4], int) and r[4] < 250]
+        assert len(rows[250]) == 1000
+        assert rows[250] == rows[256]
 
     def test_exact_and_chebyshev_methods_agree(self):
         a = bench.run(make_config(method="exact", n_realizations=6))

@@ -392,7 +392,7 @@ class TestTraceTimeSeries:
         hs = diagonalize(m, "S")
         st = thermal_state(m, 0.9, 17)
         chunked = trace_time_series(m, st, 10.0, 0.5, hs, beta_ref=0.9)
-        monkeypatch.setattr(spinbath.observe, "_BLOCK_AMPLITUDES", m.dim)
+        monkeypatch.setattr(spinbath.observe, "_TRACE_AMPLITUDES", m.dim)
         calls = self.counted_steps(monkeypatch)
         rows = trace_time_series(m, st, 10.0, 0.5, hs, beta_ref=0.9)
         assert calls == [1] * 20

@@ -436,27 +436,32 @@ class TestCanonicalThermalState:
 
 
 class TestTracedEnvironment:
-    """traced_env=True leaves an uncoupled block in the product eigenbasis, measured by traced_frame."""
+    """thermal_measures: uncoupled blocks stay in the product eigenbasis, measured in _traced_frame."""
 
     BETAS = (0.0, 0.5, 5.0, 50.0)
+
+    @staticmethod
+    def reference(model, psi0, betas, spectrum, hs):
+        """measure_state on canonical_thermal_state's computational-basis blocks."""
+        from spinbath.observe import measure_state
+
+        return [measure_state(states, model.n_system, hs, beta_ref=beta)
+                for beta, states in zip(betas, canonical_thermal_state(model, psi0, betas, spectrum))]
 
     @pytest.mark.parametrize("model", [build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0),
                                        build_ring_model(3, 5, -1.0, 7, 11, 0.0)],
                              ids=["chain4+8", "ring3+5"])
     @pytest.mark.filterwarnings("ignore:reduced density diagonal floored")
     def test_measures_unchanged(self, model):
-        from spinbath.observe import measure_state
+        from spinbath.observe import thermal_measures
 
         factors = projection_spectrum(model, "exact")
         hs = diagonalize(model, "S")
         psi0 = random_block(model, range(16))
-        frame = propagate.traced_frame(hs, factors)
-        traced = canonical_thermal_state(model, psi0, self.BETAS, factors, traced_env=True)
-        rotated = canonical_thermal_state(model, psi0, self.BETAS, factors)
-        for beta, st, sr in zip(self.BETAS, traced, rotated, strict=True):
-            assert np.abs(np.linalg.norm(st, axis=0) - 1.0).max() < 1e-13
-            rt = measure_state(st, model.n_system, frame, beta_ref=beta)
-            rr = measure_state(sr, model.n_system, hs, beta_ref=beta)
+        reports = thermal_measures(model, psi0, self.BETAS, factors, hs)
+        expected = self.reference(model, psi0, self.BETAS, factors, hs)
+        for beta, rt, rr in zip(self.BETAS, reports, expected, strict=True):
+            assert rt.beta_ref == rr.beta_ref == beta
             assert np.abs(rt.sigma - rr.sigma).max() < 1e-12
             assert np.abs(rt.delta - rr.delta).max() < 1e-12
             if beta < 50.0:
@@ -470,30 +475,55 @@ class TestTracedEnvironment:
         # reduce_to_system then reads each realization's amplitudes without a copy
         m = build_chain_model(2, 4, 1.0, 1.0, 1.0, 0.0)
         psi0 = random_block(m, range(5))
-        for states in canonical_thermal_state(m, psi0, self.BETAS, projection_spectrum(m, "exact"),
-                                              traced_env=True):
+        blocks = propagate._exact_projections(projection_spectrum(m, "exact"), psi0, self.BETAS,
+                                              in_eigenbasis=True)
+        for states in blocks:
             assert states.shape == psi0.shape and states.T.flags.c_contiguous
+            assert np.abs(np.linalg.norm(states, axis=0) - 1.0).max() < 1e-13
 
-    def test_frame_only_for_uncoupled_spectra(self):
+    def test_frame_only_for_uncoupled_spectra(self, monkeypatch):
+        import spinbath.observe
+
         m = build_ring_model(2, 4, -1.0, 3, 5, 0.0)
         hs = diagonalize(m, "S")
-        frame = propagate.traced_frame(hs, projection_spectrum(m, "exact"))
+        factors = projection_spectrum(m, "exact")
+        frame = propagate._traced_frame(hs, factors[1])
         assert np.array_equal(frame.eigenvalues, hs.eigenvalues)
         w = frame.eigenvectors
         assert np.abs(w.T @ w - np.eye(m.dim_system)).max() < 1e-13
+        framed = []
+        monkeypatch.setattr(spinbath.observe, "_traced_frame",
+                            lambda hs, system: framed.append(system) or frame)
         coupled = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
-        for spectrum in (projection_spectrum(coupled, "exact"), None):
-            assert propagate.traced_frame(hs, spectrum) is hs
+        psi0 = random_block(m, (1, 2))
+        for model, spectrum in ((coupled, projection_spectrum(coupled, "exact")), (coupled, None),
+                                (m, factors)):
+            list(spinbath.observe.thermal_measures(model, psi0, (0.5,), spectrum, hs))
+        assert framed == [factors[1]]
 
-    def test_coupled_and_chebyshev_ignore_flag(self):
-        m = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
-        psi0 = random_block(m, (1, 2, 3))
+    def test_coupled_and_chebyshev_bitwise(self):
+        from spinbath.observe import thermal_measures
+
+        m = build_ring_model(2, 6, -1.0, 3, 5, 0.35)
+        hs = diagonalize(m, "S")
+        psi0 = random_block(m, range(6))
         betas = (0.0, 0.5, 2.0)
         for spectrum in (projection_spectrum(m, "exact"), None):
-            traced = canonical_thermal_state(m, psi0, betas, spectrum, traced_env=True)
-            plain = canonical_thermal_state(m, psi0, betas, spectrum)
-            for st, sp in zip(traced, plain, strict=True):
-                assert np.array_equal(st, sp)
+            reports = thermal_measures(m, psi0, betas, spectrum, hs)
+            for rt, rr in zip(reports, self.reference(m, psi0, betas, spectrum, hs), strict=True):
+                for name in ("sigma", "delta", "b", "delta_fit", "beta_ref"):
+                    assert np.array_equal(getattr(rt, name), getattr(rr, name))
+
+    def test_checks_run_on_every_path(self):
+        from spinbath.observe import thermal_measures
+
+        m = build_ring_model(2, 4, -1.0, 3, 5, 0.0)
+        hs = diagonalize(m, "S")
+        for spectrum in (projection_spectrum(m, "exact"), None):
+            with pytest.raises(ValueError, match="betas"):
+                next(thermal_measures(m, random_block(m, (1,)), (0.5, -1.0), spectrum, hs))
+            with pytest.raises(DimensionError):
+                next(thermal_measures(m, random_state(m.dim, 1), (0.5,), spectrum, hs))
 
 
 class TestEvolveRealTime:
