@@ -265,6 +265,8 @@ def render_config(config: ExperimentConfig) -> str:
 # result tables
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()    # numpy 2's repr of np.float64(0.25) is "np.float64(0.25)"
     if value is None or value == "":
         return ""
     if isinstance(value, float):
@@ -280,8 +282,8 @@ def _field(value) -> str:
 
     Only text is scanned: a float's repr and an int's digits never hold those.
     A Python float or int, most of a table's fields, is rendered first,
-    with the text _fmt gives it; subclasses such as numpy.float64 take the
-    general path.
+    with the text _fmt gives it; numpy numbers take the general path, where
+    _fmt renders their Python value.
     """
     kind = type(value)
     if kind is float:

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import dgemv, zgemv
-from scipy.special import ive, jv
 
 from .errors import ChebyshevOrderError, DimensionError, ModelError
 from .hamiltonian import (COUPLING, ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian,
@@ -224,6 +223,8 @@ def _plan(bounds, at, column) -> ChebyshevPlan:
 
 def real_time_plan(bounds, t):
     """Plan for exp(-i t H) with spectrum inside ``bounds``, at a time t or a 1-D grid of times."""
+    from scipy.special import jv    # here, not at import: exact-only processes never load it
+
     def column(a, half, t):
         z = t * half
         coeffs = _retained(lambda k: np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z),
@@ -238,6 +239,7 @@ def imaginary_time_plan(bounds, beta):
     """Plan for exp(-beta H / 2) with spectrum inside ``bounds``, at a beta or a 1-D grid of betas."""
     if np.any(np.asarray(beta) < 0):
         raise ValueError("beta must be >= 0")
+    from scipy.special import ive   # here, not at import: exact-only processes never load it
 
     def column(a, half, beta):
         z = 0.5 * beta * half

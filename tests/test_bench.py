@@ -363,7 +363,10 @@ class TestRun:
         assert again.rows == table.rows
 
         def reference_field(value):
-            # the rendering of every field before floats and ints took a fast path
+            # the rendering of every field before floats and ints took a fast
+            # path, with numpy numbers read as their Python values
+            if isinstance(value, np.generic):
+                value = value.item()
             text = "" if value is None or value == "" else (
                 repr(value) if isinstance(value, float) else str(value))
             if isinstance(value, (int, float)) or not any(c in text for c in ',"\r\n'):
@@ -375,6 +378,15 @@ class TestRun:
                   np.float64(-1e-310), np.int64(3)]
         for v in values:
             assert bench._field(v) == reference_field(v), v
+
+    def test_numpy_numbers_round_trip(self):
+        # written as their Python values, not as numpy 2's repr "np.float64(0.25)"
+        row = (np.float64(0.25), np.float64(-1e-310), np.int64(3), np.float32(0.5), np.bool_(True))
+        table = bench.ResultTable(["a", "b", "c", "d", "e"], [row], {"mode": "x"})
+        assert table.to_csv().splitlines()[-1] == "0.25,-1e-310,3,0.5,True"
+        again = bench.ResultTable.from_csv(table.to_csv())
+        assert again.rows == [(0.25, -1e-310, 3, 0.5, "True")]
+        assert [type(v) for v in again.rows[0][:4]] == [float, float, int, float]
 
     def test_csv_rows_without_separators_unchanged(self):
         table = bench.run(make_config(n_realizations=3))
@@ -586,6 +598,13 @@ class TestPlotExport:
         data, script = bench.plot_export(bench.run(cfg))
         assert data.startswith("# spinbath trace")
         assert "with lines" in script
+
+    def test_numpy_numbers_written_as_python_values(self):
+        table = bench.ResultTable(["t", "sigma", "delta", "b"],
+                                  [(np.float64(0.5), np.float64(0.25), 0.125, np.int64(2))],
+                                  {"mode": "time_trace"})
+        data, _ = bench.plot_export(table)
+        assert data.splitlines()[-1] == "0.5 0.25 0.125 2"
 
     @pytest.mark.parametrize("overrides", [
         dict(mode="symmetry_check"),

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
 from spinbath import propagate
+from spinbath.acceptance import BETA_GRID
 from spinbath.errors import ChebyshevOrderError, DimensionError, ModelError
 from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model, energy_bounds
 from spinbath.propagate import (
@@ -64,6 +70,45 @@ def term_by_term(model, plan, psi0):
                 acc += c[k] * t_next
         t_prev, t_cur = t_cur, t_next
     return accs
+
+
+def lanczos_projections(model, psi0, betas, steps):
+    """Oracle: the normalized columns exp(-beta H / 2) psi0 at every beta, by plain Lanczos.
+
+    exp(-beta H / 2) psi ~ |psi| V exp(-beta T / 2) e_1 (Saad, SIAM J. Numer.
+    Anal. 29, 209 (1992)) does not cancel as the Chebyshev series does, since
+    T's lowest Ritz value converges to E_0.  Each column runs its own
+    three-term recurrence, in lockstep, with no reorthogonalization and no
+    stored basis: once for T, then again to sum V y for every beta.  Returns
+    the (betas, dim, k) states and the lowest Ritz value.
+    """
+    def recurrence(visit):
+        diag, off = np.empty((2, steps, psi0.shape[1]))
+        q_prev, q, b = 0.0, psi0 / np.linalg.norm(psi0, axis=0), 0.0
+        for j in range(steps):
+            visit(j, q)
+            w = propagate.apply_hamiltonian(model, "FULL", q) - b * q_prev
+            diag[j] = np.einsum("ij,ij->j", q.conj(), w).real
+            w -= diag[j] * q
+            b = off[j] = np.linalg.norm(w, axis=0)
+            q_prev, q = q, w / b
+        return diag, off
+
+    diag, off = recurrence(lambda j, q: None)
+    weights = np.empty((len(betas), steps, psi0.shape[1]))
+    ground = np.inf
+    for c in range(psi0.shape[1]):
+        theta, s = scipy.linalg.eigh_tridiagonal(diag[:, c], off[:-1, c])
+        ground = min(ground, theta[0])
+        for i, beta in enumerate(betas):
+            weights[i, :, c] = s @ (np.exp(-0.5 * beta * (theta - theta[0])) * s[0])
+    out = np.zeros((len(betas), *psi0.shape), dtype=complex)
+
+    def accumulate(j, q):
+        out[...] += weights[:, j, None, :] * q
+
+    recurrence(accumulate)
+    return out / np.linalg.norm(out, axis=1, keepdims=True), ground
 
 
 def two_product_matmul(m, x):
@@ -776,6 +821,53 @@ class TestSpectralBounds:
         out = evolve_real_time(m, psi, t, real_time_plan(bounds, t))
         ref = scipy.linalg.expm(-1j * t * dense_matrix(m)) @ psi
         assert np.abs(out - ref).max() < 1e-10
+
+
+class TestLanczosOracle:
+    @pytest.mark.parametrize("model", [build_ring_model(2, 10, -1.0, 25, 17, 1.0),
+                                       build_chain_model(4, 8, 1.0, 1.0, 1.0, 1.0)],
+                             ids=["criterion_8_ring_2_10", "chain_4_8"])
+    def test_matches_exact_backend_over_beta_grid(self, model):
+        psi0 = random_block(model, [(14, c) for c in range(2)])
+        oracle, _ = lanczos_projections(model, psi0, BETA_GRID, 100)
+        exact = canonical_thermal_state(model, psi0, BETA_GRID, projection_spectrum(model, "exact"))
+        for states, ref in zip(exact, oracle, strict=True):
+            assert np.abs(states - ref).max() < 1e-13
+
+    def test_chebyshev_error_within_its_cancellation_estimate(self):
+        # the series sums terms of order one to a column of norm about
+        # exp(-beta (E_0 - e_min) / 2), so its rounding error is about 1e-16
+        # times the inverse; one-sided, so a more accurate backend passes too
+        model = build_ring_model(4, 10, -1.0, 23, 29, 1.0)     # criterion 7's ring at 2^14
+        betas = (0.3, 0.9, 2.0)
+        psi0 = random_block(model, [(15, c) for c in range(2)])
+        oracle, ground = lanczos_projections(model, psi0, betas, 40)
+        e_min = energy_bounds(model)[0]
+        chebyshev = canonical_thermal_state(model, psi0, betas)
+        for beta, states, ref in zip(betas, chebyshev, oracle, strict=True):
+            error = np.linalg.norm(states - ref, axis=0).max()
+            assert error < 10 * 1e-16 * np.exp(0.5 * beta * (ground - e_min)), beta
+
+
+def test_scipy_special_loads_with_the_first_plan():
+    # exact sweeps, overlays and plots plan no Chebyshev expansion, so they never import it
+    code = "\n".join([
+        "import sys",
+        "import spinbath",
+        "from spinbath import bench, propagate",
+        "bench.run(bench.ExperimentConfig(mode='static_measure', model='chain', method='exact',",
+        "    n_sys_list=(2,), n_env_list=(4,), lambda_list=(0.0,), beta_list=(1.0,),",
+        "    n_realizations=2))",
+        "assert 'scipy.special' not in sys.modules, 'loaded by an exact sweep'",
+        "propagate.imaginary_time_plan((-1.0, 1.0), 1.0)",
+        "assert 'scipy.special' in sys.modules, 'not loaded by a plan'",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestProductState:
