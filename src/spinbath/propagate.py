@@ -237,9 +237,10 @@ def real_time_plan(bounds, t):
 
 def imaginary_time_plan(bounds, beta):
     """Plan for exp(-beta H / 2) with spectrum inside ``bounds``, at a beta or a 1-D grid of betas."""
+    from scipy.special import ive   # here, not at import: exact-only processes never load it
+
     if np.any(np.asarray(beta) < 0):
         raise ValueError("beta must be >= 0")
-    from scipy.special import ive   # here, not at import: exact-only processes never load it
 
     def column(a, half, beta):
         z = 0.5 * beta * half

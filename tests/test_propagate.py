@@ -853,7 +853,6 @@ def test_scipy_special_loads_with_the_first_plan():
     # exact sweeps, overlays and plots plan no Chebyshev expansion, so they never import it
     code = "\n".join([
         "import sys",
-        "import spinbath",
         "from spinbath import bench, propagate",
         "bench.run(bench.ExperimentConfig(mode='static_measure', model='chain', method='exact',",
         "    n_sys_list=(2,), n_env_list=(4,), lambda_list=(0.0,), beta_list=(1.0,),",
