@@ -20,12 +20,15 @@ Each of S, E and SE is held once, by its model, as one real
 ``scipy.sparse`` CSR matrix (the diagonal, then one flipped index per
 bond, exact zeros dropped).  FULL is never held as one matrix of all the
 bonds: ``apply_hamiltonian`` composes it as (H_E (x) 1_S) x, H_E's own
-matrix on the block's real (2^{n_E}, 2^{n_S} * 2k) view, plus one narrow
-full-space matrix of the system and lam-scaled coupling bonds.  The
+matrix on the block's real (2^{n_E}, 2^{n_S} * 2k) view, plus (1 (x) h) x,
+h one dense operator of the system and lam-scaled coupling bonds on the
+few bits they touch (the system bits and the coupled environment bits),
+applied as GEMMs that add into H_E's product.  So FULL's kernels take
+O(2^{n_E} * bonds + 4^{touched bits}) bytes, not O(2^N * bonds).  The
 Gershgorin ``energy_bounds`` stream exact per-row values from the bond
-tables, one row block at a time, at every size; ``part_matrix`` assembles
-the FULL matrix, which ``spectrum`` reads for its dense matrix and parity
-sector blocks, from the same two pieces.
+tables, one row block at a time (FULL's from H_E's rows and h's);
+``part_matrix`` assembles the FULL matrix, which ``spectrum`` reads for its
+dense matrix and parity sector blocks, from the same two pieces.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.blas import dgemm
 
 from .errors import DimensionError, ModelError, SizeLimitError
 from .seeds import spawn_rng
@@ -44,7 +48,6 @@ ENVIRONMENT = "E"
 COUPLING = "SE"
 FULL = "FULL"
 _PARTS = (SYSTEM, ENVIRONMENT, COUPLING, FULL)
-_NARROW = "S+lamSE"          # FULL's full-space kernel: system and lam-scaled coupling bonds
 
 DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
 _KERNEL_BYTES = 3 * 2**30    # upper bound on one part's CSR values and indices
@@ -170,8 +173,8 @@ def _local_terms(model: SpinModel, part: str):
     """Bond terms as (bit_i, bit_j, cx, cy, cz, scale) plus the local spin count.
 
     Parts S and E are expressed on their own 2^{n_part} space (environment
-    site j sits on local bit j-1); SE, FULL and _NARROW (FULL's system and
-    lam-scaled coupling bonds) live on the full 2^N space.
+    site j sits on local bit j-1); SE lives on the full 2^N space.  FULL is
+    composed (see _Composed) and has no terms of its own.
     """
     ns = model.n_system
     if part == SYSTEM:
@@ -183,14 +186,6 @@ def _local_terms(model: SpinModel, part: str):
     if part == COUPLING:
         terms = [(i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.coupling_bonds]
         return model.n_spins, terms
-    if part in (FULL, _NARROW):
-        system = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds]
-        env = [(ns + i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.env_bonds]
-        coupling = [
-            (i - 1, ns + j - 1, cx, cy, cz, model.lam)
-            for (i, j, cx, cy, cz) in model.coupling_bonds
-        ]
-        return model.n_spins, system + (env if part == FULL else []) + coupling
     raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
 
 
@@ -249,7 +244,7 @@ def _float_view(state: np.ndarray, rows: int) -> np.ndarray:
 
 
 class _Applier:
-    """Kernel for S, E, SE or FULL's narrow part: one real CSR matrix.
+    """Kernel for S, E or SE: one real CSR matrix.
 
     Its rows hold the diagonal, then one entry per kept bond in ``terms``
     order (see _row_blocks), with the exact zeros dropped: 12 bytes
@@ -281,8 +276,8 @@ class _Applier:
         data.flags.writeable = indices.flags.writeable = False
         self.matrix = scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
-    def product(self, x: np.ndarray) -> np.ndarray:
-        """H x for a real C-ordered (dim, m) matrix x."""
+    def product(self, x: np.ndarray, group: int = 1) -> np.ndarray:
+        """H x for a real C-ordered (dim, m) matrix x (a row's columns are independent)."""
         return self.matrix @ x
 
 
@@ -305,36 +300,100 @@ def _write_block(data, indices, indptr, rows, diag, bonds, width):
 
 
 class _Composed:
-    """FULL as (H_E (x) 1_S) x + (1_E (x) H_S + lam H_SE) x, with no matrix of all the bonds.
+    """FULL as (H_E (x) 1_S) x + (1 (x) h) x, with no matrix of 2^N rows.
 
-    The environment occupies the high bits, so H_E's own 2^{n_E} kernel
-    multiplies the block viewed as one real (2^{n_E}, 2^{n_S} * m) matrix;
-    the narrow full-space kernel, whose rows hold 1 + system + coupling
-    entries, adds the system and coupling bonds.  Each row is the sum
-    (H_E row) + (narrow row).
+    H_E's own kernel multiplies the block viewed as one real
+    (2^{n_E}, 2^{n_S} * m) matrix.  The system and lam-scaled coupling bonds
+    touch only ``bits`` (the system bits, then the coupled environment
+    bits), so they are one dense h on those bits, whose entries are the
+    row sums of a full-space matrix of those bonds.  Its ``low`` bits sit
+    at the bottom of the index; every other bit of h splits the state, so
+    each nonzero 2^low-square block of h is one GEMM per slab of ``span``
+    rows (one on the chain, four on the ring), adding into H_E's product.
+    h is refused past _KERNEL_BYTES; the GEMMs' kron(block, 1_2) copies for
+    complex states take 4x h's bytes more.
     """
 
-    def __init__(self, env: _Applier, narrow: _Applier):
-        self.env, self.narrow = env, narrow
-        self.dim = narrow.dim
+    def __init__(self, env: _Applier, model: SpinModel):
+        ns = model.n_system
+        self.bits = list(range(ns)) + sorted({ns + j - 1 for (_, j, *_) in model.coupling_bonds})
+        if 8 * 4**len(self.bits) > _KERNEL_BYTES:
+            raise SizeLimitError(
+                f"h on {len(self.bits)} bits passes the kernel budget, {_KERNEL_BYTES} B")
+        local = {b: i for i, b in enumerate(self.bits)}
+        terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds] + [
+            (i - 1, local[ns + j - 1], cx, cy, cz, model.lam)
+            for (i, j, cx, cy, cz) in model.coupling_bonds]
+        self.h = _Applier(len(self.bits), terms).matrix.toarray()
+        self.h.flags.writeable = False
+        self.env, self.dim, self.low, self._gemms = env, model.dim, ns, {}
+        while self.low in local:
+            self.low += 1
+        self.span = 2**self.bits[self.low] if self.low < len(self.bits) else self.dim
+        size, splits = 2**self.low, range(2**(len(self.bits) - self.low))
+        self.blocks = [(self._spread(t << self.low), self._spread(u << self.low), block)
+                       for u in splits for t in splits
+                       if (block := self.h[u * size:(u + 1) * size, t * size:(t + 1) * size]).any()]
+        # h's Gershgorin extremes per coupled-bit pattern, the rows an environment row meets
+        off = np.abs(self.h)
+        np.fill_diagonal(off, 0.0)
+        self.row_low = (np.diag(self.h) - off.sum(axis=1)).reshape(-1, 2**ns).min(axis=1)
+        self.row_high = (np.diag(self.h) + off.sum(axis=1)).reshape(-1, 2**ns).max(axis=1)
 
-    def product(self, x: np.ndarray) -> np.ndarray:
-        """H x for a real C-ordered (dim, m) matrix x."""
-        out = self.env.product(x.reshape(self.env.dim, -1))
-        out += self.narrow.product(x).reshape(out.shape)
-        return out.reshape(x.shape)
+    def _spread(self, local):
+        """The full-space index bits of h's local index."""
+        return sum(((local >> i) & 1) << b for i, b in enumerate(self.bits))
+
+    def gather(self, n):
+        """h's local index of the full-space index n."""
+        return sum(((n >> b) & 1) << i for i, b in enumerate(self.bits))
+
+    def product(self, x: np.ndarray, group: int = 1) -> np.ndarray:
+        """H x for a real C-ordered (dim, m) matrix x of ``group`` float columns per state column.
+
+        A wider block goes a state column at a time, so each column's result
+        is bitwise its lone product, and a lone column allocates only its result.
+        """
+        if x.shape[1] > group:
+            out, column = np.empty_like(x), np.empty((self.dim, group))
+            for j in range(0, x.shape[1], group):
+                column[:] = x[:, j:j + group]
+                out[:, j:j + group] = self.product(column, group)
+            return out
+        gemms = self._gemms.get(group) or self._gemms.setdefault(
+            group, [np.asfortranarray(np.kron(block, np.eye(group))) for *_, block in self.blocks])
+        out = self.env.product(x.reshape(self.env.dim, -1)).reshape(x.shape)
+        splits = self._spread(-1 << self.low)
+        for base in range(0, self.dim, self.span):
+            if base & splits:
+                continue        # a slab starts where every split bit is 0
+            for (src, dst, _), gemm in zip(self.blocks, gemms):
+                a = x[base + src:base + src + self.span].reshape(-1, gemm.shape[0])
+                c = out[base + dst:base + dst + self.span].reshape(-1, gemm.shape[0])
+                dgemm(1.0, gemm, a.T, beta=1.0, c=c.T, overwrite_c=True)
+        return out
+
+    @property
+    def matrix(self) -> scipy.sparse.csr_array:
+        """kron(H_E, 1_S) + (1 (x) h), row n of the second holding h's row gather(n)."""
+        coo, rows = scipy.sparse.coo_array(self.h), np.arange(self.dim, dtype=np.int32)
+        rest = rows[rows & self._spread(self.h.shape[0] - 1) == 0][:, None]
+        ij = ((rest | self._spread(coo.row)).ravel(), (rest | self._spread(coo.col)).ravel())
+        eye = scipy.sparse.identity(self.dim // self.env.dim, format="csr")
+        return scipy.sparse.kron(self.env.matrix, eye, format="csr") + scipy.sparse.csr_array(
+            (np.tile(coo.data, rest.size), ij), shape=(self.dim, self.dim))
 
 
 def _applier(model: SpinModel, part: str):
     """The part's kernel, built on first use and held by the model.
 
-    FULL composes the ENVIRONMENT kernel with the _NARROW one, so the model
-    holds those two matrices and no matrix of all the bonds.
+    FULL composes the ENVIRONMENT kernel with h, so the model holds H_E's
+    matrix and h, and no matrix of all the bonds.
     """
     applier = model._appliers.get(part)
     if applier is None:
         if part == FULL:
-            kernel = _Composed(_applier(model, ENVIRONMENT), _applier(model, _NARROW))
+            kernel = _Composed(_applier(model, ENVIRONMENT), model)
         else:
             kernel = _Applier(*_local_terms(model, part))
         applier = model._appliers.setdefault(part, kernel)
@@ -345,18 +404,14 @@ def part_matrix(model: SpinModel, part: str) -> scipy.sparse.csr_array:
     """The real CSR matrix of a part, on the same space as apply_hamiltonian(part).
 
     S, E and SE are their kernels' own matrices.  FULL, which no kernel
-    holds, is assembled as kron(H_E, 1_S) + narrow from the two matrices
+    holds, is assembled as kron(H_E, 1_S) + (1 (x) h) from the two pieces
     its product composes, so its entries are the product's, sum for sum.
     """
-    applier = _applier(model, part)
-    if part == FULL:
-        eye = scipy.sparse.identity(model.dim_system, format="csr")
-        return scipy.sparse.kron(applier.env.matrix, eye, format="csr") + applier.narrow.matrix
-    return applier.matrix
+    return _applier(model, part).matrix
 
 
 def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndarray:
-    """Return H_part @ state through the part's sparse kernel (never a dense matrix).
+    """Return H_part @ state through the part's kernel (never a dense matrix of the part).
 
     ``part`` is one of "S", "E", "SE", "FULL"; S and E act on their local
     2^{n_part}-dimensional spaces, SE and FULL on the full 2^N space (FULL
@@ -370,7 +425,9 @@ def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndar
     state = _contiguous(np.asarray(state))
     if state.shape[0] != kernel.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != {kernel.dim}")
-    return kernel.product(_float_view(state, kernel.dim)).view(state.dtype).reshape(state.shape)
+    group = 2 if np.iscomplexobj(state) else 1
+    out = kernel.product(_float_view(state, kernel.dim), group)
+    return out.view(state.dtype).reshape(state.shape)
 
 
 def apply_site_operator(model: SpinModel, part: str, site: int, axis: str, state: np.ndarray):
@@ -408,17 +465,26 @@ def energy_bounds(model: SpinModel, part: str = FULL) -> tuple[float, float]:
     Each kept bond contributes one off-diagonal element per row, so a row's
     radius is the sum of that row's bond magnitudes, accumulated bond by
     bond in ``terms`` order.  The rows are streamed _ROW_BLOCK at a time
-    from the bond table, with no matrix built, so the bounds are the same
-    exact per-row ones at every size.  Empty bond lists give (0, 0); the
-    spectrum is always contained.
+    from the bond table, with no matrix built.  FULL's rows are H_E's plus
+    h's (_Composed), which share no off-diagonal column (every flip of h
+    and none of H_E's flips a system bit), so FULL streams H_E's 2^{n_E}
+    rows, each met by h's extremes for its coupled bits.  Empty bond lists
+    give (0, 0); the spectrum is always contained.
     """
+    full = _applier(model, FULL) if part == FULL else None
     lo, hi = np.inf, -np.inf
-    for _, diag, bonds in _row_blocks(*_local_terms(model, part)):
+    streamed = part if full is None else ENVIRONMENT
+    for rows, diag, bonds in _row_blocks(*_local_terms(model, streamed)):
         radius = np.zeros(diag.shape[0])
         for _, coeff in bonds:
             radius += np.abs(coeff)
-        lo = min(lo, float(np.min(diag - radius)))
-        hi = max(hi, float(np.max(diag + radius)))
+        low, high = diag - radius, diag + radius
+        if full is not None:
+            ns = model.n_system
+            pattern = full.gather(np.arange(rows.start, rows.stop) << ns) >> ns
+            low, high = low + full.row_low[pattern], high + full.row_high[pattern]
+        lo = min(lo, float(np.min(low)))
+        hi = max(hi, float(np.max(high)))
     if lo == hi == 0.0:
         return (0.0, 0.0)
     # eigenvalues can saturate the mathematical bound; pad past the dense

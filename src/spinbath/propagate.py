@@ -61,8 +61,9 @@ DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
 EXACT_AUTO_DIM = 2**12         # "auto" projects exactly up to this dimension
 SPECTRAL_PAD = 1e-8            # relative pad of spectral_bounds (eigh errs by about 1e-12)
-# amplitudes in _apply_plan's ring of recurrence vectors: 8 vectors at 2^12,
-# from 2^14 on the recurrence pair alone, whose peak a deeper ring would pass
+# amplitudes per column in _apply_plan's ring of recurrence vectors: 8
+# vectors at 2^12, from 2^14 on the recurrence pair alone, whose peak a
+# deeper ring would pass; also the slice of its in-place a * v subtraction
 _RING_AMPLITUDES = 2**15
 
 
@@ -262,17 +263,17 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
     *state.shape) block whose row j is point j's sum.
 
     T_k is held in slot k % depth of a ring of depth >= 2 state-sized
-    vectors, depth set by the state's size alone (_RING_AMPLITUDES).  Before
-    a slot is overwritten, every depth orders, the ring is flushed: each
-    point's row gains, in place, one GEMV (dgemv on float views for real
-    coefficients, else zgemv) of the ring's Fortran-ordered view against
-    that point's contiguous coefficient slice, cut at its own order.  No
-    row depends on the other points, so a grid plan's row is bitwise its
-    single-point plan's.  The columns of a (dim, k) state share the
-    block's depth, so a column is bitwise its lone run only where both
-    depths agree: always from 2^14 amplitudes per column on, else while
-    the point orders stay below both.  Each matvec's fresh result is the
-    recurrence's scratch vector, so at depth 2 the peak is that of adding
+    vectors, depth set by the column dimension alone (_RING_AMPLITUDES), so
+    a (dim, k) block has its lone columns' depth.  Before a slot is
+    overwritten, every depth orders, the ring is flushed: each point's row
+    gains, in place, one GEMV (dgemv on float views for real coefficients,
+    else zgemv) of the ring's Fortran-ordered view against that point's
+    contiguous coefficient slice, cut at its own order.  No row depends on
+    the other points, so a grid plan's row is bitwise its single-point
+    plan's, and the FULL product gives each column bitwise its lone result,
+    so a block's column is bitwise its lone run.  Each matvec's fresh
+    result is the recurrence's scratch vector, and a * v is subtracted from
+    it in _RING_AMPLITUDES slices, so at depth 2 the peak is that of adding
     each order to each row by itself.
     """
     if state.shape[0] != model.dim:
@@ -282,16 +283,19 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
 
     def x_apply(v, gain=1.0):
         # gain * (H v - a v) / half, in place on the fresh matvec result's float
-        # view: a real product by gain / half costs a fraction of a complex
+        # view, a slice at a time so a * v never takes a state-sized temporary:
+        # a real product by gain / half costs a fraction of a complex
         # division, which numpy 2.4 also does as a product by the reciprocal
         y = apply_hamiltonian(model, FULL, v)
-        f = y.view(float)
-        f -= a * v.view(float)
-        f *= gain / half
+        f, g = y.view(float).reshape(-1), v.view(float).reshape(-1)
+        for start in range(0, f.size, _RING_AMPLITUDES):
+            part = f[start:start + _RING_AMPLITUDES]
+            part -= a * g[start:start + _RING_AMPLITUDES]
+            part *= gain / half
         return y
 
     size = state.size
-    depth = max(2, _RING_AMPLITUDES // size)
+    depth = max(2, _RING_AMPLITUDES // model.dim)
     ring = np.empty((depth, *state.shape), dtype=complex)
     block = np.zeros((len(plan.at), *state.shape), dtype=complex)
     slots, rows = ring.reshape(depth, size), block.reshape(len(block), size)

@@ -22,9 +22,25 @@ def site_operator(n_bits: int, bit: int, op: np.ndarray) -> np.ndarray:
     return out
 
 
+def bond_terms(model, part):
+    """(n_bits, terms) of a part as _local_terms gives them; FULL's on the full space.
+
+    FULL's terms are the system, environment and lam-scaled coupling bonds,
+    in that order, with environment site j on bit n_system + j - 1.
+    """
+    if part != "FULL":
+        return _local_terms(model, part)
+    ns = model.n_system
+    system = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds]
+    env = [(ns + i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.env_bonds]
+    coupling = [(i - 1, ns + j - 1, cx, cy, cz, model.lam)
+                for (i, j, cx, cy, cz) in model.coupling_bonds]
+    return model.n_spins, system + env + coupling
+
+
 def dense_oracle(model, part) -> np.ndarray:
     """Dense Hamiltonian of a part, assembled bond by bond via np.kron."""
-    n_bits, terms = _local_terms(model, part)
+    n_bits, terms = bond_terms(model, part)
     dim = 2**n_bits
     h = np.zeros((dim, dim), dtype=complex)
     for (bi, bj, cx, cy, cz, scale) in terms:

@@ -281,6 +281,19 @@ class TestRun:
         assert len(rows[250]) == 1000
         assert rows[250] == rows[256]
 
+    def test_chebyshev_rows_do_not_depend_on_n_realizations(self):
+        # a Chebyshev pass's ring depth follows the column dimension, not the
+        # block's width (depths 12 and 15 made 62 of the 99 rows differ), and
+        # every column's matvec is bitwise its lone one
+        cfg = make_config(lambda_list=(1.0,), beta_list=(0.3, 1.0, 3.0), method="chebyshev",
+                          coupling_seed=1, env_seed=2, master_seed=20160902)
+        rows = {}
+        for n in (40, 33):
+            table = bench.run(replace(cfg, n_realizations=n))
+            rows[n] = [r for r in table.rows if isinstance(r[4], int) and r[4] < 33]
+        assert len(rows[33]) == 99
+        assert rows[33] == rows[40]
+
     def test_exact_and_chebyshev_methods_agree(self):
         a = bench.run(make_config(method="exact", n_realizations=6))
         b = bench.run(make_config(method="chebyshev", n_realizations=6))

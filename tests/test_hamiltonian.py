@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +21,12 @@ from spinbath.hamiltonian import (
     build_ring_model,
     energy_bounds,
 )
-from spinbath.hamiltonian import _local_terms
+from spinbath.hamiltonian import _local_terms, part_matrix
 from spinbath.propagate import canonical_thermal_state, random_state
 from spinbath.spectrum import diagonalize, diagonalize_sectors
 
-from conftest import SX, SY, SZ, dense_oracle, parity_models, site_operator, small_models
+from conftest import (SX, SY, SZ, bond_terms, dense_oracle, parity_models, site_operator,
+                      small_models)
 
 
 class TestSpinModel:
@@ -206,7 +208,7 @@ def block_built(model):
 
 def per_bond_bounds(model, part):
     """Gershgorin bounds accumulated from per-bond (diagonal, coefficient) arrays."""
-    n_bits, terms = _local_terms(model, part)
+    n_bits, terms = bond_terms(model, part)
     idx = np.arange(2**n_bits)
     diag = np.zeros(idx.shape[0])
     radius = np.zeros(idx.shape[0])
@@ -225,18 +227,26 @@ def per_bond_bounds(model, part):
 
 
 class TestKernelModes:
-    """The CSR kernels: their layout, row block by row block, their bounds and their lifetime."""
+    """The kernels: their layout, row block by row block, their bounds and their lifetime.
+
+    S, E and SE are CSR matrices; FULL holds E's and the dense h of its
+    system and coupling bonds (hamiltonian._Composed).
+    """
 
     @staticmethod
-    def check(model):
-        parts = ("S", "E", "SE", hamiltonian._NARROW)
-        default = {p: hamiltonian._applier(model, p).matrix for p in parts}
+    def pieces(model):
+        kernels = {p: hamiltonian._applier(model, p).matrix for p in ("S", "E", "SE")}
+        arrays = {(p, name): getattr(h, name) for p, h in kernels.items()
+                  for name in ("data", "indices", "indptr")}
+        arrays["FULL", "h"] = hamiltonian._applier(model, "FULL").h
+        return arrays
+
+    def check(self, model):
+        default = self.pieces(model)
         with block_built(model) as blocked:
-            for p in parts:
-                h = hamiltonian._applier(blocked, p).matrix
-                for name in ("data", "indices", "indptr"):
-                    ours, ref = getattr(h, name), getattr(default[p], name)
-                    assert ours.dtype == ref.dtype and np.array_equal(ours, ref), (p, name)
+            for key, ours in self.pieces(blocked).items():
+                ref = default[key]
+                assert ours.dtype == ref.dtype and np.array_equal(ours, ref), key
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
     def test_block_build_bitwise(self, name):
@@ -249,13 +259,19 @@ class TestKernelModes:
 
     @staticmethod
     def check_bounds(model):
+        # S, E and SE stream their own rows, bitwise the per-bond ones; FULL
+        # sums H_E's rows and h's, so it agrees to rounding, far inside the pad
         parts = ("S", "E", "SE", "FULL")
         reference = {p: per_bond_bounds(model, p) for p in parts}
-        for p in parts:
+        for p in parts[:3]:
             assert energy_bounds(model, p) == reference[p]
+        full = energy_bounds(model, "FULL")
+        scale = max(1.0, *map(abs, reference["FULL"]))
+        assert np.abs(np.subtract(full, reference["FULL"])).max() <= 1e-14 * scale
         with block_built(model) as blocked:
-            for p in parts:
+            for p in parts[:3]:
                 assert energy_bounds(blocked, p) == reference[p]
+            assert energy_bounds(blocked, "FULL") == full
 
     @pytest.mark.parametrize("name", sorted(parity_models()))
     def test_bounds_equal_per_bond_gershgorin(self, name):
@@ -267,44 +283,44 @@ class TestKernelModes:
         self.check_bounds(model)
 
     def test_csr_layout(self):
-        # the kernels that serve products: H_E on its own space and FULL's narrow
-        # full-space matrix; 12 bytes per stored entry, the diagonal then one
-        # int32-indexed entry per kept bond, exact zeros dropped
+        # the kernels that serve products: H_E's CSR on its own space, 12 bytes
+        # per stored entry, the diagonal then one int32-indexed entry per kept
+        # bond, exact zeros dropped; and FULL's h on the system bits and the
+        # two coupled env bits, a row holding the diagonal and one entry per
+        # kept system or coupling bond
         m = build_ring_model(2, 3, -1.0, 5, 7, 1.0)
-        hamiltonian._applier(m, "FULL")
-        kernels = {"E": (m.dim_env, len(m.env_bonds)),
-                   hamiltonian._NARROW: (m.dim, len(m.system_bonds) + len(m.coupling_bonds))}
-        for part, (dim, n_bonds) in kernels.items():
-            h = m._appliers[part].matrix
-            assert h.shape == (dim, dim)
-            assert h.indices.dtype == h.indptr.dtype == np.int32 and h.data.dtype == np.float64
-            assert np.all(h.data != 0.0) and h.nnz == np.count_nonzero(h.toarray())
-            assert np.diff(h.indptr).max() <= 1 + n_bonds
-            assert not h.data.flags.writeable and not h.indices.flags.writeable
-        # the isotropic system bond stores no entry where its spins are parallel
+        full = hamiltonian._applier(m, "FULL")
+        h = m._appliers["E"].matrix
+        assert h.shape == (m.dim_env, m.dim_env)
+        assert h.indices.dtype == h.indptr.dtype == np.int32 and h.data.dtype == np.float64
+        assert np.all(h.data != 0.0) and h.nnz == np.count_nonzero(h.toarray())
+        assert np.diff(h.indptr).max() <= 1 + len(m.env_bonds)
+        assert not h.data.flags.writeable and not h.indices.flags.writeable
         narrow_width = 1 + len(m.system_bonds) + len(m.coupling_bonds)
-        assert m._appliers[hamiltonian._NARROW].matrix.nnz < m.dim * narrow_width
+        assert full.h.shape == (2**(m.n_system + 2),) * 2 and full.h.dtype == np.float64
+        assert np.count_nonzero(full.h, axis=1).max() <= narrow_width
+        assert not full.h.flags.writeable
+        # the isotropic system bond stores no entry where its spins are parallel
+        assert np.count_nonzero(full.h) < full.h.shape[0] * narrow_width
 
     def test_kernel_freed_with_model(self):
         m = build_ring_model(2, 3, -1.0, 5, 7, 1.0)
         full = hamiltonian._applier(m, "FULL")
-        kernels = [weakref.ref(k) for k in (full, full.env, full.narrow)]
+        kernels = [weakref.ref(k) for k in (full, full.env, full.h)]
         assert hamiltonian._applier(m, "FULL") is kernels[0]()
         del m, full
         gc.collect()
         assert all(k() is None for k in kernels)
 
     def test_chebyshev_projection_holds_no_wide_kernel(self):
-        # FULL is composed, so no kernel of 2^N rows holds the environment bonds
+        # FULL is composed, so no kernel of 2^N rows exists at all: H_E has
+        # 2^{n_E} rows and h 2^{n_S + 2}
         m = build_ring_model(2, 10, -1.0, 3, 5, 1.0)
         psi0 = random_state(m.dim, 4)[:, None]
         list(canonical_thermal_state(m, psi0, [0.5]))
-        width = 1 + len(m.system_bonds) + len(m.coupling_bonds)
-        full_space = [k.matrix for k in m._appliers.values()
-                      if isinstance(k, hamiltonian._Applier) and k.dim == m.dim]
-        assert full_space
-        for h in full_space:
-            assert np.diff(h.indptr).max() <= width and h.nnz <= m.dim * width
+        assert set(m._appliers) == {"E", "FULL"}
+        assert m._appliers["E"].dim == m.dim_env
+        assert m._appliers["FULL"].h.shape == (2**(m.n_system + 2),) * 2
 
     @staticmethod
     def bound_bytes(model, part):
@@ -326,27 +342,88 @@ class TestKernelModes:
         assert peak < refused / 50 and not m._appliers
 
     def test_part_at_budget_built(self, monkeypatch):
+        # ring 2+4's h is 16 x 16 floats, 2048 bytes; its H_E fits below that
         m = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
-        bound = self.bound_bytes(m, hamiltonian._NARROW)
+        bound = 8 * (2**(m.n_system + 2))**2
+        assert self.bound_bytes(m, "E") < bound
         monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", bound)
-        hamiltonian._applier(m, hamiltonian._NARROW)
+        assert hamiltonian._applier(m, "FULL").h.nbytes == bound
         monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", bound - 1)
-        with pytest.raises(SizeLimitError):
-            hamiltonian._applier(replace(m), hamiltonian._NARROW)
+        with pytest.raises(SizeLimitError, match="kernel budget"):
+            hamiltonian._applier(replace(m), "FULL")
 
-    def test_build_peaks_near_bound(self):
-        # each row block's nonzeros go straight into the bound-length arrays,
-        # which then shrink in place
+    def test_build_peaks_near_bound(self, monkeypatch):
+        # each row block's nonzeros go straight into H_E's bound-length arrays,
+        # which then shrink in place; h adds its own bytes.  H_E has 2^12 rows,
+        # so its row blocks are cut to 256 rows to stay a small part of it
         m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)
-        n_bits, terms = _local_terms(m, hamiltonian._NARROW)
+        monkeypatch.setattr(hamiltonian, "_ROW_BLOCK", 256)
         tracemalloc.start()
         try:
-            kernel = hamiltonian._Applier(n_bits, terms)
+            kernel = hamiltonian._applier(m, "FULL")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert kernel.dim == 2**16
-        assert peak <= 1.3 * self.bound_bytes(m, hamiltonian._NARROW)
+        assert peak <= 1.3 * (self.bound_bytes(m, "E") + kernel.h.nbytes)
+
+
+def composed_models():
+    """FULL's layouts: h on the low bits, with the top bit split, a middle bit, or two bits."""
+    bonds = dict(system_bonds=((1, 2, 0.9, -0.3, 0.5), (2, 3, 1.0, 1.0, 1.0)),
+                 env_bonds=tuple((i, i + 1, 0.2 * i, 0.7, -1.1) for i in range(1, 6)), lam=0.6)
+    return {
+        "chain": build_chain_model(3, 6, 1.0, 0.8, 0.6, 0.7),
+        "ring": build_ring_model(3, 6, -1.0, 3, 5, 0.35),
+        "middle": SpinModel(3, 6, coupling_bonds=((2, 4, 1.3, 0.4, 0.7),), **bonds),
+        "two_sites": SpinModel(3, 6, coupling_bonds=((1, 3, 1.3, 0.4, 0.7), (3, 5, -0.6, 0.8, 0.1),
+                                                     (2, 3, 0.5, -0.5, 0.2)), **bonds),
+    }
+
+
+class TestComposedFull:
+    """FULL as H_E's CSR plus the dense h: its product, matrix and memory."""
+
+    @pytest.mark.parametrize("name", sorted(composed_models()))
+    @pytest.mark.parametrize("columns", [1, 32])
+    def test_product_equals_part_matrix(self, name, columns):
+        m = composed_models()[name]
+        rng = np.random.default_rng(columns)
+        x = rng.normal(size=(m.dim, columns)) + 1j * rng.normal(size=(m.dim, columns))
+        out = apply_hamiltonian(m, "FULL", x)
+        ref = part_matrix(m, "FULL") @ x
+        assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
+        # each column is bitwise its lone product
+        for j in (0, columns - 1):
+            assert np.array_equal(out[:, j], apply_hamiltonian(m, "FULL", x[:, j]))
+
+    @pytest.mark.parametrize("name", sorted(composed_models()))
+    def test_part_matrix_keeps_narrow_entries(self, name):
+        # kron(H_E, 1_S) plus a full-space CSR of the system and lam-scaled
+        # coupling bonds, h's rows written out, entry for entry and bit for bit
+        m = composed_models()[name]
+        ns = m.n_system
+        terms = ([(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in m.system_bonds]
+                 + [(i - 1, ns + j - 1, cx, cy, cz, m.lam)
+                    for (i, j, cx, cy, cz) in m.coupling_bonds])
+        narrow = hamiltonian._Applier(m.n_spins, terms).matrix
+        eye = scipy.sparse.identity(m.dim_system, format="csr")
+        ref = scipy.sparse.kron(part_matrix(m, "E"), eye, format="csr") + narrow
+        full = part_matrix(m, "FULL")
+        assert np.array_equal(full.toarray(), ref.toarray())
+        assert full.indices.dtype == full.indptr.dtype == np.int32
+
+    def test_one_column_product_allocates_only_its_result(self):
+        m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)
+        psi = random_state(m.dim, 3)
+        apply_hamiltonian(m, "FULL", psi)         # kernels and GEMM blocks built
+        tracemalloc.start()
+        try:
+            apply_hamiltonian(m, "FULL", psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert round(peak / psi.nbytes, 2) == 1.00
 
 
 class TestSiteOperator:
