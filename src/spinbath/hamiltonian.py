@@ -22,13 +22,16 @@ bond, exact zeros dropped).  FULL is never held as one matrix of all the
 bonds: ``apply_hamiltonian`` composes it as (H_E (x) 1_S) x, H_E's own
 matrix on the block's real (2^{n_E}, 2^{n_S} * 2k) view, plus (1 (x) h) x,
 h one dense operator of the system and lam-scaled coupling bonds on the
-few bits they touch (the system bits and the coupled environment bits),
-applied as GEMMs that add into H_E's product.  So FULL's kernels take
-O(2^{n_E} * bonds + 4^{touched bits}) bytes, not O(2^N * bonds).  The
-Gershgorin ``energy_bounds`` stream exact per-row values from the bond
-tables, one row block at a time (FULL's from H_E's rows and h's);
-``part_matrix`` assembles the FULL matrix, which ``spectrum`` reads for its
-dense matrix and parity sector blocks, from the same two pieces.
+system bits and the coupled environment bits next to them or on top,
+applied as GEMMs that add into H_E's product; a coupling bond to any other
+environment bit adds its terms elementwise.  So FULL's kernels take
+O(2^{n_E} * bonds) bytes plus h's (at most 256 x 256 floats unless the
+system has more than 8 spins), not O(2^N * bonds).  The Gershgorin
+``energy_bounds`` stream exact per-row values from the bond tables, one
+row block at a time (FULL's from H_E's rows and those pieces);
+``part_matrix`` assembles the FULL matrix, which ``spectrum`` reads for
+its dense matrix and parity sector blocks, from H_E's matrix and the
+other bonds' table.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ _PARTS = (SYSTEM, ENVIRONMENT, COUPLING, FULL)
 
 DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
 _KERNEL_BYTES = 3 * 2**30    # upper bound on one part's CSR values and indices
+_H_BITS = 8                  # bits of FULL's dense h (256 x 256 floats) unless the system has more
 _ROW_BLOCK = 4096            # rows per pass of the CSR build and the bounds
 
 COUPLING_RANGE = 4.0 / 3.0   # random couplings are uniform on [-4/3, 4/3]
@@ -276,9 +280,9 @@ class _Applier:
         data.flags.writeable = indices.flags.writeable = False
         self.matrix = scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
-    def product(self, x: np.ndarray, group: int = 1) -> np.ndarray:
-        """H x for a real C-ordered (dim, m) matrix x (a row's columns are independent)."""
-        return self.matrix @ x
+    def product(self, state: np.ndarray) -> np.ndarray:
+        """H x on the C-ordered state's real (dim, m) view (a row's columns are independent)."""
+        return self.matrix @ _float_view(state, self.dim)
 
 
 def _write_block(data, indices, indptr, rows, diag, bonds, width):
@@ -300,88 +304,115 @@ def _write_block(data, indices, indptr, rows, diag, bonds, width):
 
 
 class _Composed:
-    """FULL as (H_E (x) 1_S) x + (1 (x) h) x, with no matrix of 2^N rows.
+    """FULL as (H_E (x) 1_S) x + (1 (x) h) x + the other coupling bonds, with no matrix of 2^N rows.
 
-    H_E's own kernel multiplies the block viewed as one real
-    (2^{n_E}, 2^{n_S} * m) matrix.  The system and lam-scaled coupling bonds
-    touch only ``bits`` (the system bits, then the coupled environment
-    bits), so they are one dense h on those bits, whose entries are the
-    row sums of a full-space matrix of those bonds.  Its ``low`` bits sit
-    at the bottom of the index; every other bit of h splits the state, so
-    each nonzero 2^low-square block of h is one GEMM per slab of ``span``
-    rows (one on the chain, four on the ring), adding into H_E's product.
-    h is refused past _KERNEL_BYTES; the GEMMs' kron(block, 1_2) copies for
-    complex states take 4x h's bytes more.
+    H_E's own kernel multiplies the whole block, viewed as one real
+    (2^{n_E}, 2^{n_S} * m) matrix.  h is dense on ``bits``: the low block
+    (the system bits and the coupled environment bits right above them,
+    ``low`` bits) and the top bit if it is coupled (the ring), at most
+    _H_BITS bits unless the system alone has more.  It holds the system
+    bonds and the lam-scaled coupling bonds on those bits, its entries the
+    row sums of a full-space matrix of them.  Each nonzero 2^low-square
+    block of h is one GEMM on a slab of ``span`` rows (one on the chain,
+    four on the ring, split at the top bit), a state column at a time,
+    adding into H_E's product.  Each other coupling bond (``apart``) adds
+    its zz and flip terms to the whole block elementwise, O(1) per
+    amplitude, through quarter-state temporaries.
     """
 
     def __init__(self, env: _Applier, model: SpinModel):
-        ns = model.n_system
-        self.bits = list(range(ns)) + sorted({ns + j - 1 for (_, j, *_) in model.coupling_bonds})
-        if 8 * 4**len(self.bits) > _KERNEL_BYTES:
-            raise SizeLimitError(
-                f"h on {len(self.bits)} bits passes the kernel budget, {_KERNEL_BYTES} B")
-        local = {b: i for i, b in enumerate(self.bits)}
-        terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds] + [
-            (i - 1, local[ns + j - 1], cx, cy, cz, model.lam)
-            for (i, j, cx, cy, cz) in model.coupling_bonds]
-        self.h = _Applier(len(self.bits), terms).matrix.toarray()
-        self.h.flags.writeable = False
-        self.env, self.dim, self.low, self._gemms = env, model.dim, ns, {}
-        while self.low in local:
+        ns, top = model.n_system, model.n_spins - 1
+        coupled = {ns + j - 1 for (_, j, *_) in model.coupling_bonds}
+        self.low = ns
+        while self.low in coupled and self.low < _H_BITS:
             self.low += 1
-        self.span = 2**self.bits[self.low] if self.low < len(self.bits) else self.dim
-        size, splits = 2**self.low, range(2**(len(self.bits) - self.low))
-        self.blocks = [(self._spread(t << self.low), self._spread(u << self.low), block)
-                       for u in splits for t in splits
+        split = top in coupled and top >= self.low and self.low < _H_BITS
+        self.bits = list(range(self.low)) + [top] * split
+        if 40 * 4**len(self.bits) > _KERNEL_BYTES:
+            raise SizeLimitError(f"h on {len(self.bits)} bits and its GEMM copies pass "
+                                 f"the kernel budget, {_KERNEL_BYTES} B")
+        local = {b: i for i, b in enumerate(self.bits)}
+        cpl = [(i - 1, ns + j - 1, cx, cy, cz, model.lam) for (i, j, cx, cy, cz) in model.coupling_bonds]
+        self.terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds] + cpl
+        self.h = _Applier(len(self.bits), [(bi, local[bj], *rest) for (bi, bj, *rest) in self.terms
+                                           if bj in local]).matrix.toarray()
+        self.h.flags.writeable = False
+        self.apart = [(bi, bj, -s * cz / 4.0, -s * (cx - cy) / 4.0, -s * (cx + cy) / 4.0)
+                      for (bi, bj, cx, cy, cz, s) in cpl if bj not in local]
+        self.env, self.dim, self.n_system, self.n_spins = env, model.dim, ns, model.n_spins
+        self.span, size, n = 2**top if split else self.dim, 2**self.low, 1 + split
+        # each block as kron(block, 1_2), a complex column's (real, imaginary) pairs
+        self.blocks = [(t * self.span, u * self.span, np.asfortranarray(np.kron(block, np.eye(2))))
+                       for u in range(n) for t in range(n)
                        if (block := self.h[u * size:(u + 1) * size, t * size:(t + 1) * size]).any()]
-        # h's Gershgorin extremes per coupled-bit pattern, the rows an environment row meets
         off = np.abs(self.h)
         np.fill_diagonal(off, 0.0)
-        self.row_low = (np.diag(self.h) - off.sum(axis=1)).reshape(-1, 2**ns).min(axis=1)
-        self.row_high = (np.diag(self.h) + off.sum(axis=1)).reshape(-1, 2**ns).max(axis=1)
+        self.row_ends = (np.diag(self.h) - off.sum(axis=1), np.diag(self.h) + off.sum(axis=1))
 
-    def _spread(self, local):
-        """The full-space index bits of h's local index."""
-        return sum(((local >> i) & 1) << b for i, b in enumerate(self.bits))
+    def product(self, state: np.ndarray) -> np.ndarray:
+        """H x on the C-ordered state's real (dim, m) view.
 
-    def gather(self, n):
-        """h's local index of the full-space index n."""
-        return sum(((n >> b) & 1) << i for i, b in enumerate(self.bits))
-
-    def product(self, x: np.ndarray, group: int = 1) -> np.ndarray:
-        """H x for a real C-ordered (dim, m) matrix x of ``group`` float columns per state column.
-
-        A wider block goes a state column at a time, so each column's result
-        is bitwise its lone product, and a lone column allocates only its result.
+        H_E and the apart bonds take the whole block; h's GEMMs go a state
+        column at a time, so each column's result is bitwise its lone
+        product, and a lone column allocates only its result.
         """
-        if x.shape[1] > group:
-            out, column = np.empty_like(x), np.empty((self.dim, group))
-            for j in range(0, x.shape[1], group):
-                column[:] = x[:, j:j + group]
-                out[:, j:j + group] = self.product(column, group)
-            return out
-        gemms = self._gemms.get(group) or self._gemms.setdefault(
-            group, [np.asfortranarray(np.kron(block, np.eye(group))) for *_, block in self.blocks])
-        out = self.env.product(x.reshape(self.env.dim, -1)).reshape(x.shape)
-        splits = self._spread(-1 << self.low)
-        for base in range(0, self.dim, self.span):
-            if base & splits:
-                continue        # a slab starts where every split bit is 0
-            for (src, dst, _), gemm in zip(self.blocks, gemms):
-                a = x[base + src:base + src + self.span].reshape(-1, gemm.shape[0])
-                c = out[base + dst:base + dst + self.span].reshape(-1, gemm.shape[0])
-                dgemm(1.0, gemm, a.T, beta=1.0, c=c.T, overwrite_c=True)
+        x = _float_view(state, self.dim)
+        out = self.env.product(x).reshape(x.shape)
+        if state.size == self.dim:
+            self._add_h(x, out)
+        else:
+            columns, results = state.reshape(self.dim, -1), out.view(state.dtype)
+            column, result = np.empty(self.dim, state.dtype), np.empty(self.dim, state.dtype)
+            for j in range(columns.shape[1]):
+                column[:], result[:] = columns[:, j], results[:, j]
+                self._add_h(_float_view(column, self.dim), _float_view(result, self.dim))
+                results[:, j] = result
+        for bond in self.apart:
+            _add_bond(out, x, *bond)
         return out
+
+    def _add_h(self, x, out):
+        """out += (1 (x) h) x for one state column's C-ordered (dim, 1 or 2) float view x."""
+        for src, dst, gemm in self.blocks:
+            if x.shape[1] == 1:
+                gemm = gemm[::2, ::2]       # a real column's block
+            a = x[src:src + self.span].reshape(-1, gemm.shape[0])
+            c = out[dst:dst + self.span].reshape(-1, gemm.shape[0])
+            dgemm(1.0, gemm, a.T, beta=1.0, c=c.T, overwrite_c=True)
+
+    def row_extremes(self, env_rows):
+        """Least and greatest Gershgorin row ends of h and the apart bonds over each env row's system rows."""
+        low, high = np.full(env_rows.size, np.inf), np.full(env_rows.size, -np.inf)
+        for system in range(2**self.n_system):
+            rows = (env_rows << self.n_system) | system
+            index = sum(((rows >> b) & 1) << i for i, b in enumerate(self.bits))
+            ends = self.row_ends[0][index], self.row_ends[1][index]
+            for (bi, bj, zz, same, crossed) in self.apart:
+                parallel = ((rows >> bi) & 1) == ((rows >> bj) & 1)
+                diag, flip = np.where(parallel, zz, -zz), np.abs(np.where(parallel, same, crossed))
+                ends = ends[0] + (diag - flip), ends[1] + (diag + flip)
+            np.minimum(low, ends[0], out=low)
+            np.maximum(high, ends[1], out=high)
+        return low, high
 
     @property
     def matrix(self) -> scipy.sparse.csr_array:
-        """kron(H_E, 1_S) + (1 (x) h), row n of the second holding h's row gather(n)."""
-        coo, rows = scipy.sparse.coo_array(self.h), np.arange(self.dim, dtype=np.int32)
-        rest = rows[rows & self._spread(self.h.shape[0] - 1) == 0][:, None]
-        ij = ((rest | self._spread(coo.row)).ravel(), (rest | self._spread(coo.col)).ravel())
+        """kron(H_E, 1_S) plus a full-space CSR of the system and lam-scaled coupling bonds."""
         eye = scipy.sparse.identity(self.dim // self.env.dim, format="csr")
-        return scipy.sparse.kron(self.env.matrix, eye, format="csr") + scipy.sparse.csr_array(
-            (np.tile(coo.data, rest.size), ij), shape=(self.dim, self.dim))
+        return scipy.sparse.kron(self.env.matrix, eye, format="csr") + _Applier(self.n_spins, self.terms).matrix
+
+
+def _add_bond(out, x, bi, bj, zz, same, crossed):
+    """out += one bond's zz and flip terms, on bits bi < bj, for C-ordered real (dim, m) views."""
+    shape = (-1, 2, 2**(bj - bi - 1), 2, 2**bi * x.shape[1])
+    x, out = x.reshape(shape), out.reshape(shape)
+    for u in (0, 1):
+        for v in (0, 1):
+            target = out[:, u, :, v]
+            if zz:
+                target += (zz if u == v else -zz) * x[:, u, :, v]
+            if flip := (same if u == v else crossed):
+                target += flip * x[:, 1 - u, :, 1 - v]
 
 
 def _applier(model: SpinModel, part: str):
@@ -404,8 +435,9 @@ def part_matrix(model: SpinModel, part: str) -> scipy.sparse.csr_array:
     """The real CSR matrix of a part, on the same space as apply_hamiltonian(part).
 
     S, E and SE are their kernels' own matrices.  FULL, which no kernel
-    holds, is assembled as kron(H_E, 1_S) + (1 (x) h) from the two pieces
-    its product composes, so its entries are the product's, sum for sum.
+    holds, is assembled as kron(H_E, 1_S) plus a full-space CSR of the
+    system and lam-scaled coupling bonds, built from the bond tables apart
+    from h, so FULL's product is checked against an independent matrix.
     """
     return _applier(model, part).matrix
 
@@ -419,15 +451,13 @@ def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndar
     may be a vector or a (dim, k) batch of columns, in any memory order (a
     block that is not C-ordered is copied once); the result has the dtype
     ``result_type(state, float)`` and is not normalized (the map is linear).
-    The kernels' ``product`` only sees the block's real (dim, m) float view.
+    The kernels' ``product`` works on the block's real (dim, m) float view.
     """
     kernel = _applier(model, part)
     state = _contiguous(np.asarray(state))
     if state.shape[0] != kernel.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != {kernel.dim}")
-    group = 2 if np.iscomplexobj(state) else 1
-    out = kernel.product(_float_view(state, kernel.dim), group)
-    return out.view(state.dtype).reshape(state.shape)
+    return kernel.product(state).view(state.dtype).reshape(state.shape)
 
 
 def apply_site_operator(model: SpinModel, part: str, site: int, axis: str, state: np.ndarray):
@@ -466,9 +496,10 @@ def energy_bounds(model: SpinModel, part: str = FULL) -> tuple[float, float]:
     radius is the sum of that row's bond magnitudes, accumulated bond by
     bond in ``terms`` order.  The rows are streamed _ROW_BLOCK at a time
     from the bond table, with no matrix built.  FULL's rows are H_E's plus
-    h's (_Composed), which share no off-diagonal column (every flip of h
-    and none of H_E's flips a system bit), so FULL streams H_E's 2^{n_E}
-    rows, each met by h's extremes for its coupled bits.  Empty bond lists
+    those of h and the apart bonds (_Composed), which share no
+    off-diagonal column with H_E's (each of theirs flips a system bit, none
+    of H_E's does), so FULL streams H_E's 2^{n_E} rows, each met by the
+    extremes of the others over its 2^{n_S} system rows.  Empty bond lists
     give (0, 0); the spectrum is always contained.
     """
     full = _applier(model, FULL) if part == FULL else None
@@ -480,9 +511,8 @@ def energy_bounds(model: SpinModel, part: str = FULL) -> tuple[float, float]:
             radius += np.abs(coeff)
         low, high = diag - radius, diag + radius
         if full is not None:
-            ns = model.n_system
-            pattern = full.gather(np.arange(rows.start, rows.stop) << ns) >> ns
-            low, high = low + full.row_low[pattern], high + full.row_high[pattern]
+            extra = full.row_extremes(np.arange(rows.start, rows.stop))
+            low, high = low + extra[0], high + extra[1]
         lo = min(lo, float(np.min(low)))
         hi = max(hi, float(np.max(high)))
     if lo == hi == 0.0:

@@ -263,8 +263,11 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
     *state.shape) block whose row j is point j's sum.
 
     T_k is held in slot k % depth of a ring of depth >= 2 state-sized
-    vectors, depth set by the column dimension alone (_RING_AMPLITUDES), so
-    a (dim, k) block has its lone columns' depth.  Before a slot is
+    vectors, depth set by the column dimension and plan.order alone
+    (_RING_AMPLITUDES, a deeper ring than the orders only flushes the same
+    slices once), so a (dim, k) block has its lone columns' depth.  A
+    block runs in chunks of columns, each through its own ring, that hold
+    at most max(2 states, _RING_AMPLITUDES) amplitudes.  Before a slot is
     overwritten, every depth orders, the ring is flushed: each point's row
     gains, in place, one GEMV (dgemv on float views for real coefficients,
     else zgemv) of the ring's Fortran-ordered view against that point's
@@ -278,6 +281,18 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
     """
     if state.shape[0] != model.dim:
         raise DimensionError(f"state dimension {state.shape[0]} != model dimension {model.dim}")
+    depth = max(2, min(plan.order + 1, _RING_AMPLITUDES // model.dim))
+    chunk = max(2 * state.size, _RING_AMPLITUDES) // (depth * model.dim)
+    if state.ndim == 1 or chunk >= state.shape[1]:
+        return _recurrence(model, plan, state, depth)
+    block = np.empty((len(plan.at), *state.shape), dtype=complex)
+    for start in range(0, state.shape[1], chunk):
+        block[:, :, start:start + chunk] = _recurrence(model, plan, state[:, start:start + chunk], depth)
+    return block
+
+
+def _recurrence(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray, depth: int) -> np.ndarray:
+    """_apply_plan's rows for one chunk of columns, through a ring of ``depth`` states."""
     a = 0.5 * (plan.e_max + plan.e_min)
     half = 0.5 * (plan.e_max - plan.e_min)
 
@@ -295,7 +310,6 @@ def _apply_plan(model: SpinModel, plan: ChebyshevPlan, state: np.ndarray) -> np.
         return y
 
     size = state.size
-    depth = max(2, _RING_AMPLITUDES // model.dim)
     ring = np.empty((depth, *state.shape), dtype=complex)
     block = np.zeros((len(plan.at), *state.shape), dtype=complex)
     slots, rows = ring.reshape(depth, size), block.reshape(len(block), size)

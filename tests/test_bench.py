@@ -309,8 +309,9 @@ class TestRun:
         assert len(good) == len(cfg.lambda_list)
 
     def test_kernel_over_budget_gives_error_rows(self, monkeypatch):
-        # ring 2+3's largest part holds at most 1536 bytes, ring 2+6's 12288
-        monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", 4096)
+        # ring 2+3's largest piece is FULL's h with its GEMM copies, 10240
+        # bytes; ring 2+6's H_E holds 12288
+        monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", 11264)
         cfg = make_config(method="chebyshev", n_env_list=(3, 6), n_realizations=4)
         rows = list(bench.run(cfg).dicts())
         refused = [r for r in rows if r["n_env"] == 6]

@@ -342,19 +342,22 @@ class TestKernelModes:
         assert peak < refused / 50 and not m._appliers
 
     def test_part_at_budget_built(self, monkeypatch):
-        # ring 2+4's h is 16 x 16 floats, 2048 bytes; its H_E fits below that
+        # ring 2+4's h is 16 x 16 floats, 2048 bytes, counted with its four
+        # 2x-wide GEMM copies; its H_E fits below that
         m = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
-        bound = 8 * (2**(m.n_system + 2))**2
+        bound = 5 * 8 * (2**(m.n_system + 2))**2
         assert self.bound_bytes(m, "E") < bound
         monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", bound)
-        assert hamiltonian._applier(m, "FULL").h.nbytes == bound
+        full = hamiltonian._applier(m, "FULL")
+        assert 5 * full.h.nbytes == full.h.nbytes + sum(g.nbytes for *_, g in full.blocks) == bound
         monkeypatch.setattr(hamiltonian, "_KERNEL_BYTES", bound - 1)
         with pytest.raises(SizeLimitError, match="kernel budget"):
             hamiltonian._applier(replace(m), "FULL")
 
     def test_build_peaks_near_bound(self, monkeypatch):
         # each row block's nonzeros go straight into H_E's bound-length arrays,
-        # which then shrink in place; h adds its own bytes.  H_E has 2^12 rows,
+        # which then shrink in place; h adds its own bytes and its GEMM
+        # copies'.  H_E has 2^12 rows,
         # so its row blocks are cut to 256 rows to stay a small part of it
         m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)
         monkeypatch.setattr(hamiltonian, "_ROW_BLOCK", 256)
@@ -365,11 +368,16 @@ class TestKernelModes:
         finally:
             tracemalloc.stop()
         assert kernel.dim == 2**16
-        assert peak <= 1.3 * (self.bound_bytes(m, "E") + kernel.h.nbytes)
+        held = kernel.h.nbytes + sum(g.nbytes for *_, g in kernel.blocks)
+        assert peak <= 1.3 * (self.bound_bytes(m, "E") + held)
 
 
 def composed_models():
-    """FULL's layouts: h on the low bits, with the top bit split, a middle bit, or two bits."""
+    """FULL's layouts: h on the low block, with the top bit split (ring), or with bonds apart.
+
+    "middle" and "two_sites" couple environment bits that are neither next to
+    the system nor on top, so their bonds are applied apart from h.
+    """
     bonds = dict(system_bonds=((1, 2, 0.9, -0.3, 0.5), (2, 3, 1.0, 1.0, 1.0)),
                  env_bonds=tuple((i, i + 1, 0.2 * i, 0.7, -1.1) for i in range(1, 6)), lam=0.6)
     return {
@@ -412,6 +420,33 @@ class TestComposedFull:
         full = part_matrix(m, "FULL")
         assert np.array_equal(full.toarray(), ref.toarray())
         assert full.indices.dtype == full.indptr.dtype == np.int32
+
+    def test_layouts(self):
+        kernels = {name: hamiltonian._applier(m, "FULL") for name, m in composed_models().items()}
+        assert {name: (k.bits, len(k.apart)) for name, k in kernels.items()} == {
+            "chain": ([0, 1, 2, 3], 0), "ring": ([0, 1, 2, 3, 8], 0),
+            "middle": ([0, 1, 2], 1), "two_sites": ([0, 1, 2], 3)}
+        assert [len(k.blocks) for k in kernels.values()] == [1, 4, 1, 1]
+
+    def test_model_coupled_to_every_env_site_built(self):
+        # 15 coupled bits: h takes the low 8 (a 256 x 256 operator), and the
+        # bonds to the 7 environment bits above it are applied apart
+        m = SpinModel(4, 11, system_bonds=((1, 2, 1.0, 1.0, 1.0), (3, 4, 0.5, 0.2, -0.1)),
+                      env_bonds=((1, 2, 0.3, 0.3, 0.3), (5, 11, -0.4, 0.1, 0.9)),
+                      coupling_bonds=tuple((1 + j % 4, j, 0.3, 0.5 * j / 11, -0.2) for j in range(1, 12)),
+                      lam=0.8)
+        full = hamiltonian._applier(m, "FULL")
+        assert full.bits == list(range(8)) and len(full.apart) == 7
+        assert full.h.shape == (256, 256)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(m.dim, 4)) + 1j * rng.normal(size=(m.dim, 4))
+        out = apply_hamiltonian(m, "FULL", x)
+        ref = part_matrix(m, "FULL") @ x
+        assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
+        assert np.array_equal(out[:, 2], apply_hamiltonian(m, "FULL", x[:, 2]))
+        reference = per_bond_bounds(m, "FULL")
+        assert np.abs(np.subtract(energy_bounds(m, "FULL"), reference)).max() <= 1e-14 * max(
+            1.0, *map(abs, reference))
 
     def test_one_column_product_allocates_only_its_result(self):
         m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)

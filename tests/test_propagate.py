@@ -744,6 +744,27 @@ class TestRecurrenceRing:
         assert rows.nbytes == len(plan.at) * psi.nbytes == 3 * 2**18
         assert peak <= (len(plan.at) + 4) * psi.nbytes + 2**14
 
+    def test_wide_block_ring_holds_two_blocks(self):
+        # at 2^12 the ring is 8 deep, so 16 columns run in chunks of 4, each
+        # chunk's ring 2 blocks' worth: the peak is the rows, that ring, and
+        # a chunk's rows and matvec result (11.25 blocks through one ring)
+        import tracemalloc
+
+        m = build_ring_model(4, 8, -1.0, 25, 17, 1.0)
+        plan = imaginary_time_plan(energy_bounds(m), [0.3, 2.0])
+        psi = random_block(m, range(16))
+        propagate.apply_hamiltonian(m, "FULL", psi[:, :2])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = propagate._apply_plan(m, plan, psi)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(plan.at) + 3.25) * psi.nbytes
+        for j in (0, 5, 15):
+            assert np.array_equal(rows[:, :, j], propagate._apply_plan(m, plan, psi[:, j]))
+
 
 RING_2_6 = (build_ring_model, (2, 6, -1.0, 5, 6))
 CHAIN_4_6 = (build_chain_model, (4, 6, 1.0, 1.0, 1.0))
