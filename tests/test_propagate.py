@@ -713,7 +713,7 @@ class TestRecurrenceRing:
         # (a cut imaginary-time sum cancels far below its terms)
         m = build_ring_model(2, 4, -1.0, 3, 9, 1.0)
         state = random_block(m, range(3)) if shape else random_state(m.dim, 5)
-        monkeypatch.setattr(propagate, "_RING_AMPLITUDES", self.DEPTH * state.size)
+        monkeypatch.setattr(propagate, "_RING_AMPLITUDES", self.DEPTH * m.dim)
         base = make(energy_bounds(m), x)
         grid = self.cut(base, orders)
         assert grid.point_orders.tolist() == orders
@@ -747,7 +747,7 @@ class TestRecurrenceRing:
     def test_wide_block_ring_holds_two_blocks(self):
         # at 2^12 the ring is 8 deep, so 16 columns run in chunks of 4, each
         # chunk's ring 2 blocks' worth: the peak is the rows, that ring, and
-        # a chunk's rows and matvec result (11.25 blocks through one ring)
+        # a chunk's rows and matvec result
         import tracemalloc
 
         m = build_ring_model(4, 8, -1.0, 25, 17, 1.0)
