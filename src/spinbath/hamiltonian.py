@@ -24,9 +24,9 @@ matrix on the block's real (2^{n_E}, 2^{n_S} * 2k) view, plus (1 (x) h) x,
 h one dense operator of the system and lam-scaled coupling bonds on the
 system bits and the coupled environment bits next to them or on top,
 applied as GEMMs that add into H_E's product; a coupling bond to any other
-environment bit adds its terms elementwise.  So FULL's kernels take
-O(2^{n_E} * bonds) bytes plus h's (at most 256 x 256 floats unless the
-system has more than 8 spins), not O(2^N * bonds).  The Gershgorin
+environment bit, or a system bond past h's 8 bits, adds its terms
+elementwise.  So FULL's kernels take O(2^{n_E} * bonds) bytes plus h's
+(at most 256 x 256 floats), not O(2^N * bonds).  The Gershgorin
 ``energy_bounds`` stream exact per-row values from the bond tables, one
 row block at a time (FULL's from H_E's rows and those pieces);
 ``part_matrix`` assembles the FULL matrix, which ``spectrum`` reads for
@@ -54,7 +54,7 @@ _PARTS = (SYSTEM, ENVIRONMENT, COUPLING, FULL)
 
 DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
 _KERNEL_BYTES = 3 * 2**30    # upper bound on one part's CSR values and indices
-_H_BITS = 8                  # bits of FULL's dense h (256 x 256 floats) unless the system has more
+_H_BITS = 8                  # bits of FULL's dense h, 256 x 256 floats; other bonds stay apart
 _ROW_BLOCK = 4096            # rows per pass of the CSR build and the bounds
 
 COUPLING_RANGE = 4.0 / 3.0   # random couplings are uniform on [-4/3, 4/3]
@@ -304,26 +304,27 @@ def _write_block(data, indices, indptr, rows, diag, bonds, width):
 
 
 class _Composed:
-    """FULL as (H_E (x) 1_S) x + (1 (x) h) x + the other coupling bonds, with no matrix of 2^N rows.
+    """FULL as (H_E (x) 1_S) x + (1 (x) h) x + the other bonds, with no matrix of 2^N rows.
 
     H_E's own kernel multiplies the whole block, viewed as one real
     (2^{n_E}, 2^{n_S} * m) matrix.  h is dense on ``bits``: the low block
     (the system bits and the coupled environment bits right above them,
     ``low`` bits) and the top bit if it is coupled (the ring), at most
-    _H_BITS bits unless the system alone has more.  It holds the system
-    bonds and the lam-scaled coupling bonds on those bits, its entries the
-    row sums of a full-space matrix of them.  Each nonzero 2^low-square
-    block of h is one GEMM on a slab of ``span`` rows (one on the chain,
-    four on the ring, split at the top bit), a state column at a time,
-    adding into H_E's product.  Each other coupling bond (``apart``) adds
-    its zz and flip terms to the whole block elementwise, O(1) per
-    amplitude, through quarter-state temporaries.
+    _H_BITS bits.  It holds the system bonds and the lam-scaled coupling
+    bonds on those bits, its entries the row sums of a full-space matrix
+    of them.  Each nonzero 2^low-square block of h is one GEMM on a slab
+    of ``span`` rows (one on the chain, four on the ring, split at the top
+    bit), a state column at a time, adding into H_E's product.  Each other
+    bond (``apart``: a coupling bond to another environment bit, or a
+    system bond past _H_BITS) adds its zz and flip terms to the whole
+    block elementwise, O(1) per amplitude, through quarter-state
+    temporaries.
     """
 
     def __init__(self, env: _Applier, model: SpinModel):
         ns, top = model.n_system, model.n_spins - 1
         coupled = {ns + j - 1 for (_, j, *_) in model.coupling_bonds}
-        self.low = ns
+        self.low = min(ns, _H_BITS)
         while self.low in coupled and self.low < _H_BITS:
             self.low += 1
         split = top in coupled and top >= self.low and self.low < _H_BITS
@@ -338,7 +339,7 @@ class _Composed:
                                            if bj in local]).matrix.toarray()
         self.h.flags.writeable = False
         self.apart = [(bi, bj, -s * cz / 4.0, -s * (cx - cy) / 4.0, -s * (cx + cy) / 4.0)
-                      for (bi, bj, cx, cy, cz, s) in cpl if bj not in local]
+                      for (bi, bj, cx, cy, cz, s) in self.terms if bj not in local]
         self.env, self.dim, self.n_system, self.n_spins = env, model.dim, ns, model.n_spins
         self.span, size, n = 2**top if split else self.dim, 2**self.low, 1 + split
         # each block as kron(block, 1_2), a complex column's (real, imaginary) pairs
@@ -383,16 +384,17 @@ class _Composed:
     def row_extremes(self, env_rows):
         """Least and greatest Gershgorin row ends of h and the apart bonds over each env row's system rows."""
         low, high = np.full(env_rows.size, np.inf), np.full(env_rows.size, -np.inf)
-        for system in range(2**self.n_system):
-            rows = (env_rows << self.n_system) | system
+        step = max(1, _ROW_BLOCK // env_rows.size)
+        for start in range(0, 2**self.n_system, step):
+            rows = (env_rows[:, None] << self.n_system) | np.arange(start, min(start + step, 2**self.n_system))
             index = sum(((rows >> b) & 1) << i for i, b in enumerate(self.bits))
             ends = self.row_ends[0][index], self.row_ends[1][index]
             for (bi, bj, zz, same, crossed) in self.apart:
                 parallel = ((rows >> bi) & 1) == ((rows >> bj) & 1)
                 diag, flip = np.where(parallel, zz, -zz), np.abs(np.where(parallel, same, crossed))
                 ends = ends[0] + (diag - flip), ends[1] + (diag + flip)
-            np.minimum(low, ends[0], out=low)
-            np.maximum(high, ends[1], out=high)
+            np.minimum(low, ends[0].min(axis=1), out=low)
+            np.maximum(high, ends[1].max(axis=1), out=high)
         return low, high
 
     @property

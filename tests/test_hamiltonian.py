@@ -428,16 +428,25 @@ class TestComposedFull:
             "middle": ([0, 1, 2], 1), "two_sites": ([0, 1, 2], 3)}
         assert [len(k.blocks) for k in kernels.values()] == [1, 4, 1, 1]
 
-    def test_model_coupled_to_every_env_site_built(self):
-        # 15 coupled bits: h takes the low 8 (a 256 x 256 operator), and the
-        # bonds to the 7 environment bits above it are applied apart
-        m = SpinModel(4, 11, system_bonds=((1, 2, 1.0, 1.0, 1.0), (3, 4, 0.5, 0.2, -0.1)),
-                      env_bonds=((1, 2, 0.3, 0.3, 0.3), (5, 11, -0.4, 0.1, 0.9)),
-                      coupling_bonds=tuple((1 + j % 4, j, 0.3, 0.5 * j / 11, -0.2) for j in range(1, 12)),
-                      lam=0.8)
+    @pytest.mark.parametrize("name, bits, apart", [("every_env_site", 8, 7), ("eleven_system", 8, 6)])
+    def test_wide_models_built(self, name, bits, apart):
+        # h keeps to the low 8 bits (a 256 x 256 operator) and the other
+        # bonds are applied apart: on 4+11 coupled to all 11 environment
+        # sites, the 7 bonds to the environment bits above it; on 11+3, the
+        # 4 system bonds that reach past bit 8 and both coupling bonds
+        m = {"every_env_site": SpinModel(
+                 4, 11, system_bonds=((1, 2, 1.0, 1.0, 1.0), (3, 4, 0.5, 0.2, -0.1)),
+                 env_bonds=((1, 2, 0.3, 0.3, 0.3), (5, 11, -0.4, 0.1, 0.9)),
+                 coupling_bonds=tuple((1 + j % 4, j, 0.3, 0.5 * j / 11, -0.2) for j in range(1, 12)),
+                 lam=0.8),
+             "eleven_system": SpinModel(
+                 11, 3, system_bonds=tuple((i, i + 1, 1.0, 0.7, 0.3 * i) for i in range(1, 11))
+                 + ((1, 11, 0.2, -0.5, 0.9),),
+                 env_bonds=((1, 2, 0.3, 0.3, 0.3), (2, 3, -0.4, 0.1, 0.9)),
+                 coupling_bonds=((11, 1, 0.5, 0.4, -0.2), (3, 3, 0.1, 0.2, 0.3)), lam=0.8)}[name]
         full = hamiltonian._applier(m, "FULL")
-        assert full.bits == list(range(8)) and len(full.apart) == 7
-        assert full.h.shape == (256, 256)
+        assert full.bits == list(range(bits)) and len(full.apart) == apart
+        assert full.h.shape == (2**bits, 2**bits)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(m.dim, 4)) + 1j * rng.normal(size=(m.dim, 4))
         out = apply_hamiltonian(m, "FULL", x)
