@@ -333,8 +333,8 @@ class _Composed:
             raise SizeLimitError(f"h on {len(self.bits)} bits and its GEMM copies pass "
                                  f"the kernel budget, {_KERNEL_BYTES} B")
         local = {b: i for i, b in enumerate(self.bits)}
-        cpl = [(i - 1, ns + j - 1, cx, cy, cz, model.lam) for (i, j, cx, cy, cz) in model.coupling_bonds]
-        self.terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds] + cpl
+        self.terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds] + [
+            (i - 1, ns + j - 1, cx, cy, cz, model.lam) for (i, j, cx, cy, cz) in model.coupling_bonds]
         self.h = _Applier(len(self.bits), [(bi, local[bj], *rest) for (bi, bj, *rest) in self.terms
                                            if bj in local]).matrix.toarray()
         self.h.flags.writeable = False
@@ -384,9 +384,9 @@ class _Composed:
     def row_extremes(self, env_rows):
         """Least and greatest Gershgorin row ends of h and the apart bonds over each env row's system rows."""
         low, high = np.full(env_rows.size, np.inf), np.full(env_rows.size, -np.inf)
-        step = max(1, _ROW_BLOCK // env_rows.size)
-        for start in range(0, 2**self.n_system, step):
-            rows = (env_rows[:, None] << self.n_system) | np.arange(start, min(start + step, 2**self.n_system))
+        step, stop = max(1, _ROW_BLOCK // env_rows.size), 2**self.n_system
+        for start in range(0, stop, step):
+            rows = (env_rows[:, None] << self.n_system) | np.arange(start, min(start + step, stop))
             index = sum(((rows >> b) & 1) << i for i, b in enumerate(self.bits))
             ends = self.row_ends[0][index], self.row_ends[1][index]
             for (bi, bj, zz, same, crossed) in self.apart:
@@ -401,7 +401,8 @@ class _Composed:
     def matrix(self) -> scipy.sparse.csr_array:
         """kron(H_E, 1_S) plus a full-space CSR of the system and lam-scaled coupling bonds."""
         eye = scipy.sparse.identity(self.dim // self.env.dim, format="csr")
-        return scipy.sparse.kron(self.env.matrix, eye, format="csr") + _Applier(self.n_spins, self.terms).matrix
+        narrow = _Applier(self.n_spins, self.terms).matrix
+        return scipy.sparse.kron(self.env.matrix, eye, format="csr") + narrow
 
 
 def _add_bond(out, x, bi, bj, zz, same, crossed):
