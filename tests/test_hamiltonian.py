@@ -356,9 +356,9 @@ class TestKernelModes:
 
     def test_build_peaks_near_bound(self, monkeypatch):
         # each row block's nonzeros go straight into H_E's bound-length arrays,
-        # which then shrink in place; h adds its own bytes and its GEMM
-        # copies'.  H_E has 2^12 rows,
-        # so its row blocks are cut to 256 rows to stay a small part of it
+        # which then shrink in place; h and its GEMM copies add their own
+        # bytes.  H_E has 2^12 rows, so its row blocks are cut to 256 rows to
+        # stay a small part of it
         m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)
         monkeypatch.setattr(hamiltonian, "_ROW_BLOCK", 256)
         tracemalloc.start()
@@ -433,7 +433,7 @@ class TestComposedFull:
         # h keeps to the low 8 bits (a 256 x 256 operator) and the other
         # bonds are applied apart: on 4+11 coupled to all 11 environment
         # sites, the 7 bonds to the environment bits above it; on 11+3, the
-        # 4 system bonds that reach past bit 8 and both coupling bonds
+        # 4 system bonds that reach past its 8 bits and both coupling bonds
         m = {"every_env_site": SpinModel(
                  4, 11, system_bonds=((1, 2, 1.0, 1.0, 1.0), (3, 4, 0.5, 0.2, -0.1)),
                  env_bonds=((1, 2, 0.3, 0.3, 0.3), (5, 11, -0.4, 0.1, 0.9)),
