@@ -547,8 +547,7 @@ def _run_symmetry(config: ExperimentConfig) -> ResultTable:
                 for beta in config.beta_list:
                     tr = first_order_symmetry_trace(model, beta,
                                                     identity_shift=config.identity_shift)
-                    rel_a = abs(tr.trace_a) / tr.scale_a if tr.scale_a else 0.0
-                    rel_b = abs(tr.trace_b) / tr.scale_b if tr.scale_b else 0.0
+                    rel_a, rel_b = tr.relative
                     rows.append((ns, ne, beta, tr.trace_a, tr.trace_b, rel_a, rel_b, ""))
             except SpinBathError as exc:
                 rows.append((ns, ne, "", "", "", "", "", str(exc)))

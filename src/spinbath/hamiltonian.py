@@ -56,6 +56,8 @@ DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
 _KERNEL_BYTES = 3 * 2**30    # upper bound on one part's CSR values and indices
 _H_BITS = 8                  # bits of FULL's dense h, 256 x 256 floats; other bonds stay apart
 _ROW_BLOCK = 4096            # rows per pass of the CSR build and the bounds
+_BOND_SLABS = 64             # an apart bond's slabs per block (_add_bond)
+_BOND_FLOATS = 2**10         # and its least slab
 
 COUPLING_RANGE = 4.0 / 3.0   # random couplings are uniform on [-4/3, 4/3]
 
@@ -317,8 +319,7 @@ class _Composed:
     bit), a state column at a time, adding into H_E's product.  Each other
     bond (``apart``: a coupling bond to another environment bit, or a
     system bond past _H_BITS) adds its zz and flip terms to the whole
-    block elementwise, O(1) per amplitude, through quarter-state
-    temporaries.
+    block elementwise, O(1) per amplitude, a slab at a time (_add_bond).
     """
 
     def __init__(self, env: _Applier, model: SpinModel):
@@ -406,16 +407,29 @@ class _Composed:
 
 
 def _add_bond(out, x, bi, bj, zz, same, crossed):
-    """out += one bond's zz and flip terms, on bits bi < bj, for C-ordered real (dim, m) views."""
+    """out += one bond's zz and flip terms, on bits bi < bj, for C-ordered real (dim, m) views.
+
+    Viewed as (a, 2, b, 2, c), axes 1 and 3 the two bits, the zz term
+    weighs each quadrant by +-zz and the flip term adds the quadrant with
+    both bits flipped (axes 1 and 3 reversed), weighed by ``same`` or
+    ``crossed``.  Both go a slab of the a and b axes at a time, each slab at
+    most 1/_BOND_SLABS of the block but no less than _BOND_FLOATS floats,
+    so the products' temporaries and numpy's buffers stay that small.
+    """
     shape = (-1, 2, 2**(bj - bi - 1), 2, 2**bi * x.shape[1])
     x, out = x.reshape(shape), out.reshape(shape)
-    for u in (0, 1):
-        for v in (0, 1):
-            target = out[:, u, :, v]
+    n_a, _, n_b, _, c = x.shape
+    slab = max(_BOND_FLOATS, x.size // _BOND_SLABS)
+    rows, cols = (slab // (4 * n_b * c), n_b) if 4 * n_b * c <= slab else (1, max(1, slab // (4 * c)))
+    signed = np.array([[zz, -zz], [-zz, zz]]).reshape(2, 1, 2, 1)
+    flips = np.array([[same, crossed], [crossed, same]]).reshape(2, 1, 2, 1)
+    for a in range(0, n_a, rows):
+        for b in range(0, n_b, cols):
+            xs, target = x[a:a + rows, :, b:b + cols], out[a:a + rows, :, b:b + cols]
             if zz:
-                target += (zz if u == v else -zz) * x[:, u, :, v]
-            if flip := (same if u == v else crossed):
-                target += flip * x[:, 1 - u, :, 1 - v]
+                target += signed * xs
+            if same or crossed:
+                target += flips * xs[:, ::-1, :, ::-1]
 
 
 def _applier(model: SpinModel, part: str):

@@ -54,7 +54,7 @@ from .errors import ChebyshevOrderError, DimensionError, ModelError
 from .hamiltonian import (COUPLING, ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian,
                           energy_bounds)
 from .seeds import spawn_rng
-from .spectrum import SpectrumSummary, diagonalize_sectors
+from .spectrum import SpectrumSummary, _full_basis, diagonalize_sectors
 from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py expects)
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
@@ -591,11 +591,13 @@ def _traced_frame(hs_spectrum: SpectrumSummary, system: SpectrumSummary) -> Spec
     """H_S's eigenbasis in the coordinates of blocks left in the eigenbasis of H_S's factor ``system``.
 
     ``hs_spectrum`` is diagonalize(model, SYSTEM), whose gauged eigenvectors
-    V are computational-basis columns; the blocks hold Q = _from_eigenbasis(1)
-    coordinates, so V is re-expressed there as Q^T V and measuring costs a
-    D_S x D_S rotation of rho_S, not a pass over the block.
+    V are computational-basis columns; the blocks hold coordinates along
+    Q, the factor's sector eigenvectors scattered to full-basis columns in
+    sector order (the columns of _from_eigenbasis), so V is re-expressed
+    there as Q^T V and measuring costs a D_S x D_S rotation of rho_S, not a
+    pass over the block.
     """
-    q = _from_eigenbasis(system, np.eye(system.dim)[None])[0]
+    q = _full_basis(system.sectors)
     return replace(hs_spectrum, eigenvectors=q.T @ hs_spectrum.eigenvectors)
 
 

@@ -13,9 +13,10 @@ N, P_x maps one P_z sector onto the other, so only the even one is solved.
 Everything that does not depend on the basis chosen inside degenerate
 levels reads that layout: projections (exp(-beta H / 2) is basis-free),
 eigenvalues for the closed forms, degeneracy counts and Boltzmann weights.
-``diagonalize`` returns full-basis eigenvectors with that basis
-canonicalized; only measurement in the H_S eigenbasis and the symmetry
-traces need it.
+``diagonalize`` solves the same sectors, from the part's dense matrix,
+and returns their eigenvectors as full-basis columns with the basis inside
+degenerate levels canonicalized; only measurement in the H_S eigenbasis and
+the symmetry traces need it.  ``_parity_sectors`` is the only eigensolver.
 
 The dense cap DEFAULT_DIM_CAP is checked in one place, ``_part_matrix``, on
 the part whose matrix or sector blocks become dense; an entirety above the
@@ -32,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import SizeLimitError
 from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, part_matrix
@@ -117,10 +119,7 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray
     much tighter than the degeneracy-counting tolerance: mixing merely
     near-degenerate vectors would spoil the eigenvector residual.
     """
-    width = float(eigenvalues[-1] - eigenvalues[0])
-    if width <= 0:
-        return vectors
-    tol = _GAUGE_TOL_FACTOR * width
+    tol = _GAUGE_TOL_FACTOR * float(eigenvalues[-1] - eigenvalues[0])
     out = vectors.copy()
     start = 0
     n = len(eigenvalues)
@@ -148,11 +147,12 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray
 
 
 def _parity_sectors(h) -> list[Sector]:
-    """The parity sectors of the CSR matrix h, each block sliced out and solved densely.
+    """The parity sectors of h, a CSR matrix or a dense array, each block sliced out and solved densely.
 
-    Only the blocks are ever dense, one at a time: a P_x pair's two blocks
-    are each one toarray() of the sparse sum or difference of the sliced
-    rows, which adds the same pairs of floats as the dense sum would.
+    A CSR h is dense only in its blocks, one at a time: a P_x pair's two
+    blocks are each one toarray() of the sparse sum or difference of the
+    sliced rows, which adds the same pairs of floats as the dense sum does,
+    so both forms of one matrix give bitwise equal sectors.
     """
     dim = h.shape[0]
     n_bits = dim.bit_length() - 1
@@ -163,6 +163,8 @@ def _parity_sectors(h) -> list[Sector]:
     mask = dim - 1
 
     def solve(reps, partners, sign, block):
+        if scipy.sparse.issparse(block):
+            block = block.toarray()
         # divide and conquer, into the fresh block's own memory: the block
         # is symmetric, so its transpose is the Fortran-ordered block LAPACK
         # overwrites without a copy
@@ -174,7 +176,7 @@ def _parity_sectors(h) -> list[Sector]:
     if n_bits % 2 or n_bits == 0:
         # P_z only; for odd N the odd sector is P_x of the even one
         reps = idx[parity == 0]
-        even = solve(reps, None, 1.0, h[reps][:, reps].toarray())
+        even = solve(reps, None, 1.0, h[reps][:, reps])
         return [even, replace(even, reps=reps ^ mask)] if n_bits else [even]
     sectors = []
     for p in (0, 1):
@@ -182,9 +184,27 @@ def _parity_sectors(h) -> list[Sector]:
         partners = reps ^ mask
         rows = h[reps]
         same, crossed = rows[:, reps], rows[:, partners]
-        sectors.append(solve(reps, partners, 1.0, (same + crossed).toarray()))
-        sectors.append(solve(reps, partners, -1.0, (same - crossed).toarray()))
+        sectors.append(solve(reps, partners, 1.0, same + crossed))
+        sectors.append(solve(reps, partners, -1.0, same - crossed))
     return sectors
+
+
+def _full_basis(sectors) -> np.ndarray:
+    """The sector eigenvectors as full-basis columns, in sector order.
+
+    A sector's column is its eigenvector on ``reps`` and ``sign`` times it
+    on ``partners``.
+    """
+    dim = sum(s.eigenvalues.shape[0] for s in sectors)
+    out = np.zeros((dim, dim))
+    start = 0
+    for s in sectors:
+        stop = start + s.eigenvalues.shape[0]
+        out[s.reps, start:stop] = s.eigenvectors
+        if s.partners is not None:
+            out[s.partners, start:stop] = s.sign * s.eigenvectors
+        start = stop
+    return out
 
 
 def _summary(eigenvalues, eigenvectors=None, sectors=None) -> SpectrumSummary:
@@ -199,12 +219,21 @@ def diagonalize(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     The eigenvalues ascend and the eigenvectors are the columns of a real
     orthogonal matrix, with the basis inside degenerate blocks
     canonicalized against the computational basis order so repeated runs
-    and different solver gauges agree.  This is the form for work that
-    depends on the basis: measurement in the H_S eigenbasis and the
+    and different solver gauges agree; a part with one level is a single
+    block, gauged to the computational basis.  This is the form for work
+    that depends on the basis: measurement in the H_S eigenbasis and the
     symmetry traces.  Everything else reads ``diagonalize_sectors``.
+
+    The part's dense matrix is solved by parity sector (``_parity_sectors``,
+    the solver of ``diagonalize_sectors``, so the two give bitwise equal
+    eigenvalues); the sector vectors are scattered to full-basis columns,
+    sorted stably by eigenvalue and gauged.
     """
-    eigenvalues, eigenvectors = scipy.linalg.eigh(dense_matrix(model, part))
-    return _summary(eigenvalues, _canonical_gauge(eigenvalues, eigenvectors))
+    sectors = _parity_sectors(dense_matrix(model, part))
+    eigenvalues = np.concatenate([s.eigenvalues for s in sectors])
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues = eigenvalues[order]
+    return _summary(eigenvalues, _canonical_gauge(eigenvalues, _full_basis(sectors)[:, order]))
 
 
 def diagonalize_sectors(model: SpinModel, part: str = FULL) -> SpectrumSummary:

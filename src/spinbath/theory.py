@@ -137,6 +137,17 @@ class SymmetryTraces:
     scale_a: float
     scale_b: float
 
+    @property
+    def relative(self) -> tuple[float, float]:
+        """|trace_a| / scale_a and |trace_b| / scale_b, each read as 0 where its scale is 0.
+
+        A scale bounds its trace term by term, so a zero scale means an
+        exactly zero trace (a non-degenerate parity eigenvector's site
+        diagonals are exact zeros).
+        """
+        return tuple(abs(t) / s if s else 0.0
+                     for t, s in ((self.trace_a, self.scale_a), (self.trace_b, self.scale_b)))
+
 
 def first_order_symmetry_trace(model: SpinModel, beta: float,
                                identity_shift: float = 0.0) -> SymmetryTraces:

@@ -457,8 +457,15 @@ class TestComposedFull:
         assert np.abs(np.subtract(energy_bounds(m, "FULL"), reference)).max() <= 1e-14 * max(
             1.0, *map(abs, reference))
 
-    def test_one_column_product_allocates_only_its_result(self):
-        m = build_ring_model(4, 12, -1.0, 3, 5, 1.0)
+    @pytest.mark.parametrize("name, bound", [("ring", 1.005), ("apart", 1.10)])
+    def test_one_column_product_allocates_only_its_result(self, name, bound):
+        # "apart" couples environment site 4 outside h, so its bond runs
+        # elementwise: 1.50 states while it went through quarter-state
+        # temporaries, 1.05 in slabs of 1/64 of the state
+        m = {"ring": build_ring_model(4, 12, -1.0, 3, 5, 1.0),
+             "apart": SpinModel(3, 12, system_bonds=((1, 2, 0.9, -0.3, 0.5), (2, 3, 1.0, 1.0, 1.0)),
+                                env_bonds=tuple((i, i + 1, 0.2 * i, 0.7, -1.1) for i in range(1, 12)),
+                                coupling_bonds=((2, 4, 1.3, 0.4, 0.7),), lam=0.6)}[name]
         psi = random_state(m.dim, 3)
         apply_hamiltonian(m, "FULL", psi)         # kernels and GEMM blocks built
         tracemalloc.start()
@@ -467,7 +474,7 @@ class TestComposedFull:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert round(peak / psi.nbytes, 2) == 1.00
+        assert 1.0 <= peak / psi.nbytes <= bound
 
 
 class TestSiteOperator:

@@ -24,7 +24,7 @@ from spinbath.propagate import (
     random_state,
     real_time_plan,
 )
-from spinbath.spectrum import dense_matrix, diagonalize, diagonalize_sectors, thermo
+from spinbath.spectrum import _full_basis, dense_matrix, diagonalize, diagonalize_sectors, thermo
 
 from conftest import parity_models, small_models
 
@@ -545,6 +545,20 @@ class TestTracedEnvironment:
                                 (m, factors)):
             list(spinbath.observe.thermal_measures(model, psi0, (0.5,), spectrum, hs))
         assert framed == [factors[1]]
+
+    @pytest.mark.parametrize("model", [build_chain_model(4, 5, 1.0, 1.0, 1.0, 0.0),
+                                       build_ring_model(3, 5, -1.0, 7, 11, 0.0),
+                                       build_ring_model(2, 4, -1.0, 3, 5, 0.0)],
+                             ids=["chain4+5", "ring3+5", "ring2+4"])
+    def test_frame_reads_the_scatter(self, model):
+        # Q, the sector eigenvectors scattered to full-basis columns, is
+        # _from_eigenbasis of the identity entry for entry (up to the sign of
+        # exact zeros), so the frame is Q^T V as it was through that transform
+        system, hs = diagonalize_sectors(model, "S"), diagonalize(model, "S")
+        q = propagate._from_eigenbasis(system, np.eye(system.dim)[None])[0]
+        assert np.array_equal(_full_basis(system.sectors), q)
+        assert np.array_equal(propagate._traced_frame(hs, system).eigenvectors,
+                              q.T @ hs.eigenvectors)
 
     def test_coupled_and_chebyshev_bitwise(self):
         from spinbath.observe import thermal_measures

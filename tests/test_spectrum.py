@@ -20,20 +20,6 @@ from spinbath.spectrum import (
 from conftest import parity_models, small_models
 
 
-def sector_columns(spec, dim):
-    """The sector eigenvectors of a spectrum as full-basis columns, in sector order."""
-    columns = []
-    for s in spec.sectors:
-        v = np.zeros((dim, s.eigenvectors.shape[1]))
-        if s.partners is None:
-            v[s.reps] = s.eigenvectors
-        else:
-            v[s.reps] = s.eigenvectors
-            v[s.partners] = s.sign * s.eigenvectors
-        columns.append(v)
-    return np.hstack(columns)
-
-
 def check_sector_layout(model, part):
     h = dense_matrix(model, part)
     dim = h.shape[0]
@@ -42,7 +28,7 @@ def check_sector_layout(model, part):
     assert spec.eigenvectors is None and spec.dim == dim
     assert np.abs(spec.eigenvalues - ref).max() <= 1e-10
     # the sectors tile the basis and their vectors are orthonormal eigenvectors
-    v = sector_columns(spec, dim)
+    v = spectrum._full_basis(spec.sectors)
     energies = np.concatenate([s.eigenvalues for s in spec.sectors])
     assert np.abs(v.T @ v - np.eye(dim)).max() < 1e-12
     assert np.abs(h @ v - v * energies).max() < 1e-10 * max(spec.width, 1.0)
@@ -134,6 +120,67 @@ class TestDiagonalize:
         h = dense_matrix(m, "S")
         resid = np.abs(h @ refixed - refixed * spec.eigenvalues).max()
         assert resid < 1e-10 * max(spec.width, 1.0)
+
+
+def full_solve(model, part):
+    """The full-matrix solve diagonalize used to run: default-driver eigh of the dense matrix, gauged."""
+    e, v = scipy.linalg.eigh(dense_matrix(model, part))
+    return e, spectrum._canonical_gauge(e, v)
+
+
+def one_solver_models():
+    """parity_models plus chains of even and odd N, by id."""
+    return {**parity_models(),
+            "chain_even": build_chain_model(3, 3, 1.0, -0.6, 0.9, 0.7),   # N = 6
+            "chain_odd": build_chain_model(2, 3, 1.0, 1.0, 1.0, 0.5)}     # N = 5, isotropic
+
+
+class TestOneSolver:
+    """diagonalize solves the dense matrix by parity sector, then scatters and gauges."""
+
+    @pytest.mark.parametrize("name", sorted(one_solver_models()))
+    @pytest.mark.parametrize("part", ["S", "E", "FULL"])
+    def test_matches_full_solve(self, name, part):
+        model = one_solver_models()[name]
+        spec = diagonalize(model, part)
+        e, v = full_solve(model, part)
+        width = float(e[-1] - e[0])
+        assert np.abs(spec.eigenvalues - e).max() <= 1e-12 * max(width, 1.0)
+        # levels as the gauge groups them: a degenerate level's projector,
+        # a non-degenerate column up to its sign
+        levels = np.split(np.arange(len(e)), np.flatnonzero(np.diff(e) > 1e-12 * width) + 1)
+        for level in levels:
+            a, b = spec.eigenvectors[:, level], v[:, level]
+            if len(level) > 1:
+                assert np.abs(a @ a.T - b @ b.T).max() <= 1e-9
+            else:
+                assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-9
+
+    @pytest.mark.parametrize("name", sorted(one_solver_models()))
+    @pytest.mark.parametrize("part", ["S", "E", "FULL"])
+    def test_eigenvalues_bitwise_those_of_sectors(self, name, part):
+        model = one_solver_models()[name]
+        assert np.array_equal(diagonalize(model, part).eigenvalues,
+                              diagonalize_sectors(model, part).eigenvalues)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_level_gauged_to_identity(self, n):
+        # one level is one degenerate block: without its gauge, two spins
+        # would keep the sector pair basis (|n> +- |n^3>)/sqrt(2)
+        spec = diagonalize(SpinModel(n, 0), "S")
+        assert np.abs(spec.eigenvectors - np.eye(2**n)).max() <= 1e-15
+
+    def test_one_eigensolver(self, monkeypatch):
+        # diagonalize reads dense_matrix, and evd on the sector blocks is its only solve
+        calls = []
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda a, **kw: calls.append(kw) or eigh(a, **kw))
+        dense = []
+        monkeypatch.setattr(spectrum, "dense_matrix",
+                            lambda m, p: dense.append(p) or spectrum._part_matrix(m, p).toarray())
+        diagonalize(build_ring_model(2, 4, -1.0, 3, 5, 0.35), "FULL")
+        assert dense == ["FULL"] and len(calls) == 4
+        assert all(kw == {"driver": "evd", "overwrite_a": True} for kw in calls)
 
 
 class TestParitySectors:

@@ -147,6 +147,25 @@ class TestSymmetryTraces:
         assert abs(tr.trace_a) < 1e-10 * tr.scale_a
         assert abs(tr.trace_b) < 1e-10 * tr.scale_b
 
+    def test_zero_scale_reads_zero(self):
+        # criterion 5's ring 4+2: every site diagonal of a non-degenerate
+        # parity eigenvector is an exact zero, so both scales are 0
+        tr = first_order_symmetry_trace(build_ring_model(4, 2, -1.0, 537624, 232615, 1.0), 0.523)
+        assert tr.scale_a == tr.scale_b == tr.trace_a == tr.trace_b == 0.0
+        assert tr.relative == (0.0, 0.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.25])
+    def test_relative_at_most_one(self, shift):
+        models = [build_ring_model(4, 2, -1.0, 537624, 232615, 1.0),
+                  build_ring_model(2, 4, -1.0, 3, 4, 1.0),
+                  build_chain_model(3, 3, 1.0, -0.6, 0.9, 1.0),
+                  SpinModel(2, 2, coupling_bonds=((1, 1, 0.3, 0.2, 0.1),))]
+        for model in models:
+            for beta in (0.0, 0.7):
+                rel = first_order_symmetry_trace(model, beta, identity_shift=shift).relative
+                assert all(0.0 <= r <= 1.0 for r in rel)
+        assert first_order_symmetry_trace(models[1], 0.7, identity_shift=0.25).relative[0] > 0.5
+
     def test_shift_value_at_beta_zero(self):
         # at beta = 0 the shifted trace_a is exactly shift * D
         model = SpinModel(2, 2, coupling_bonds=((1, 1, 0.3, 0.2, 0.1),))
