@@ -56,8 +56,9 @@ DEFAULT_SIZE_CAP = 28        # 4 GiB per complex vector at N = 28
 _KERNEL_BYTES = 3 * 2**30    # upper bound on one part's CSR values and indices
 _H_BITS = 8                  # bits of FULL's dense h, 256 x 256 floats; other bonds stay apart
 _ROW_BLOCK = 4096            # rows per pass of the CSR build and the bounds
-_BOND_SLABS = 64             # an apart bond's slabs per block (_add_bond)
+_BOND_SLABS = 16             # an apart bond's slabs per block (_add_bond)
 _BOND_FLOATS = 2**10         # and its least slab
+_BOND_BUFFER = 256           # numpy's ufunc buffer, in elements, for _add_bond's strided products
 
 COUPLING_RANGE = 4.0 / 3.0   # random couplings are uniform on [-4/3, 4/3]
 
@@ -414,7 +415,10 @@ def _add_bond(out, x, bi, bj, zz, same, crossed):
     both bits flipped (axes 1 and 3 reversed), weighed by ``same`` or
     ``crossed``.  Both go a slab of the a and b axes at a time, each slab at
     most 1/_BOND_SLABS of the block but no less than _BOND_FLOATS floats,
-    so the products' temporaries and numpy's buffers stay that small.
+    so each product's temporary is at most a slab.  The views' contiguous
+    runs are only c floats long, so numpy buffers them; its buffers are
+    held to _BOND_BUFFER elements (the default, 8192, would add up to three
+    64 KiB buffers per product) and restored on return.
     """
     shape = (-1, 2, 2**(bj - bi - 1), 2, 2**bi * x.shape[1])
     x, out = x.reshape(shape), out.reshape(shape)
@@ -423,13 +427,17 @@ def _add_bond(out, x, bi, bj, zz, same, crossed):
     rows, cols = (slab // (4 * n_b * c), n_b) if 4 * n_b * c <= slab else (1, max(1, slab // (4 * c)))
     signed = np.array([[zz, -zz], [-zz, zz]]).reshape(2, 1, 2, 1)
     flips = np.array([[same, crossed], [crossed, same]]).reshape(2, 1, 2, 1)
-    for a in range(0, n_a, rows):
-        for b in range(0, n_b, cols):
-            xs, target = x[a:a + rows, :, b:b + cols], out[a:a + rows, :, b:b + cols]
-            if zz:
-                target += signed * xs
-            if same or crossed:
-                target += flips * xs[:, ::-1, :, ::-1]
+    buffer = np.setbufsize(_BOND_BUFFER)
+    try:
+        for a in range(0, n_a, rows):
+            for b in range(0, n_b, cols):
+                xs, target = x[a:a + rows, :, b:b + cols], out[a:a + rows, :, b:b + cols]
+                if zz:
+                    target += signed * xs
+                if same or crossed:
+                    target += flips * xs[:, ::-1, :, ::-1]
+    finally:
+        np.setbufsize(buffer)
 
 
 def _applier(model: SpinModel, part: str):
