@@ -10,7 +10,7 @@ across criteria.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -145,10 +145,10 @@ def criterion_2(ctx: Context) -> CriterionResult:
     t0 = time.perf_counter()
     model = build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0)
     stats = _mc_stats(table, "sigma", square=True)
+    inputs = theory.prediction_inputs(model, 0.0)    # part spectra do not depend on beta
     worst = 0.0
     for beta in BETA_GRID:
-        inp = theory.prediction_inputs(model, beta)
-        ref = theory.sigma2_full(inp)
+        ref = theory.sigma2_full(replace(inputs, beta=beta))
         mean, err, _ = stats[beta]
         worst = max(worst, abs(mean - ref) / err)
     coldest = max(BETA_GRID)
@@ -166,16 +166,17 @@ def criterion_3(ctx: Context) -> CriterionResult:
     table = ctx.fig8_table
     model = build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0)
     stats = _mc_stats(table, "delta", square=True)
+    inputs = theory.prediction_inputs(model, 0.0)
     worst = 0.0
     for beta in BETA_GRID:
-        ref = theory.delta2_full(theory.prediction_inputs(model, beta))
+        ref = theory.delta2_full(replace(inputs, beta=beta))
         mean, err, _ = stats[beta]
         worst = max(worst, abs(mean - ref) / err)
     # converged evaluation of the closed form against the degeneracy limit
     g_s = diagonalize_sectors(model, SYSTEM).ground_degeneracy
     g_e = diagonalize_sectors(model, ENVIRONMENT).ground_degeneracy
     _, lim = low_temperature_limits(g_s, g_e, model.dim_system, model.dim_env)
-    val = theory.delta2_full(theory.prediction_inputs(model, 500.0))
+    val = theory.delta2_full(replace(inputs, beta=500.0))
     rel = abs(val - lim) / lim
     passed = worst < 3.0 and rel < 0.01 and (g_s, g_e) == (5, 9)
     return CriterionResult(3, "delta^2 closed-form reproduction and low-T limit", passed,
@@ -210,7 +211,7 @@ def criterion_5(ctx: Context) -> CriterionResult:
         beta = float(rng.uniform(0.05, 2.0))
         model = build_ring_model(n_sys, n_env, -1.0, int(rng.integers(1, 10**6)),
                                  int(rng.integers(1, 10**6)), 1.0)
-        tr = first_order_symmetry_trace(model, beta)
+        tr, = first_order_symmetry_trace(model, [beta])
         worst = max(worst, *tr.relative)
         n_models += 1
     for k in range(8):
@@ -219,11 +220,11 @@ def criterion_5(ctx: Context) -> CriterionResult:
         beta = float(rng.uniform(0.05, 2.0))
         model = build_chain_model(n_sys, n_env, float(rng.uniform(-2, 2)),
                                   float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), 1.0)
-        tr = first_order_symmetry_trace(model, beta)
+        tr, = first_order_symmetry_trace(model, [beta])
         worst = max(worst, *tr.relative)
         n_models += 1
-    broken = first_order_symmetry_trace(
-        build_ring_model(2, 4, -1.0, 3, 4, 1.0), 0.7, identity_shift=0.25)
+    broken, = first_order_symmetry_trace(
+        build_ring_model(2, 4, -1.0, 3, 4, 1.0), [0.7], identity_shift=0.25)
     broken_rel = broken.relative[0]
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-10 and broken_rel > 1e-3 and elapsed < 60.0

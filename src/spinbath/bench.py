@@ -544,9 +544,9 @@ def _run_symmetry(config: ExperimentConfig) -> ResultTable:
         for ne in config.n_env_list:
             try:
                 model = config.build_model(ns, ne, config.lambda_list[0])
-                for beta in config.beta_list:
-                    tr = first_order_symmetry_trace(model, beta,
+                traces = first_order_symmetry_trace(model, config.beta_list,
                                                     identity_shift=config.identity_shift)
+                for beta, tr in zip(config.beta_list, traces):
                     rel_a, rel_b = tr.relative
                     rows.append((ns, ne, beta, tr.trace_a, tr.trace_b, rel_a, rel_b, ""))
             except SpinBathError as exc:

@@ -485,35 +485,6 @@ def apply_hamiltonian(model: SpinModel, part: str, state: np.ndarray) -> np.ndar
     return kernel.product(state).view(state.dtype).reshape(state.shape)
 
 
-def apply_site_operator(model: SpinModel, part: str, site: int, axis: str, state: np.ndarray):
-    """Apply the single-site spin operator S^axis at 1-based ``site`` of a part.
-
-    The operator acts on the same local space as apply_hamiltonian(part):
-    part "S"/"E" on 2^{n_part}, "FULL" on 2^N.
-    """
-    if part not in _PARTS:
-        raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
-    n_bits = {SYSTEM: model.n_system, ENVIRONMENT: model.n_env}.get(part, model.n_spins)
-    if not 1 <= site <= n_bits:
-        raise ModelError(f"site {site} out of range for part {part}")
-    bit = site - 1
-    state = np.asarray(state)
-    if state.shape[0] != 2**n_bits:
-        raise DimensionError(f"state dimension {state.shape[0]} != {2**n_bits}")
-    idx = np.arange(2**n_bits)
-    bits = (idx >> bit) & 1
-    if axis == "z":
-        w = 0.5 - bits
-        return (w[:, None] if state.ndim > 1 else w) * state
-    flip = idx ^ (1 << bit)
-    if axis == "x":
-        return 0.5 * state[flip]
-    if axis == "y":
-        w = 0.5j * (2 * bits - 1)
-        return (w[:, None] if state.ndim > 1 else w) * state[flip]
-    raise ValueError(f"axis must be x, y or z, got {axis!r}")
-
-
 def energy_bounds(model: SpinModel, part: str = FULL) -> tuple[float, float]:
     """Gershgorin bounds containing the spectrum of the selected part.
 

@@ -13,7 +13,10 @@ the ground state degeneracies g_S and g_E).  A first-order perturbation term
 in the coupling strength exists but its traces vanish identically for spin
 Hamiltonians whose interaction is odd under reversal of the system (or
 environment) spin components; `first_order_symmetry_trace` evaluates those
-traces for any concrete model.
+traces for any concrete model on a grid of beta, from one gauged solve of
+each part.  The site diagonals are read off the real eigenvectors through
+the site's bit mask; a real eigenvector's S^y diagonal is purely imaginary,
+so the y components add exact zeros and are skipped.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ENVIRONMENT, SYSTEM, SpinModel, apply_site_operator
+from .hamiltonian import ENVIRONMENT, SYSTEM, SpinModel
 from .spectrum import ThermoFunctions, diagonalize, diagonalize_sectors, thermo
 
 
@@ -149,9 +152,17 @@ class SymmetryTraces:
                      for t, s in ((self.trace_a, self.scale_a), (self.trace_b, self.scale_b)))
 
 
-def first_order_symmetry_trace(model: SpinModel, beta: float,
-                               identity_shift: float = 0.0) -> SymmetryTraces:
-    """Evaluate Tr(H_SE e^{-beta H_E} e^{-beta H_S}) and the numerator pair.
+def _site_diagonals(vectors: np.ndarray, site: int) -> tuple[np.ndarray, np.ndarray]:
+    """<n|S^x|n> and <n|S^z|n> of 1-based ``site`` over the real columns |n> of ``vectors``."""
+    idx = np.arange(vectors.shape[0])
+    bit = site - 1
+    x = 0.5 * np.einsum("ij,ij->j", vectors, vectors[idx ^ (1 << bit)])
+    z = np.einsum("ij,ij->j", vectors, (0.5 - ((idx >> bit) & 1))[:, None] * vectors)
+    return x, z
+
+
+def first_order_symmetry_trace(model: SpinModel, betas, identity_shift: float = 0.0) -> list[SymmetryTraces]:
+    """Evaluate Tr(H_SE e^{-beta H_E} e^{-beta H_S}) and the numerator pair at each beta of ``betas``.
 
     trace_a is the denominator trace; trace_b is
     Z_S(beta) Tr(e^{-beta H_S} e^{-2 beta H_E} H_SE)
@@ -160,55 +171,56 @@ def first_order_symmetry_trace(model: SpinModel, beta: float,
     thermal expectation values in the part eigenbases.  ``identity_shift``
     adds a multiple of the identity to H_SE, deliberately breaking the
     reversal symmetry (the traces then pick up partition-function terms).
+    Each part is solved once and each coupled site's diagonals are formed
+    once for the whole grid; one SymmetryTraces is returned per beta, in
+    order.  A negative or non-finite beta raises ValueError.
 
-    Traces are evaluated with the part ground energies shifted out, i.e. the
-    returned values carry a factor exp(beta (E0_S + E0_E)) relative to the
-    literal traces; the zero test is unaffected since the scales carry the
-    same factor.
+    The diagonals <n|S^a|n> come from the gauged eigenvectors V and the
+    site's bit: S^z is the diagonal 1/2 - bit, S^x maps |i> to
+    |i ^ (1 << bit)> / 2.  V is real, so <n|S^y|n> is purely imaginary and
+    its real part is an exact (signed) zero: the y terms add nothing to
+    either trace or scale and are not formed.
+
+    Traces are evaluated with the part ground energies shifted out, i.e.
+    trace_a carries a factor exp(beta (E0_S + E0_E)) relative to the literal
+    trace and trace_b its square; the zero test is unaffected since the
+    scales carry the same factors.
     """
+    betas = list(betas)
+    if not all(np.isfinite(beta) and beta >= 0.0 for beta in betas):
+        raise ValueError(f"betas must be finite and >= 0, got {betas}")
     spec_s = diagonalize(model, SYSTEM)
     spec_e = diagonalize(model, ENVIRONMENT)
-    ws1 = np.exp(-beta * (spec_s.eigenvalues - spec_s.eigenvalues[0]))
-    ws2 = ws1 * ws1
-    we1 = np.exp(-beta * (spec_e.eigenvalues - spec_e.eigenvalues[0]))
-    we2 = we1 * we1
-    zs1 = float(ws1.sum())
-
-    def site_diagonals(part, spec, site):
-        v = spec.eigenvectors
-        out = {}
-        for axis in ("x", "y", "z"):
-            sv = apply_site_operator(model, part, site, axis, v)
-            out[axis] = np.einsum("ij,ij->j", v.conj(), sv).real
-        return out
-
-    sys_diag = {}
-    env_diag = {}
-    trace_a = trace_b = 0.0
-    scale_a = scale_b = 0.0
-    for (si, ej, dx, dy, dz) in model.coupling_bonds:
-        if si not in sys_diag:
-            sys_diag[si] = site_diagonals(SYSTEM, spec_s, si)
-        if ej not in env_diag:
-            env_diag[ej] = site_diagonals(ENVIRONMENT, spec_e, ej)
-        for axis, comp in zip(("x", "y", "z"), (dx, dy, dz)):
-            s = sys_diag[si][axis]
-            e = env_diag[ej][axis]
-            # H_SE = -sum Delta S^a I^a, so each term enters with -comp
-            trace_a += -comp * float(s @ ws1) * float(e @ we1)
-            scale_a += abs(comp) * float(np.abs(s) @ ws1) * float(np.abs(e) @ we1)
-            t_num = float(s @ ws1) * float(e @ we2)
-            t_den = float(s @ ws2) * float(e @ we2)
-            trace_b += -comp * (zs1 * t_num - t_den)
-            scale_b += abs(comp) * (
-                zs1 * float(np.abs(s) @ ws1) * float(np.abs(e) @ we2)
-                + float(np.abs(s) @ ws2) * float(np.abs(e) @ we2)
-            )
-    if identity_shift != 0.0:
-        ze1, ze2 = float(we1.sum()), float(we2.sum())
-        zs2 = float(ws2.sum())
-        trace_a += identity_shift * zs1 * ze1
-        scale_a += abs(identity_shift) * zs1 * ze1
-        trace_b += identity_shift * (zs1 * zs1 * ze2 - zs2 * ze2)
-        scale_b += abs(identity_shift) * (zs1 * zs1 * ze2 + zs2 * ze2)
-    return SymmetryTraces(trace_a, trace_b, scale_a, scale_b)
+    bonds = model.coupling_bonds
+    sys_diag = {si: _site_diagonals(spec_s.eigenvectors, si) for si in {b[0] for b in bonds}}
+    env_diag = {ej: _site_diagonals(spec_e.eigenvectors, ej) for ej in {b[1] for b in bonds}}
+    out = []
+    for beta in betas:
+        ws1 = np.exp(-beta * (spec_s.eigenvalues - spec_s.eigenvalues[0]))
+        ws2 = ws1 * ws1
+        we1 = np.exp(-beta * (spec_e.eigenvalues - spec_e.eigenvalues[0]))
+        we2 = we1 * we1
+        zs1 = float(ws1.sum())
+        trace_a = trace_b = 0.0
+        scale_a = scale_b = 0.0
+        for (si, ej, dx, _, dz) in bonds:
+            for comp, s, e in zip((dx, dz), sys_diag[si], env_diag[ej]):
+                # H_SE = -sum Delta S^a I^a, so each term enters with -comp
+                trace_a += -comp * float(s @ ws1) * float(e @ we1)
+                scale_a += abs(comp) * float(np.abs(s) @ ws1) * float(np.abs(e) @ we1)
+                t_num = float(s @ ws1) * float(e @ we2)
+                t_den = float(s @ ws2) * float(e @ we2)
+                trace_b += -comp * (zs1 * t_num - t_den)
+                scale_b += abs(comp) * (
+                    zs1 * float(np.abs(s) @ ws1) * float(np.abs(e) @ we2)
+                    + float(np.abs(s) @ ws2) * float(np.abs(e) @ we2)
+                )
+        if identity_shift != 0.0:
+            ze1, ze2 = float(we1.sum()), float(we2.sum())
+            zs2 = float(ws2.sum())
+            trace_a += identity_shift * zs1 * ze1
+            scale_a += abs(identity_shift) * zs1 * ze1
+            trace_b += identity_shift * (zs1 * zs1 * ze2 - zs2 * ze2)
+            scale_b += abs(identity_shift) * (zs1 * zs1 * ze2 + zs2 * ze2)
+        out.append(SymmetryTraces(trace_a, trace_b, scale_a, scale_b))
+    return out

@@ -16,7 +16,6 @@ from spinbath.hamiltonian import (
     COUPLING_RANGE,
     SpinModel,
     apply_hamiltonian,
-    apply_site_operator,
     build_chain_model,
     build_ring_model,
     energy_bounds,
@@ -25,8 +24,7 @@ from spinbath.hamiltonian import _local_terms, part_matrix
 from spinbath.propagate import canonical_thermal_state, random_state
 from spinbath.spectrum import diagonalize, diagonalize_sectors
 
-from conftest import (SX, SY, SZ, bond_terms, dense_oracle, parity_models, site_operator,
-                      small_models)
+from conftest import bond_terms, dense_oracle, parity_models, small_models
 
 
 class TestSpinModel:
@@ -478,15 +476,6 @@ class TestComposedFull:
             tracemalloc.stop()
         assert 1.0 <= peak / psi.nbytes <= bound
         assert np.getbufsize() == buffer          # numpy's ufunc buffer size restored
-
-
-class TestSiteOperator:
-    @pytest.mark.parametrize("axis,op", [("x", SX), ("y", SY), ("z", SZ)])
-    def test_matches_kron(self, axis, op):
-        m = build_ring_model(2, 2, 1.0, 1, 1, 1.0)
-        psi = random_state(m.dim_system, 5)
-        out = apply_site_operator(m, "S", 2, axis, psi)
-        assert np.abs(out - site_operator(2, 1, op) @ psi).max() < 1e-14
 
 
 class TestSpinFlipSymmetry:

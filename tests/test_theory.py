@@ -1,10 +1,15 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from spinbath import theory
 from spinbath.hamiltonian import SpinModel, build_chain_model, build_ring_model
-from spinbath.spectrum import ThermoFunctions
+from spinbath.spectrum import ThermoFunctions, diagonalize
 from spinbath.theory import (
     PredictionInputs,
+    _site_diagonals,
     delta2_full,
     delta2_leading,
     first_order_symmetry_trace,
@@ -14,6 +19,8 @@ from spinbath.theory import (
     sigma2_full,
     sigma2_leading,
 )
+
+from conftest import SX, SY, SZ, dense_oracle, site_operator
 
 
 def two_level_inputs(e_s, e_e, beta):
@@ -124,33 +131,32 @@ class TestSymmetryTraces:
             build_chain_model(3, 3, 1.0, -0.6, 0.9, 1.0),
         ]
         for model in models:
-            for beta in (0.0, 0.4, 1.5):
-                tr = first_order_symmetry_trace(model, beta)
+            for tr in first_order_symmetry_trace(model, (0.0, 0.4, 1.5)):
                 assert abs(tr.trace_a) <= 1e-10 * tr.scale_a
                 assert abs(tr.trace_b) <= 1e-10 * tr.scale_b
 
     def test_beta_zero_traceless(self):
         model = build_ring_model(2, 3, -1.0, 1, 2, 1.0)
-        tr = first_order_symmetry_trace(model, 0.0)
+        tr, = first_order_symmetry_trace(model, [0.0])
         assert abs(tr.trace_a) <= 1e-12 * tr.scale_a
 
     def test_identity_shift_breaks_symmetry(self):
         model = build_ring_model(2, 3, -1.0, 1, 2, 1.0)
-        tr = first_order_symmetry_trace(model, 0.6, identity_shift=0.3)
+        tr, = first_order_symmetry_trace(model, [0.6], identity_shift=0.3)
         assert abs(tr.trace_a) > 1e-3 * tr.scale_a
         assert abs(tr.trace_b) > 1e-6 * tr.scale_b
 
     def test_entirety_above_dense_cap_with_small_parts(self):
         # 2^15 entirety, parts of 16 and 2048: only the parts are made dense
         model = build_chain_model(4, 11, 1.0, -0.7, 0.4, 1.0)
-        tr = first_order_symmetry_trace(model, 0.7)
+        tr, = first_order_symmetry_trace(model, [0.7])
         assert abs(tr.trace_a) < 1e-10 * tr.scale_a
         assert abs(tr.trace_b) < 1e-10 * tr.scale_b
 
     def test_zero_scale_reads_zero(self):
         # criterion 5's ring 4+2: every site diagonal of a non-degenerate
         # parity eigenvector is an exact zero, so both scales are 0
-        tr = first_order_symmetry_trace(build_ring_model(4, 2, -1.0, 537624, 232615, 1.0), 0.523)
+        tr, = first_order_symmetry_trace(build_ring_model(4, 2, -1.0, 537624, 232615, 1.0), [0.523])
         assert tr.scale_a == tr.scale_b == tr.trace_a == tr.trace_b == 0.0
         assert tr.relative == (0.0, 0.0)
 
@@ -161,16 +167,75 @@ class TestSymmetryTraces:
                   build_chain_model(3, 3, 1.0, -0.6, 0.9, 1.0),
                   SpinModel(2, 2, coupling_bonds=((1, 1, 0.3, 0.2, 0.1),))]
         for model in models:
-            for beta in (0.0, 0.7):
-                rel = first_order_symmetry_trace(model, beta, identity_shift=shift).relative
-                assert all(0.0 <= r <= 1.0 for r in rel)
-        assert first_order_symmetry_trace(models[1], 0.7, identity_shift=0.25).relative[0] > 0.5
+            for tr in first_order_symmetry_trace(model, (0.0, 0.7), identity_shift=shift):
+                assert all(0.0 <= r <= 1.0 for r in tr.relative)
+        tr, = first_order_symmetry_trace(models[1], [0.7], identity_shift=0.25)
+        assert tr.relative[0] > 0.5
 
     def test_shift_value_at_beta_zero(self):
         # at beta = 0 the shifted trace_a is exactly shift * D
         model = SpinModel(2, 2, coupling_bonds=((1, 1, 0.3, 0.2, 0.1),))
-        tr = first_order_symmetry_trace(model, 0.0, identity_shift=0.5)
+        tr, = first_order_symmetry_trace(model, [0.0], identity_shift=0.5)
         assert abs(tr.trace_a - 0.5 * 16) < 1e-12
+
+    def test_dense_oracle_with_shift(self):
+        # literal traces from dense expm of H_S and H_E on the full space
+        # (system bits fastest), rescaled as the function scales them:
+        # trace_a by exp(beta E0), trace_b by exp(2 beta E0), E0 = E0_S + E0_E
+        model = SpinModel(2, 2, system_bonds=((1, 2, 0.8, -0.5, 1.1),),
+                          env_bonds=((1, 2, -0.6, 0.9, 0.4),),
+                          coupling_bonds=((1, 1, 0.3, 0.2, 0.1), (2, 2, -0.7, 0.5, 0.6)))
+        beta, shift = 0.7, 0.25
+        h_s = np.kron(np.eye(4), dense_oracle(model, "S"))
+        h_e = np.kron(dense_oracle(model, "E"), np.eye(4))
+        h_se = dense_oracle(model, "SE") + shift * np.eye(16)
+        e0 = np.linalg.eigvalsh(h_s)[0] + np.linalg.eigvalsh(h_e)[0]
+        zs = np.trace(expm(-beta * dense_oracle(model, "S"))).real
+        lit_a = np.trace(h_se @ expm(-beta * h_e) @ expm(-beta * h_s)).real
+        lit_b = (zs * np.trace(expm(-beta * h_s) @ expm(-2 * beta * h_e) @ h_se)
+                 - np.trace(expm(-2 * beta * (h_s + h_e)) @ h_se)).real
+        tr, = first_order_symmetry_trace(model, [beta], identity_shift=shift)
+        assert abs(tr.trace_a - lit_a * np.exp(beta * e0)) <= 1e-12 * abs(tr.trace_a)
+        assert abs(tr.trace_b - lit_b * np.exp(2 * beta * e0)) <= 1e-12 * abs(tr.trace_b)
+
+    def test_beta_grid_matches_single_beta_with_one_solve_per_part(self, monkeypatch):
+        model = build_chain_model(3, 4, 1.0, -0.6, 0.9, 1.0)
+        betas = (0.0, 0.3, 0.7, 2.0)
+        singles = [first_order_symmetry_trace(model, [beta], identity_shift=0.25)[0]
+                   for beta in betas]
+        parts = []
+        solve = theory.diagonalize
+        monkeypatch.setattr(theory, "diagonalize",
+                            lambda m, part: parts.append(part) or solve(m, part))
+        grid = first_order_symmetry_trace(model, betas, identity_shift=0.25)
+        assert sorted(parts) == ["E", "S"]
+        assert (np.array([astuple(t) for t in grid]).tobytes()
+                == np.array([astuple(t) for t in singles]).tobytes())
+
+    @pytest.mark.parametrize("beta", [-1.0, np.inf, np.nan])
+    def test_invalid_beta(self, beta):
+        with pytest.raises(ValueError):
+            first_order_symmetry_trace(build_ring_model(2, 3, -1.0, 1, 2, 1.0), [0.5, beta])
+
+
+class TestSiteDiagonals:
+    @pytest.mark.parametrize("vectors", [
+        # gauged part eigenvectors: their x diagonals are exact zeros
+        diagonalize(build_ring_model(2, 3, -1.0, 1, 2, 1.0), "E").eigenvectors,
+        diagonalize(build_chain_model(3, 4, 1.0, -0.6, 0.9, 1.0), "E").eigenvectors,
+        # a real orthogonal basis, whose x diagonals are not
+        np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))[0],
+    ], ids=["ring_E", "chain_E", "orthogonal"])
+    def test_match_dense_site_operators(self, vectors):
+        n_bits = vectors.shape[0].bit_length() - 1
+        for site in range(1, n_bits + 1):
+            x, z = _site_diagonals(vectors, site)
+            for values, op in ((x, SX), (z, SZ)):
+                dense = np.einsum("ij,ij->j", vectors, site_operator(n_bits, site - 1, op) @ vectors)
+                assert np.abs(values - dense.real).max() <= 1e-15
+            # a real vector's S^y diagonal is purely imaginary
+            y = np.einsum("ij,ij->j", vectors, site_operator(n_bits, site - 1, SY) @ vectors)
+            assert np.all(y.real == 0.0)
 
 
 class TestPredictionInputs:
