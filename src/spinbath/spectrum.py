@@ -16,7 +16,11 @@ eigenvalues for the closed forms, degeneracy counts and Boltzmann weights.
 ``diagonalize`` solves the same sectors, from the part's dense matrix,
 and returns their eigenvectors as full-basis columns with the basis inside
 degenerate levels canonicalized; only measurement in the H_S eigenbasis and
-the symmetry traces need it.  ``_parity_sectors`` is the only eigensolver.
+the symmetry traces need it.  It holds that basis in one array: each
+sector's vectors are scattered straight into their sorted columns and the
+gauge works on those columns in place.  ``_parity_sectors`` is the only
+eigensolver; it slices every block as ``h[np.ix_(rows, cols)]``, one
+expression for a CSR and a dense h.
 
 The dense cap DEFAULT_DIM_CAP is checked in one place, ``_part_matrix``, on
 the part whose matrix or sector blocks become dense; an entirety above the
@@ -108,8 +112,8 @@ def dense_matrix(model: SpinModel, part: str = FULL) -> np.ndarray:
 _GAUGE_TOL_FACTOR = 1e-12  # block tolerance for gauge canonicalization
 
 
-def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Fix the basis inside (numerically exact) degenerate blocks.
+def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> None:
+    """Fix the basis inside (numerically exact) degenerate blocks of ``vectors``, in place.
 
     Within each block the vectors are replaced by the Gram-Schmidt
     orthonormalization of the block projector applied to the computational
@@ -118,41 +122,40 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray
     become reproducible.  Blocks are grouped at 1e-12 of the spectral width,
     much tighter than the degeneracy-counting tolerance: mixing merely
     near-degenerate vectors would spoil the eigenvector residual.
+
+    A block of g vectors keeps the residual coordinates of every basis
+    vector (g x dim); each step picks the first residual whose norm is
+    above 1e-8, normalizes it and subtracts its projection from all
+    residuals at once.
     """
     tol = _GAUGE_TOL_FACTOR * float(eigenvalues[-1] - eigenvalues[0])
-    out = vectors.copy()
-    start = 0
-    n = len(eigenvalues)
-    for stop in range(1, n + 1):
-        if stop < n and eigenvalues[stop] - eigenvalues[stop - 1] <= tol:
-            continue
+    edges = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol) + 1), len(eigenvalues)]
+    for start, stop in zip(edges, edges[1:]):
         g = stop - start
         if g > 1:
-            block = vectors[:, start:stop]
-            coords = block.conj().T        # g coordinates of each basis vector
-            picked = []
-            for j in range(block.shape[0]):
-                v = coords[:, j].copy()
-                for u in picked:
-                    v -= (u.conj() @ v) * u
-                norm = np.linalg.norm(v)
-                if norm > 1e-8:
-                    picked.append(v / norm)
-                    if len(picked) == g:
-                        break
-            if len(picked) == g:
-                out[:, start:stop] = block @ np.column_stack(picked)
-        start = stop
-    return out
+            residuals = vectors[:, start:stop].T.copy()
+            picked = np.empty((g, g))
+            for k in range(g):
+                norms = np.sqrt(np.einsum("ij,ij->j", residuals, residuals))
+                j = np.argmax(norms > 1e-8)
+                if norms[j] <= 1e-8:
+                    break
+                u = residuals[:, j] / norms[j]
+                residuals -= np.outer(u, u @ residuals)
+                picked[:, k] = u
+            else:
+                vectors[:, start:stop] = vectors[:, start:stop] @ picked
 
 
 def _parity_sectors(h) -> list[Sector]:
     """The parity sectors of h, a CSR matrix or a dense array, each block sliced out and solved densely.
 
-    A CSR h is dense only in its blocks, one at a time: a P_x pair's two
-    blocks are each one toarray() of the sparse sum or difference of the
-    sliced rows, which adds the same pairs of floats as the dense sum does,
-    so both forms of one matrix give bitwise equal sectors.
+    Every block is the outer-index slice ``h[np.ix_(rows, cols)]`` of h, so
+    a dense h is never gathered beyond the block.  A CSR h is dense only in
+    its blocks, one at a time: a P_x pair's two blocks are each one
+    toarray() of the sparse sum or difference of the two slices, which adds
+    the same pairs of floats as the dense sum does, so both forms of one
+    matrix give bitwise equal sectors.
     """
     dim = h.shape[0]
     n_bits = dim.bit_length() - 1
@@ -176,33 +179,35 @@ def _parity_sectors(h) -> list[Sector]:
     if n_bits % 2 or n_bits == 0:
         # P_z only; for odd N the odd sector is P_x of the even one
         reps = idx[parity == 0]
-        even = solve(reps, None, 1.0, h[reps][:, reps])
+        even = solve(reps, None, 1.0, h[np.ix_(reps, reps)])
         return [even, replace(even, reps=reps ^ mask)] if n_bits else [even]
     sectors = []
     for p in (0, 1):
         reps = idx[(parity == p) & (idx <= mask >> 1)]
         partners = reps ^ mask
-        rows = h[reps]
-        same, crossed = rows[:, reps], rows[:, partners]
+        same, crossed = h[np.ix_(reps, reps)], h[np.ix_(reps, partners)]
         sectors.append(solve(reps, partners, 1.0, same + crossed))
         sectors.append(solve(reps, partners, -1.0, same - crossed))
     return sectors
 
 
-def _full_basis(sectors) -> np.ndarray:
-    """The sector eigenvectors as full-basis columns, in sector order.
+def _full_basis(sectors, columns=None) -> np.ndarray:
+    """The sector eigenvectors as full-basis columns, eigenvector k of the sector order in column ``columns[k]``.
 
     A sector's column is its eigenvector on ``reps`` and ``sign`` times it
-    on ``partners``.
+    on ``partners``.  Without ``columns`` the columns keep the sector order.
     """
     dim = sum(s.eigenvalues.shape[0] for s in sectors)
+    columns = np.arange(dim) if columns is None else columns
     out = np.zeros((dim, dim))
     start = 0
     for s in sectors:
         stop = start + s.eigenvalues.shape[0]
-        out[s.reps, start:stop] = s.eigenvectors
+        # evd's vectors are Fortran-ordered; the scatter walks them by rows
+        vectors = np.ascontiguousarray(s.eigenvectors)
+        out[np.ix_(s.reps, columns[start:stop])] = vectors
         if s.partners is not None:
-            out[s.partners, start:stop] = s.sign * s.eigenvectors
+            out[np.ix_(s.partners, columns[start:stop])] = s.sign * vectors
         start = stop
     return out
 
@@ -226,14 +231,19 @@ def diagonalize(model: SpinModel, part: str = FULL) -> SpectrumSummary:
 
     The part's dense matrix is solved by parity sector (``_parity_sectors``,
     the solver of ``diagonalize_sectors``, so the two give bitwise equal
-    eigenvalues); the sector vectors are scattered to full-basis columns,
-    sorted stably by eigenvalue and gauged.
+    eigenvalues).  Each sector's vectors are scattered straight into the
+    full-basis columns of their place in the stable sort by eigenvalue; the
+    sectors are then dropped and the columns gauged in place, so the basis
+    is never copied.
     """
     sectors = _parity_sectors(dense_matrix(model, part))
     eigenvalues = np.concatenate([s.eigenvalues for s in sectors])
     order = np.argsort(eigenvalues, kind="stable")
+    vectors = _full_basis(sectors, np.argsort(order))   # each vector's sorted column
+    del sectors
     eigenvalues = eigenvalues[order]
-    return _summary(eigenvalues, _canonical_gauge(eigenvalues, _full_basis(sectors)[:, order]))
+    _canonical_gauge(eigenvalues, vectors)
+    return _summary(eigenvalues, vectors)
 
 
 def diagonalize_sectors(model: SpinModel, part: str = FULL) -> SpectrumSummary:

@@ -15,8 +15,9 @@ Hamiltonians whose interaction is odd under reversal of the system (or
 environment) spin components; `first_order_symmetry_trace` evaluates those
 traces for any concrete model on a grid of beta, from one gauged solve of
 each part.  The site diagonals are read off the real eigenvectors through
-the site's bit mask; a real eigenvector's S^y diagonal is purely imaginary,
-so the y components add exact zeros and are skipped.
+views of the two halves of the site's bit; a real eigenvector's S^y
+diagonal is purely imaginary, so the y components add exact zeros and are
+skipped.
 """
 
 from __future__ import annotations
@@ -153,11 +154,14 @@ class SymmetryTraces:
 
 
 def _site_diagonals(vectors: np.ndarray, site: int) -> tuple[np.ndarray, np.ndarray]:
-    """<n|S^x|n> and <n|S^z|n> of 1-based ``site`` over the real columns |n> of ``vectors``."""
-    idx = np.arange(vectors.shape[0])
-    bit = site - 1
-    x = 0.5 * np.einsum("ij,ij->j", vectors, vectors[idx ^ (1 << bit)])
-    z = np.einsum("ij,ij->j", vectors, (0.5 - ((idx >> bit) & 1))[:, None] * vectors)
+    """<n|S^x|n> and <n|S^z|n> of 1-based ``site`` over the real columns |n> of ``vectors``.
+
+    The rows split into views of the two halves of the site's bit, |i> with
+    bit 0 and its partner |i ^ (1 << bit)> with bit 1; no row is copied.
+    """
+    low, high = vectors.reshape(-1, 2, 2 ** (site - 1), vectors.shape[1]).transpose(1, 0, 2, 3)
+    x = np.einsum("abj,abj->j", low, high)
+    z = 0.5 * (np.einsum("abj,abj->j", low, low) - np.einsum("abj,abj->j", high, high))
     return x, z
 
 
@@ -177,7 +181,9 @@ def first_order_symmetry_trace(model: SpinModel, betas, identity_shift: float = 
 
     The diagonals <n|S^a|n> come from the gauged eigenvectors V and the
     site's bit: S^z is the diagonal 1/2 - bit, S^x maps |i> to
-    |i ^ (1 << bit)> / 2.  V is real, so <n|S^y|n> is purely imaginary and
+    |i ^ (1 << bit)> / 2, so both are sums over the rows of V with the bit
+    clear (V_0) and set (V_1): <S^z> = (|V_0|^2 - |V_1|^2) / 2 and
+    <S^x> = V_0 . V_1.  V is real, so <n|S^y|n> is purely imaginary and
     its real part is an exact (signed) zero: the y terms add nothing to
     either trace or scale and are not formed.
 

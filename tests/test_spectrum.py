@@ -115,17 +115,111 @@ class TestDiagonalize:
         q = np.linalg.qr(rng.normal(size=(g, g)))[0]
         rotated = spec.eigenvectors.copy()
         rotated[:, :g] = rotated[:, :g] @ q
-        refixed = _canonical_gauge(spec.eigenvalues, rotated)
-        assert np.abs(refixed - spec.eigenvectors).max() < 1e-12
+        _canonical_gauge(spec.eigenvalues, rotated)
+        assert np.abs(rotated - spec.eigenvectors).max() < 1e-12
         h = dense_matrix(m, "S")
-        resid = np.abs(h @ refixed - refixed * spec.eigenvalues).max()
+        resid = np.abs(h @ rotated - rotated * spec.eigenvalues).max()
         assert resid < 1e-10 * max(spec.width, 1.0)
+
+
+    def test_peak_memory(self):
+        # ring 4+12's H_E (4096), its CSR built first.  The peak is the last
+        # sector solve: the dense matrix (1x the returned vectors), three
+        # solved sectors (3/16), a P_x pair's two slices, their sum and evd's
+        # workspace (5/16), 1.50x; the scatter into sorted columns then holds
+        # the vectors, the sectors and one sector block in row order (1.31x).
+        # Scattering in sector order, sorting into a copy and gauging into
+        # another peaked at 2.25x.
+        model = build_ring_model(4, 12, -1.0, 25, 17, 1.0)
+        part_matrix(model, "E")
+        tracemalloc.start()
+        try:
+            spec = diagonalize(model, "E")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * spec.eigenvectors.nbytes
+
+
+def loop_gauge(eigenvalues, vectors):
+    """The gauge as one loop over the basis vectors in index order: _canonical_gauge's oracle.
+
+    Each basis vector's coordinates in a degenerate block are orthogonalized
+    against the vectors picked before it and picked if their norm stays
+    above 1e-8, until the block is full.
+    """
+    tol = 1e-12 * float(eigenvalues[-1] - eigenvalues[0])
+    out = vectors.copy()
+    start = 0
+    n = len(eigenvalues)
+    for stop in range(1, n + 1):
+        if stop < n and eigenvalues[stop] - eigenvalues[stop - 1] <= tol:
+            continue
+        g = stop - start
+        if g > 1:
+            block = vectors[:, start:stop]
+            coords = block.conj().T
+            picked = []
+            for j in range(block.shape[0]):
+                v = coords[:, j].copy()
+                for u in picked:
+                    v -= (u.conj() @ v) * u
+                norm = np.linalg.norm(v)
+                if norm > 1e-8:
+                    picked.append(v / norm)
+                    if len(picked) == g:
+                        break
+            if len(picked) == g:
+                out[:, start:stop] = block @ np.column_stack(picked)
+        start = stop
+    return out
+
+
+def ungauged(model, part):
+    """A part's sorted eigenvalues and its sector vectors scattered in sector order, then sorted stably."""
+    sectors = spectrum._parity_sectors(dense_matrix(model, part))
+    e = np.concatenate([s.eigenvalues for s in sectors])
+    order = np.argsort(e, kind="stable")
+    return e[order], spectrum._full_basis(sectors)[:, order]
+
+
+class TestGaugeOracle:
+    """diagonalize against the loop gauge applied to the sorted scatter."""
+
+    @pytest.mark.parametrize("model", [
+        build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0),
+        build_chain_model(4, 8, -1.0, 1.0, 1.0, 0.0),
+        build_ring_model(4, 8, -1.0, 25, 17, 1.0),
+        build_ring_model(4, 8, -1.0, 23, 29, 1.0),
+        build_ring_model(2, 8, -1.0, 25, 17, 1.0),
+        build_chain_model(2, 2, 1.0, 1.0, 1.0, 0.0),
+        build_chain_model(3, 2, 1.0, 1.0, 1.0, 0.0),
+    ], ids=["chain4", "chain4_afm", "ring4_25_17", "ring4_23_29", "ring2", "chain2", "chain3"])
+    def test_system_frames_bitwise(self, model):
+        # the H_S frames that measurement reads
+        e, v = ungauged(model, "S")
+        spec = diagonalize(model, "S")
+        assert np.array_equal(spec.eigenvalues, e)
+        assert np.array_equal(spec.eigenvectors, loop_gauge(e, v))
+
+    @pytest.mark.parametrize("model", [
+        build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0),
+        build_chain_model(4, 11, 1.0, -0.7, 1.0, 0.0),
+    ], ids=["chain4+8", "chain4+11"])
+    def test_degenerate_environments(self, model):
+        e, v = ungauged(model, "E")
+        spec = diagonalize(model, "E")
+        ref = loop_gauge(e, v)
+        assert not np.array_equal(ref, v)      # the gauge has levels to fix
+        assert np.array_equal(spec.eigenvalues, e)
+        assert np.abs(spec.eigenvectors - ref).max() <= 1e-14
 
 
 def full_solve(model, part):
     """The full-matrix solve diagonalize used to run: default-driver eigh of the dense matrix, gauged."""
     e, v = scipy.linalg.eigh(dense_matrix(model, part))
-    return e, spectrum._canonical_gauge(e, v)
+    spectrum._canonical_gauge(e, v)
+    return e, v
 
 
 def one_solver_models():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -236,6 +237,19 @@ class TestSiteDiagonals:
             # a real vector's S^y diagonal is purely imaginary
             y = np.einsum("ij,ij->j", vectors, site_operator(n_bits, site - 1, SY) @ vectors)
             assert np.all(y.real == 0.0)
+
+    def test_reads_views(self):
+        # the two halves of the site's bit are views of V: no gathered copy
+        # of V (1x) or weighted product (1x) is made, only the diagonals
+        vectors = np.random.default_rng(7).standard_normal((2**12, 2**12))
+        tracemalloc.start()
+        try:
+            for site in (1, 6, 12):
+                tracemalloc.reset_peak()
+                _site_diagonals(vectors, site)
+                assert tracemalloc.get_traced_memory()[1] < 0.05 * vectors.nbytes
+        finally:
+            tracemalloc.stop()
 
 
 class TestPredictionInputs:
