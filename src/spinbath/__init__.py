@@ -22,6 +22,7 @@ from .propagate import (
     ChebyshevPlan,
     alternating_product_state,
     canonical_thermal_state,
+    eigenvalue_spectrum,
     evolve_real_time,
     moment_check,
     normalization_diagnostic,
@@ -29,7 +30,7 @@ from .propagate import (
     random_state,
     spectral_bounds,
 )
-from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, thermo
+from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, part_eigenvalues, thermo
 from .theory import (
     PredictionInputs,
     delta2_full,

@@ -19,6 +19,7 @@ from . import bench, observe, theory
 from .hamiltonian import ENVIRONMENT, SYSTEM, build_chain_model, build_ring_model
 from .propagate import (
     canonical_thermal_state,
+    eigenvalue_spectrum,
     moment_check,
     normalization_diagnostic,
     projection_spectrum,
@@ -26,7 +27,7 @@ from .propagate import (
     spectral_bounds,
 )
 from .seeds import spawn_rng
-from .spectrum import diagonalize, diagonalize_sectors
+from .spectrum import diagonalize, part_eigenvalues
 from .theory import first_order_symmetry_trace, infinite_temperature_scaling, low_temperature_limits
 
 MASTER_SEED = 20160902
@@ -173,8 +174,8 @@ def criterion_3(ctx: Context) -> CriterionResult:
         mean, err, _ = stats[beta]
         worst = max(worst, abs(mean - ref) / err)
     # converged evaluation of the closed form against the degeneracy limit
-    g_s = diagonalize_sectors(model, SYSTEM).ground_degeneracy
-    g_e = diagonalize_sectors(model, ENVIRONMENT).ground_degeneracy
+    g_s = part_eigenvalues(model, SYSTEM).ground_degeneracy
+    g_e = part_eigenvalues(model, ENVIRONMENT).ground_degeneracy
     _, lim = low_temperature_limits(g_s, g_e, model.dim_system, model.dim_env)
     val = theory.delta2_full(replace(inputs, beta=500.0))
     rel = abs(val - lim) / lim
@@ -286,12 +287,11 @@ def criterion_7(ctx: Context) -> CriterionResult:
     model = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
     hs = diagonalize(model, SYSTEM)
     psi0 = random_state(model.dim, (MASTER_SEED, "c7", 0))[:, None]
-    spectrum = projection_spectrum(model, "exact")
+    # the start and the trace's bounds from H's eigenvalues alone
+    spectrum = eigenvalue_spectrum(model, "exact")
     states, = canonical_thermal_state(model, psi0, [beta], spectrum)
-    bounds = spectral_bounds(model, *spectrum)
-    del spectrum        # the trace holds no sector eigenvectors
     rows = observe.trace_time_series(model, states[:, 0], 300.0, 0.5, hs, beta_ref=beta,
-                                     bounds=bounds)
+                                     bounds=spectral_bounds(model, *spectrum))
     sig = np.array([r[1] for r in rows])
     max_dev = float(np.abs(sig - sig.mean()).max())
     ratio = max_dev / sig.std(ddof=1)

@@ -30,6 +30,7 @@ from .hamiltonian import (DEFAULT_SIZE_CAP, ENVIRONMENT, SYSTEM, SpinModel,
 from .propagate import (
     alternating_product_state,
     canonical_thermal_state,
+    eigenvalue_spectrum,
     moment_check,
     normalization_diagnostic,
     projection_spectrum,
@@ -522,13 +523,16 @@ def _time_trace(config: ExperimentConfig, n_sys: int, n_env: int, lam: float, be
 def _trace_start(config: ExperimentConfig, model: SpinModel, hs_spec, beta: float, seed):
     """A time trace's initial state and the bounds its expansion runs on.
 
-    The spectra solved to prepare the state give the bounds (spectral_bounds)
-    and are dropped on return, so no sector eigenvectors are held during the
-    trace; without them (Chebyshev projection) the bounds are None, which
-    the trace reads as Gershgorin's.
+    The X state is one column: an exact method solves its factors'
+    eigenvalues alone (eigenvalue_spectrum), projects the column on
+    Chebyshev over their spectral_bounds, exact to rounding, and hands the
+    trace the same bounds, so no eigenvector of H is solved.  A Chebyshev
+    method projects on Gershgorin bounds and returns None, which the trace
+    reads as Gershgorin's too.  The product state projects H_E's sector
+    eigenpairs and bounds the trace by H_E and H_S plus the coupling.
     """
     if config.initial_state == "x":
-        spectrum = projection_spectrum(model, config.method)
+        spectrum = eigenvalue_spectrum(model, config.method)
         psi0 = random_state(model.dim, seed)[:, None]
         states, = canonical_thermal_state(model, psi0, [beta], spectrum)
         return states[:, 0], spectral_bounds(model, *spectrum) if spectrum is not None else None

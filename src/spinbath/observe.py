@@ -171,11 +171,11 @@ def thermal_measures(model: SpinModel, psi0: np.ndarray, betas,
     ``spectrum`` is canonical_thermal_state's and ``hs_spectrum`` is
     diagonalize(model, SYSTEM).  An uncoupled (H_E, H_S) spectrum's blocks
     stay in the product eigenbasis, with no back transform, and are measured
-    in hs_spectrum re-expressed there; any other spectrum, or None, gives
-    canonical_thermal_state's blocks.  Each block is dropped before the
-    next one is made.
+    in hs_spectrum re-expressed there; any other spectrum, eigenvalue-only
+    ones included, or None gives canonical_thermal_state's blocks.  Each
+    block is dropped before the next one is made.
     """
-    if spectrum is not None and len(spectrum) == 2:
+    if spectrum is not None and len(spectrum) == 2 and all(f.sectors for f in spectrum):
         psi0, betas = _checked(model, psi0, betas, spectrum)
         blocks = _exact_projections(spectrum, psi0, betas, in_eigenbasis=True)
         hs_spectrum = _traced_frame(hs_spectrum, spectrum[1])

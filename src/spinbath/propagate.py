@@ -7,7 +7,8 @@ A canonical thermal pure state at inverse temperature beta is
 with |psi_0> drawn uniformly from the unit sphere (complex Gaussian
 amplitudes via Box-Muller).  ``canonical_thermal_state(model, psi0, betas,
 spectrum=None)`` is the one projection: it takes a (dim, k) block of
-initial states and a list of betas and has two backends.
+initial states and a list of betas and has two backends, chosen by the
+form of ``spectrum``.
 
 - exact: given a tuple of factor spectra, highest bits first, project in
   their product eigenbasis, one beta's block at a time.  A coupled model
@@ -22,15 +23,22 @@ initial states and a list of betas and has two backends.
   along the middle axis by real GEMMs on its float view (real_matmul).
   Each column is normalized through its weights in the eigenbasis, where
   its norm is one GEMV of the squared weights against |coefficients|^2;
-- Chebyshev: without a spectrum, plan the whole beta grid at once and run
-  one recurrence T_k(X)|psi_0> on the whole block up to the grid's largest
-  order, every beta's expansion summed from it (the shared-vector scheme of
-  Dobrovitski & De Raedt, PRE 67, 056702 (2003)), so the cost is the
-  largest order, not the sum.  The recurrence vectors fill a ring, and
-  each beta's row gains a full ring's terms in place by one GEMV.
+- Chebyshev: plan the whole beta grid at once and run one recurrence
+  T_k(X)|psi_0> on the whole block up to the grid's largest order, every
+  beta's expansion summed from it (the shared-vector scheme of Dobrovitski
+  & De Raedt, PRE 67, 056702 (2003)), so the cost is the largest order,
+  not the sum.  The recurrence vectors fill a ring, and each beta's row
+  gains a full ring's terms in place by one GEMV.  Without a spectrum the
+  expansion runs on Gershgorin bounds; given eigenvalue-only factors
+  (spectrum.part_eigenvalues) it runs on their ``spectral_bounds``, which
+  lie within SPECTRAL_PAD of the width of H's exact extremes.  Its error,
+  about 1e-16 exp(beta (E_0 - e_min) / 2), is then at rounding level for
+  any beta, so a few columns, such as a time trace's start, are projected
+  without any eigenvectors.
 
 ``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
-those factors or None; "auto" is exact up to EXACT_AUTO_DIM.  Real time
+those factors or None, and ``eigenvalue_spectrum`` maps it to the same
+factors as eigenvalues only; "auto" is exact up to EXACT_AUTO_DIM.  Real time
 exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) runs the
 same recurrence, on Gershgorin bounds or, where spectra were solved anyway,
 on the tighter ``spectral_bounds`` they give.  Every ChebyshevPlan is a
@@ -54,7 +62,7 @@ from .errors import ChebyshevOrderError, DimensionError, ModelError
 from .hamiltonian import (COUPLING, ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian,
                           energy_bounds)
 from .seeds import spawn_rng
-from .spectrum import SpectrumSummary, _full_basis, diagonalize_sectors
+from .spectrum import SpectrumSummary, _full_basis, diagonalize_sectors, part_eigenvalues
 from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py expects)
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
@@ -139,13 +147,14 @@ def spectral_bounds(model: SpinModel, *spectra: SpectrumSummary) -> tuple[float,
     """Bounds on H's spectrum from spectra already solved, for expansions that hold them.
 
     ``spectra`` is the full H's (one factor of dimension model.dim) or the
-    (H_E, H_S) pair, as projection_spectrum gives them; only their extreme
-    eigenvalues are read.  The extremes add (Weyl: the lowest eigenvalue of
-    a sum is at least the sum of the lowest ones), and a coupled model given
-    only its parts adds lam times the Gershgorin bounds of H_SE.  The result
-    is padded by SPECTRAL_PAD of its width, far past eigh's rounding and
-    too little to move an expansion's order, and clipped to the Gershgorin
-    bounds energy_bounds(model), which contain the spectrum as well.
+    (H_E, H_S) pair, as projection_spectrum and eigenvalue_spectrum give
+    them; only their extreme eigenvalues are read.  The extremes add (Weyl:
+    the lowest eigenvalue of a sum is at least the sum of the lowest ones),
+    and a coupled model given only its parts adds lam times the Gershgorin
+    bounds of H_SE.  The result is padded by SPECTRAL_PAD of its width, far
+    past eigh's rounding and too little to move an expansion's order, and
+    clipped to the Gershgorin bounds energy_bounds(model), which contain
+    the spectrum as well.
     Extremes outside their own part's Gershgorin bounds belong to another
     model and raise ValueError.
     """
@@ -526,12 +535,12 @@ def _exact_projections(factors, psi0: np.ndarray, betas, in_eigenbasis: bool = F
             yield weighted(beta)
 
 
-def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
-    """Chebyshev backend: one shared recurrence on the whole block for every beta > 0."""
+def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas, bounds) -> list:
+    """Chebyshev backend: one shared recurrence on ``bounds`` for the whole block and every beta > 0."""
     positive = [beta for beta in betas if beta > 0.0]
     if not positive:
         return [psi0 for _ in betas]
-    plan = imaginary_time_plan(energy_bounds(model), positive)
+    plan = imaginary_time_plan(bounds, positive)
     raws = _apply_plan(model, plan, psi0)    # one (dim, k) row per beta, normalized in place
     # each column's norm as a vector's, so the norms add no dependence on the block
     psi0_norm, *raw_norms = (np.array([np.linalg.norm(c) for c in x.T]) for x in (psi0, *raws))
@@ -551,18 +560,24 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas) -> list:
 
 
 def _checked(model: SpinModel, psi0, betas, spectrum) -> tuple[np.ndarray, list[float]]:
-    """psi0 as a (dim, k) array and betas as finite floats >= 0; a spectrum the exact backend takes."""
+    """psi0 as a (dim, k) array and betas as finite floats >= 0; a spectrum a backend takes."""
     psi0 = np.asarray(psi0)
     if psi0.ndim != 2 or psi0.shape[0] != model.dim:
         raise DimensionError(f"psi0 must be a ({model.dim}, k) block, got shape {psi0.shape}")
     betas = [float(beta) for beta in betas]
     if not all(np.isfinite(beta) and beta >= 0.0 for beta in betas):
         raise ValueError("betas must be finite and >= 0")
-    if spectrum is not None and (not all(f.sectors for f in spectrum)
-                                 or math.prod(f.dim for f in spectrum) != model.dim):
+    if spectrum is not None and not _eigenvalues_only(spectrum) and (
+            not all(f.sectors for f in spectrum) or math.prod(f.dim for f in spectrum) != model.dim):
         raise ValueError("the exact backend needs parity-sector factor spectra (projection_spectrum "
-                         "or diagonalize_sectors) whose dimensions multiply to the model dimension")
+                         "or diagonalize_sectors) whose dimensions multiply to the model dimension; "
+                         "Chebyshev takes eigenvalue-only ones (eigenvalue_spectrum)")
     return psi0, betas
+
+
+def _eigenvalues_only(spectrum: tuple[SpectrumSummary, ...]) -> bool:
+    """Whether every factor holds eigenvalues alone (part_eigenvalues), neither form of vectors."""
+    return all(f.sectors is None and f.eigenvectors is None for f in spectrum)
 
 
 def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
@@ -573,17 +588,28 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     the normalized columns exp(-beta H / 2)|psi_0>; beta = 0 returns
     ``psi0`` itself.
 
-    Given ``spectrum``, a tuple of parity-sector factor spectra
-    (diagonalize_sectors), highest bits first, whose dimensions multiply
-    to model.dim (see projection_spectrum), the block is projected exactly
-    and lazily: the iterable keeps no block it has yielded, so a caller
-    that drops each block before taking the next holds one beta's block at
-    a time; without it a single Chebyshev recurrence on the whole block
-    serves every beta and never builds a dense matrix.
+    ``spectrum`` selects the backend:
+
+    - a tuple of parity-sector factor spectra (diagonalize_sectors),
+      highest bits first, whose dimensions multiply to model.dim (see
+      projection_spectrum): the block is projected exactly and lazily; the
+      iterable keeps no block it has yielded, so a caller that drops each
+      block before taking the next holds one beta's block at a time;
+    - a tuple of eigenvalue-only spectra (part_eigenvalues, as
+      eigenvalue_spectrum gives them): a single Chebyshev recurrence on
+      their spectral_bounds serves every beta, exact to rounding because
+      the bounds hug H's extremes; a spectrum of another model or of the
+      wrong dimensions raises ValueError there;
+    - None: the same recurrence on Gershgorin bounds, which never solves
+      anything.
+
+    Full-basis spectra (diagonalize) are refused with ValueError.
     """
     psi0, betas = _checked(model, psi0, betas, spectrum)
     if spectrum is None:
-        return _chebyshev_projections(model, psi0, betas)
+        return _chebyshev_projections(model, psi0, betas, energy_bounds(model))
+    if _eigenvalues_only(spectrum):
+        return _chebyshev_projections(model, psi0, betas, spectral_bounds(model, *spectrum))
     return _exact_projections(spectrum, psi0, betas)
 
 
@@ -601,24 +627,49 @@ def _traced_frame(hs_spectrum: SpectrumSummary, system: SpectrumSummary) -> Spec
     return replace(hs_spectrum, eigenvectors=q.T @ hs_spectrum.eigenvectors)
 
 
-def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:
-    """The ``spectrum`` argument of canonical_thermal_state for a method.
+def _factor_parts(model: SpinModel, method: str) -> tuple[str, ...] | None:
+    """The parts whose spectra a method projects on, or None for Gershgorin Chebyshev.
 
-    "exact" gives the factor spectra: (H_E, H_S) when the model is
-    uncoupled (lam = 0 or no coupling bonds), else (H,).  Each is
-    diagonalized by parity sector (diagonalize_sectors), up to four dense
-    blocks of a quarter of the factor's dimension, sliced from the kernel's
-    sparse matrix, with each factor capped at the dense cap; the sector
-    vectors carry no gauge fixing, which the projection does not need.
-    "chebyshev" gives None, and "auto" is exact up to EXACT_AUTO_DIM.
+    "exact" gives (H_E, H_S) when the model is uncoupled (lam = 0 or no
+    coupling bonds), else (H,); "chebyshev" gives None, and "auto" is exact
+    up to EXACT_AUTO_DIM.
     """
     if method not in ("auto", "exact", "chebyshev"):
         raise ValueError(f"unknown method {method!r}")
     if method == "chebyshev" or (method == "auto" and model.dim > EXACT_AUTO_DIM):
         return None
     if model.lam == 0.0 or not model.coupling_bonds:
-        return (diagonalize_sectors(model, ENVIRONMENT), diagonalize_sectors(model, SYSTEM))
-    return (diagonalize_sectors(model, FULL),)
+        return (ENVIRONMENT, SYSTEM)
+    return (FULL,)
+
+
+def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:
+    """The ``spectrum`` argument of canonical_thermal_state for a method, for the exact backend.
+
+    An exact method gives the factor spectra of ``_factor_parts``, each
+    diagonalized by parity sector (diagonalize_sectors), up to four dense
+    blocks of a quarter of the factor's dimension, sliced from the kernel's
+    sparse matrix, with each factor capped at the dense cap; the sector
+    vectors carry no gauge fixing, which the projection does not need.
+    They pay for themselves when many columns or betas reuse them, as in a
+    static sweep; a Chebyshev method gives None.
+    """
+    parts = _factor_parts(model, method)
+    return None if parts is None else tuple(diagonalize_sectors(model, p) for p in parts)
+
+
+def eigenvalue_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:
+    """The same factors as projection_spectrum, as eigenvalues only (part_eigenvalues).
+
+    canonical_thermal_state projects on Chebyshev over their
+    spectral_bounds, which matches the exact backend to rounding and, for
+    a few columns at one beta such as a time trace's start, costs less
+    than the sector eigenvectors; the same bounds then serve the trace's
+    real-time expansion.  A Chebyshev method gives None, as in
+    projection_spectrum.
+    """
+    parts = _factor_parts(model, method)
+    return None if parts is None else tuple(part_eigenvalues(model, p) for p in parts)
 
 
 def alternating_product_state(model: SpinModel, beta: float, seed,
@@ -654,8 +705,8 @@ def normalization_diagnostic(model: SpinModel, beta: float, n_realizations: int,
     """
     if model.coupling_bonds and model.lam != 0.0:
         raise ModelError("normalization diagnostic is defined for uncoupled models (lam = 0)")
-    es = diagonalize_sectors(model, SYSTEM).eigenvalues
-    ee = diagonalize_sectors(model, ENVIRONMENT).eigenvalues
+    es = part_eigenvalues(model, SYSTEM).eigenvalues
+    ee = part_eigenvalues(model, ENVIRONMENT).eigenvalues
     ws = np.exp(-beta * (es - es.min()))
     we = np.exp(-beta * (ee - ee.min()))
     p = np.kron(we / we.sum(), ws / ws.sum())     # index n = s + dim_S * e

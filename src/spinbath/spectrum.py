@@ -10,15 +10,16 @@ layout: for N bits the P_z sectors hold the indices of even and odd
 popcount; for even N >= 2 each splits again into P_x = +1 and -1 halves
 spanned by (|n> +- |n ^ mask>)/sqrt(2), 4 sectors of 2^N/4 in all; for odd
 N, P_x maps one P_z sector onto the other, so only the even one is solved.
-Everything that does not depend on the basis chosen inside degenerate
-levels reads that layout: projections (exp(-beta H / 2) is basis-free),
-eigenvalues for the closed forms, degeneracy counts and Boltzmann weights.
+The exact projection reads that layout (exp(-beta H / 2) does not depend
+on the basis chosen inside degenerate levels); the closed forms' eigenvalues,
+degeneracy counts and Boltzmann weights read no basis at all.
 ``diagonalize`` solves the same sectors, from the part's dense matrix,
 and returns their eigenvectors as full-basis columns with the basis inside
 degenerate levels canonicalized; only measurement in the H_S eigenbasis and
 the symmetry traces need it.  It holds that basis in one array: each
 sector's vectors are scattered straight into their sorted columns and the
-gauge works on those columns in place.  ``_parity_sectors`` is the only
+gauge works on those columns in place.  ``part_eigenvalues`` solves the
+same sectors for their eigenvalues alone.  ``_parity_sectors`` is the only
 eigensolver; it slices every block as ``h[np.ix_(rows, cols)]``, one
 expression for a CSR and a dense h.
 
@@ -55,22 +56,23 @@ class Sector:
     sign -1 sector directly follows its sign +1 twin and shares its index
     arrays.  ``eigenvectors`` holds each eigenvector's amplitudes on
     ``reps`` as a column; on ``partners`` they are ``sign`` times those.
+    It is None when only the eigenvalues were solved.
     """
 
     reps: np.ndarray
     partners: np.ndarray | None
     sign: float
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 @dataclass
 class SpectrumSummary:
-    """Sorted eigenvalues of one Hamiltonian part with its eigenvectors.
+    """Sorted eigenvalues of one Hamiltonian part, with or without its eigenvectors.
 
     The vectors are either gauged full-basis columns (``eigenvectors``, from
     ``diagonalize``) or a parity sector layout (``sectors``, from
-    ``diagonalize_sectors``), never both.
+    ``diagonalize_sectors``), never both; ``part_eigenvalues`` holds neither.
     """
 
     eigenvalues: np.ndarray
@@ -147,8 +149,11 @@ def _canonical_gauge(eigenvalues: np.ndarray, vectors: np.ndarray) -> None:
                 vectors[:, start:stop] = vectors[:, start:stop] @ picked
 
 
-def _parity_sectors(h) -> list[Sector]:
+def _parity_sectors(h, eigvals_only: bool = False) -> list[Sector]:
     """The parity sectors of h, a CSR matrix or a dense array, each block sliced out and solved densely.
+
+    With ``eigvals_only`` the blocks are solved for their eigenvalues alone
+    and every sector's ``eigenvectors`` is None.
 
     Every block is the outer-index slice ``h[np.ix_(rows, cols)]`` of h, so
     a dense h is never gathered beyond the block.  A CSR h is dense only in
@@ -171,6 +176,10 @@ def _parity_sectors(h) -> list[Sector]:
         # divide and conquer, into the fresh block's own memory: the block
         # is symmetric, so its transpose is the Fortran-ordered block LAPACK
         # overwrites without a copy
+        if eigvals_only:
+            eigenvalues = scipy.linalg.eigh(block.T, eigvals_only=True, driver="evd",
+                                            overwrite_a=True)
+            return Sector(reps, partners, sign, eigenvalues, None)
         eigenvalues, eigenvectors = scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True)
         if partners is not None:
             eigenvectors /= np.sqrt(2.0)
@@ -227,7 +236,8 @@ def diagonalize(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     and different solver gauges agree; a part with one level is a single
     block, gauged to the computational basis.  This is the form for work
     that depends on the basis: measurement in the H_S eigenbasis and the
-    symmetry traces.  Everything else reads ``diagonalize_sectors``.
+    symmetry traces.  Projections read ``diagonalize_sectors``, and callers
+    that need eigenvalues alone ``part_eigenvalues``.
 
     The part's dense matrix is solved by parity sector (``_parity_sectors``,
     the solver of ``diagonalize_sectors``, so the two give bitwise equal
@@ -259,6 +269,20 @@ def diagonalize_sectors(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     """
     sectors = tuple(_parity_sectors(_part_matrix(model, part)))
     return _summary(np.sort(np.concatenate([s.eigenvalues for s in sectors])), sectors=sectors)
+
+
+def part_eigenvalues(model: SpinModel, part: str = FULL) -> SpectrumSummary:
+    """Sorted eigenvalues of a part alone, for callers that read no basis.
+
+    The blocks of ``diagonalize_sectors`` are solved for their eigenvalues
+    only, which costs about half an eigenpair solve and holds no vectors;
+    the dense cap still applies.  The summary has neither ``eigenvectors``
+    nor ``sectors``: it serves the closed forms, degeneracy counts and
+    Boltzmann weights, and canonical_thermal_state reads it as the bounds
+    of a Chebyshev projection (propagate.spectral_bounds).
+    """
+    sectors = _parity_sectors(_part_matrix(model, part), eigvals_only=True)
+    return _summary(np.sort(np.concatenate([s.eigenvalues for s in sectors])))
 
 
 class ThermoFunctions:

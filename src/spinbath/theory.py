@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ENVIRONMENT, SYSTEM, SpinModel
-from .spectrum import ThermoFunctions, diagonalize, diagonalize_sectors, thermo
+from .spectrum import ThermoFunctions, diagonalize, part_eigenvalues, thermo
 
 
 @dataclass
@@ -48,9 +48,9 @@ class PredictionInputs:
 
 
 def prediction_inputs(model: SpinModel, beta: float) -> PredictionInputs:
-    """Convenience constructor from a model's part spectra."""
-    ts = thermo(diagonalize_sectors(model, SYSTEM))
-    te = thermo(diagonalize_sectors(model, ENVIRONMENT))
+    """Convenience constructor from a model's part spectra, eigenvalues only."""
+    ts = thermo(part_eigenvalues(model, SYSTEM))
+    te = thermo(part_eigenvalues(model, ENVIRONMENT))
     return PredictionInputs(ts, te, beta)
 
 

@@ -162,9 +162,10 @@ class TestRun:
             return wrapper
 
         monkeypatch.setattr(bench, "diagonalize", counting("gauged", bench.diagonalize))
-        for module in (propagate, theory):
-            monkeypatch.setattr(module, "diagonalize_sectors",
-                                counting("sectors", module.diagonalize_sectors))
+        monkeypatch.setattr(propagate, "diagonalize_sectors",
+                            counting("sectors", propagate.diagonalize_sectors))
+        # the closed forms read the uncoupled pass's pair and solve no eigenvalues of their own
+        monkeypatch.setattr(theory, "part_eigenvalues", counting("values", theory.part_eigenvalues))
         bench.run(make_config(mode="theory_overlay", method="exact",
                               lambda_list=(0.0, 0.5, 1.0), n_realizations=4))
         assert sorted(solved) == sorted([
@@ -483,37 +484,62 @@ class TestOtherModes:
 
     @pytest.mark.parametrize("initial_state", ["x", "ududy"])
     def test_time_trace_expands_on_the_spectra_it_solved(self, initial_state, monkeypatch):
-        # the x state's projection spectrum, or the product state's H_E sectors
-        # (solved once) with H_S, bound the trace's expansion
+        # the x state's eigenvalues of H (solved once, no sector vectors), or
+        # the product state's H_E sectors (solved once) with H_S, bound the
+        # trace's expansion
         from spinbath import propagate
         from spinbath.propagate import spectral_bounds
-        from spinbath.spectrum import diagonalize, diagonalize_sectors
+        from spinbath.spectrum import diagonalize, diagonalize_sectors, part_eigenvalues
 
         cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
                           beta_list=(0.8,), t_max=1.0, dt=0.5, initial_state=initial_state)
         solved, traced = [], []
 
-        def counted(model, part):
-            solved.append(part)
-            return diagonalize_sectors(model, part)
+        def counted(solve):
+            def wrapper(model, part):
+                solved.append((solve.__name__, part))
+                return solve(model, part)
+            return wrapper
 
         def trace(*args, bounds, **kwargs):
             traced.append(bounds)
             return []
 
-        monkeypatch.setattr(bench, "diagonalize_sectors", counted)
-        monkeypatch.setattr(propagate, "diagonalize_sectors", counted)
+        monkeypatch.setattr(bench, "diagonalize_sectors", counted(diagonalize_sectors))
+        monkeypatch.setattr(propagate, "diagonalize_sectors", counted(diagonalize_sectors))
+        monkeypatch.setattr(propagate, "part_eigenvalues", counted(part_eigenvalues))
         monkeypatch.setattr(bench.observe, "trace_time_series", trace)
         bench.run(cfg)
         model = cfg.build_model(2, 6, 1.0)
         if initial_state == "x":
-            assert solved == ["FULL"]
-            expected = spectral_bounds(model, diagonalize_sectors(model, "FULL"))
+            assert solved == [("part_eigenvalues", "FULL")]
+            expected = spectral_bounds(model, part_eigenvalues(model, "FULL"))
         else:
-            assert solved == ["E"]
+            assert solved == [("diagonalize_sectors", "E")]
             expected = spectral_bounds(model, diagonalize_sectors(model, "E"),
                                        diagonalize(model, "S"))
         assert traced == [expected]
+
+    def test_time_trace_solves_no_eigenvectors_of_h(self, monkeypatch):
+        # every eigenvector solve is one of H_S's sector blocks; H's blocks,
+        # a quarter of the entirety each, are solved for eigenvalues alone
+        import scipy.linalg
+
+        cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
+                          beta_list=(0.8,), t_max=1.0, dt=0.5)
+        model = cfg.build_model(2, 6, 1.0)
+        solves = []
+        eigh = scipy.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            solves.append((a.shape[0], kwargs.get("eigvals_only", False)))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+        table = bench.run(cfg)
+        assert table.failed_points == 0
+        assert [n for n, values_only in solves if values_only] == [model.dim // 4] * 4
+        assert sum(n for n, values_only in solves if not values_only) == model.dim_system
 
     def test_default_t_burn_leaves_aggregate_rows(self):
         # the default burn-in is at most half the trace, so a default trace has late samples

@@ -16,6 +16,7 @@ from spinbath.propagate import (
     ChebyshevPlan,
     alternating_product_state,
     canonical_thermal_state,
+    eigenvalue_spectrum,
     evolve_real_time,
     imaginary_time_plan,
     moment_check,
@@ -24,7 +25,8 @@ from spinbath.propagate import (
     random_state,
     real_time_plan,
 )
-from spinbath.spectrum import _full_basis, dense_matrix, diagonalize, diagonalize_sectors, thermo
+from spinbath.spectrum import (_full_basis, dense_matrix, diagonalize, diagonalize_sectors,
+                               part_eigenvalues, thermo)
 
 from conftest import parity_models, small_models
 
@@ -458,10 +460,42 @@ class TestCanonicalThermalState:
         with pytest.raises(ValueError):
             projection_spectrum(m, "dense")
         psi0 = random_block(m, (1,))
+        # full-basis factors, eigenvalue-only factors of the wrong dimensions,
+        # and a mix of eigenvalue-only and sector factors are refused
         for factors in ((diagonalize(m, "S"),), (diagonalize(m, "E"), diagonalize(m, "E")),
-                        (diagonalize(m, "FULL"),)):
+                        (diagonalize(m, "FULL"),), (part_eigenvalues(m, "S"),),
+                        (part_eigenvalues(m, "E"), part_eigenvalues(m, "E")),
+                        (part_eigenvalues(m, "E"), diagonalize_sectors(m, "S"))):
             with pytest.raises(ValueError):
                 canonical_thermal_state(m, psi0, [1.0], factors)
+
+    @pytest.mark.parametrize("n_sys, n_env", [(2, 6), (4, 8), (2, 10)])
+    def test_eigenvalue_start_matches_exact_backend(self, n_sys, n_env):
+        # Chebyshev on the bounds of H's eigenvalues against the sector eigenvectors
+        m = build_ring_model(n_sys, n_env, -1.0, 23, 29, 1.0)
+        psi0 = random_block(m, (3, 4))
+        betas = (0.9, 5.0, 50.0)
+        values = eigenvalue_spectrum(m, "exact")
+        assert len(values) == 1 and values[0].sectors is None and values[0].eigenvectors is None
+        exact = canonical_thermal_state(m, psi0, betas, projection_spectrum(m, "exact"))
+        chebyshev = canonical_thermal_state(m, psi0, betas, values)
+        for a, b in zip(exact, chebyshev, strict=True):
+            assert np.abs(a - b).max() < 1e-13
+
+    def test_eigenvalue_spectrum_follows_the_method(self):
+        # the factors of projection_spectrum, as eigenvalues only
+        coupled = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        uncoupled = build_ring_model(2, 3, -1.0, 5, 6, 0.0)
+        for m in (coupled, uncoupled):
+            values = eigenvalue_spectrum(m, "auto")
+            pairs = projection_spectrum(m, "auto")
+            assert [v.dim for v in values] == [p.dim for p in pairs]
+            for v, p in zip(values, pairs):
+                assert np.abs(v.eigenvalues - p.eigenvalues).max() < 1e-13
+        assert eigenvalue_spectrum(coupled, "chebyshev") is None
+        assert eigenvalue_spectrum(build_ring_model(2, 11, -1.0, 5, 6, 1.0), "auto") is None
+        with pytest.raises(ValueError):
+            eigenvalue_spectrum(coupled, "dense")
 
     def test_auto_method_threshold(self):
         small = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
@@ -542,7 +576,7 @@ class TestTracedEnvironment:
         coupled = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
         psi0 = random_block(m, (1, 2))
         for model, spectrum in ((coupled, projection_spectrum(coupled, "exact")), (coupled, None),
-                                (m, factors)):
+                                (m, eigenvalue_spectrum(m, "exact")), (m, factors)):
             list(spinbath.observe.thermal_measures(model, psi0, (0.5,), spectrum, hs))
         assert framed == [factors[1]]
 
@@ -578,7 +612,7 @@ class TestTracedEnvironment:
 
         m = build_ring_model(2, 4, -1.0, 3, 5, 0.0)
         hs = diagonalize(m, "S")
-        for spectrum in (projection_spectrum(m, "exact"), None):
+        for spectrum in (projection_spectrum(m, "exact"), eigenvalue_spectrum(m, "exact"), None):
             with pytest.raises(ValueError, match="betas"):
                 next(thermal_measures(m, random_block(m, (1,)), (0.5, -1.0), spectrum, hs))
             with pytest.raises(DimensionError):
@@ -836,10 +870,14 @@ class TestSpectralBounds:
             propagate.spectral_bounds(build_ring_model(2, 5, -1.0, 5, 6, 1.0), *ring_spectrum)
         with pytest.raises(ValueError, match="dimensions"):
             propagate.spectral_bounds(ring, *ring_spectrum, *ring_spectrum)
-        # a time trace prepared on the wrong spectrum stops before it has a state
+        # the eigenvalue-only spectrum of another model is refused before a
+        # projection, and a time trace prepared on it stops before it has a state
         from spinbath import bench
 
-        monkeypatch.setattr(bench, "projection_spectrum", lambda model, method: ring_spectrum)
+        ring_values = eigenvalue_spectrum(ring, "exact")
+        with pytest.raises(ValueError, match="another model"):
+            canonical_thermal_state(chain, random_block(chain, (1,)), [0.9], ring_values)
+        monkeypatch.setattr(bench, "eigenvalue_spectrum", lambda model, method: ring_values)
         monkeypatch.setattr(bench.observe, "trace_time_series",
                             lambda *a, **k: pytest.fail("traced on another model's bounds"))
         cfg = bench.ExperimentConfig(mode="time_trace", model="chain", j_iso=1.0, omega_iso=1.0,

@@ -14,6 +14,7 @@ from spinbath.spectrum import (
     dense_matrix,
     diagonalize,
     diagonalize_sectors,
+    part_eigenvalues,
     thermo,
 )
 
@@ -354,6 +355,43 @@ class TestParitySectors:
         assert [s.eigenvalues.shape[0] for s in spec.sectors] == [16] * 4
         for plus, minus in (spec.sectors[:2], spec.sectors[2:]):
             assert plus.reps is minus.reps and np.array_equal(plus.partners, plus.reps ^ 63)
+
+
+class TestPartEigenvalues:
+    @pytest.mark.parametrize("name", sorted(parity_models()))
+    @pytest.mark.parametrize("part", ["S", "E", "FULL"])
+    def test_matches_sector_eigenvalues(self, name, part):
+        # the same blocks solved without vectors: the same spectrum to rounding
+        model = parity_models()[name]
+        values, pairs = part_eigenvalues(model, part), diagonalize_sectors(model, part)
+        assert values.eigenvectors is None and values.sectors is None
+        assert values.dim == pairs.dim
+        assert np.abs(values.eigenvalues - pairs.eigenvalues).max() <= 1e-13 * max(pairs.width, 1.0)
+        assert values.degeneracy_tolerance == pytest.approx(pairs.degeneracy_tolerance, rel=1e-12)
+
+    def test_fig8_ground_degeneracies(self, fig8_model):
+        assert part_eigenvalues(fig8_model, "S").ground_degeneracy == 5
+        assert part_eigenvalues(fig8_model, "E").ground_degeneracy == 9
+
+    def test_solves_values_only(self, monkeypatch):
+        # ring 2+4's four 16 x 16 blocks, each solved once for its eigenvalues
+        model = parity_models()["ring_even"]
+        solves = []
+        eigh = scipy.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            solves.append((a.shape, kwargs.get("eigvals_only")))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+        part_eigenvalues(model, "FULL")
+        assert solves == [((16, 16), True)] * 4
+
+    def test_keeps_dim_cap(self, monkeypatch):
+        model = parity_models()["ring_even"]
+        monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", model.dim - 1)
+        with pytest.raises(SizeLimitError):
+            part_eigenvalues(model, "FULL")
 
 
 class TestThermo:

@@ -258,3 +258,25 @@ class TestPredictionInputs:
         te = ThermoFunctions(np.zeros(8))
         inp = PredictionInputs(ts, te, 1.0)
         assert inp.dim == 32
+
+    def test_reads_eigenvalues_only(self, fig8_model, monkeypatch):
+        # every part block is solved without vectors, and the closed forms
+        # match those of the sector eigenpairs to rounding
+        import scipy.linalg
+
+        from spinbath.spectrum import diagonalize_sectors, thermo
+
+        solves = []
+        eigh = scipy.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            solves.append(kwargs.get("eigvals_only", False))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+        inp = prediction_inputs(fig8_model, 0.9)
+        assert solves and all(solves)
+        pairs = PredictionInputs(thermo(diagonalize_sectors(fig8_model, "S")),
+                                 thermo(diagonalize_sectors(fig8_model, "E")), 0.9)
+        for f in (sigma2_full, delta2_full):
+            assert f(inp) == pytest.approx(f(pairs), rel=1e-13)
