@@ -45,9 +45,7 @@ def main() -> int:
     Path(args.output + ".config").write_text(bench.render_config(config))
     table = bench.run(config)
     table.save(args.output + ".csv")
-    data, script = bench.plot_export(table)
-    Path(args.output + ".dat").write_text(data)
-    Path(args.output + ".gp").write_text(script.replace("DATA", args.output + ".dat"))
+    bench.write_plot(table, args.output)
     print(f"wrote {args.output}.csv / .dat / .gp ({len(table.rows)} rows)")
     return 1 if table.failed_points else 0
 

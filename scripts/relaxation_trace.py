@@ -12,7 +12,6 @@ Example:
 """
 
 import argparse
-from pathlib import Path
 
 from spinbath import bench
 
@@ -42,9 +41,7 @@ def main() -> int:
         table = bench.run(config)
         name = f"{args.output}_{initial}"
         table.save(name + ".csv")
-        data, script = bench.plot_export(table)
-        Path(name + ".dat").write_text(data)
-        Path(name + ".gp").write_text(script.replace("DATA", name + ".dat"))
+        bench.write_plot(table, name)
         print(f"wrote {name}.csv / .dat / .gp")
         status |= 1 if table.failed_points else 0
     return status

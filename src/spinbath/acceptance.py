@@ -17,15 +17,8 @@ import numpy as np
 
 from . import bench, observe, theory
 from .hamiltonian import ENVIRONMENT, SYSTEM, build_chain_model, build_ring_model
-from .propagate import (
-    canonical_thermal_state,
-    eigenvalue_spectrum,
-    moment_check,
-    normalization_diagnostic,
-    projection_spectrum,
-    random_state,
-    spectral_bounds,
-)
+from .propagate import (canonical_thermal_state, moment_check, normalization_diagnostic,
+                        projection_spectrum, random_state)
 from .seeds import spawn_rng
 from .spectrum import diagonalize, part_eigenvalues
 from .theory import first_order_symmetry_trace, infinite_temperature_scaling, low_temperature_limits
@@ -140,20 +133,24 @@ def criterion_1(ctx: Context) -> CriterionResult:
                            elapsed)
 
 
+def _closed_form_deviation(table: bench.ResultTable, column: str, closed_form):
+    """Worst deviation, in standard errors, of the fig8 table's mean column^2
+    from closed_form over BETA_GRID; also the per-beta stats, the fig8 model
+    and its prediction inputs."""
+    model = build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0)
+    stats = _mc_stats(table, column, square=True)
+    inputs = theory.prediction_inputs(model, 0.0)    # part spectra do not depend on beta
+    worst = max(abs(stats[beta][0] - closed_form(replace(inputs, beta=beta))) / stats[beta][1]
+                for beta in BETA_GRID)
+    return worst, stats, model, inputs
+
+
 def criterion_2(ctx: Context) -> CriterionResult:
     """Monte Carlo sigma^2 matches the full closed form on the chain model."""
     table = ctx.fig8_table           # built lazily; its build time is fig8_runtime
     t0 = time.perf_counter()
-    model = build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0)
-    stats = _mc_stats(table, "sigma", square=True)
-    inputs = theory.prediction_inputs(model, 0.0)    # part spectra do not depend on beta
-    worst = 0.0
-    for beta in BETA_GRID:
-        ref = theory.sigma2_full(replace(inputs, beta=beta))
-        mean, err, _ = stats[beta]
-        worst = max(worst, abs(mean - ref) / err)
-    coldest = max(BETA_GRID)
-    plateau = float(np.sqrt(stats[coldest][0]))
+    worst, stats, _, _ = _closed_form_deviation(table, "sigma", theory.sigma2_full)
+    plateau = float(np.sqrt(stats[max(BETA_GRID)][0]))
     elapsed = time.perf_counter() - t0 + ctx.fig8_runtime
     passed = worst < 3.0 and abs(plateau - 0.21) < 0.01 and elapsed < 600.0
     return CriterionResult(2, "sigma^2 closed-form reproduction (12 temperatures)", passed,
@@ -164,15 +161,7 @@ def criterion_2(ctx: Context) -> CriterionResult:
 def criterion_3(ctx: Context) -> CriterionResult:
     """Monte Carlo delta^2 matches the full closed form; degeneracy limit."""
     t0 = time.perf_counter()
-    table = ctx.fig8_table
-    model = build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.0)
-    stats = _mc_stats(table, "delta", square=True)
-    inputs = theory.prediction_inputs(model, 0.0)
-    worst = 0.0
-    for beta in BETA_GRID:
-        ref = theory.delta2_full(replace(inputs, beta=beta))
-        mean, err, _ = stats[beta]
-        worst = max(worst, abs(mean - ref) / err)
+    worst, _, model, inputs = _closed_form_deviation(ctx.fig8_table, "delta", theory.delta2_full)
     # converged evaluation of the closed form against the degeneracy limit
     g_s = part_eigenvalues(model, SYSTEM).ground_degeneracy
     g_e = part_eigenvalues(model, ENVIRONMENT).ground_degeneracy
@@ -284,19 +273,14 @@ def criterion_7(ctx: Context) -> CriterionResult:
     """Stationarity of canonical thermal states; b fit recovers beta."""
     t0 = time.perf_counter()
     beta = 0.9
-    model = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
-    hs = diagonalize(model, SYSTEM)
-    psi0 = random_state(model.dim, (MASTER_SEED, "c7", 0))[:, None]
-    # the start and the trace's bounds from H's eigenvalues alone
-    spectrum = eigenvalue_spectrum(model, "exact")
-    states, = canonical_thermal_state(model, psi0, [beta], spectrum)
-    rows = observe.trace_time_series(model, states[:, 0], 300.0, 0.5, hs, beta_ref=beta,
-                                     bounds=spectral_bounds(model, *spectrum))
-    sig = np.array([r[1] for r in rows])
-    max_dev = float(np.abs(sig - sig.mean()).max())
-    ratio = max_dev / sig.std(ddof=1)
+    config = bench.ExperimentConfig(
+        mode="time_trace", model="ring", j_system=-1.0, coupling_seed=23, env_seed=29,
+        n_sys_list=(4,), n_env_list=(8,), lambda_list=(1.0,), beta_list=(beta,),
+        initial_state="x", method="exact", t_max=300.0, dt=0.5)
+    sig = np.array([r[1] for r in bench.time_trace(config, (MASTER_SEED, "c7", 0))])
+    ratio = float(np.abs(sig - sig.mean()).max()) / sig.std(ddof=1)
     # fitted b over an uncoupled ensemble
-    model0 = build_ring_model(4, 8, -1.0, 23, 29, 0.0)
+    model0 = config.build_model(4, 8, 0.0)
     hs0 = diagonalize(model0, SYSTEM)
     block = np.column_stack([random_state(model0.dim, (MASTER_SEED, "c7b", r)) for r in range(100)])
     report, = observe.thermal_measures(model0, block, [beta],

@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import re
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -497,7 +498,8 @@ def _run_time_trace(config: ExperimentConfig) -> ResultTable:
     meta = {"mode": config.mode, "initial_state": config.initial_state,
             "beta": beta, "lam": lam, "t_burn": t_burn}
     try:
-        trace = _time_trace(config, n_sys, n_env, lam, beta)
+        trace = time_trace(config, realization_seed(config.master_seed,
+                                                    config.structure_key(n_sys, n_env), 0))
     except SpinBathError as exc:
         return ResultTable(columns, [("error", "", "", "", str(exc))], meta)
     rows = [(t, s, d, b, "") for (t, s, d, b) in trace]
@@ -510,11 +512,16 @@ def _run_time_trace(config: ExperimentConfig) -> ResultTable:
     return ResultTable(columns, rows, meta)
 
 
-def _time_trace(config: ExperimentConfig, n_sys: int, n_env: int, lam: float, beta: float):
-    """(t, sigma, delta, b) rows of one time_trace point."""
+def time_trace(config: ExperimentConfig, seed):
+    """(t, sigma, delta, b) rows of a time_trace config's one point.
+
+    The one driver of a time trace: the caller chooses the key its random
+    start is drawn from (a sweep's is realization 0 of its structure).
+    """
+    (n_sys,), (n_env,), (lam,), (beta,) = (config.n_sys_list, config.n_env_list,
+                                           config.lambda_list, config.beta_list)
     model = config.build_model(n_sys, n_env, lam)
     hs_spec = diagonalize(model, SYSTEM)
-    seed = realization_seed(config.master_seed, config.structure_key(n_sys, n_env), 0)
     state, bounds = _trace_start(config, model, hs_spec, beta, seed)
     return observe.trace_time_series(model, state, config.t_max, config.dt,
                                      hs_spec, beta_ref=beta, bounds=bounds)
@@ -733,3 +740,17 @@ def plot_export(table: ResultTable):
     script = ("set xlabel 'beta'\nset ylabel 'sigma'\nset logscale xy\n"
               "plot " + ", \\\n     ".join(plots) + "\n")
     return "\n\n\n".join(blocks) + "\n", script
+
+
+def write_plot(table: ResultTable, prefix: str):
+    """Write plot_export's data and script to <prefix>.dat and <prefix>.gp.
+
+    The script names its data file without a directory, so gnuplot runs
+    beside the two files.  Returns their paths; a refused table writes
+    nothing.
+    """
+    data, script = plot_export(table)
+    dat_path, gp_path = Path(prefix + ".dat"), Path(prefix + ".gp")
+    dat_path.write_text(data)
+    gp_path.write_text(script.replace("DATA", dat_path.name))
+    return dat_path, gp_path

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import ResultTable, parse_config, plot_export, run
+from .bench import ResultTable, parse_config, run, write_plot
 from .errors import SpinBathError
 
 
@@ -26,12 +26,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_plot(args) -> int:
     table = ResultTable.from_csv(Path(args.table).read_text())
-    data, script = plot_export(table)
-    prefix = args.output or str(Path(args.table).with_suffix(""))
-    dat_path = Path(prefix + ".dat")
-    gp_path = Path(prefix + ".gp")
-    dat_path.write_text(data)
-    gp_path.write_text(script.replace("DATA", dat_path.name))
+    dat_path, gp_path = write_plot(table, args.output or str(Path(args.table).with_suffix("")))
     print(f"wrote {dat_path} and {gp_path}")
     return 0
 

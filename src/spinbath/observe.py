@@ -29,7 +29,7 @@ from .errors import DimensionError, FitError
 from .hamiltonian import SYSTEM, SpinModel, energy_bounds
 from .propagate import (_checked, _exact_projections, _traced_frame, _transposed,
                         canonical_thermal_state, evolve_real_time, real_time_plan)
-from .spectrum import SpectrumSummary, diagonalize
+from .spectrum import SpectrumSummary, diagonalize, gibbs_weights
 
 LOG_FLOOR = 1e-300          # diagonal entries are clipped here before log
 ENERGY_TOL_FACTOR = 1e-9    # relative tolerance deciding E_i != E_j in the fit
@@ -136,12 +136,6 @@ def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float | np
                       stacklevel=2)
     ln = np.log(np.clip(diag, LOG_FLOOR, None))
     return _float_or_array(np.mean((ln[..., i] - ln[..., j]) / (e[j] - e[i]), axis=-1))
-
-
-def gibbs_weights(energies: np.ndarray, b) -> np.ndarray:
-    """Boltzmann weights at b, one row per entry of b when b is an array."""
-    w = np.exp(-np.multiply.outer(b, energies - energies.min()))
-    return w / w.sum(axis=-1, keepdims=True)
 
 
 def delta(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary, b) -> float | np.ndarray:

@@ -62,7 +62,8 @@ from .errors import ChebyshevOrderError, DimensionError, ModelError
 from .hamiltonian import (COUPLING, ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian,
                           energy_bounds)
 from .seeds import spawn_rng
-from .spectrum import SpectrumSummary, _full_basis, diagonalize_sectors, part_eigenvalues
+from .spectrum import (SpectrumSummary, _full_basis, diagonalize_sectors, gibbs_weights,
+                       part_eigenvalues)
 from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py expects)
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
@@ -707,9 +708,7 @@ def normalization_diagnostic(model: SpinModel, beta: float, n_realizations: int,
         raise ModelError("normalization diagnostic is defined for uncoupled models (lam = 0)")
     es = part_eigenvalues(model, SYSTEM).eigenvalues
     ee = part_eigenvalues(model, ENVIRONMENT).eigenvalues
-    ws = np.exp(-beta * (es - es.min()))
-    we = np.exp(-beta * (ee - ee.min()))
-    p = np.kron(we / we.sum(), ws / ws.sum())     # index n = s + dim_S * e
+    p = np.kron(gibbs_weights(ee, beta), gibbs_weights(es, beta))     # index n = s + dim_S * e
     d = 1.0 / model.dim
     diffs = np.empty(n_realizations)
     for r in range(n_realizations):

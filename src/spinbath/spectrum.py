@@ -285,6 +285,12 @@ def part_eigenvalues(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     return _summary(np.sort(np.concatenate([s.eigenvalues for s in sectors])))
 
 
+def gibbs_weights(energies: np.ndarray, b) -> np.ndarray:
+    """Boltzmann weights at b, one row per entry of b when b is an array."""
+    w = np.exp(-np.multiply.outer(b, energies - energies.min()))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 class ThermoFunctions:
     """ln Z, U and Var(E) as functions of the (total) inverse temperature x = n*beta.
 
@@ -310,16 +316,12 @@ class ThermoFunctions:
         """Z(n*beta) / Z(beta)^n, evaluated in the log domain."""
         return float(np.exp(self.log_z(n * beta) - n * self.log_z(beta)))
 
-    def _weights(self, x: float) -> np.ndarray:
-        w = np.exp(-x * self._shifted)
-        return w / np.sum(w)
-
     def u(self, x: float) -> float:
         """Mean energy at inverse temperature x."""
-        return float(np.sum(self.eigenvalues * self._weights(x)))
+        return float(np.sum(self.eigenvalues * gibbs_weights(self.eigenvalues, x)))
 
     def energy_variance(self, x: float) -> float:
-        w = self._weights(x)
+        w = gibbs_weights(self.eigenvalues, x)
         mean = np.sum(self.eigenvalues * w)
         return float(np.sum(w * (self.eigenvalues - mean) ** 2))
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -645,6 +646,29 @@ class TestPlotExport:
                                   {"mode": "time_trace"})
         data, _ = bench.plot_export(table)
         assert data.splitlines()[-1] == "0.5 0.25 0.125 2"
+
+    @pytest.mark.parametrize("overrides", [
+        dict(mode="theory_overlay", n_realizations=4, beta_list=(0.4, 1.2)),
+        dict(mode="time_trace", lambda_list=(1.0,), beta_list=(0.8,), t_max=2.0, dt=0.5),
+    ], ids=["theory_overlay", "time_trace"])
+    def test_cli_plot_writes_beside_the_prefix(self, overrides, tmp_path, capsys):
+        # `spinbath run` then `spinbath plot`: the script names its data file
+        # without a directory, so gnuplot runs beside the two files
+        from spinbath import cli
+
+        config = tmp_path / "sweep.cfg"
+        config.write_text(bench.render_config(make_config(**overrides)))
+        csv_path = tmp_path / "sweep.csv"
+        assert cli.main(["run", str(config), "-o", str(csv_path)]) == 0
+        data, script = bench.plot_export(bench.ResultTable.from_csv(csv_path.read_text()))
+        (tmp_path / "plots").mkdir()
+        for args, prefix in ((["-o", str(tmp_path / "plots" / "fig")], tmp_path / "plots" / "fig"),
+                             ([], tmp_path / "sweep")):
+            assert cli.main(["plot", str(csv_path), *args]) == 0
+            assert capsys.readouterr().out.endswith(f"wrote {prefix}.dat and {prefix}.gp\n")
+            assert Path(f"{prefix}.dat").read_text() == data
+            assert Path(f"{prefix}.gp").read_text() == script.replace("DATA", f"{prefix.name}.dat")
+        assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == ["fig.dat", "fig.gp"]
 
     @pytest.mark.parametrize("overrides", [
         dict(mode="symmetry_check"),

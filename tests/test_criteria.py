@@ -41,3 +41,52 @@ def test_check_rejects_unknown_criterion(number, capsys):
     # an out-of-range number runs nothing, which must not read as a pass
     assert cli.main(["check", "--criterion", str(number)]) == 2
     assert "--criterion must be between 1 and" in capsys.readouterr().err
+
+
+def test_criterion_5_counts_models_with_a_first_order_scale(monkeypatch):
+    # a relative trace is rounding over rounding where a model's scale is
+    # itself at rounding level (ring 4+4, 4+2 and 3+2 here), so the printed
+    # worst only says something through the models whose scale is not
+    from spinbath import theory
+
+    traces = []
+
+    def recorded(model, betas, **kwargs):
+        out = theory.first_order_symmetry_trace(model, betas, **kwargs)
+        if not kwargs:                    # not the broken-symmetry control
+            traces.extend(out)
+        return out
+
+    monkeypatch.setattr(acceptance, "first_order_symmetry_trace", recorded)
+    assert acceptance.criterion_5(acceptance.Context()).passed
+    assert len(traces) == 20
+    assert sum(tr.scale_a > 1e-12 for tr in traces) >= 15
+    assert all(rel < 1e-10 for tr in traces for rel in tr.relative)
+
+
+def test_criterion_7_trace_equals_the_calls_it_runs_through_bench(monkeypatch):
+    # the criterion's trace comes from bench.time_trace; the start and trace
+    # written out call by call give the same rows bit for bit
+    from spinbath import observe
+    from spinbath.hamiltonian import SYSTEM, build_ring_model
+    from spinbath.propagate import (canonical_thermal_state, eigenvalue_spectrum, random_state,
+                                    spectral_bounds)
+    from spinbath.spectrum import diagonalize
+
+    traced, time_trace = [], bench.time_trace
+
+    def recorded(config, seed):
+        traced.append(time_trace(config, seed))
+        return traced[-1]
+
+    monkeypatch.setattr(bench, "time_trace", recorded)
+    assert acceptance.criterion_7(acceptance.Context()).passed
+    beta = 0.9
+    model = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
+    hs = diagonalize(model, SYSTEM)
+    psi0 = random_state(model.dim, (acceptance.MASTER_SEED, "c7", 0))[:, None]
+    spectrum = eigenvalue_spectrum(model, "exact")
+    states, = canonical_thermal_state(model, psi0, [beta], spectrum)
+    oracle = observe.trace_time_series(model, states[:, 0], 300.0, 0.5, hs, beta_ref=beta,
+                                       bounds=spectral_bounds(model, *spectrum))
+    assert traced == [oracle]

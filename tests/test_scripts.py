@@ -15,8 +15,12 @@ ROOT = Path(__file__).resolve().parent.parent
      ["overlay.csv", "overlay.dat", "overlay.gp"]),
     ("relaxation_trace.py", ["--n-env", "4", "--t-max", "2", "-o", "relax"],
      [f"relax_{start}{ext}" for start in ("x", "ududy") for ext in (".csv", ".dat", ".gp")]),
+    ("chain_overlay.py", ["--n-env", "4", "--realizations", "4", "--n-temps", "3",
+                          "-o", "sub/overlay"],
+     ["sub/overlay.csv", "sub/overlay.dat", "sub/overlay.gp"]),
 ])
 def test_script_runs(script, args, outputs, tmp_path):
+    (tmp_path / "sub").mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
@@ -24,6 +28,10 @@ def test_script_runs(script, args, outputs, tmp_path):
     assert done.returncode == 0, done.stderr
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0, name
+    # a script names its data file without a directory, as `spinbath plot` does
+    for name in (Path(n) for n in outputs if n.endswith(".gp")):
+        script_text = (tmp_path / name).read_text()
+        assert f"'{name.stem}.dat'" in script_text and "/" not in script_text, name
 
 
 def _bench_record():
