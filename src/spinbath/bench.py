@@ -26,9 +26,9 @@ import numpy as np
 
 from . import observe, theory
 from .errors import ConfigError, ModelError, SpinBathError
-from .hamiltonian import (DEFAULT_SIZE_CAP, ENVIRONMENT, SYSTEM, SpinModel,
-                          build_chain_model, build_ring_model)
+from .hamiltonian import DEFAULT_SIZE_CAP, SYSTEM, SpinModel, build_chain_model, build_ring_model
 from .propagate import (
+    METHODS,
     alternating_product_state,
     canonical_thermal_state,
     eigenvalue_spectrum,
@@ -40,7 +40,7 @@ from .propagate import (
 )
 from .propagate import real_matmul  # noqa: F401  (a binding benchmark/tracer.py expects)
 from .seeds import realization_seed
-from .spectrum import diagonalize, diagonalize_sectors, thermo
+from .spectrum import diagonalize, thermo
 from .theory import first_order_symmetry_trace
 
 CSV_SCHEMA_VERSION = "spinbath-csv v1"
@@ -105,8 +105,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.method not in ("auto", "exact", "chebyshev"):
-            raise ConfigError(f"unknown method {self.method!r}")
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         for name in ("n_sys_list", "n_env_list", "lambda_list", "beta_list"):
             values = getattr(self, name)
             if not values:
@@ -516,36 +516,34 @@ def time_trace(config: ExperimentConfig, seed):
     """(t, sigma, delta, b) rows of a time_trace config's one point.
 
     The one driver of a time trace: the caller chooses the key its random
-    start is drawn from (a sweep's is realization 0 of its structure).
+    start is drawn from (a sweep's is realization 0 of its structure).  The
+    start is projected at beta by one canonical_thermal_state call on
+    ``start``: the model itself for the X state, H_E (x) 1_S (the model
+    without system and coupling bonds) for the product state, whose
+    environment it makes thermal.  An exact method solves start's factors'
+    eigenvalues alone (eigenvalue_spectrum), so the projection runs on
+    Chebyshev over their spectral_bounds, exact to rounding, and the trace
+    expands on bounds from the same eigenvalues: H's for the X state, H_E's
+    and H_S's plus the coupling for the product state.  A method that gives
+    no spectrum ("chebyshev", or "auto" past EXACT_AUTO_DIM) solves nothing,
+    and both run on Gershgorin bounds.
     """
     (n_sys,), (n_env,), (lam,), (beta,) = (config.n_sys_list, config.n_env_list,
                                            config.lambda_list, config.beta_list)
     model = config.build_model(n_sys, n_env, lam)
     hs_spec = diagonalize(model, SYSTEM)
-    state, bounds = _trace_start(config, model, hs_spec, beta, seed)
-    return observe.trace_time_series(model, state, config.t_max, config.dt,
-                                     hs_spec, beta_ref=beta, bounds=bounds)
-
-
-def _trace_start(config: ExperimentConfig, model: SpinModel, hs_spec, beta: float, seed):
-    """A time trace's initial state and the bounds its expansion runs on.
-
-    The X state is one column: an exact method solves its factors'
-    eigenvalues alone (eigenvalue_spectrum), projects the column on
-    Chebyshev over their spectral_bounds, exact to rounding, and hands the
-    trace the same bounds, so no eigenvector of H is solved.  A Chebyshev
-    method projects on Gershgorin bounds and returns None, which the trace
-    reads as Gershgorin's too.  The product state projects H_E's sector
-    eigenpairs and bounds the trace by H_E and H_S plus the coupling.
-    """
     if config.initial_state == "x":
-        spectrum = eigenvalue_spectrum(model, config.method)
-        psi0 = random_state(model.dim, seed)[:, None]
-        states, = canonical_thermal_state(model, psi0, [beta], spectrum)
-        return states[:, 0], spectral_bounds(model, *spectrum) if spectrum is not None else None
-    env_spec = diagonalize_sectors(model, ENVIRONMENT)
-    return (alternating_product_state(model, beta, seed, env_spec),
-            spectral_bounds(model, env_spec, hs_spec))
+        start, psi0 = model, random_state(model.dim, seed)
+    else:
+        start = replace(model, system_bonds=(), coupling_bonds=())
+        psi0 = alternating_product_state(model, seed)
+    spectrum = eigenvalue_spectrum(start, config.method)
+    states, = canonical_thermal_state(start, psi0[:, None], [beta], spectrum)
+    if spectrum is not None and start is not model:
+        spectrum = (spectrum[0], hs_spec)   # H_E's eigenvalues and H_S's, not the bondless one's
+    bounds = None if spectrum is None else spectral_bounds(model, *spectrum)
+    return observe.trace_time_series(model, states[:, 0], config.t_max, config.dt,
+                                     hs_spec, beta_ref=beta, bounds=bounds)
 
 
 def _run_symmetry(config: ExperimentConfig) -> ResultTable:

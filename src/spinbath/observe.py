@@ -32,7 +32,6 @@ from .propagate import (_checked, _exact_projections, _traced_frame, _transposed
 from .spectrum import SpectrumSummary, diagonalize, gibbs_weights
 
 LOG_FLOOR = 1e-300          # diagonal entries are clipped here before log
-ENERGY_TOL_FACTOR = 1e-9    # relative tolerance deciding E_i != E_j in the fit
 # output times per Chebyshev recurrence of a time trace: a 600-step ring 4+8
 # trace on spectral bounds (2 vCPUs, one BLAS thread, medians of 7 rounds)
 # took 1.18/0.94/0.79/0.86 s with 8/16/32/64 times per recurrence, once each
@@ -119,14 +118,15 @@ def sigma(rdm: ReducedDensityMatrix) -> float | np.ndarray:
 def fit_b(rdm: ReducedDensityMatrix, hs_spectrum: SpectrumSummary) -> float | np.ndarray:
     """Fitted inverse temperature: average log-ratio over distinct-energy pairs.
 
+    Two energies are distinct when they differ by more than the spectrum's
+    degeneracy_tolerance, the rule ground_degeneracy counts with.
     Diagonal entries are floored at 1e-300 before the logarithm, with one
     warning per call (per stack, not per matrix); with all system energies
     equal the fit is undefined.
     """
     e = hs_spectrum.eigenvalues
-    width = hs_spectrum.width
     i, j = np.triu_indices(len(e), 1)
-    distinct = np.abs(e[i] - e[j]) > ENERGY_TOL_FACTOR * (width if width > 0 else 1.0)
+    distinct = np.abs(e[i] - e[j]) > hs_spectrum.degeneracy_tolerance
     i, j = i[distinct], j[distinct]
     if len(i) == 0:
         raise FitError("all system energies are equal; b is undefined")

@@ -36,17 +36,20 @@ form of ``spectrum``.
   any beta, so a few columns, such as a time trace's start, are projected
   without any eigenvectors.
 
-``projection_spectrum`` maps a method ("auto", "exact", "chebyshev") to
-those factors or None, and ``eigenvalue_spectrum`` maps it to the same
-factors as eigenvalues only; "auto" is exact up to EXACT_AUTO_DIM.  Real time
-exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) runs the
-same recurrence, on Gershgorin bounds or, where spectra were solved anyway,
-on the tighter ``spectral_bounds`` they give.  Every ChebyshevPlan is a
-grid of points, one coefficient column each; a float t or beta is the
-one-point grid.  The recurrence fills one points-major (points,
-*state.shape) block, each row stopping at its point's own order, so a time
-grid t_1..t_m gives every exp(-i t_j H)|psi> from one recurrence, and the
-beta rows are normalized in place.
+``projection_spectrum`` maps a method (one of METHODS: "auto", "exact",
+"chebyshev") to those factors or None, and ``eigenvalue_spectrum`` maps it
+to the same factors as eigenvalues only; "auto" is exact while the largest
+matrix the exact path solves, model.dim for a coupled model's one factor
+and max(dim_E, dim_S) for an uncoupled pair, is at most EXACT_AUTO_DIM, so
+an uncoupled entirety above it whose parts are small is projected exactly.
+Real time exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984))
+runs the same recurrence, on Gershgorin bounds or, where spectra were
+solved anyway, on the tighter ``spectral_bounds`` they give.  Every
+ChebyshevPlan is a grid of points, one coefficient column each; a float t
+or beta is the one-point grid.  The recurrence fills one points-major
+(points, *state.shape) block, each row stopping at its point's own order,
+so a time grid t_1..t_m gives every exp(-i t_j H)|psi> from one
+recurrence, and the beta rows are normalized in place.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ from .spectrum import diagonalize  # noqa: F401  (a binding benchmark/tracer.py 
 
 DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
-EXACT_AUTO_DIM = 2**12         # "auto" projects exactly up to this dimension
+METHODS = ("auto", "exact", "chebyshev")
+EXACT_AUTO_DIM = 2**12         # "auto" projects exactly while no factor is larger
 SPECTRAL_PAD = 1e-8            # relative pad of spectral_bounds (eigh errs by about 1e-12)
 # amplitudes per column in _apply_plan's ring of recurrence vectors: 8
 # vectors at 2^12, from 2^14 on the recurrence pair alone, whose peak a
@@ -176,7 +180,7 @@ def spectral_bounds(model: SpinModel, *spectra: SpectrumSummary) -> tuple[float,
             raise ValueError(f"spectrum ({e_min:.6g}, {e_max:.6g}) lies outside the Gershgorin "
                              f"bounds ({g_min:.6g}, {g_max:.6g}) of part {part}: another model's")
         lo, hi = lo + e_min, hi + e_max
-    if parts != (FULL,) and model.lam != 0.0 and model.coupling_bonds:
+    if parts != (FULL,) and not _uncoupled(model):
         c_min, c_max = sorted(model.lam * b for b in energy_bounds(model, COUPLING))
         lo, hi = lo + c_min, hi + c_max
     pad = SPECTRAL_PAD * (hi - lo)
@@ -628,20 +632,25 @@ def _traced_frame(hs_spectrum: SpectrumSummary, system: SpectrumSummary) -> Spec
     return replace(hs_spectrum, eigenvectors=q.T @ hs_spectrum.eigenvectors)
 
 
+def _uncoupled(model: SpinModel) -> bool:
+    """Whether H = H_E (x) 1 + 1 (x) H_S: lam = 0 or no coupling bonds."""
+    return model.lam == 0.0 or not model.coupling_bonds
+
+
 def _factor_parts(model: SpinModel, method: str) -> tuple[str, ...] | None:
     """The parts whose spectra a method projects on, or None for Gershgorin Chebyshev.
 
-    "exact" gives (H_E, H_S) when the model is uncoupled (lam = 0 or no
-    coupling bonds), else (H,); "chebyshev" gives None, and "auto" is exact
-    up to EXACT_AUTO_DIM.
+    "exact" gives (H_E, H_S) when the model is uncoupled, else (H,);
+    "chebyshev" gives None, and "auto" is exact while the largest factor,
+    max(dim_E, dim_S) or model.dim, is at most EXACT_AUTO_DIM.
     """
-    if method not in ("auto", "exact", "chebyshev"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "chebyshev" or (method == "auto" and model.dim > EXACT_AUTO_DIM):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    uncoupled = _uncoupled(model)
+    largest = max(model.dim_env, model.dim_system) if uncoupled else model.dim
+    if method == "chebyshev" or (method == "auto" and largest > EXACT_AUTO_DIM):
         return None
-    if model.lam == 0.0 or not model.coupling_bonds:
-        return (ENVIRONMENT, SYSTEM)
-    return (FULL,)
+    return (ENVIRONMENT, SYSTEM) if uncoupled else (FULL,)
 
 
 def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:
@@ -673,27 +682,21 @@ def eigenvalue_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary,
     return None if parts is None else tuple(part_eigenvalues(model, p) for p in parts)
 
 
-def alternating_product_state(model: SpinModel, beta: float, seed,
-                              env_spectrum: SpectrumSummary) -> np.ndarray:
-    """Product initial state: system up-down-up-... , environment thermal.
+def alternating_product_state(model: SpinModel, seed) -> np.ndarray:
+    """Unprojected product start: a random environment state (x) the system's up-down-up-... state.
 
     The system factor is the basis state with site 1 up, site 2 down and so
-    on; the environment factor is a canonical thermal state of H_E alone at
-    inverse temperature beta (drawn per seed), projected on
-    ``env_spectrum``, H_E's diagonalize_sectors, which the caller keeps for
-    the trace's bounds.  This is the relaxation starting point used
-    alongside canonical thermal states of the entirety.
+    on; the environment factor is random_state(dim_E, seed).  Projecting it
+    at beta with H_E (x) 1_S, the model without system and coupling bonds,
+    makes the environment a canonical thermal state of H_E alone: the
+    relaxation starting point used alongside canonical thermal states of
+    the entirety.
     """
     if model.n_env < 1:
         raise ModelError("product state needs an environment")
-    sys_index = 0
-    for site in range(2, model.n_system + 1, 2):
-        sys_index |= 1 << (site - 1)
     sys_vec = np.zeros(model.dim_system, dtype=complex)
-    sys_vec[sys_index] = 1.0
-    env0 = random_state(model.dim_env, seed)[:, None]
-    env_vec, = _exact_projections((env_spectrum,), env0, [beta])
-    return np.kron(env_vec[:, 0], sys_vec)
+    sys_vec[sum(1 << (site - 1) for site in range(2, model.n_system + 1, 2))] = 1.0    # even sites down
+    return np.kron(random_state(model.dim_env, seed), sys_vec)
 
 
 def normalization_diagnostic(model: SpinModel, beta: float, n_realizations: int, seed) -> np.ndarray:
@@ -704,7 +707,7 @@ def normalization_diagnostic(model: SpinModel, beta: float, n_realizations: int,
     eigenbasis.  Exact zero (up to rounding) at beta = 0; the spread shrinks
     with growing D.
     """
-    if model.coupling_bonds and model.lam != 0.0:
+    if not _uncoupled(model):
         raise ModelError("normalization diagnostic is defined for uncoupled models (lam = 0)")
     es = part_eigenvalues(model, SYSTEM).eigenvalues
     ee = part_eigenvalues(model, ENVIRONMENT).eigenvalues

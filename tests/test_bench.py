@@ -431,6 +431,18 @@ class TestRun:
             assert abs(mean_row["theory_sigma"] - np.sqrt(ref)) < 1e-12
 
 
+    def test_auto_projects_an_uncoupled_entirety_on_its_parts(self):
+        # ring 4+10 (2^14) at lam = 0: "auto" solves H_E (1024) and H_S (16)
+        # exactly, as "exact" does; on Gershgorin Chebyshev the cancellation
+        # guard refused the whole grid from beta = 5 on
+        tables = [bench.run(make_config(method=method, coupling_seed=25, env_seed=17,
+                                        n_sys_list=(4,), n_env_list=(10,), lambda_list=(0.0,),
+                                        beta_list=(1.0, 5.0, 20.0), n_realizations=4))
+                  for method in ("auto", "exact")]
+        assert tables[0].failed_points == 0
+        assert tables[0].to_csv() == tables[1].to_csv()
+
+
 class TestOtherModes:
     def test_symmetry_check(self):
         cfg = make_config(mode="symmetry_check", beta_list=(0.4, 1.0))
@@ -483,17 +495,12 @@ class TestOtherModes:
         assert len(ts) == 11 and ts[0] == 0.0 and ts[-1] == 5.0
         assert any(r["t"] == "mean" for r in table.dicts())
 
-    @pytest.mark.parametrize("initial_state", ["x", "ududy"])
-    def test_time_trace_expands_on_the_spectra_it_solved(self, initial_state, monkeypatch):
-        # the x state's eigenvalues of H (solved once, no sector vectors), or
-        # the product state's H_E sectors (solved once) with H_S, bound the
-        # trace's expansion
+    @staticmethod
+    def solves_and_bounds(cfg, monkeypatch):
+        """The (solver, part) calls of a time_trace config and the bounds its trace receives."""
         from spinbath import propagate
-        from spinbath.propagate import spectral_bounds
-        from spinbath.spectrum import diagonalize, diagonalize_sectors, part_eigenvalues
+        from spinbath.spectrum import diagonalize_sectors, part_eigenvalues
 
-        cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
-                          beta_list=(0.8,), t_max=1.0, dt=0.5, initial_state=initial_state)
         solved, traced = [], []
 
         def counted(solve):
@@ -506,20 +513,62 @@ class TestOtherModes:
             traced.append(bounds)
             return []
 
-        monkeypatch.setattr(bench, "diagonalize_sectors", counted(diagonalize_sectors))
         monkeypatch.setattr(propagate, "diagonalize_sectors", counted(diagonalize_sectors))
         monkeypatch.setattr(propagate, "part_eigenvalues", counted(part_eigenvalues))
         monkeypatch.setattr(bench.observe, "trace_time_series", trace)
-        bench.run(cfg)
+        assert bench.run(cfg).failed_points == 0
+        return solved, traced
+
+    @pytest.mark.parametrize("initial_state", ["x", "ududy"])
+    def test_time_trace_expands_on_the_spectra_it_solved(self, initial_state, monkeypatch):
+        # the start's eigenvalues, solved once with no sector vectors: H's for
+        # the x state, H_E's and the bondless H_S's of H_E (x) 1_S for the
+        # product state; the same eigenvalues, with H_S's for the product
+        # state, bound the trace's expansion
+        from spinbath.propagate import spectral_bounds
+        from spinbath.spectrum import diagonalize, part_eigenvalues
+
+        cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
+                          beta_list=(0.8,), t_max=1.0, dt=0.5, initial_state=initial_state)
+        solved, traced = self.solves_and_bounds(cfg, monkeypatch)
         model = cfg.build_model(2, 6, 1.0)
         if initial_state == "x":
             assert solved == [("part_eigenvalues", "FULL")]
             expected = spectral_bounds(model, part_eigenvalues(model, "FULL"))
         else:
-            assert solved == [("diagonalize_sectors", "E")]
-            expected = spectral_bounds(model, diagonalize_sectors(model, "E"),
-                                       diagonalize(model, "S"))
+            assert solved == [("part_eigenvalues", "E"), ("part_eigenvalues", "S")]
+            expected = spectral_bounds(model, part_eigenvalues(model, "E"), diagonalize(model, "S"))
         assert traced == [expected]
+
+    @pytest.mark.parametrize("initial_state", ["x", "ududy"])
+    def test_chebyshev_time_trace_solves_nothing(self, initial_state, monkeypatch):
+        # either start is projected on Gershgorin bounds and the trace expands on them
+        cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,), beta_list=(0.8,),
+                          t_max=1.0, dt=0.5, initial_state=initial_state, method="chebyshev")
+        assert self.solves_and_bounds(cfg, monkeypatch) == ([], [None])
+
+    @pytest.mark.parametrize("n_sys, n_env", [(2, 6), (4, 8)])
+    @pytest.mark.parametrize("beta", [0.9, 5.0])
+    def test_product_start_matches_the_sector_projection(self, n_sys, n_env, beta, monkeypatch):
+        # the product start projected with H_E (x) 1_S on Chebyshev over its
+        # eigenvalues' bounds is, to rounding, H_E's sector projection of the
+        # environment draw (x) the up-down system state
+        from spinbath.propagate import _exact_projections
+        from spinbath.spectrum import diagonalize_sectors
+
+        cfg = make_config(mode="time_trace", n_sys_list=(n_sys,), n_env_list=(n_env,),
+                          lambda_list=(1.0,), beta_list=(beta,), t_max=1.0, dt=0.5,
+                          initial_state="ududy")
+        started = []
+        monkeypatch.setattr(bench.observe, "trace_time_series",
+                            lambda model, state, *args, **kwargs: started.append(state) or [])
+        bench.time_trace(cfg, 7)
+        model = cfg.build_model(n_sys, n_env, 1.0)
+        env0 = random_state(model.dim_env, 7)[:, None]
+        env, = _exact_projections((diagonalize_sectors(model, "E"),), env0, [beta])
+        up_down = np.zeros(model.dim_system, dtype=complex)
+        up_down[sum(1 << (site - 1) for site in range(2, n_sys + 1, 2))] = 1.0
+        assert np.abs(started[0] - np.kron(env[:, 0], up_down)).max() < 1e-13
 
     def test_time_trace_solves_no_eigenvectors_of_h(self, monkeypatch):
         # every eigenvector solve is one of H_S's sector blocks; H's blocks,

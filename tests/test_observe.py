@@ -16,7 +16,7 @@ from spinbath.observe import (
 )
 from spinbath.propagate import (canonical_thermal_state, evolve_real_time, projection_spectrum,
                                 random_state, real_time_plan)
-from spinbath.spectrum import SpectrumSummary, diagonalize, diagonalize_sectors
+from spinbath.spectrum import SpectrumSummary, diagonalize
 
 
 def thermal_state(model, beta, seed, method="auto"):
@@ -441,16 +441,19 @@ class TestTraceTimeSeries:
         # late-time mean differs from the same-beta canonical (X) value
         import warnings
 
-        from spinbath.propagate import alternating_product_state
+        from dataclasses import replace
+
+        from spinbath.propagate import alternating_product_state, eigenvalue_spectrum
 
         m = build_ring_model(4, 6, -1.0, 23, 29, 1.0)
         hs = diagonalize(m, "S")
-        env = diagonalize_sectors(m, "E")
+        start = replace(m, system_bonds=(), coupling_bonds=())     # H_E (x) 1_S
         beta = 0.9
+        ud0, = canonical_thermal_state(start, alternating_product_state(m, 7)[:, None], [beta],
+                                       eigenvalue_spectrum(start, "exact"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # early diagonals touch the log floor
-            ud_rows = trace_time_series(m, alternating_product_state(m, beta, 7, env),
-                                        200.0, 1.0, hs, beta_ref=beta)
+            ud_rows = trace_time_series(m, ud0[:, 0], 200.0, 1.0, hs, beta_ref=beta)
         t = np.array([r[0] for r in ud_rows])
         sig = np.array([r[1] for r in ud_rows])
         late = sig[t > 120].mean()

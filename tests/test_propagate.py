@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -510,8 +511,11 @@ class TestCanonicalThermalState:
         for m in (build_ring_model(2, 3, -1.0, 5, 6, 0.0), no_bonds):
             env, sys_ = projection_spectrum(m, "auto")
             assert (env.dim, sys_.dim) == (m.dim_env, m.dim_system)
-        # "auto" still decides on model.dim alone
-        assert projection_spectrum(build_ring_model(2, 11, -1.0, 5, 6, 0.0), "auto") is None
+        # "auto" decides on the largest factor the exact path solves: H for a
+        # coupled model, max(dim_E, dim_S) for an uncoupled one, so uncoupled
+        # ring 2+11 (2^13) is projected on its parts of 2048 and 4
+        env, sys_ = projection_spectrum(build_ring_model(2, 11, -1.0, 5, 6, 0.0), "auto")
+        assert (env.dim, sys_.dim) == (2**11, 2**2)
 
 
 class TestTracedEnvironment:
@@ -945,17 +949,20 @@ def test_scipy_special_loads_with_the_first_plan():
 class TestProductState:
     def test_alternating_pattern_and_norm(self):
         m = build_ring_model(4, 4, -1.0, 3, 5, 1.0)
-        state = alternating_product_state(m, 0.9, 5, diagonalize_sectors(m, "E"))
-        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
-        # tracing out the environment leaves the pure up-down-up-down state
-        rho = state.reshape(-1, 16)
-        pops = np.sum(np.abs(rho) ** 2, axis=0)
-        assert abs(pops[0b1010] - 1.0) < 1e-12
+        start = replace(m, system_bonds=(), coupling_bonds=())     # H_E (x) 1_S
+        unprojected = alternating_product_state(m, 5)
+        projected = project(start, unprojected, 0.9, eigenvalue_spectrum(start, "exact"))
+        for state in (unprojected, projected):
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+            # tracing out the environment leaves the pure up-down-up-down state
+            rho = state.reshape(-1, 16)
+            pops = np.sum(np.abs(rho) ** 2, axis=0)
+            assert abs(pops[0b1010] - 1.0) < 1e-12
 
     def test_needs_environment(self):
         m = SpinModel(2, 0, system_bonds=((1, 2, 1, 1, 1),))
         with pytest.raises(ModelError):
-            alternating_product_state(m, 1.0, 0, None)
+            alternating_product_state(m, 0)
 
 
 class TestNormalizationDiagnostic:
