@@ -383,20 +383,24 @@ def _aggregate_rows(prefix: tuple, samples: dict[str, np.ndarray], columns_after
 # mode runners
 
 def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_theory: bool):
-    """({lam: {beta: {measure: samples}} or lam's error text}, {beta: closed forms} or None).
+    """({lam: {beta: {measure: samples}} or lam's error text}, closed forms).
 
-    H_S is solved once.  Consecutive lambda values share a pass until their
-    sector eigenvectors reach _PASS_BYTES (a lambda without a spectrum is a
-    pass of its own); each realization is drawn once per pass and measured
-    at every lambda and beta of it (observe.thermal_measures), so lambda
-    points share random states by construction.  Blocks hold
+    The closed forms are {beta: (sigma, delta)}, None without theory, or
+    the text of their refusal (a part above the dense cap), which leaves
+    the samples standing.  H_S is solved once.  Consecutive lambda values
+    share a pass until their sector eigenvectors reach _PASS_BYTES; a
+    lambda without a spectrum ends its pass, sharing the draws of the
+    exact lambdas before it.  Each realization is drawn once per pass and
+    measured at every lambda and beta of it (observe.thermal_measures), so
+    lambda points share random states by construction.  Blocks hold
     _BLOCK_AMPLITUDES, a cache's worth, or _COUPLED_BLOCK_AMPLITUDES in a
     pass with a coupled exact point, for its sector GEMMs.  An exact pass
     pads a partial block to a multiple of 4 columns (at most a full block)
     with copies of its last realization and drops their rows: BLAS treats
     a block's last k mod 4 rows and columns apart, so each realization
-    keeps its bits whatever n_realizations is.  The closed forms read
-    the first uncoupled (H_E, H_S) pair a pass solved, else solve the parts.
+    keeps its bits whatever n_realizations is.  A lambda without a
+    spectrum projects only the k drawn columns.  The closed forms read the
+    first uncoupled (H_E, H_S) pair a pass solved, else solve the parts.
     """
     base = config.build_model(n_sys, n_env, config.lambda_list[0])
     hs_spec = diagonalize(base, SYSTEM)
@@ -426,7 +430,7 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
         spectra = [spectrum for _, _, spectrum in points]
         coupled = any(s is not None and len(s) == 1 for s in spectra)
         block_columns = max(1, (_COUPLED_BLOCK_AMPLITUDES if coupled else _BLOCK_AMPLITUDES) // base.dim)
-        exact = any(s is not None for s in spectra)     # a Chebyshev lambda is a pass of its own
+        exact = any(s is not None for s in spectra)     # only exact lambdas read the padding
         for start in range(0, n_real if points else 0, block_columns):
             k = min(block_columns, n_real - start)
             block = np.empty((base.dim, min(-(-k // 4) * 4, block_columns) if exact else k), dtype=complex)
@@ -437,7 +441,8 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
                 if isinstance(results[lam], str):
                     continue
                 try:
-                    for rep in observe.thermal_measures(model, block, config.beta_list, spectrum, hs_spec):
+                    states = block if spectrum is not None else block[:, :k]
+                    for rep in observe.thermal_measures(model, states, config.beta_list, spectrum, hs_spec):
                         for name, values in results[lam][rep.beta_ref].items():
                             values[start:start + k] = getattr(rep, name)[:k]
                 except SpinBathError as exc:
@@ -448,7 +453,10 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
     if not with_theory:
         return results, None
     if inputs0 is None:
-        inputs0 = theory.prediction_inputs(base, 0.0)     # part spectra do not depend on lam
+        try:
+            inputs0 = theory.prediction_inputs(base, 0.0)     # part spectra do not depend on lam
+        except SpinBathError as exc:
+            return results, str(exc)
     closed = {}
     for beta in config.beta_list:
         inp = replace(inputs0, beta=beta)
@@ -481,7 +489,8 @@ def _run_static(config: ExperimentConfig, with_theory: bool) -> ResultTable:
                     rows.extend(prefix + (r, *values) + extra for r, values in enumerate(samples))
                     agg = _aggregate_rows(prefix, measured, columns_after=len(extra))
                     if with_theory:
-                        agg[0] = agg[0][:-3] + closed[beta] + ("",)
+                        agg[0] = agg[0][:-3] + (("", "", closed) if isinstance(closed, str)
+                                                else closed[beta] + ("",))
                     rows.extend(agg)
     return ResultTable(columns, rows, {"mode": config.mode, "master_seed": config.master_seed})
 

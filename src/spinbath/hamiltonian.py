@@ -16,6 +16,11 @@ the low ``n_system`` bits so the partial trace over the environment is a
 contiguous reshape.  Bit value 0 means spin up.  Bond tables use 1-based site
 labels within their own part.
 
+Every reader takes a bond from one table (_terms): (bit_i, bit_j, zz,
+same, crossed), the bond's diagonal term and its two flip coefficients,
+with lam already folded into FULL's coupling bonds.  The CSR kernels,
+FULL's h and its apart bonds, the bounds and ``part_matrix`` all read it.
+
 Each of S, E and SE is held once, by its model, as one real
 ``scipy.sparse`` CSR matrix (the diagonal, then one flipped index per
 bond, exact zeros dropped).  FULL is never held as one matrix of all the
@@ -176,46 +181,51 @@ def build_chain_model(n_system, n_env, j_iso, omega_iso, delta_iso, lam) -> Spin
     return SpinModel(n_system, n_env, sys_bonds, env_bonds, cpl_bonds, lam)
 
 
+def _terms(bonds, shift, scale=1.0):
+    """The bond table: (bit_i, bit_j, zz, same, crossed) of each bond (i, j, cx, cy, cz).
+
+    Site i sits on bit i - 1 and site j on bit j - 1 + shift.  With s the
+    bond's scale (lam for FULL's coupling bonds, else 1), zz = -s cz / 4 is
+    the bond's diagonal term where its two spins are parallel (-zz where
+    they are not), and same = -s (cx - cy) / 4 and crossed = -s (cx + cy) / 4
+    are the coefficients of its flip of both spins from parallel and from
+    antiparallel spins.  Every kernel, bound and matrix reads this table.
+    """
+    return [(i - 1, j - 1 + shift, -scale * cz / 4.0, -scale * (cx - cy) / 4.0,
+             -scale * (cx + cy) / 4.0) for (i, j, cx, cy, cz) in bonds]
+
+
 def _local_terms(model: SpinModel, part: str):
-    """Bond terms as (bit_i, bit_j, cx, cy, cz, scale) plus the local spin count.
+    """The local spin count and bond table (_terms) of S, E or SE.
 
     Parts S and E are expressed on their own 2^{n_part} space (environment
     site j sits on local bit j-1); SE lives on the full 2^N space.  FULL is
-    composed (see _Composed) and has no terms of its own.
+    composed (see _Composed) and has no table of its own.
     """
-    ns = model.n_system
-    if part == SYSTEM:
-        terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds]
-        return model.n_system, terms
-    if part == ENVIRONMENT:
-        terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.env_bonds]
-        return model.n_env, terms
-    if part == COUPLING:
-        terms = [(i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.coupling_bonds]
-        return model.n_spins, terms
-    raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
+    parts = {SYSTEM: (model.n_system, model.system_bonds, 0),
+             ENVIRONMENT: (model.n_env, model.env_bonds, 0),
+             COUPLING: (model.n_spins, model.coupling_bonds, model.n_system)}
+    if part not in parts:
+        raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
+    n_bits, bonds, shift = parts[part]
+    return n_bits, _terms(bonds, shift)
 
 
 def _kept(terms):
-    """(bit_i, bit_j, parallel coeff, antiparallel coeff) of the bonds with a nonzero flip coefficient."""
-    kept = []
-    for (bi, bj, cx, cy, cz, scale) in terms:
-        same, crossed = -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0
-        if same != 0.0 or crossed != 0.0:
-            kept.append((bi, bj, same, crossed))
-    return kept
+    """The terms of the bonds with a nonzero flip coefficient."""
+    return [term for term in terms if term[3] != 0.0 or term[4] != 0.0]
 
 
 def _row_blocks(n_bits: int, terms):
     """(rows, diagonal, bonds) per block of _ROW_BLOCK consecutive rows of a part.
 
-    For each bond the off-diagonal (xx + yy) piece flips both bits; the
-    source-dependent coefficient is -(cx - cy)/4 for parallel spins and
-    -(cx + cy)/4 for antiparallel ones.  ``diagonal`` accumulates the zz
-    pieces of all bonds in ``terms`` order; ``bonds`` yields one (flipped
-    index, coefficient) pair of arrays per kept bond (a bond whose two flip
-    coefficients are not both zero), also in ``terms`` order.  Only the bits
-    the terms read are extracted, once per block, so the scratch does not grow with dim.
+    ``diagonal`` adds each bond's +zz where its two bits are parallel and
+    -zz where they are not, in ``terms`` order; ``bonds`` yields one
+    (flipped index, coefficient) pair of arrays per kept bond (a bond whose
+    two flip coefficients are not both zero), also in ``terms`` order: each
+    flips both bits with coefficient ``same`` from parallel spins and
+    ``crossed`` from antiparallel ones.  Only the bits the terms read are
+    extracted, once per block, so the scratch does not grow with dim.
     """
     kept = _kept(terms)
     read = {b for term in terms for b in term[:2]}
@@ -224,14 +234,14 @@ def _row_blocks(n_bits: int, terms):
         idx = np.arange(start, min(start + _ROW_BLOCK, dim), dtype=np.int32)
         bits = {b: ((idx >> b) & 1).astype(np.uint8) for b in read}
         diag = np.zeros(idx.shape[0])
-        for (bi, bj, cx, cy, cz, scale) in terms:
-            diag -= scale * cz * (0.5 - bits[bi]) * (0.5 - bits[bj])
+        for (bi, bj, zz, _, _) in terms:
+            diag += np.where(bits[bi] == bits[bj], zz, -zz)
         yield slice(start, start + idx.shape[0]), diag, _flips(idx, bits, kept)
 
 
 def _flips(idx, bits, kept):
     """(flipped index, coefficient) arrays of the kept bonds, one bond at a time."""
-    for (bi, bj, same, crossed) in kept:
+    for (bi, bj, _, same, crossed) in kept:
         yield idx ^ ((1 << bi) | (1 << bj)), np.where(bits[bi] == bits[bj], same, crossed)
 
 
@@ -335,13 +345,11 @@ class _Composed:
             raise SizeLimitError(f"h on {len(self.bits)} bits and its GEMM copies pass "
                                  f"the kernel budget, {_KERNEL_BYTES} B")
         local = {b: i for i, b in enumerate(self.bits)}
-        self.terms = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds] + [
-            (i - 1, ns + j - 1, cx, cy, cz, model.lam) for (i, j, cx, cy, cz) in model.coupling_bonds]
+        self.terms = _terms(model.system_bonds, 0) + _terms(model.coupling_bonds, ns, model.lam)
         self.h = _Applier(len(self.bits), [(bi, local[bj], *rest) for (bi, bj, *rest) in self.terms
                                            if bj in local]).matrix.toarray()
         self.h.flags.writeable = False
-        self.apart = [(bi, bj, -s * cz / 4.0, -s * (cx - cy) / 4.0, -s * (cx + cy) / 4.0)
-                      for (bi, bj, cx, cy, cz, s) in self.terms if bj not in local]
+        self.apart = [term for term in self.terms if term[1] not in local]
         self.env, self.dim, self.n_system, self.n_spins = env, model.dim, ns, model.n_spins
         self.span, size, n = 2**top if split else self.dim, 2**self.low, 1 + split
         # each block as kron(block, 1_2), a complex column's (real, imaginary) pairs

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spinbath.hamiltonian import SpinModel, _local_terms, build_ring_model
+from spinbath.hamiltonian import SpinModel, build_ring_model
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -23,19 +23,24 @@ def site_operator(n_bits: int, bit: int, op: np.ndarray) -> np.ndarray:
 
 
 def bond_terms(model, part):
-    """(n_bits, terms) of a part as _local_terms gives them; FULL's on the full space.
+    """(n_bits, terms) of a part, each term (bit_i, bit_j, cx, cy, cz, scale).
 
+    S and E are on their own spaces (site j on bit j - 1), SE and FULL on
+    the full space, with environment site j on bit n_system + j - 1.
     FULL's terms are the system, environment and lam-scaled coupling bonds,
-    in that order, with environment site j on bit n_system + j - 1.
+    in that order.
     """
-    if part != "FULL":
-        return _local_terms(model, part)
     ns = model.n_system
     system = [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.system_bonds]
+    coupling = [(i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.coupling_bonds]
+    if part == "S":
+        return ns, system
+    if part == "E":
+        return model.n_env, [(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.env_bonds]
+    if part == "SE":
+        return model.n_spins, coupling
     env = [(ns + i - 1, ns + j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in model.env_bonds]
-    coupling = [(i - 1, ns + j - 1, cx, cy, cz, model.lam)
-                for (i, j, cx, cy, cz) in model.coupling_bonds]
-    return model.n_spins, system + env + coupling
+    return model.n_spins, system + env + [(*t[:5], model.lam) for t in coupling]
 
 
 def dense_oracle(model, part) -> np.ndarray:

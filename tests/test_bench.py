@@ -443,6 +443,45 @@ class TestRun:
         assert tables[0].to_csv() == tables[1].to_csv()
 
 
+    def test_refused_closed_forms_leave_the_overlay_samples(self, monkeypatch):
+        from spinbath import spectrum
+
+        # chain 4+8 under a dense cap of 64: H_S (16) is solved for the
+        # measures, H_E (256) is refused for the closed forms, and the
+        # Chebyshev projection needs neither spectrum of H
+        monkeypatch.setattr(spectrum, "DEFAULT_DIM_CAP", 64)
+        cfg = make_config(mode="theory_overlay", model="chain", method="chebyshev",
+                          n_sys_list=(4,), n_env_list=(8,), lambda_list=(1.0,),
+                          beta_list=(0.3, 1.0), n_realizations=3)
+        table = bench.run(cfg)
+        plain = bench.run(replace(cfg, mode="static_measure"))
+        assert [r[:9] for r in table.rows] == [r[:9] for r in plain.rows]
+        assert all(r["theory_sigma"] == r["theory_delta"] == "" for r in table.dicts())
+        means = [r for r in table.dicts() if r["realization"] == "mean"]
+        assert len(means) == 2 and all("dense cap 64" in r["error"] for r in means)
+        assert table.failed_points == len(cfg.beta_list)
+
+    def test_chebyshev_lambda_projects_only_its_draws(self, monkeypatch):
+        # ring 4+9 under "auto": lam = 0 projects on its exact parts (512
+        # and 16) and pads 5 draws to 8 columns; lam = 1 (2^13, coupled)
+        # runs Chebyshev in the same pass on the 5 drawn columns alone
+        from spinbath import observe
+
+        widths = []
+
+        def recorded(model, psi0, *args):
+            widths.append((model.lam, psi0.shape[1]))
+            return measures(model, psi0, *args)
+
+        measures = observe.thermal_measures
+        monkeypatch.setattr(observe, "thermal_measures", recorded)
+        cfg = make_config(method="auto", coupling_seed=25, env_seed=17, n_sys_list=(4,),
+                          n_env_list=(9,), beta_list=(0.3, 1.0), n_realizations=5)
+        rows = bench.run(cfg).rows
+        assert widths == [(0.0, 8), (1.0, 5)]
+        assert [r for r in rows if r[2] == 1.0] == bench.run(replace(cfg, lambda_list=(1.0,))).rows
+
+
 class TestOtherModes:
     def test_symmetry_check(self):
         cfg = make_config(mode="symmetry_check", beta_list=(0.4, 1.0))

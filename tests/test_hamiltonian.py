@@ -20,7 +20,7 @@ from spinbath.hamiltonian import (
     build_ring_model,
     energy_bounds,
 )
-from spinbath.hamiltonian import _local_terms, part_matrix
+from spinbath.hamiltonian import _local_terms, _terms, part_matrix
 from spinbath.propagate import canonical_thermal_state, random_state
 from spinbath.spectrum import diagonalize, diagonalize_sectors
 
@@ -204,9 +204,8 @@ def block_built(model):
         yield replace(model)
 
 
-def per_bond_bounds(model, part):
-    """Gershgorin bounds accumulated from per-bond (diagonal, coefficient) arrays."""
-    n_bits, terms = bond_terms(model, part)
+def per_bond_rows(n_bits, terms):
+    """Each row's diagonal and Gershgorin radius, accumulated bond by bond."""
     idx = np.arange(2**n_bits)
     diag = np.zeros(idx.shape[0])
     radius = np.zeros(idx.shape[0])
@@ -217,11 +216,21 @@ def per_bond_bounds(model, part):
         coeff = np.where(ti == tj, -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0)
         if np.any(coeff != 0.0):
             radius += np.abs(coeff)
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    return diag, radius
+
+
+def padded(lo, hi):
+    """energy_bounds' (lo, hi): (0, 0) for no bonds, else padded past rounding."""
     if lo == hi == 0.0:
         return (0.0, 0.0)
     pad = 1e-11 * max(1.0, abs(lo), abs(hi))
     return (lo - pad, hi + pad)
+
+
+def per_bond_bounds(model, part):
+    """Gershgorin bounds accumulated from per-bond (diagonal, coefficient) arrays."""
+    diag, radius = per_bond_rows(*bond_terms(model, part))
+    return padded(float(np.min(diag - radius)), float(np.max(diag + radius)))
 
 
 class TestKernelModes:
@@ -387,6 +396,22 @@ def composed_models():
     }
 
 
+def wide_models():
+    """Models whose h is cut at 8 bits, so that bonds past it are applied apart."""
+    return {
+        "every_env_site": SpinModel(
+            4, 11, system_bonds=((1, 2, 1.0, 1.0, 1.0), (3, 4, 0.5, 0.2, -0.1)),
+            env_bonds=((1, 2, 0.3, 0.3, 0.3), (5, 11, -0.4, 0.1, 0.9)),
+            coupling_bonds=tuple((1 + j % 4, j, 0.3, 0.5 * j / 11, -0.2) for j in range(1, 12)),
+            lam=0.8),
+        "eleven_system": SpinModel(
+            11, 3, system_bonds=tuple((i, i + 1, 1.0, 0.7, 0.3 * i) for i in range(1, 11))
+            + ((1, 11, 0.2, -0.5, 0.9),),
+            env_bonds=((1, 2, 0.3, 0.3, 0.3), (2, 3, -0.4, 0.1, 0.9)),
+            coupling_bonds=((11, 1, 0.5, 0.4, -0.2), (3, 3, 0.1, 0.2, 0.3)), lam=0.8),
+    }
+
+
 class TestComposedFull:
     """FULL as H_E's CSR plus the dense h: its product, matrix and memory."""
 
@@ -408,10 +433,7 @@ class TestComposedFull:
         # kron(H_E, 1_S) plus a full-space CSR of the system and lam-scaled
         # coupling bonds, h's rows written out, entry for entry and bit for bit
         m = composed_models()[name]
-        ns = m.n_system
-        terms = ([(i - 1, j - 1, cx, cy, cz, 1.0) for (i, j, cx, cy, cz) in m.system_bonds]
-                 + [(i - 1, ns + j - 1, cx, cy, cz, m.lam)
-                    for (i, j, cx, cy, cz) in m.coupling_bonds])
+        terms = _terms(m.system_bonds, 0) + _terms(m.coupling_bonds, m.n_system, m.lam)
         narrow = hamiltonian._Applier(m.n_spins, terms).matrix
         eye = scipy.sparse.identity(m.dim_system, format="csr")
         ref = scipy.sparse.kron(part_matrix(m, "E"), eye, format="csr") + narrow
@@ -432,16 +454,7 @@ class TestComposedFull:
         # bonds are applied apart: on 4+11 coupled to all 11 environment
         # sites, the 7 bonds to the environment bits above it; on 11+3, the
         # 4 system bonds that reach past its 8 bits and both coupling bonds
-        m = {"every_env_site": SpinModel(
-                 4, 11, system_bonds=((1, 2, 1.0, 1.0, 1.0), (3, 4, 0.5, 0.2, -0.1)),
-                 env_bonds=((1, 2, 0.3, 0.3, 0.3), (5, 11, -0.4, 0.1, 0.9)),
-                 coupling_bonds=tuple((1 + j % 4, j, 0.3, 0.5 * j / 11, -0.2) for j in range(1, 12)),
-                 lam=0.8),
-             "eleven_system": SpinModel(
-                 11, 3, system_bonds=tuple((i, i + 1, 1.0, 0.7, 0.3 * i) for i in range(1, 11))
-                 + ((1, 11, 0.2, -0.5, 0.9),),
-                 env_bonds=((1, 2, 0.3, 0.3, 0.3), (2, 3, -0.4, 0.1, 0.9)),
-                 coupling_bonds=((11, 1, 0.5, 0.4, -0.2), (3, 3, 0.1, 0.2, 0.3)), lam=0.8)}[name]
+        m = wide_models()[name]
         full = hamiltonian._applier(m, "FULL")
         assert full.bits == list(range(bits)) and len(full.apart) == apart
         assert full.h.shape == (2**bits, 2**bits)
@@ -476,6 +489,86 @@ class TestComposedFull:
             tracemalloc.stop()
         assert 1.0 <= peak / psi.nbytes <= bound
         assert np.getbufsize() == buffer          # numpy's ufunc buffer size restored
+
+
+def parent_rule_csr(n_bits, terms):
+    """A part's CSR from (bit_i, bit_j, cx, cy, cz, scale) terms, by the rule the table replaced.
+
+    Each row holds the diagonal, -scale cz (1/2 - t_i)(1/2 - t_j) summed
+    over the terms in order, then one entry per bond with a nonzero flip
+    coefficient, -scale (cx -+ cy) / 4 from parallel or antiparallel spins,
+    exact zeros dropped.
+    """
+    idx = np.arange(2**n_bits)
+    diag = np.zeros(idx.size)
+    values, columns = [], [idx]
+    for (bi, bj, cx, cy, cz, scale) in terms:
+        ti, tj = ((idx >> bi) & 1).astype(np.uint8), ((idx >> bj) & 1).astype(np.uint8)
+        diag -= scale * cz * (0.5 - ti) * (0.5 - tj)
+        same, crossed = -scale * (cx - cy) / 4.0, -scale * (cx + cy) / 4.0
+        if same != 0.0 or crossed != 0.0:
+            values.append(np.where(ti == tj, same, crossed))
+            columns.append(idx ^ ((1 << bi) | (1 << bj)))
+    values, columns = np.stack([diag] + values, axis=1), np.stack(columns, axis=1)
+    stored = values != 0.0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(stored, axis=1))]).astype(np.int32)
+    return scipy.sparse.csr_array((values[stored], columns[stored].astype(np.int32), indptr),
+                                  shape=(idx.size, idx.size))
+
+
+class TestBondTable:
+    """Every part's H is bitwise what the (cx, cy, cz, scale) rule gives, bond for bond."""
+
+    @staticmethod
+    def narrow_terms(model):
+        _, system = bond_terms(model, "S")
+        _, coupling = bond_terms(model, "SE")
+        return system + [(*t[:5], model.lam) for t in coupling]
+
+    @staticmethod
+    def full_bounds(model, full, h, apart):
+        # energy_bounds(FULL) step by step: each environment row's ends from
+        # H_E's rows, plus the least and greatest ends over its system rows
+        # of h's rows (on the kernel's bits) and the apart bonds
+        diag_e, radius_e = per_bond_rows(*bond_terms(model, "E"))
+        off = np.abs(h)
+        np.fill_diagonal(off, 0.0)
+        rows = (np.arange(model.dim_env)[:, None] << model.n_system) | np.arange(model.dim_system)
+        index = sum(((rows >> b) & 1) << i for i, b in enumerate(full.bits))
+        low, high = (np.diag(h) - off.sum(axis=1))[index], (np.diag(h) + off.sum(axis=1))[index]
+        for (bi, bj, zz, same, crossed) in apart:
+            parallel = ((rows >> bi) & 1) == ((rows >> bj) & 1)
+            diag, flip = np.where(parallel, zz, -zz), np.abs(np.where(parallel, same, crossed))
+            low, high = low + (diag - flip), high + (diag + flip)
+        return padded(float(np.min(diag_e - radius_e + low.min(axis=1))),
+                      float(np.max(diag_e + radius_e + high.max(axis=1))))
+
+    @pytest.mark.parametrize("name", sorted(parity_models()) + sorted(composed_models())
+                             + sorted(wide_models()))
+    def test_parts_bitwise_parent_rule(self, name):
+        m = {**parity_models(), **composed_models(), **wide_models()}[name]
+        for part in ("S", "E", "SE"):
+            ours, ref = part_matrix(m, part), parent_rule_csr(*bond_terms(m, part))
+            for a in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(ours, a), getattr(ref, a)), (part, a)
+                assert getattr(ours, a).dtype == getattr(ref, a).dtype, (part, a)
+            assert energy_bounds(m, part) == per_bond_bounds(m, part), part
+        # FULL: h on the kernel's bits, the bonds apart from it (zz, same,
+        # crossed as -s cz / 4 and -s (cx -+ cy) / 4), its bounds and matrix
+        full, narrow = hamiltonian._applier(m, "FULL"), self.narrow_terms(m)
+        h = parent_rule_csr(len(full.bits), [(bi, full.bits.index(bj), *rest)
+                                             for (bi, bj, *rest) in narrow if bj in full.bits])
+        assert np.array_equal(full.h, h.toarray())
+        apart = [(bi, bj, -s * cz / 4.0, -s * (cx - cy) / 4.0, -s * (cx + cy) / 4.0)
+                 for (bi, bj, cx, cy, cz, s) in narrow if bj not in full.bits]
+        assert np.array(full.apart).tobytes() == np.array(apart).tobytes()
+        assert energy_bounds(m, "FULL") == self.full_bounds(m, full, h.toarray(), apart)
+        eye = scipy.sparse.identity(m.dim_system, format="csr")
+        ref = scipy.sparse.kron(parent_rule_csr(*bond_terms(m, "E")), eye, format="csr") \
+            + parent_rule_csr(m.n_spins, narrow)
+        ours = part_matrix(m, "FULL")
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ours, a), getattr(ref, a)), ("FULL", a)
 
 
 class TestSpinFlipSymmetry:
