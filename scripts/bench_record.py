@@ -14,11 +14,19 @@ can be read against each other:
 
 The calibration runs with one BLAS thread, as the benchmark's sweeps do.
 ``--root`` measures another checkout (its benchmark and its sources), so
-two trees can be recorded in one session.  ``--check`` validates recorded
-files against this repository's BENCHMARK.json without running anything.
+two trees can be recorded in one session.  ``--parent DIR`` records DIR
+and the ``--root`` tree interleaved, workload by workload: ``--pairs``
+pairs of runs, one run of each tree, the first tree alternating from pair
+to pair, so drift of the host's speed over the session falls on both
+alike.  It writes one pair of files, BENCH_<pr>.json for the tree and
+BENCH_<pr>.parent.json for DIR, sharing one calibration; each workload's
+medians are the medians of its runs' medians, and ``runs`` keeps every
+run's metrics in pair order.  ``--check`` validates recorded files against
+this repository's BENCHMARK.json without running anything.
 
     python scripts/bench_record.py --pr 16
     python scripts/bench_record.py --pr 15 --root ../parent -o BENCH_15.json
+    python scripts/bench_record.py --pr 36 --parent ../parent --pairs 5
     python scripts/bench_record.py --check BENCH_*.json
 """
 
@@ -26,6 +34,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -86,6 +95,29 @@ def run_workload(root: Path, workload: str) -> dict:
             "failed": result["failed"], "metrics": result["metrics"], "record": record}
 
 
+def run_interleaved(roots: tuple, workload: str, pairs: int) -> list:
+    """Each root's entry for one workload from ``pairs`` pairs of runs, the first root alternating.
+
+    An entry is run_workload's with each metric the median of the runs'
+    medians and ``runs`` the runs' metrics in pair order; it is correct
+    when every run is.
+    """
+    runs = ([], [])
+    for pair in range(pairs):
+        order = (0, 1) if pair % 2 == 0 else (1, 0)
+        for i in order:
+            runs[i].append(run_workload(roots[i], workload))
+    entries = []
+    for tree in runs:
+        metrics = {name: {"value": statistics.median(r["metrics"][name]["value"] for r in tree),
+                          "unit": unit["unit"]} for name, unit in tree[0]["metrics"].items()}
+        entries.append({"correct": all(r["correct"] for r in tree),
+                        "attempted": sum(r["attempted"] for r in tree),
+                        "failed": sum(r["failed"] for r in tree), "metrics": metrics,
+                        "record": tree[0]["record"], "runs": [r["metrics"] for r in tree]})
+    return entries
+
+
 def validate(doc: dict, declared: dict) -> list:
     """Problems of one recorded file against BENCHMARK.json; empty when it is complete."""
     problems = []
@@ -136,6 +168,10 @@ def main() -> int:
     parser.add_argument("--pr", type=int, help="number of the change being recorded")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout to measure (default: this repository)")
+    parser.add_argument("--parent", type=Path,
+                        help="checkout to record interleaved with --root, into a pair of files")
+    parser.add_argument("--pairs", type=int, default=1,
+                        help="pairs of runs per workload with --parent (default: 1)")
     parser.add_argument("-o", "--output", type=Path, help="default: BENCH_<pr>.json here")
     parser.add_argument("--check", nargs="+", metavar="FILE",
                         help="validate recorded files instead of recording")
@@ -144,20 +180,34 @@ def main() -> int:
         return check(args.check)
     if args.pr is None:
         parser.error("--pr is required to record")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     root = args.root.resolve()
     declared = json.loads((root / "BENCHMARK.json").read_text())
-    workloads = {w["name"]: run_workload(root, w["name"])
-                 for w in declared["workloads"]}
-    doc = {"pr": args.pr, "seed": DEFAULT_SEED,
-           "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-           "calibration": calibrate(root / "src"), "workloads": workloads}
+    names = [w["name"] for w in declared["workloads"]]
     output = args.output or ROOT / f"BENCH_{args.pr}.json"
-    output.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {output}")
-    problems = validate(doc, declared)
-    for p in problems:
-        print(f"incomplete: {p}", file=sys.stderr)
-    return 1 if problems or not all(w["correct"] for w in workloads.values()) else 0
+    if args.parent is None:
+        recorded = {output: {w: run_workload(root, w) for w in names}}
+    else:
+        entries = {w: run_interleaved((root, args.parent.resolve()), w, args.pairs) for w in names}
+        parent_output = output.with_name(output.stem + ".parent" + output.suffix)
+        recorded = {output: {w: e[0] for w, e in entries.items()},
+                    parent_output: {w: e[1] for w, e in entries.items()}}
+    calibration = calibrate(root / "src")
+    status = 0
+    for path, workloads in recorded.items():
+        doc = {"pr": args.pr, "seed": DEFAULT_SEED,
+               "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+               "calibration": calibration, "workloads": workloads}
+        if args.parent is not None:
+            doc["pairs"] = args.pairs
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {path}")
+        problems = validate(doc, declared)
+        for p in problems:
+            print(f"{path}: incomplete: {p}", file=sys.stderr)
+        status |= 1 if problems or not all(w["correct"] for w in workloads.values()) else 0
+    return status
 
 
 if __name__ == "__main__":

@@ -22,13 +22,12 @@ from .propagate import (
     ChebyshevPlan,
     alternating_product_state,
     canonical_thermal_state,
-    eigenvalue_spectrum,
     evolve_real_time,
+    lanczos_bounds,
     moment_check,
     normalization_diagnostic,
     projection_spectrum,
     random_state,
-    spectral_bounds,
 )
 from .spectrum import SpectrumSummary, ThermoFunctions, diagonalize, part_eigenvalues, thermo
 from .theory import (

@@ -25,18 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import observe, theory
-from .errors import ConfigError, ModelError, SpinBathError
+from .errors import ChebyshevOrderError, ConfigError, ModelError, SpinBathError
 from .hamiltonian import DEFAULT_SIZE_CAP, SYSTEM, SpinModel, build_chain_model, build_ring_model
 from .propagate import (
     METHODS,
     alternating_product_state,
     canonical_thermal_state,
-    eigenvalue_spectrum,
+    lanczos_bounds,
     moment_check,
     normalization_diagnostic,
     projection_spectrum,
     random_state,
-    spectral_bounds,
 )
 from .propagate import real_matmul  # noqa: F401  (a binding benchmark/tracer.py expects)
 from .seeds import realization_seed
@@ -383,7 +382,7 @@ def _aggregate_rows(prefix: tuple, samples: dict[str, np.ndarray], columns_after
 # mode runners
 
 def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_theory: bool):
-    """({lam: {beta: {measure: samples}} or lam's error text}, closed forms).
+    """({lam: {beta: {measure: samples} or beta's error text} or lam's error text}, closed forms).
 
     The closed forms are {beta: (sigma, delta)}, None without theory, or
     the text of their refusal (a part above the dense cap), which leaves
@@ -392,9 +391,11 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
     lambda without a spectrum ends its pass, sharing the draws of the
     exact lambdas before it.  Each realization is drawn once per pass and
     measured at every lambda and beta of it (observe.thermal_measures), so
-    lambda points share random states by construction.  Blocks hold
-    _BLOCK_AMPLITUDES, a cache's worth, or _COUPLED_BLOCK_AMPLITUDES in a
-    pass with a coupled exact point, for its sector GEMMs.  An exact pass
+    lambda points share random states by construction.  A beta that the
+    Chebyshev guard refuses in any block is that beta's error alone.
+    Blocks hold _BLOCK_AMPLITUDES, a cache's worth, or
+    _COUPLED_BLOCK_AMPLITUDES in a pass with a coupled exact point, for its
+    sector GEMMs.  An exact pass
     pads a partial block to a multiple of 4 columns (at most a full block)
     with copies of its last realization and drops their rows: BLAS treats
     a block's last k mod 4 rows and columns apart, so each realization
@@ -442,9 +443,16 @@ def _static_structure(config: ExperimentConfig, n_sys: int, n_env: int, with_the
                     continue
                 try:
                     states = block if spectrum is not None else block[:, :k]
-                    for rep in observe.thermal_measures(model, states, config.beta_list, spectrum, hs_spec):
-                        for name, values in results[lam][rep.beta_ref].items():
-                            values[start:start + k] = getattr(rep, name)[:k]
+                    reports = observe.thermal_measures(model, states, config.beta_list, spectrum, hs_spec)
+                    for beta in config.beta_list:
+                        try:
+                            rep = next(reports)
+                        except ChebyshevOrderError as exc:
+                            results[lam][beta] = str(exc)
+                            continue
+                        if not isinstance(results[lam][beta], str):
+                            for name, values in results[lam][beta].items():
+                                values[start:start + k] = getattr(rep, name)[:k]
                 except SpinBathError as exc:
                     results[lam] = str(exc)
 
@@ -481,10 +489,10 @@ def _run_static(config: ExperimentConfig, with_theory: bool) -> ResultTable:
             for lam in config.lambda_list:
                 for beta in config.beta_list:
                     prefix = (ns, ne, lam, beta)
-                    if isinstance(results[lam], str):
-                        rows.append(prefix + ("error",) + ("",) * (len(columns) - 6) + (results[lam],))
+                    measured = results[lam] if isinstance(results[lam], str) else results[lam][beta]
+                    if isinstance(measured, str):
+                        rows.append(prefix + ("error",) + ("",) * (len(columns) - 6) + (measured,))
                         continue
-                    measured = results[lam][beta]
                     samples = zip(*(values.tolist() for values in measured.values()))
                     rows.extend(prefix + (r, *values) + extra for r, values in enumerate(samples))
                     agg = _aggregate_rows(prefix, measured, columns_after=len(extra))
@@ -529,13 +537,12 @@ def time_trace(config: ExperimentConfig, seed):
     start is projected at beta by one canonical_thermal_state call on
     ``start``: the model itself for the X state, H_E (x) 1_S (the model
     without system and coupling bonds) for the product state, whose
-    environment it makes thermal.  An exact method solves start's factors'
-    eigenvalues alone (eigenvalue_spectrum), so the projection runs on
-    Chebyshev over their spectral_bounds, exact to rounding, and the trace
-    expands on bounds from the same eigenvalues: H's for the X state, H_E's
-    and H_S's plus the coupling for the product state.  A method that gives
-    no spectrum ("chebyshev", or "auto" past EXACT_AUTO_DIM) solves nothing,
-    and both run on Gershgorin bounds.
+    environment it makes thermal.  Both the projection and the trace run on
+    Chebyshev over lanczos_bounds, which solve no eigenvalue problem:
+    start's for the projection, the model's for the trace, one call for the
+    X state.  Where the method gives no spectrum ("chebyshev", or "auto"
+    past EXACT_AUTO_DIM) those bounds are None and the expansion runs on
+    Gershgorin bounds.  Only H_S is diagonalized, for the measures.
     """
     (n_sys,), (n_env,), (lam,), (beta,) = (config.n_sys_list, config.n_env_list,
                                            config.lambda_list, config.beta_list)
@@ -546,11 +553,9 @@ def time_trace(config: ExperimentConfig, seed):
     else:
         start = replace(model, system_bonds=(), coupling_bonds=())
         psi0 = alternating_product_state(model, seed)
-    spectrum = eigenvalue_spectrum(start, config.method)
-    states, = canonical_thermal_state(start, psi0[:, None], [beta], spectrum)
-    if spectrum is not None and start is not model:
-        spectrum = (spectrum[0], hs_spec)   # H_E's eigenvalues and H_S's, not the bondless one's
-    bounds = None if spectrum is None else spectral_bounds(model, *spectrum)
+    start_bounds = lanczos_bounds(start, config.method)
+    states, = canonical_thermal_state(start, psi0[:, None], [beta], bounds=start_bounds)
+    bounds = start_bounds if start is model else lanczos_bounds(model, config.method)
     return observe.trace_time_series(model, states[:, 0], config.t_max, config.dt,
                                      hs_spec, beta_ref=beta, bounds=bounds)
 

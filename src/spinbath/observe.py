@@ -161,12 +161,14 @@ def thermal_measures(model: SpinModel, psi0: np.ndarray, betas,
                      spectrum: tuple[SpectrumSummary, ...] | None, hs_spectrum: SpectrumSummary):
     """Measure the canonical thermal states of a (dim, k) block at every beta in ``betas``.
 
-    Yields one MeasureReport of (k,) arrays per beta, with beta_ref = beta.
-    ``spectrum`` is canonical_thermal_state's and ``hs_spectrum`` is
-    diagonalize(model, SYSTEM).  An uncoupled (H_E, H_S) spectrum's blocks
-    stay in the product eigenbasis, with no back transform, and are measured
-    in hs_spectrum re-expressed there; any other spectrum, eigenvalue-only
-    ones included, or None gives canonical_thermal_state's blocks.  Each
+    Returns an iterator of one MeasureReport of (k,) arrays per beta, with
+    beta_ref = beta.  ``spectrum`` is canonical_thermal_state's and
+    ``hs_spectrum`` is diagonalize(model, SYSTEM).  An uncoupled (H_E, H_S)
+    spectrum's blocks stay in the product eigenbasis, with no back
+    transform, and are measured in hs_spectrum re-expressed there; any
+    other spectrum, or None, gives canonical_thermal_state's blocks, and a
+    beta that its Chebyshev backend refuses raises ChebyshevOrderError when
+    the iterator reaches it, the next beta's report still to come.  Each
     block is dropped before the next one is made.
     """
     if spectrum is not None and len(spectrum) == 2 and all(f.sectors for f in spectrum):
@@ -176,14 +178,10 @@ def thermal_measures(model: SpinModel, psi0: np.ndarray, betas,
     else:
         betas = list(betas)
         blocks = canonical_thermal_state(model, psi0, betas, spectrum)
-    # next() and del, not zip, whose reused result tuple would keep the
-    # last beta's block alive while the next one is made
-    blocks = iter(blocks)
-    for beta in betas:
-        states = next(blocks)
-        report = measure_state(states, model.n_system, hs_spectrum, beta_ref=beta)
-        del states
-        yield report
+    # map, not zip, whose reused result tuple would keep the last beta's
+    # block alive while the next one is made
+    return map(lambda beta, states: measure_state(states, model.n_system, hs_spectrum, beta_ref=beta),
+               betas, blocks)
 
 
 def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float, dt: float,
@@ -204,9 +202,8 @@ def trace_time_series(model: SpinModel, initial_state: np.ndarray, t_max: float,
     _TRACE_CHUNK, fewer when m * dim would pass _TRACE_AMPLITUDES, and the
     last chunk may be shorter; each grid length is planned once.
 
-    ``bounds`` must contain H's spectrum; a caller that solved spectra to
-    prepare the initial state passes propagate.spectral_bounds of them, and
-    None expands on the Gershgorin bounds energy_bounds(model).  A chunk's
+    ``bounds`` must contain H's spectrum, as propagate.lanczos_bounds does,
+    and None expands on the Gershgorin bounds energy_bounds(model).  A chunk's
     order grows with m * dt times the width, so on ring 4+8 (width 10.5
     against Gershgorin's 22.9) a 32-step chunk of dt = 0.5 takes 133
     matvecs, 4.2 per sample, instead of 245.

@@ -28,23 +28,26 @@ form of ``spectrum``.
   beta's expansion summed from it (the shared-vector scheme of Dobrovitski
   & De Raedt, PRE 67, 056702 (2003)), so the cost is the largest order,
   not the sum.  The recurrence vectors fill a ring, and each beta's row
-  gains a full ring's terms in place by one GEMV.  Without a spectrum the
-  expansion runs on Gershgorin bounds; given eigenvalue-only factors
-  (spectrum.part_eigenvalues) it runs on their ``spectral_bounds``, which
-  lie within SPECTRAL_PAD of the width of H's exact extremes.  Its error,
-  about 1e-16 exp(beta (E_0 - e_min) / 2), is then at rounding level for
-  any beta, so a few columns, such as a time trace's start, are projected
-  without any eigenvectors.
+  gains a full ring's terms in place by one GEMV.  The expansion runs on
+  Gershgorin bounds or on ``bounds`` the caller passes, such as
+  ``lanczos_bounds``, which lie within about SPECTRAL_PAD of the width of
+  H's exact extremes.  Its error, about 1e-16 exp(beta (E_0 - e_min) / 2),
+  is then at rounding level for any beta, so a few columns, such as a time
+  trace's start, are projected without any eigenvectors.  A beta whose
+  columns cancel below the guard is refused alone: its block raises
+  ChebyshevOrderError when reached, and the other betas' blocks stand.
 
 ``projection_spectrum`` maps a method (one of METHODS: "auto", "exact",
-"chebyshev") to those factors or None, and ``eigenvalue_spectrum`` maps it
-to the same factors as eigenvalues only; "auto" is exact while the largest
+"chebyshev") to those factors or None; "auto" is exact while the largest
 matrix the exact path solves, model.dim for a coupled model's one factor
 and max(dim_E, dim_S) for an uncoupled pair, is at most EXACT_AUTO_DIM, so
 an uncoupled entirety above it whose parts are small is projected exactly.
+``lanczos_bounds`` follows the same rule: where the method is exact it
+encloses H's spectrum by two Lanczos runs of a few hundred matvecs, with
+no dense solve and no dimension cap.
 Real time exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984))
-runs the same recurrence, on Gershgorin bounds or, where spectra were
-solved anyway, on the tighter ``spectral_bounds`` they give.  Every
+runs the same recurrence, on Gershgorin bounds or on the tighter
+``lanczos_bounds``.  Every
 ChebyshevPlan is a grid of points, one coefficient column each; a float t
 or beta is the one-point grid.  The recurrence fills one points-major
 (points, *state.shape) block, each row stopping at its point's own order,
@@ -62,8 +65,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv, zgemv
 
 from .errors import ChebyshevOrderError, DimensionError, ModelError
-from .hamiltonian import (COUPLING, ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian,
-                          energy_bounds)
+from .hamiltonian import ENVIRONMENT, FULL, SYSTEM, SpinModel, apply_hamiltonian, energy_bounds
 from .seeds import spawn_rng
 from .spectrum import (SpectrumSummary, _full_basis, diagonalize_sectors, gibbs_weights,
                        part_eigenvalues)
@@ -73,7 +75,9 @@ DEFAULT_TOLERANCE = 1e-15      # relative truncation threshold for coefficients
 DEFAULT_MAX_ORDER = 200_000
 METHODS = ("auto", "exact", "chebyshev")
 EXACT_AUTO_DIM = 2**12         # "auto" projects exactly while no factor is larger
-SPECTRAL_PAD = 1e-8            # relative pad of spectral_bounds (eigh errs by about 1e-12)
+SPECTRAL_PAD = 1e-8            # relative pad of lanczos_bounds, past their residuals
+LANCZOS_TOL = 1e-12            # eigsh's relative tolerance on the extreme Ritz values
+_LANCZOS_KEY = ("lanczos-bounds",)  # random_state key of the Lanczos start: no realization's
 # amplitudes per column in _apply_plan's ring of recurrence vectors: 8
 # vectors at 2^12, from 2^14 on the recurrence pair alone, whose peak a
 # deeper ring would pass; also the slice of its in-place a * v subtraction
@@ -146,45 +150,6 @@ def _pad_bounds(bounds):
         # map is defined, the expansion then reduces to the exact scalar
         e_min, e_max = e_min - 0.5, e_max + 0.5
     return e_min, e_max
-
-
-def spectral_bounds(model: SpinModel, *spectra: SpectrumSummary) -> tuple[float, float]:
-    """Bounds on H's spectrum from spectra already solved, for expansions that hold them.
-
-    ``spectra`` is the full H's (one factor of dimension model.dim) or the
-    (H_E, H_S) pair, as projection_spectrum and eigenvalue_spectrum give
-    them; only their extreme eigenvalues are read.  The extremes add (Weyl:
-    the lowest eigenvalue of a sum is at least the sum of the lowest ones),
-    and a coupled model given only its parts adds lam times the Gershgorin
-    bounds of H_SE.  The result is padded by SPECTRAL_PAD of its width, far
-    past eigh's rounding and too little to move an expansion's order, and
-    clipped to the Gershgorin bounds energy_bounds(model), which contain
-    the spectrum as well.
-    Extremes outside their own part's Gershgorin bounds belong to another
-    model and raise ValueError.
-    """
-    dims = tuple(s.dim for s in spectra)
-    if dims == (model.dim,):
-        parts = (FULL,)
-    elif dims == (model.dim_env, model.dim_system):
-        parts = (ENVIRONMENT, SYSTEM)
-    else:
-        raise ValueError(f"spectra of dimensions {dims} are neither H's ({model.dim},) "
-                         f"nor the (H_E, H_S) pair ({model.dim_env}, {model.dim_system})")
-    full = energy_bounds(model)
-    lo = hi = 0.0
-    for part, s in zip(parts, spectra):
-        e_min, e_max = float(s.eigenvalues[0]), float(s.eigenvalues[-1])
-        g_min, g_max = full if part == FULL else energy_bounds(model, part)
-        if e_min < g_min or e_max > g_max:
-            raise ValueError(f"spectrum ({e_min:.6g}, {e_max:.6g}) lies outside the Gershgorin "
-                             f"bounds ({g_min:.6g}, {g_max:.6g}) of part {part}: another model's")
-        lo, hi = lo + e_min, hi + e_max
-    if parts != (FULL,) and not _uncoupled(model):
-        c_min, c_max = sorted(model.lam * b for b in energy_bounds(model, COUPLING))
-        lo, hi = lo + c_min, hi + c_max
-    pad = SPECTRAL_PAD * (hi - lo)
-    return max(lo - pad, full[0]), min(hi + pad, full[1])
 
 
 def _truncate(coeffs: np.ndarray):
@@ -541,7 +506,11 @@ def _exact_projections(factors, psi0: np.ndarray, betas, in_eigenbasis: bool = F
 
 
 def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas, bounds) -> list:
-    """Chebyshev backend: one shared recurrence on ``bounds`` for the whole block and every beta > 0."""
+    """Chebyshev backend: one shared recurrence on ``bounds`` for the whole block and every beta > 0.
+
+    Returns one entry per beta: its normalized block, or a
+    ChebyshevOrderError where a column's survival fell below the guard.
+    """
     positive = [beta for beta in betas if beta > 0.0]
     if not positive:
         return [psi0 for _ in betas]
@@ -552,44 +521,48 @@ def _chebyshev_projections(model: SpinModel, psi0: np.ndarray, betas, bounds) ->
     # The scaled series sums to exp(-z(x - x_min)) profiles with terms of
     # order one; once the surviving amplitude falls near machine epsilon the
     # single-shot projection has cancelled away all precision.
-    if not all(np.all(raw_norm > 1e-12 * psi0_norm) for raw_norm in raw_norms):
-        raise ChebyshevOrderError(
-            "beta * spectral width too large for a single double-precision "
-            "Chebyshev projection; use the exact backend or compose shorter "
-            "imaginary-time projections"
-        )
-    for raw, raw_norm in zip(raws, raw_norms):
-        raw /= raw_norm
-    projected = iter(raws)
+    projected = []
+    for beta, raw, raw_norm in zip(positive, raws, raw_norms):
+        if np.all(raw_norm > 1e-12 * psi0_norm):
+            raw /= raw_norm
+            projected.append(raw)
+        else:
+            projected.append(ChebyshevOrderError(
+                f"beta = {beta:g} times the spectral width is too large for a single "
+                "double-precision Chebyshev projection; use the exact backend or compose "
+                "shorter imaginary-time projections"))
+    projected = iter(projected)
     return [next(projected) if beta > 0.0 else psi0 for beta in betas]
 
 
+def _unrefused(block):
+    """A projected block; a ChebyshevOrderError left in its place is raised."""
+    if isinstance(block, ChebyshevOrderError):
+        raise block
+    return block
+
+
 def _checked(model: SpinModel, psi0, betas, spectrum) -> tuple[np.ndarray, list[float]]:
-    """psi0 as a (dim, k) array and betas as finite floats >= 0; a spectrum a backend takes."""
+    """psi0 as a (dim, k) array and betas as finite floats >= 0; a spectrum the exact backend takes."""
     psi0 = np.asarray(psi0)
     if psi0.ndim != 2 or psi0.shape[0] != model.dim:
         raise DimensionError(f"psi0 must be a ({model.dim}, k) block, got shape {psi0.shape}")
     betas = [float(beta) for beta in betas]
     if not all(np.isfinite(beta) and beta >= 0.0 for beta in betas):
         raise ValueError("betas must be finite and >= 0")
-    if spectrum is not None and not _eigenvalues_only(spectrum) and (
+    if spectrum is not None and (
             not all(f.sectors for f in spectrum) or math.prod(f.dim for f in spectrum) != model.dim):
         raise ValueError("the exact backend needs parity-sector factor spectra (projection_spectrum "
-                         "or diagonalize_sectors) whose dimensions multiply to the model dimension; "
-                         "Chebyshev takes eigenvalue-only ones (eigenvalue_spectrum)")
+                         "or diagonalize_sectors) whose dimensions multiply to the model dimension")
     return psi0, betas
 
 
-def _eigenvalues_only(spectrum: tuple[SpectrumSummary, ...]) -> bool:
-    """Whether every factor holds eigenvalues alone (part_eigenvalues), neither form of vectors."""
-    return all(f.sectors is None and f.eigenvectors is None for f in spectrum)
-
-
 def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
-                            spectrum: tuple[SpectrumSummary, ...] | None = None):
+                            spectrum: tuple[SpectrumSummary, ...] | None = None, *,
+                            bounds: tuple[float, float] | None = None):
     """Project a (dim, k) block of initial states to every inverse temperature in ``betas``.
 
-    Returns an iterable of one (dim, k) block per beta, in order, holding
+    Returns an iterator of one (dim, k) block per beta, in order, holding
     the normalized columns exp(-beta H / 2)|psi_0>; beta = 0 returns
     ``psi0`` itself.
 
@@ -598,23 +571,27 @@ def canonical_thermal_state(model: SpinModel, psi0: np.ndarray, betas,
     - a tuple of parity-sector factor spectra (diagonalize_sectors),
       highest bits first, whose dimensions multiply to model.dim (see
       projection_spectrum): the block is projected exactly and lazily; the
-      iterable keeps no block it has yielded, so a caller that drops each
+      iterator keeps no block it has yielded, so a caller that drops each
       block before taking the next holds one beta's block at a time;
-    - a tuple of eigenvalue-only spectra (part_eigenvalues, as
-      eigenvalue_spectrum gives them): a single Chebyshev recurrence on
-      their spectral_bounds serves every beta, exact to rounding because
-      the bounds hug H's extremes; a spectrum of another model or of the
-      wrong dimensions raises ValueError there;
-    - None: the same recurrence on Gershgorin bounds, which never solves
-      anything.
+      ``bounds`` must then be None;
+    - None: a single Chebyshev recurrence serves every beta, on ``bounds``,
+      which must contain H's spectrum (lanczos_bounds hugs its extremes,
+      so the projection is exact to rounding at any beta), or on the
+      Gershgorin bounds energy_bounds(model).  The recurrence runs in this
+      call.  A beta whose columns cancel below the guard raises
+      ChebyshevOrderError when the iterator reaches it, and the iterator
+      then goes on to the next beta.
 
-    Full-basis spectra (diagonalize) are refused with ValueError.
+    Any other spectrum, full-basis (diagonalize) or eigenvalue-only
+    (part_eigenvalues), is refused with ValueError.
     """
     psi0, betas = _checked(model, psi0, betas, spectrum)
     if spectrum is None:
-        return _chebyshev_projections(model, psi0, betas, energy_bounds(model))
-    if _eigenvalues_only(spectrum):
-        return _chebyshev_projections(model, psi0, betas, spectral_bounds(model, *spectrum))
+        blocks = _chebyshev_projections(model, psi0, betas,
+                                        energy_bounds(model) if bounds is None else bounds)
+        return map(_unrefused, blocks)
+    if bounds is not None:
+        raise ValueError("the exact backend takes no bounds")
     return _exact_projections(spectrum, psi0, betas)
 
 
@@ -668,18 +645,42 @@ def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary,
     return None if parts is None else tuple(diagonalize_sectors(model, p) for p in parts)
 
 
-def eigenvalue_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary, ...] | None:
-    """The same factors as projection_spectrum, as eigenvalues only (part_eigenvalues).
+def lanczos_bounds(model: SpinModel, method: str) -> tuple[float, float] | None:
+    """Bounds on H's spectrum from two Lanczos runs, or None where a method projects on Gershgorin.
 
-    canonical_thermal_state projects on Chebyshev over their
-    spectral_bounds, which matches the exact backend to rounding and, for
-    a few columns at one beta such as a time trace's start, costs less
-    than the sector eigenvectors; the same bounds then serve the trace's
-    real-time expansion.  A Chebyshev method gives None, as in
-    projection_spectrum.
+    None where _factor_parts gives None, as projection_spectrum does, so
+    the caller falls back to energy_bounds(model).  Otherwise scipy's eigsh
+    (ARPACK's implicitly restarted Lanczos) finds the lowest and the
+    highest Ritz pair (theta, v) of H, k = 1 and tol LANCZOS_TOL, through
+    apply_hamiltonian; no matrix is built, so there is no dense cap.  The
+    lowest Ritz value lies above H's lowest eigenvalue and, converged to
+    it, within its residual norm ||H v - theta v|| of it (the highest
+    likewise), so each end is widened by its residual norm, then by
+    SPECTRAL_PAD of the width, and clipped to energy_bounds(model), which
+    contains the spectrum too.  The
+    start vector is the real part of random_state(model.dim, _LANCZOS_KEY):
+    ARPACK's own start changes from call to call, and this one depends on
+    the model alone and draws from no realization's stream.  A few hundred
+    matvecs in all on ring 4+8 (Kaniel-Paige: the extremes converge first).
     """
-    parts = _factor_parts(model, method)
-    return None if parts is None else tuple(part_eigenvalues(model, p) for p in parts)
+    if _factor_parts(model, method) is None:
+        return None
+    full = energy_bounds(model)
+    if full[0] == full[1]:
+        return full     # no bonds: H is a multiple of the identity
+    from scipy.sparse.linalg import LinearOperator, eigsh    # here, not at import: only traces need it
+
+    h = LinearOperator((model.dim, model.dim), dtype=float,
+                       matvec=lambda v: apply_hamiltonian(model, FULL, v))
+    v0 = random_state(model.dim, _LANCZOS_KEY).real
+    ends = []
+    for which, sign in (("SA", -1.0), ("LA", 1.0)):
+        (theta,), v = eigsh(h, k=1, which=which, tol=LANCZOS_TOL, v0=v0)
+        residual = np.linalg.norm(apply_hamiltonian(model, FULL, v[:, 0]) - theta * v[:, 0])
+        ends.append(float(theta) + sign * float(residual))
+    lo, hi = ends
+    pad = SPECTRAL_PAD * (hi - lo)
+    return max(lo - pad, full[0]), min(hi + pad, full[1])
 
 
 def alternating_product_state(model: SpinModel, seed) -> np.ndarray:

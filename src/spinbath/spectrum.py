@@ -278,8 +278,7 @@ def part_eigenvalues(model: SpinModel, part: str = FULL) -> SpectrumSummary:
     only, which costs about half an eigenpair solve and holds no vectors;
     the dense cap still applies.  The summary has neither ``eigenvectors``
     nor ``sectors``: it serves the closed forms, degeneracy counts and
-    Boltzmann weights, and canonical_thermal_state reads it as the bounds
-    of a Chebyshev projection (propagate.spectral_bounds).
+    Boltzmann weights.
     """
     sectors = _parity_sectors(_part_matrix(model, part), eigvals_only=True)
     return _summary(np.sort(np.concatenate([s.eigenvalues for s in sectors])))

@@ -536,11 +536,11 @@ class TestOtherModes:
 
     @staticmethod
     def solves_and_bounds(cfg, monkeypatch):
-        """The (solver, part) calls of a time_trace config and the bounds its trace receives."""
+        """The (solver, part) calls of a time_trace config and the bounds its start and trace receive."""
         from spinbath import propagate
         from spinbath.spectrum import diagonalize_sectors, part_eigenvalues
 
-        solved, traced = [], []
+        solved, projected, traced = [], [], []
 
         def counted(solve):
             def wrapper(model, part):
@@ -548,49 +548,50 @@ class TestOtherModes:
                 return solve(model, part)
             return wrapper
 
+        def start(model, psi0, betas, spectrum=None, *, bounds=None):
+            projected.append(bounds)
+            return project(model, psi0, betas, spectrum, bounds=bounds)
+
         def trace(*args, bounds, **kwargs):
             traced.append(bounds)
             return []
 
+        project = bench.canonical_thermal_state
         monkeypatch.setattr(propagate, "diagonalize_sectors", counted(diagonalize_sectors))
         monkeypatch.setattr(propagate, "part_eigenvalues", counted(part_eigenvalues))
+        monkeypatch.setattr(bench, "canonical_thermal_state", start)
         monkeypatch.setattr(bench.observe, "trace_time_series", trace)
         assert bench.run(cfg).failed_points == 0
-        return solved, traced
+        return solved, projected + traced
 
     @pytest.mark.parametrize("initial_state", ["x", "ududy"])
     def test_time_trace_expands_on_the_spectra_it_solved(self, initial_state, monkeypatch):
-        # the start's eigenvalues, solved once with no sector vectors: H's for
-        # the x state, H_E's and the bondless H_S's of H_E (x) 1_S for the
-        # product state; the same eigenvalues, with H_S's for the product
-        # state, bound the trace's expansion
-        from spinbath.propagate import spectral_bounds
-        from spinbath.spectrum import diagonalize, part_eigenvalues
+        # no eigenvalue problem is solved: the start is projected on the
+        # Lanczos bounds of its H (the model's for the x state, H_E (x) 1_S's
+        # for the product state) and the trace expands on the model's, the
+        # same floats at any master seed
+        from spinbath.propagate import lanczos_bounds
 
         cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
                           beta_list=(0.8,), t_max=1.0, dt=0.5, initial_state=initial_state)
-        solved, traced = self.solves_and_bounds(cfg, monkeypatch)
         model = cfg.build_model(2, 6, 1.0)
-        if initial_state == "x":
-            assert solved == [("part_eigenvalues", "FULL")]
-            expected = spectral_bounds(model, part_eigenvalues(model, "FULL"))
-        else:
-            assert solved == [("part_eigenvalues", "E"), ("part_eigenvalues", "S")]
-            expected = spectral_bounds(model, part_eigenvalues(model, "E"), diagonalize(model, "S"))
-        assert traced == [expected]
+        start = model if initial_state == "x" else replace(model, system_bonds=(), coupling_bonds=())
+        expected = ([], [lanczos_bounds(start, "exact"), lanczos_bounds(model, "exact")])
+        assert self.solves_and_bounds(cfg, monkeypatch) == expected
+        assert self.solves_and_bounds(replace(cfg, master_seed=7), monkeypatch) == expected
 
     @pytest.mark.parametrize("initial_state", ["x", "ududy"])
     def test_chebyshev_time_trace_solves_nothing(self, initial_state, monkeypatch):
         # either start is projected on Gershgorin bounds and the trace expands on them
         cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,), beta_list=(0.8,),
                           t_max=1.0, dt=0.5, initial_state=initial_state, method="chebyshev")
-        assert self.solves_and_bounds(cfg, monkeypatch) == ([], [None])
+        assert self.solves_and_bounds(cfg, monkeypatch) == ([], [None, None])
 
     @pytest.mark.parametrize("n_sys, n_env", [(2, 6), (4, 8)])
     @pytest.mark.parametrize("beta", [0.9, 5.0])
     def test_product_start_matches_the_sector_projection(self, n_sys, n_env, beta, monkeypatch):
         # the product start projected with H_E (x) 1_S on Chebyshev over its
-        # eigenvalues' bounds is, to rounding, H_E's sector projection of the
+        # Lanczos bounds is, to rounding, H_E's sector projection of the
         # environment draw (x) the up-down system state
         from spinbath.propagate import _exact_projections
         from spinbath.spectrum import diagonalize_sectors
@@ -610,8 +611,8 @@ class TestOtherModes:
         assert np.abs(started[0] - np.kron(env[:, 0], up_down)).max() < 1e-13
 
     def test_time_trace_solves_no_eigenvectors_of_h(self, monkeypatch):
-        # every eigenvector solve is one of H_S's sector blocks; H's blocks,
-        # a quarter of the entirety each, are solved for eigenvalues alone
+        # every solve is one of H_S's sector blocks, for its eigenvectors;
+        # H's spectrum is bounded by Lanczos, with no dense solve at all
         import scipy.linalg
 
         cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
@@ -627,8 +628,8 @@ class TestOtherModes:
         monkeypatch.setattr(scipy.linalg, "eigh", recorded)
         table = bench.run(cfg)
         assert table.failed_points == 0
-        assert [n for n, values_only in solves if values_only] == [model.dim // 4] * 4
-        assert sum(n for n, values_only in solves if not values_only) == model.dim_system
+        assert not any(values_only for _, values_only in solves)
+        assert sum(n for n, _ in solves) == model.dim_system
 
     def test_default_t_burn_leaves_aggregate_rows(self):
         # the default burn-in is at most half the trace, so a default trace has late samples
@@ -667,12 +668,11 @@ class TestOtherModes:
             bench.run(make_config(n_realizations=2, n_draws=2, **overrides))
 
     @pytest.mark.parametrize("overrides,message", [
-        (dict(n_sys_list=(4,), n_env_list=(12,), method="exact"), "exceeds dense cap"),
         (dict(coupling_seed=5, env_seed=6, n_env_list=(3,), beta_list=(500.0,),
               method="chebyshev"), "single double-precision Chebyshev projection"),
-    ], ids=["exact_over_dense_cap", "chebyshev_cancellation"])
+    ], ids=["chebyshev_cancellation"])
     def test_time_trace_failure_recorded_in_row(self, overrides, message, tmp_path, capsys):
-        # a SizeLimitError / ChebyshevOrderError becomes one error row
+        # a ChebyshevOrderError becomes one error row
         from spinbath import cli
 
         cfg = make_config(**{**dict(mode="time_trace", lambda_list=(1.0,), beta_list=(0.8,),
@@ -687,6 +687,31 @@ class TestOtherModes:
         assert cli.main(["run", str(path), "-o", str(out)]) == 1
         assert bench.ResultTable.from_csv(out.read_text()).failed_points == 1
         assert "1 sweep point(s) failed" in capsys.readouterr().err
+
+    def test_exact_time_trace_above_the_dense_cap(self):
+        # H of ring 4+12 (2^16) is past the dense cap, but its Lanczos
+        # bounds solve nothing dense, so the exact X trace has no error row
+        cfg = make_config(mode="time_trace", n_sys_list=(4,), n_env_list=(12,), lambda_list=(1.0,),
+                          beta_list=(0.8,), t_max=1.0, dt=0.5, method="exact")
+        table = bench.run(cfg)
+        assert table.failed_points == 0
+        samples = [r for r in table.dicts() if isinstance(r["t"], float)]
+        assert [r["t"] for r in samples] == [0.0, 0.5, 1.0]
+        assert all(np.isfinite(r["sigma"]) and 0.0 < r["sigma"] <= 1.0 for r in samples)
+
+    def test_one_refused_beta_errs_alone(self):
+        # the Chebyshev guard refuses beta = 5 and 20 on ring 4+10 at lam = 1;
+        # beta = 1 keeps the rows it has alone, bit for bit, and only the
+        # refused betas carry an error
+        cfg = make_config(mode="static_measure", model="ring", j_system=-1.0, coupling_seed=25,
+                          env_seed=17, n_sys_list=(4,), n_env_list=(10,), lambda_list=(1.0,),
+                          beta_list=(1.0, 5.0, 20.0), n_realizations=2, method="chebyshev")
+        table = bench.run(cfg)
+        errors = {r["beta"]: r["error"] for r in table.dicts() if r["error"]}
+        assert sorted(errors) == [5.0, 20.0] and table.failed_points == len(errors)
+        assert all("Chebyshev projection" in e for e in errors.values())
+        alone = bench.run(replace(cfg, beta_list=(1.0,)))
+        assert [r for r in table.rows if r[3] == 1.0] == alone.rows and alone.failed_points == 0
 
 
 class TestAnalysis:

@@ -69,8 +69,7 @@ def test_criterion_7_trace_equals_the_calls_it_runs_through_bench(monkeypatch):
     # written out call by call give the same rows bit for bit
     from spinbath import observe
     from spinbath.hamiltonian import SYSTEM, build_ring_model
-    from spinbath.propagate import (canonical_thermal_state, eigenvalue_spectrum, random_state,
-                                    spectral_bounds)
+    from spinbath.propagate import canonical_thermal_state, lanczos_bounds, random_state
     from spinbath.spectrum import diagonalize
 
     traced, time_trace = [], bench.time_trace
@@ -85,8 +84,8 @@ def test_criterion_7_trace_equals_the_calls_it_runs_through_bench(monkeypatch):
     model = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
     hs = diagonalize(model, SYSTEM)
     psi0 = random_state(model.dim, (acceptance.MASTER_SEED, "c7", 0))[:, None]
-    spectrum = eigenvalue_spectrum(model, "exact")
-    states, = canonical_thermal_state(model, psi0, [beta], spectrum)
+    bounds = lanczos_bounds(model, "exact")
+    states, = canonical_thermal_state(model, psi0, [beta], bounds=bounds)
     oracle = observe.trace_time_series(model, states[:, 0], 300.0, 0.5, hs, beta_ref=beta,
-                                       bounds=spectral_bounds(model, *spectrum))
+                                       bounds=bounds)
     assert traced == [oracle]

@@ -405,10 +405,9 @@ class TestTraceTimeSeries:
 
         m = build_ring_model(4, 6, -1.0, 23, 29, 1.0)
         hs = diagonalize(m, "S")
-        spectrum = projection_spectrum(m, "exact")
         psi0 = random_state(m.dim, 41)[:, None]
-        states, = canonical_thermal_state(m, psi0, [0.9], spectrum)
-        bounds = propagate.spectral_bounds(m, *spectrum)
+        states, = canonical_thermal_state(m, psi0, [0.9], projection_spectrum(m, "exact"))
+        bounds = propagate.lanczos_bounds(m, "exact")
         calls = []
         apply = propagate.apply_hamiltonian
 
@@ -443,14 +442,14 @@ class TestTraceTimeSeries:
 
         from dataclasses import replace
 
-        from spinbath.propagate import alternating_product_state, eigenvalue_spectrum
+        from spinbath.propagate import alternating_product_state, lanczos_bounds
 
         m = build_ring_model(4, 6, -1.0, 23, 29, 1.0)
         hs = diagonalize(m, "S")
         start = replace(m, system_bonds=(), coupling_bonds=())     # H_E (x) 1_S
         beta = 0.9
         ud0, = canonical_thermal_state(start, alternating_product_state(m, 7)[:, None], [beta],
-                                       eigenvalue_spectrum(start, "exact"))
+                                       bounds=lanczos_bounds(start, "exact"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # early diagonals touch the log floor
             ud_rows = trace_time_series(m, ud0[:, 0], 200.0, 1.0, hs, beta_ref=beta)

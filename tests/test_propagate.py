@@ -17,9 +17,9 @@ from spinbath.propagate import (
     ChebyshevPlan,
     alternating_product_state,
     canonical_thermal_state,
-    eigenvalue_spectrum,
     evolve_real_time,
     imaginary_time_plan,
+    lanczos_bounds,
     moment_check,
     normalization_diagnostic,
     projection_spectrum,
@@ -461,8 +461,10 @@ class TestCanonicalThermalState:
         with pytest.raises(ValueError):
             projection_spectrum(m, "dense")
         psi0 = random_block(m, (1,))
-        # full-basis factors, eigenvalue-only factors of the wrong dimensions,
-        # and a mix of eigenvalue-only and sector factors are refused
+        with pytest.raises(ValueError, match="no bounds"):
+            canonical_thermal_state(m, psi0, [1.0], projection_spectrum(m, "exact"), bounds=(-9.0, 9.0))
+        # full-basis factors, eigenvalue-only factors, and a mix of
+        # eigenvalue-only and sector factors are refused
         for factors in ((diagonalize(m, "S"),), (diagonalize(m, "E"), diagonalize(m, "E")),
                         (diagonalize(m, "FULL"),), (part_eigenvalues(m, "S"),),
                         (part_eigenvalues(m, "E"), part_eigenvalues(m, "E")),
@@ -472,31 +474,45 @@ class TestCanonicalThermalState:
 
     @pytest.mark.parametrize("n_sys, n_env", [(2, 6), (4, 8), (2, 10)])
     def test_eigenvalue_start_matches_exact_backend(self, n_sys, n_env):
-        # Chebyshev on the bounds of H's eigenvalues against the sector eigenvectors
+        # Chebyshev on the Lanczos bounds of H's extreme eigenvalues against the sector eigenvectors
         m = build_ring_model(n_sys, n_env, -1.0, 23, 29, 1.0)
         psi0 = random_block(m, (3, 4))
         betas = (0.9, 5.0, 50.0)
-        values = eigenvalue_spectrum(m, "exact")
-        assert len(values) == 1 and values[0].sectors is None and values[0].eigenvectors is None
         exact = canonical_thermal_state(m, psi0, betas, projection_spectrum(m, "exact"))
-        chebyshev = canonical_thermal_state(m, psi0, betas, values)
+        chebyshev = canonical_thermal_state(m, psi0, betas, bounds=lanczos_bounds(m, "exact"))
         for a, b in zip(exact, chebyshev, strict=True):
             assert np.abs(a - b).max() < 1e-13
 
-    def test_eigenvalue_spectrum_follows_the_method(self):
-        # the factors of projection_spectrum, as eigenvalues only
+    def test_lanczos_bounds_follow_the_method(self):
+        # bounds where projection_spectrum gives factors, None where it gives None
         coupled = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
         uncoupled = build_ring_model(2, 3, -1.0, 5, 6, 0.0)
         for m in (coupled, uncoupled):
-            values = eigenvalue_spectrum(m, "auto")
-            pairs = projection_spectrum(m, "auto")
-            assert [v.dim for v in values] == [p.dim for p in pairs]
-            for v, p in zip(values, pairs):
-                assert np.abs(v.eigenvalues - p.eigenvalues).max() < 1e-13
-        assert eigenvalue_spectrum(coupled, "chebyshev") is None
-        assert eigenvalue_spectrum(build_ring_model(2, 11, -1.0, 5, 6, 1.0), "auto") is None
+            e = scipy.linalg.eigvalsh(dense_matrix(m))
+            lo, hi = lanczos_bounds(m, "auto")
+            assert lo <= e[0] and e[-1] <= hi and hi - lo < (e[-1] - e[0]) * (1 + 1e-7)
+        assert lanczos_bounds(coupled, "chebyshev") is None
+        assert lanczos_bounds(build_ring_model(2, 11, -1.0, 5, 6, 1.0), "auto") is None
+        assert lanczos_bounds(build_ring_model(2, 11, -1.0, 5, 6, 0.0), "auto") is not None
+        # a model without bonds, as a product start on a bondless environment, has H = 0
+        assert lanczos_bounds(SpinModel(2, 2), "exact") == (0.0, 0.0)
         with pytest.raises(ValueError):
-            eigenvalue_spectrum(coupled, "dense")
+            lanczos_bounds(coupled, "dense")
+
+    def test_one_refused_beta_leaves_the_others(self):
+        # the cancellation guard refuses beta = 500 alone: the iterator
+        # raises there and goes on, and the other betas' blocks are bitwise
+        # those of a grid without it
+        m = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
+        psi0 = random_block(m, (1, 2))
+        blocks = canonical_thermal_state(m, psi0, (0.9, 500.0, 2.0))
+        first = next(blocks)
+        with pytest.raises(ChebyshevOrderError, match="beta = 500"):
+            next(blocks)
+        last = next(blocks)
+        for got, beta in ((first, 0.9), (last, 2.0)):
+            single, = canonical_thermal_state(m, psi0, [beta])
+            assert np.array_equal(got, single)
 
     def test_auto_method_threshold(self):
         small = build_ring_model(2, 3, -1.0, 5, 6, 1.0)
@@ -580,7 +596,7 @@ class TestTracedEnvironment:
         coupled = build_ring_model(2, 4, -1.0, 3, 5, 0.35)
         psi0 = random_block(m, (1, 2))
         for model, spectrum in ((coupled, projection_spectrum(coupled, "exact")), (coupled, None),
-                                (m, eigenvalue_spectrum(m, "exact")), (m, factors)):
+                                (m, None), (m, factors)):
             list(spinbath.observe.thermal_measures(model, psi0, (0.5,), spectrum, hs))
         assert framed == [factors[1]]
 
@@ -616,7 +632,7 @@ class TestTracedEnvironment:
 
         m = build_ring_model(2, 4, -1.0, 3, 5, 0.0)
         hs = diagonalize(m, "S")
-        for spectrum in (projection_spectrum(m, "exact"), eigenvalue_spectrum(m, "exact"), None):
+        for spectrum in (projection_spectrum(m, "exact"), None):
             with pytest.raises(ValueError, match="betas"):
                 next(thermal_measures(m, random_block(m, (1,)), (0.5, -1.0), spectrum, hs))
             with pytest.raises(DimensionError):
@@ -823,76 +839,92 @@ CHAIN_4_6 = (build_chain_model, (4, 6, 1.0, 1.0, 1.0))
 
 
 class TestSpectralBounds:
+    """lanczos_bounds, the bounds a time trace projects and expands on."""
+
     @staticmethod
     def assert_valid(model, bounds):
-        """The bounds contain H's dense spectrum and lie inside its Gershgorin bounds."""
+        """The bounds contain H's dense spectrum, hug its extremes and lie inside its Gershgorin bounds."""
         e = scipy.linalg.eigvalsh(dense_matrix(model))
         g_min, g_max = energy_bounds(model)
         assert g_min <= bounds[0] <= e[0] and e[-1] <= bounds[1] <= g_max
+        assert np.allclose(bounds, (e[0], e[-1]), rtol=0, atol=1e-7 * (e[-1] - e[0]))
 
     @pytest.mark.parametrize("build, args", [RING_2_6, CHAIN_4_6], ids=["ring_2_6", "chain_4_6"])
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_projection_spectra(self, build, args, lam):
-        # the full H's spectrum when coupled, the exact (H_E, H_S) sum at lam = 0
+        # the extremes of the factor spectra the exact method projects on:
+        # the full H's when coupled, the (H_E, H_S) sum at lam = 0, whose
+        # levels are products of the parts' and highly degenerate
         m = build(*args, lam)
         spectrum = projection_spectrum(m, "exact")
         assert len(spectrum) == (2 if lam == 0.0 else 1)
-        bounds = propagate.spectral_bounds(m, *spectrum)
+        bounds = lanczos_bounds(m, "exact")
         self.assert_valid(m, bounds)
-        e = scipy.linalg.eigvalsh(dense_matrix(m))
-        assert np.allclose(bounds, (e[0], e[-1]), rtol=0, atol=1e-7 * (e[-1] - e[0]))
+        ends = (sum(f.eigenvalues[0] for f in spectrum), sum(f.eigenvalues[-1] for f in spectrum))
+        assert np.allclose(bounds, ends, rtol=0, atol=1e-7 * (ends[1] - ends[0]))
 
     @pytest.mark.parametrize("build, args", [RING_2_6, CHAIN_4_6], ids=["ring_2_6", "chain_4_6"])
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_coupled_parts_add_gershgorin_coupling(self, build, args, lam):
-        # the product-state trace's form: E_E + E_S + lam * Gershgorin(H_SE)
+        # E_E + E_S + lam * Gershgorin(H_SE), the Weyl sum the product-state
+        # trace once expanded on, encloses the Lanczos bounds up to their
+        # pad: the ferromagnetic chain's ground energy meets its lower end
         m = build(*args, lam)
         env, hs = diagonalize_sectors(m, "E"), diagonalize(m, "S")
-        bounds = propagate.spectral_bounds(m, env, hs)
+        bounds = lanczos_bounds(m, "exact")
         self.assert_valid(m, bounds)
         c_min, c_max = energy_bounds(m, "SE")
         weyl = (env.eigenvalues[0] + hs.eigenvalues[0] + lam * c_min,
                 env.eigenvalues[-1] + hs.eigenvalues[-1] + lam * c_max)
-        assert bounds[0] <= weyl[0] and bounds[1] >= weyl[1]
+        pad = 1e-7 * (bounds[1] - bounds[0])
+        assert weyl[0] - pad <= bounds[0] and bounds[1] <= weyl[1] + pad
+
+    @pytest.mark.parametrize("model", [
+        build_ring_model(2, 6, -1.0, 5, 6, 1.0),
+        build_ring_model(4, 8, -1.0, 23, 29, 1.0),
+        build_chain_model(4, 8, 1.0, 1.0, 1.0, 0.7),
+        SpinModel(3, 5, system_bonds=((1, 2, 0.9, -0.3, 0.5), (2, 3, 1.0, 1.0, 1.0)),
+                  env_bonds=tuple((i, i + 1, 0.2 * i, 0.7, -1.1) for i in range(1, 5)),
+                  coupling_bonds=((2, 4, 1.3, 0.4, 0.7), (3, 5, -0.6, 0.8, 0.1)), lam=0.6),
+    ], ids=["ring_2_6", "ring_4_8", "chain_4_8", "explicit_3_5_apart"])
+    def test_lanczos_bounds_enclose_the_extremes(self, model, monkeypatch):
+        # within 1e-7 of the width of part_eigenvalues' extremes, solving
+        # no dense eigenvalue problem, and the same floats on every call:
+        # the start vector has its own key, so no other draw moves them
+        e = part_eigenvalues(model, "FULL").eigenvalues
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda *a, **k: pytest.fail("dense solve"))
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: pytest.fail("dense solve"))
+        bounds = lanczos_bounds(model, "exact")
+        assert bounds[0] <= e[0] and e[-1] <= bounds[1]
+        assert np.allclose(bounds, (e[0], e[-1]), rtol=0, atol=1e-7 * (e[-1] - e[0]))
+        random_block(model, (20160902, 7))
+        np.random.default_rng(7).random(99)
+        assert lanczos_bounds(model, "exact") == bounds
 
     def test_tighter_than_gershgorin_on_rings(self):
         m = build_ring_model(4, 8, -1.0, 23, 29, 1.0)
-        lo, hi = propagate.spectral_bounds(m, *projection_spectrum(m, "exact"))
+        lo, hi = lanczos_bounds(m, "exact")
         g_min, g_max = energy_bounds(m)
         assert hi - lo < 0.5 * (g_max - g_min)
         bounds = [(lo, hi), (g_min, g_max)]
         orders = [real_time_plan(b, 0.5 * np.arange(1, 17)).order for b in bounds]
         assert orders == [81, 141]
 
-    def test_other_models_spectrum_refused(self, monkeypatch):
+    def test_other_models_spectrum_refused(self):
+        # a spectrum the exact backend cannot take: another model's
+        # eigenvalues alone, or sector factors of other dimensions
         ring = build_ring_model(2, 6, -1.0, 5, 6, 1.0)
         chain = build_chain_model(2, 6, 1.0, 1.0, 1.0, 1.0)
-        ring_spectrum = projection_spectrum(ring, "exact")
-        with pytest.raises(ValueError, match="another model"):
-            propagate.spectral_bounds(chain, *ring_spectrum)
-        with pytest.raises(ValueError, match="dimensions"):
-            propagate.spectral_bounds(build_ring_model(2, 5, -1.0, 5, 6, 1.0), *ring_spectrum)
-        with pytest.raises(ValueError, match="dimensions"):
-            propagate.spectral_bounds(ring, *ring_spectrum, *ring_spectrum)
-        # the eigenvalue-only spectrum of another model is refused before a
-        # projection, and a time trace prepared on it stops before it has a state
-        from spinbath import bench
-
-        ring_values = eigenvalue_spectrum(ring, "exact")
-        with pytest.raises(ValueError, match="another model"):
-            canonical_thermal_state(chain, random_block(chain, (1,)), [0.9], ring_values)
-        monkeypatch.setattr(bench, "eigenvalue_spectrum", lambda model, method: ring_values)
-        monkeypatch.setattr(bench.observe, "trace_time_series",
-                            lambda *a, **k: pytest.fail("traced on another model's bounds"))
-        cfg = bench.ExperimentConfig(mode="time_trace", model="chain", j_iso=1.0, omega_iso=1.0,
-                                     delta_iso=1.0, n_sys_list=(2,), n_env_list=(6,),
-                                     lambda_list=(1.0,), beta_list=(0.9,), t_max=1.0, dt=0.5)
-        with pytest.raises(ValueError, match="another model"):
-            bench.run(cfg)
+        psi0 = random_block(chain, (1,))
+        with pytest.raises(ValueError, match="parity-sector"):
+            canonical_thermal_state(chain, psi0, [0.9], (part_eigenvalues(ring, "FULL"),))
+        with pytest.raises(ValueError, match="parity-sector"):
+            canonical_thermal_state(chain, psi0, [0.9],
+                                    projection_spectrum(build_ring_model(2, 5, -1.0, 5, 6, 1.0), "exact"))
 
     def test_real_time_on_spectral_bounds_matches_dense(self):
         m = build_ring_model(2, 6, -1.0, 5, 6, 1.0)
-        bounds = propagate.spectral_bounds(m, *projection_spectrum(m, "exact"))
+        bounds = lanczos_bounds(m, "exact")
         t = 100.0 / (bounds[1] - bounds[0])
         psi = random_state(m.dim, 12)
         out = evolve_real_time(m, psi, t, real_time_plan(bounds, t))
@@ -951,7 +983,9 @@ class TestProductState:
         m = build_ring_model(4, 4, -1.0, 3, 5, 1.0)
         start = replace(m, system_bonds=(), coupling_bonds=())     # H_E (x) 1_S
         unprojected = alternating_product_state(m, 5)
-        projected = project(start, unprojected, 0.9, eigenvalue_spectrum(start, "exact"))
+        projected, = canonical_thermal_state(start, unprojected[:, None], [0.9],
+                                             bounds=lanczos_bounds(start, "exact"))
+        projected = projected[:, 0]
         for state in (unprojected, projected):
             assert abs(np.linalg.norm(state) - 1.0) < 1e-12
             # tracing out the environment leaves the pure up-down-up-down state

@@ -80,3 +80,25 @@ def test_bench_record_validator(tmp_path):
     assert subprocess.run([*cmd, str(good)], capture_output=True, timeout=60).returncode == 0
     done = subprocess.run([*cmd, str(good), str(bad)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 1 and "no median of sweep_s" in done.stdout
+
+
+def test_bench_record_interleaves_a_parent(monkeypatch):
+    # --parent alternates which tree runs first from pair to pair, and each
+    # tree's medians are the medians of its own runs, kept in pair order
+    bench_record = _bench_record()
+    calls = []
+
+    def run(root, workload):
+        calls.append(root)
+        value = {"tree": 1.0, "parent": 2.0}[root] * len(calls)
+        return {"correct": root == "tree" or len(calls) < 6, "attempted": 3, "failed": 0,
+                "metrics": {"sweep_s": {"value": value, "unit": "s"}}, "record": {"git_sha": root}}
+
+    monkeypatch.setattr(bench_record, "run_workload", run)
+    tree, parent = bench_record.run_interleaved(("tree", "parent"), "trace_ring12", 3)
+    assert calls == ["tree", "parent", "parent", "tree", "tree", "parent"]
+    assert tree["runs"] == [{"sweep_s": {"value": v, "unit": "s"}} for v in (1.0, 4.0, 5.0)]
+    assert tree["metrics"]["sweep_s"] == {"value": 4.0, "unit": "s"}
+    assert parent["metrics"]["sweep_s"]["value"] == 6.0 and parent["attempted"] == 9
+    assert tree["correct"] and not parent["correct"]
+    assert (tree["record"], parent["record"]) == ({"git_sha": "tree"}, {"git_sha": "parent"})
