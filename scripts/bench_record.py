@@ -15,10 +15,10 @@ can be read against each other:
 The calibration runs with one BLAS thread, as the benchmark's sweeps do.
 ``--root`` measures another checkout (its benchmark and its sources), so
 two trees can be recorded in one session.  ``--parent DIR`` records DIR
-and the ``--root`` tree interleaved, workload by workload: ``--pairs``
-pairs of runs, one run of each tree, the first tree alternating from pair
-to pair, so drift of the host's speed over the session falls on both
-alike.  It writes one pair of files, BENCH_<pr>.json for the tree and
+and the ``--root`` tree interleaved, workload by workload: PAIRS (10)
+pairs of runs, as many as a claimed gain is judged on, one run of each
+tree, the first tree alternating from pair to pair, so drift of the
+host's speed over the session falls on both alike.  It writes one pair of files, BENCH_<pr>.json for the tree and
 BENCH_<pr>.parent.json for DIR, sharing one calibration; each workload's
 medians are the medians of its runs' medians, and ``runs`` keeps every
 run's metrics in pair order.  ``--check`` validates recorded files against
@@ -26,7 +26,7 @@ this repository's BENCHMARK.json without running anything.
 
     python scripts/bench_record.py --pr 16
     python scripts/bench_record.py --pr 15 --root ../parent -o BENCH_15.json
-    python scripts/bench_record.py --pr 36 --parent ../parent --pairs 5
+    python scripts/bench_record.py --pr 36 --parent ../parent
     python scripts/bench_record.py --check BENCH_*.json
 """
 
@@ -45,6 +45,7 @@ DEFAULT_SEED = 20160902          # benchmark/run.py's default master seed
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CALIBRATION = ("gemm_gflops", "python_loop_s", "random_state_per_s")
 RECORD_KEYS = ("git_sha", "nproc", "blas_threads")
+PAIRS = 10                       # pairs of runs per workload with --parent
 
 
 def _best(fn, repeats: int) -> float:
@@ -170,8 +171,6 @@ def main() -> int:
                         help="checkout to measure (default: this repository)")
     parser.add_argument("--parent", type=Path,
                         help="checkout to record interleaved with --root, into a pair of files")
-    parser.add_argument("--pairs", type=int, default=1,
-                        help="pairs of runs per workload with --parent (default: 1)")
     parser.add_argument("-o", "--output", type=Path, help="default: BENCH_<pr>.json here")
     parser.add_argument("--check", nargs="+", metavar="FILE",
                         help="validate recorded files instead of recording")
@@ -180,8 +179,6 @@ def main() -> int:
         return check(args.check)
     if args.pr is None:
         parser.error("--pr is required to record")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     root = args.root.resolve()
     declared = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in declared["workloads"]]
@@ -189,7 +186,7 @@ def main() -> int:
     if args.parent is None:
         recorded = {output: {w: run_workload(root, w) for w in names}}
     else:
-        entries = {w: run_interleaved((root, args.parent.resolve()), w, args.pairs) for w in names}
+        entries = {w: run_interleaved((root, args.parent.resolve()), w, PAIRS) for w in names}
         parent_output = output.with_name(output.stem + ".parent" + output.suffix)
         recorded = {output: {w: e[0] for w, e in entries.items()},
                     parent_output: {w: e[1] for w, e in entries.items()}}
@@ -200,7 +197,7 @@ def main() -> int:
                "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                "calibration": calibration, "workloads": workloads}
         if args.parent is not None:
-            doc["pairs"] = args.pairs
+            doc["pairs"] = PAIRS
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path}")
         problems = validate(doc, declared)

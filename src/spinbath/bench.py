@@ -26,7 +26,8 @@ import numpy as np
 
 from . import observe, theory
 from .errors import ChebyshevOrderError, ConfigError, ModelError, SpinBathError
-from .hamiltonian import DEFAULT_SIZE_CAP, SYSTEM, SpinModel, build_chain_model, build_ring_model
+from .hamiltonian import (COUPLING, DEFAULT_SIZE_CAP, SYSTEM, SpinModel, build_chain_model,
+                          build_ring_model, energy_bounds)
 from .propagate import (
     METHODS,
     alternating_product_state,
@@ -538,11 +539,13 @@ def time_trace(config: ExperimentConfig, seed):
     ``start``: the model itself for the X state, H_E (x) 1_S (the model
     without system and coupling bonds) for the product state, whose
     environment it makes thermal.  Both the projection and the trace run on
-    Chebyshev over lanczos_bounds, which solve no eigenvalue problem:
-    start's for the projection, the model's for the trace, one call for the
-    X state.  Where the method gives no spectrum ("chebyshev", or "auto"
-    past EXACT_AUTO_DIM) those bounds are None and the expansion runs on
-    Gershgorin bounds.  Only H_S is diagonalized, for the measures.
+    Chebyshev over lanczos_bounds, which solve no eigenvalue problem.  The
+    start's bounds follow the method: None ("chebyshev", or "auto" past
+    EXACT_AUTO_DIM) projects on Gershgorin bounds.  The X state traces on
+    the same bounds.  The product state's start has H_E's bounds, from
+    Lanczos on 2^n_E amplitudes; its trace adds H_S's ends and lam times
+    H_SE's Gershgorin bounds to them (Weyl), which costs no run on 2^N
+    amplitudes.  H_S is diagonalized for the measures.
     """
     (n_sys,), (n_env,), (lam,), (beta,) = (config.n_sys_list, config.n_env_list,
                                            config.lambda_list, config.beta_list)
@@ -553,9 +556,12 @@ def time_trace(config: ExperimentConfig, seed):
     else:
         start = replace(model, system_bonds=(), coupling_bonds=())
         psi0 = alternating_product_state(model, seed)
-    start_bounds = lanczos_bounds(start, config.method)
-    states, = canonical_thermal_state(start, psi0[:, None], [beta], bounds=start_bounds)
-    bounds = start_bounds if start is model else lanczos_bounds(model, config.method)
+    bounds = lanczos_bounds(start, config.method)
+    states, = canonical_thermal_state(start, psi0[:, None], [beta], bounds=bounds)
+    if start is not model and bounds is not None:
+        # Weyl: H = (H_E + H_S) + lam H_SE, whose ends are at most the parts' ends added
+        c_min, c_max = sorted(lam * b for b in energy_bounds(model, COUPLING))
+        bounds = (bounds[0] + hs_spec.eigenvalues[0] + c_min, bounds[1] + hs_spec.eigenvalues[-1] + c_max)
     return observe.trace_time_series(model, states[:, 0], config.t_max, config.dt,
                                      hs_spec, beta_ref=beta, bounds=bounds)
 

@@ -43,8 +43,8 @@ matrix the exact path solves, model.dim for a coupled model's one factor
 and max(dim_E, dim_S) for an uncoupled pair, is at most EXACT_AUTO_DIM, so
 an uncoupled entirety above it whose parts are small is projected exactly.
 ``lanczos_bounds`` follows the same rule: where the method is exact it
-encloses H's spectrum by two Lanczos runs of a few hundred matvecs, with
-no dense solve and no dimension cap.
+encloses H's spectrum by two Lanczos runs of a few hundred matvecs on
+each of those factors, with no dense solve and no dimension cap.
 Real time exp(-i t H) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984))
 runs the same recurrence, on Gershgorin bounds or on the tighter
 ``lanczos_bounds``.  Every
@@ -143,15 +143,6 @@ class ChebyshevPlan:
         return self.order - np.argmax(self.coefficients[::-1] != 0, axis=0)
 
 
-def _pad_bounds(bounds):
-    e_min, e_max = float(bounds[0]), float(bounds[1])
-    if e_max <= e_min:
-        # zero-width spectrum (e.g. empty bond lists); widen so the affine
-        # map is defined, the expansion then reduces to the exact scalar
-        e_min, e_max = e_min - 0.5, e_max + 0.5
-    return e_min, e_max
-
-
 def _truncate(coeffs: np.ndarray):
     """Index of the last retained coefficient: two in a row below DEFAULT_TOLERANCE of the largest."""
     mags = np.abs(coeffs)
@@ -188,7 +179,11 @@ def _plan(bounds, at, column) -> ChebyshevPlan:
     spectrum of centre a and half-width half, so each grid column is bitwise
     the plan of its point alone.
     """
-    e_min, e_max = _pad_bounds(bounds)
+    e_min, e_max = float(bounds[0]), float(bounds[1])
+    if e_max <= e_min:
+        # zero-width spectrum (e.g. empty bond lists); widen so the affine
+        # map is defined, the expansion then reduces to the exact scalar
+        e_min, e_max = e_min - 0.5, e_max + 0.5
     a = 0.5 * (e_max + e_min)
     half = 0.5 * (e_max - e_min)
     points = np.atleast_1d(np.asarray(at, dtype=float))
@@ -646,41 +641,52 @@ def projection_spectrum(model: SpinModel, method: str) -> tuple[SpectrumSummary,
 
 
 def lanczos_bounds(model: SpinModel, method: str) -> tuple[float, float] | None:
-    """Bounds on H's spectrum from two Lanczos runs, or None where a method projects on Gershgorin.
+    """Bounds on H's spectrum from Lanczos runs, or None where a method projects on Gershgorin.
 
     None where _factor_parts gives None, as projection_spectrum does, so
-    the caller falls back to energy_bounds(model).  Otherwise scipy's eigsh
-    (ARPACK's implicitly restarted Lanczos) finds the lowest and the
-    highest Ritz pair (theta, v) of H, k = 1 and tol LANCZOS_TOL, through
-    apply_hamiltonian; no matrix is built, so there is no dense cap.  The
-    lowest Ritz value lies above H's lowest eigenvalue and, converged to
-    it, within its residual norm ||H v - theta v|| of it (the highest
-    likewise), so each end is widened by its residual norm, then by
-    SPECTRAL_PAD of the width, and clipped to energy_bounds(model), which
-    contains the spectrum too.  The
-    start vector is the real part of random_state(model.dim, _LANCZOS_KEY):
-    ARPACK's own start changes from call to call, and this one depends on
-    the model alone and draws from no realization's stream.  A few hundred
-    matvecs in all on ring 4+8 (Kaniel-Paige: the extremes converge first).
+    the caller falls back to energy_bounds(model).  Otherwise each factor
+    of _factor_parts, H alone when coupled and H_E, H_S when not, gets the
+    ends of _lanczos_ends on its own space, and H's ends are their sums
+    (H = H_E (x) 1 + 1 (x) H_S adds the factors' extremes), padded by
+    SPECTRAL_PAD of the width and clipped to energy_bounds(model), which
+    contains the spectrum too.  No matrix is built, so there is no dense
+    cap; a few hundred matvecs in all on ring 4+8.
     """
-    if _factor_parts(model, method) is None:
+    parts = _factor_parts(model, method)
+    if parts is None:
         return None
-    full = energy_bounds(model)
-    if full[0] == full[1]:
-        return full     # no bonds: H is a multiple of the identity
+    lo, hi = np.sum([_lanczos_ends(model, part) for part in parts], axis=0)
+    pad, (g_min, g_max) = SPECTRAL_PAD * (hi - lo), energy_bounds(model)
+    return max(float(lo - pad), g_min), min(float(hi + pad), g_max)
+
+
+def _lanczos_ends(model: SpinModel, part: str) -> tuple[float, float]:
+    """A part's lowest and highest eigenvalue, each widened by its Ritz residual.
+
+    scipy's eigsh (ARPACK's implicitly restarted Lanczos) finds the lowest
+    and the highest Ritz pair (theta, v), k = 1 and tol LANCZOS_TOL, through
+    apply_hamiltonian.  The lowest Ritz value lies above the part's lowest
+    eigenvalue and, converged to it, within its residual norm
+    ||H v - theta v|| of it (the highest likewise).  The start vector is the
+    real part of random_state(dim, _LANCZOS_KEY): ARPACK's own start
+    changes from call to call, and this one depends on the model alone and
+    draws from no realization's stream (Kaniel-Paige: the extremes
+    converge first).
+    """
+    gershgorin = energy_bounds(model, part)
+    if gershgorin[0] == gershgorin[1]:
+        return gershgorin     # no bonds: a multiple of the identity, on which ARPACK fails
     from scipy.sparse.linalg import LinearOperator, eigsh    # here, not at import: only traces need it
 
-    h = LinearOperator((model.dim, model.dim), dtype=float,
-                       matvec=lambda v: apply_hamiltonian(model, FULL, v))
-    v0 = random_state(model.dim, _LANCZOS_KEY).real
-    ends = []
-    for which, sign in (("SA", -1.0), ("LA", 1.0)):
+    dim = {FULL: model.dim, ENVIRONMENT: model.dim_env, SYSTEM: model.dim_system}[part]
+    h = LinearOperator((dim, dim), dtype=float, matvec=lambda v: apply_hamiltonian(model, part, v))
+    v0 = random_state(dim, _LANCZOS_KEY).real
+
+    def end(which, sign):
         (theta,), v = eigsh(h, k=1, which=which, tol=LANCZOS_TOL, v0=v0)
-        residual = np.linalg.norm(apply_hamiltonian(model, FULL, v[:, 0]) - theta * v[:, 0])
-        ends.append(float(theta) + sign * float(residual))
-    lo, hi = ends
-    pad = SPECTRAL_PAD * (hi - lo)
-    return max(lo - pad, full[0]), min(hi + pad, full[1])
+        return theta + sign * np.linalg.norm(apply_hamiltonian(model, part, v[:, 0]) - theta * v[:, 0])
+
+    return end("SA", -1.0), end("LA", 1.0)
 
 
 def alternating_product_state(model: SpinModel, seed) -> np.ndarray:

@@ -568,15 +568,24 @@ class TestOtherModes:
     def test_time_trace_expands_on_the_spectra_it_solved(self, initial_state, monkeypatch):
         # no eigenvalue problem is solved: the start is projected on the
         # Lanczos bounds of its H (the model's for the x state, H_E (x) 1_S's
-        # for the product state) and the trace expands on the model's, the
-        # same floats at any master seed
+        # for the product state).  The x state's trace expands on the same
+        # bounds; the product state's adds H_S's ends and lam times H_SE's
+        # Gershgorin bounds (Weyl), with no Lanczos run on the coupled H.
+        # The same floats at any master seed
+        from spinbath.hamiltonian import energy_bounds
         from spinbath.propagate import lanczos_bounds
+        from spinbath.spectrum import diagonalize
 
         cfg = make_config(mode="time_trace", n_env_list=(6,), lambda_list=(1.0,),
                           beta_list=(0.8,), t_max=1.0, dt=0.5, initial_state=initial_state)
         model = cfg.build_model(2, 6, 1.0)
-        start = model if initial_state == "x" else replace(model, system_bonds=(), coupling_bonds=())
-        expected = ([], [lanczos_bounds(start, "exact"), lanczos_bounds(model, "exact")])
+        if initial_state == "x":
+            bounds = lanczos_bounds(model, "exact")
+            expected = ([], [bounds, bounds])
+        else:
+            start = lanczos_bounds(replace(model, system_bonds=(), coupling_bonds=()), "exact")
+            hs, (c_min, c_max) = diagonalize(model, "S").eigenvalues, energy_bounds(model, "SE")
+            expected = ([], [start, (start[0] + hs[0] + c_min, start[1] + hs[-1] + c_max)])
         assert self.solves_and_bounds(cfg, monkeypatch) == expected
         assert self.solves_and_bounds(replace(cfg, master_seed=7), monkeypatch) == expected
 

@@ -851,14 +851,20 @@ class TestSpectralBounds:
 
     @pytest.mark.parametrize("build, args", [RING_2_6, CHAIN_4_6], ids=["ring_2_6", "chain_4_6"])
     @pytest.mark.parametrize("lam", [0.0, 1.0])
-    def test_projection_spectra(self, build, args, lam):
+    def test_projection_spectra(self, build, args, lam, monkeypatch):
         # the extremes of the factor spectra the exact method projects on:
         # the full H's when coupled, the (H_E, H_S) sum at lam = 0, whose
-        # levels are products of the parts' and highly degenerate
+        # levels are products of the parts' and highly degenerate.  Each
+        # factor's Lanczos runs on its own space
         m = build(*args, lam)
         spectrum = projection_spectrum(m, "exact")
         assert len(spectrum) == (2 if lam == 0.0 else 1)
+        parts = set()
+        apply = propagate.apply_hamiltonian
+        monkeypatch.setattr(propagate, "apply_hamiltonian",
+                            lambda model, part, v: parts.add(part) or apply(model, part, v))
         bounds = lanczos_bounds(m, "exact")
+        assert parts == ({"E", "S"} if lam == 0.0 else {"FULL"})
         self.assert_valid(m, bounds)
         ends = (sum(f.eigenvalues[0] for f in spectrum), sum(f.eigenvalues[-1] for f in spectrum))
         assert np.allclose(bounds, ends, rtol=0, atol=1e-7 * (ends[1] - ends[0]))
@@ -867,8 +873,9 @@ class TestSpectralBounds:
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_coupled_parts_add_gershgorin_coupling(self, build, args, lam):
         # E_E + E_S + lam * Gershgorin(H_SE), the Weyl sum the product-state
-        # trace once expanded on, encloses the Lanczos bounds up to their
-        # pad: the ferromagnetic chain's ground energy meets its lower end
+        # trace expands on, encloses the Lanczos bounds of the coupled H up
+        # to their pad: the ferromagnetic chain's ground energy meets its
+        # lower end
         m = build(*args, lam)
         env, hs = diagonalize_sectors(m, "E"), diagonalize(m, "S")
         bounds = lanczos_bounds(m, "exact")
